@@ -10,8 +10,10 @@ Layout (all little-endian), format tag "SPADEVT1":
 
 Frames with no events are omitted; the footer carries the true exposure
 count so rates stay normalizable. Frame ids must increase strictly and stay
-below the sentinel. Within a frame, events are sorted by pixel and each
-pixel appears at most once (the sensor is single-hit per exposure).
+below the sentinel, so the total is at most 2**32 - 1. Within a frame,
+events are sorted by pixel and each pixel appears at most once (the sensor
+is single-hit per exposure). Readers decode span by span and raise the
+error of the first faulty frame, checked in the order _decode_span lists.
 
 Version 1 caps the geometry at 32x32 pixels and 256 bins. Together with the
 ordering rules this makes every single-byte corruption of the magic, the
@@ -21,6 +23,7 @@ and tdc codes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -40,7 +43,12 @@ _HEADER = struct.Struct("<8sHHIHB3s")
 _FRAME_HEAD = struct.Struct("<IH")
 _FOOTER = struct.Struct("<IHQ")
 _EVENT_DTYPE = np.dtype([("pixel", "<u2"), ("tdc", "u1")])
+_HEAD_DTYPE = np.dtype([("fid", "<u4"), ("n", "<u2")])
+_UNIT = _EVENT_DTYPE.itemsize   # frame heads and events are 2 and 1 units
 _SENTINEL = 0xFFFFFFFF
+_READ_BYTES = 1 << 20
+_NO_EVENTS = (np.empty(0, np.int64), np.empty(0, np.uint16),
+              np.empty(0, np.uint8))   # FrameBatch event column dtypes
 
 MAX_DIM = 32
 MAX_BINS = 256
@@ -170,6 +178,8 @@ class EventFileWriter:
         if total <= self._last_id:
             raise RangeViolation(
                 f"total {total} does not cover last frame {self._last_id}")
+        if total > _SENTINEL:
+            raise RangeViolation(f"total {total} beyond the u32 frame ids")
         self._put(_FOOTER.pack(_SENTINEL, 0, total))
         self._fh.close()
         self._fh = None
@@ -220,6 +230,8 @@ def read_header(path) -> EventFileHeader:
         sentinel, zero, total = _FOOTER.unpack(fh.read(_FOOTER.size))
         if sentinel != _SENTINEL or zero != 0:
             raise TruncatedFile("footer sentinel missing")
+        if total > _SENTINEL:
+            raise RangeViolation(f"total {total} beyond the u32 frame ids")
     return EventFileHeader(n_x=n_x, n_y=n_y, tdc_bin_ps=tdc_ps,
                            bins_per_frame=bins,
                            mapping_mode=_CODE_MODES[mode_code],
@@ -227,7 +239,7 @@ def read_header(path) -> EventFileHeader:
 
 
 class EventFileReader:
-    """Validating frame iterator; the footer is checked up front."""
+    """Validating span decoder; the header and footer are checked up front."""
 
     def __init__(self, path):
         self.path = path
@@ -235,84 +247,114 @@ class EventFileReader:
 
     def iter_frames(self):
         """Yield Frame objects in stored order, validating as it goes."""
-        hdr = self.header
-        n_pix = hdr.n_pixels
-        with open(self.path, "rb") as fh:
-            fh.seek(0, 2)
-            end = fh.tell() - _FOOTER.size
-            fh.seek(_HEADER.size)
-            last_id = -1
-            stored = 0
-            while fh.tell() < end:
-                if fh.tell() + _FRAME_HEAD.size > end:
-                    raise TruncatedFile("frame header runs into the footer")
-                fid, count = _FRAME_HEAD.unpack(fh.read(_FRAME_HEAD.size))
-                if fid == _SENTINEL:
-                    raise InvariantViolation("sentinel before the footer")
-                if fid <= last_id:
-                    raise OrderViolation(
-                        f"frame {fid} after frame {last_id}")
-                if fid >= hdr.total_frames:
-                    raise RangeViolation(
-                        f"frame id {fid} beyond declared total "
-                        f"{hdr.total_frames}")
-                if count == 0:
-                    raise InvariantViolation("empty frames must be omitted")
-                if count > n_pix:
-                    raise RangeViolation(
-                        f"{count} events on {n_pix} single-hit pixels")
-                nbytes = count * _EVENT_DTYPE.itemsize
-                if fh.tell() + nbytes > end:
-                    raise TruncatedFile("events run into the footer")
-                rec = np.frombuffer(fh.read(nbytes), dtype=_EVENT_DTYPE)
-                pixels = rec["pixel"].astype(np.int64)
-                tdc = rec["tdc"].astype(np.int64)
-                if pixels[0] < 1 or pixels[-1] > n_pix:
-                    raise RangeViolation("pixel index outside the array")
-                if np.any(np.diff(pixels) <= 0):
-                    raise InvariantViolation(
-                        f"frame {fid}: duplicate or unsorted pixel")
-                if np.any(tdc >= hdr.bins_per_frame):
-                    raise RangeViolation("tdc code outside the frame")
-                ev = np.stack([rec["pixel"].astype(np.uint16),
-                               rec["tdc"].astype(np.uint16)], axis=1)
-                last_id = fid
-                stored += 1
-                yield Frame(frame_id=fid, events=ev)
+        for batch in self.iter_batches():
+            yield from batch.iter_frames()
 
     def iter_batches(self, frames_per_batch: int = 65536):
         """Yield FrameBatch spans that tile [0, total_frames) exactly."""
-        hdr = self.header
-        total = hdr.total_frames
+        total = self.header.total_frames
         span = 0
-        fids, pixels, tdcs = [], [], []
+        parts = []
 
-        def flush(span):
+        def flush():
             n = min(frames_per_batch, total - span * frames_per_batch)
-            batch = FrameBatch(
-                start_frame=span * frames_per_batch, n_frames=n,
-                frame_ids=(np.concatenate(fids) if fids
-                           else np.empty(0, dtype=np.int64)),
-                pixels=(np.concatenate(pixels) if pixels
-                        else np.empty(0, dtype=np.uint16)),
-                tdc=(np.concatenate(tdcs) if tdcs
-                     else np.empty(0, dtype=np.uint8)))
-            fids.clear()
-            pixels.clear()
-            tdcs.clear()
-            return batch
+            cols = [np.concatenate(c) for c in zip(_NO_EVENTS, *parts)]
+            parts.clear()
+            return FrameBatch(span * frames_per_batch, n, *cols)
 
-        for frame in self.iter_frames():
-            while frame.frame_id >= (span + 1) * frames_per_batch:
-                yield flush(span)
-                span += 1
-            fids.append(np.full(len(frame.events), frame.frame_id,
-                                dtype=np.int64))
-            pixels.append(frame.events[:, 0].astype(np.uint16))
-            tdcs.append(frame.events[:, 1].astype(np.uint8))
+        for cols in self._decode_blocks():
+            while cols[0].size:
+                k = np.searchsorted(cols[0], (span + 1) * frames_per_batch)
+                parts.append([c[:k] for c in cols])
+                cols = [c[k:] for c in cols]
+                if cols[0].size:
+                    yield flush()
+                    span += 1
         while span * frames_per_batch < total:
-            yield flush(span)
+            yield flush()
             span += 1
+
+    def _decode_blocks(self):
+        """Yield validated (frame id, pixel, tdc) event columns per block."""
+        last_id = -1
+        unpack = _FRAME_HEAD.unpack_from
+        with open(self.path, "rb") as fh:
+            left = os.fstat(fh.fileno()).st_size - _HEADER.size - _FOOTER.size
+            fh.seek(_HEADER.size)
+            buf = b""
+            while True:
+                block = fh.read(min(_READ_BYTES, left))
+                left = left - len(block) if block else 0   # file shrank
+                buf += block
+                starts, u, size = [], 0, len(buf)
+                while _UNIT * u + _FRAME_HEAD.size <= size:
+                    starts.append(u)
+                    u += 2 + unpack(buf, _UNIT * u)[1]
+                if _UNIT * u > size and left:   # the last frame continues
+                    u = starts.pop()
+                head_cut = not left and _UNIT * u < size
+                if starts or head_cut:
+                    cols = _decode_span(buf, starts, head_cut, self.header,
+                                        last_id)
+                    last_id = int(cols[0][-1])
+                    yield cols
+                if not left:
+                    return
+                buf = buf[_UNIT * u:]
+
+
+def _decode_span(buf, starts, head_cut, hdr, last_id):
+    """Gather and validate the frames starting at the given 3-byte units.
+
+    Raises the error of the first faulty frame, its checks taken in the
+    order listed here; ``head_cut`` marks one more head cut by the footer.
+    """
+    units = np.frombuffer(buf, dtype=_EVENT_DTYPE, count=len(buf) // _UNIT)
+    at = np.array(starts, dtype=np.int64)
+    heads = np.frombuffer(buf, dtype=np.uint8)[
+        _UNIT * at[:, None] + np.arange(_FRAME_HEAD.size)].view(_HEAD_DTYPE)
+    fid, count = (heads[f][:, 0].astype(np.int64) for f in ("fid", "n"))
+    whole = np.where(at + 2 + count <= units.size, count, 0)
+    offs = np.cumsum(whole) - whole
+    ev = units[np.repeat(at + 2 - offs, whole) + np.arange(whole.sum())]
+    pixels = ev["pixel"].astype(np.int64)
+    frame_of = np.repeat(np.arange(at.size), whole)
+    prev = np.concatenate(([last_id], fid))[:-1]
+    has = np.flatnonzero(whole)
+    first, last = pixels[offs[has]], pixels[offs[has] + whole[has] - 1]
+    n_pix = hdr.n_pixels
+    unsorted = (np.diff(pixels) <= 0) & (frame_of[1:] == frame_of[:-1])
+    checks = (   # ascending indices of the frames failing each check
+        (np.flatnonzero(fid == _SENTINEL), InvariantViolation,
+         "sentinel before the footer"),
+        (np.flatnonzero(fid <= prev), OrderViolation,
+         "frame {fid} after frame {prev}"),
+        (np.flatnonzero(fid >= hdr.total_frames), RangeViolation,
+         "frame id {fid} beyond declared total {total}"),
+        (np.flatnonzero(count == 0), InvariantViolation,
+         "empty frames must be omitted"),
+        (np.flatnonzero(count > n_pix), RangeViolation,
+         "{count} events on {n_pix} single-hit pixels"),
+        (np.flatnonzero(whole < count), TruncatedFile,
+         "events run into the footer"),
+        (has[(first < 1) | (last > n_pix)], RangeViolation,
+         "pixel index outside the array"),
+        (frame_of[1:][unsorted], InvariantViolation,
+         "frame {fid}: duplicate or unsorted pixel"),
+        (frame_of[ev["tdc"] >= hdr.bins_per_frame], RangeViolation,
+         "tdc code outside the frame"),
+    )
+    failed = [(int(where[0]), k) for k, (where, _, _) in enumerate(checks)
+              if where.size]
+    if failed:
+        i, k = min(failed)
+        raise checks[k][1](checks[k][2].format(
+            fid=fid[i], prev=prev[i], count=count[i], total=hdr.total_frames,
+            n_pix=n_pix))
+    if head_cut:
+        raise TruncatedFile("frame header runs into the footer")
+    return (np.repeat(fid, whole), pixels.astype(np.uint16),
+            ev["tdc"].astype(np.uint8))
 
 
 def read_batches(path, frames_per_batch: int = 65536):

@@ -347,30 +347,3 @@ def predict_epr(model: DoubleGaussianModel) -> EprPrediction:
 
 def _paired_variance(a: float, b: float) -> float:
     return 2.0 * a * a * b * b / (a * a + b * b)
-
-
-def rejection_sample_sinc(model: SincModel, n: int, qmax_per_mm: float,
-                          rng: np.random.Generator, batch: int = 65536):
-    """Draw n momentum pairs from the sinc-model density by rejection.
-
-    Proposal is uniform over the 4-cube [-qmax, qmax]^4; the bound is taken
-    from a coarse grid scan with a safety factor. Intended for model checks,
-    not for the high-throughput sampling path.
-    """
-    grid = np.linspace(-qmax_per_mm, qmax_per_mm, 25)
-    g1x, g1y, g2x, g2y = np.meshgrid(grid, grid, grid, grid, indexing="ij")
-    dens = model.density(np.stack([g1x, g1y], axis=-1),
-                         np.stack([g2x, g2y], axis=-1))
-    bound = 1.5 * float(dens.max())
-    out1 = np.empty((n, 2))
-    out2 = np.empty((n, 2))
-    got = 0
-    while got < n:
-        q1 = rng.uniform(-qmax_per_mm, qmax_per_mm, (batch, 2))
-        q2 = rng.uniform(-qmax_per_mm, qmax_per_mm, (batch, 2))
-        keep = rng.uniform(0, bound, batch) < model.density(q1, q2)
-        k = min(int(keep.sum()), n - got)
-        out1[got:got + k] = q1[keep][:k]
-        out2[got:got + k] = q2[keep][:k]
-        got += k
-    return out1, out2

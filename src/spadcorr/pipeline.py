@@ -155,8 +155,10 @@ def run_pair_study(settings: dict) -> PairStudyResult:
     map_far = cfgmod.build_mapping(settings, "far")
     map_near = cfgmod.build_mapping(settings, "near")
     pairs = settings["run.pairs_per_frame"]
-    pairs_far = settings.get("run.pairs_per_frame_far") or pairs
-    pairs_near = settings.get("run.pairs_per_frame_near") or pairs
+    # an explicit 0 is kept: it configures a dark-only arm
+    pairs_far, pairs_near = (
+        pairs if settings.get(key) is None else settings[key]
+        for key in ("run.pairs_per_frame_far", "run.pairs_per_frame_near"))
     common = dict(n_frames=settings["run.frames"], crosstalk=crosstalk,
                   workers=settings["run.workers"],
                   window=settings["correlate.window"],

@@ -143,32 +143,12 @@ class CrosstalkSpec:
         return 0.0
 
 
-@dataclasses.dataclass(frozen=True)
-class EventRecord:
-    """One time-stamped detection: 1-based pixel coordinates plus TDC bin."""
-
-    px: int
-    py: int
-    tdc: int
-
-    def linear(self, n_x: int = 32) -> int:
-        return self.px + n_x * (self.py - 1)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class Frame:
     """Events of one exposure: (n, 2) uint16 array of (linear pixel, tdc)."""
 
     frame_id: int
     events: np.ndarray
-
-    def records(self, n_x: int = 32) -> list[EventRecord]:
-        out = []
-        for lin, tdc in self.events:
-            lin0 = int(lin) - 1
-            out.append(EventRecord(px=lin0 % n_x + 1, py=lin0 // n_x + 1,
-                                   tdc=int(tdc)))
-        return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

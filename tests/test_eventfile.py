@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import decode_outcome, oracle_read_batches
+from spadcorr import eventfile
 from spadcorr.errors import (
     BadMagic,
     InvariantViolation,
@@ -19,6 +21,7 @@ from spadcorr.eventfile import (
     write_events,
 )
 from spadcorr.optics import DoubleGaussianModel, OpticalMapping
+from spadcorr.pipeline import accumulate_file
 from spadcorr.sensor import Frame, SensorConfig, frames_to_batch, simulate_frames
 
 SENTINEL = 0xFFFFFFFF
@@ -189,6 +192,13 @@ class TestWriterErrors:
         with pytest.raises(RangeViolation):
             w.close(total_frames=2)
 
+    def test_close_refuses_total_beyond_frame_ids(self, tmp_path):
+        w = EventFileWriter(tmp_path / "x.evt")
+        with pytest.raises(RangeViolation, match="u32 frame ids"):
+            w.close(total_frames=SENTINEL + 1)
+        assert w.close(total_frames=SENTINEL) == SENTINEL
+        assert read_header(tmp_path / "x.evt").total_frames == SENTINEL
+
     def test_double_close_rejected(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
         w.close()
@@ -223,6 +233,17 @@ class TestReaderErrors:
         blob = raw_header() + raw_frame(0, [(1, 0)] ) + raw_footer(1)
         with pytest.raises(TruncatedFile):
             read_header(self.write(tmp_path, blob[:-1]))
+
+    def test_footer_total_beyond_frame_ids(self, tmp_path):
+        # one flipped bit in the top byte would declare 7.2e16 frames
+        blob = bytearray(raw_header() + raw_frame(0, [(1, 0)])
+                         + raw_footer(1))
+        blob[-1] ^= 0x01
+        with pytest.raises(RangeViolation, match="u32 frame ids"):
+            read_header(self.write(tmp_path, bytes(blob)))
+        with pytest.raises(RangeViolation, match="u32 frame ids"):
+            read_header(self.write(tmp_path, raw_header()
+                                   + raw_footer(SENTINEL + 1)))
 
     def test_reserved_bytes_checked(self, tmp_path):
         blob = raw_header(reserved=b"\0\1\0") + raw_footer(1)
@@ -309,3 +330,72 @@ class TestHeaderFuzz:
                         pass
                 checked += 1
         assert checked == 56
+
+
+def simulated_file(path, n_frames, pairs_per_frame, seed):
+    model = DoubleGaussianModel.from_inferred_targets(37.3, 4.0, 37.3, 3.4)
+    writer = EventFileWriter(path, mapping_mode="far")
+    for batch in simulate_frames(model, OpticalMapping(mode="far"),
+                                 SensorConfig(), n_frames,
+                                 pairs_per_frame_mean=pairs_per_frame,
+                                 seed=seed):
+        writer.add_batch(batch)
+    writer.close(total_frames=n_frames)
+
+
+class TestDifferentialDecode:
+    """The span decoder against the per-frame reference decoder."""
+
+    def test_every_single_byte_corruption(self, tmp_path, monkeypatch):
+        path = tmp_path / "sim.evt"
+        simulated_file(path, 150, 0.3, seed=5)
+        good = path.read_bytes()
+        bad = tmp_path / "bad.evt"
+        outcomes = {"rejected": 0, "accepted": 0}
+        for pos in range(len(good)):
+            for delta in (0x01, 0x80, 0xFF):
+                blob = bytearray(good)
+                blob[pos] ^= delta
+                bad.write_bytes(bytes(blob))
+                want = decode_outcome(lambda: oracle_read_batches(bad))
+                # 64-byte reads put block boundaries inside heads and events
+                for read_bytes in (1 << 20, 64):
+                    monkeypatch.setattr(eventfile, "_READ_BYTES", read_bytes)
+                    got = decode_outcome(lambda: read_batches(bad))
+                    assert got[2] == want[2], (pos, delta, read_bytes)
+                    if want[2] is None:
+                        assert got == want, (pos, delta, read_bytes)
+                outcomes["accepted" if want[2] is None else "rejected"] += 1
+        assert sum(outcomes.values()) == 3 * len(good)
+        assert min(outcomes.values()) > 0
+
+    @pytest.mark.parametrize("frames_per_batch", [1, 7, 65536])
+    def test_random_streams_match_reference(self, tmp_path, monkeypatch,
+                                            frames_per_batch):
+        monkeypatch.setattr(eventfile, "_READ_BYTES", 100)
+        path = tmp_path / "r.evt"
+        for seed in range(20):
+            rng = np.random.default_rng(3000 + seed)
+            frames = random_frames(rng, n_pix=1024, bins=255, id_span=60,
+                                   max_frames=40)
+            write_events(path, frames, total_frames=60 + seed)
+            want = decode_outcome(
+                lambda: oracle_read_batches(path, frames_per_batch))
+            got = decode_outcome(lambda: read_batches(path, frames_per_batch))
+            assert want[2] is None
+            assert got == want
+            back = list(EventFileReader(path).iter_frames())
+            assert [fr.frame_id for fr in back] == \
+                [fr.frame_id for fr in frames]
+            for src, fr in zip(frames, back):
+                np.testing.assert_array_equal(fr.events, src.events)
+
+    def test_accumulate_file_worker_count(self, tmp_path):
+        path = tmp_path / "sim.evt"
+        simulated_file(path, 3 * 65536 + 100, 0.3, seed=9)
+        one = accumulate_file(path, workers=1, frames_per_batch=65536)
+        two = accumulate_file(path, workers=2, frames_per_batch=65536)
+        assert one.n_frames == two.n_frames == 3 * 65536 + 100
+        for name in ("g1", "g2", "g2_shifted", "g2_later", "dt_hist"):
+            np.testing.assert_array_equal(getattr(one, name),
+                                          getattr(two, name))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spadcorr import config as cfgmod
+from spadcorr import pipeline
 from spadcorr.config import parse_config
 from spadcorr.eventfile import EventFileWriter
 from spadcorr.pipeline import (
@@ -109,6 +111,24 @@ class TestPairStudy:
         np.testing.assert_array_equal(split.acc_near.g2, base.acc_near.g2)
         assert split.acc_far.g1.sum() < 0.4 * base.acc_far.g1.sum()
         assert split.acc_far.g1.sum() > 0
+
+    def test_zero_rate_configures_dark_only_arm(self, monkeypatch):
+        # a dark-only arm has no pair peak to fit; stop short of the fits
+        monkeypatch.setattr(pipeline, "evaluate_epr", lambda *a, **k: None)
+        settings = small_settings(**{"run.frames": 20000,
+                                     "run.pairs_per_frame_far": 0})
+        result = run_pair_study(settings)
+        dark = simulate_accumulator(
+            cfgmod.build_model(settings),
+            cfgmod.build_mapping(settings, "far"),
+            cfgmod.build_sensor(settings), n_frames=20000,
+            pairs_per_frame=0.0, crosstalk=cfgmod.build_crosstalk(settings),
+            seed=settings["run.seed"], window=settings["correlate.window"],
+            shift=settings["correlate.shift"])
+        for name in ("g1", "g2", "g2_shifted", "g2_later", "dt_hist"):
+            np.testing.assert_array_equal(getattr(result.acc_far, name),
+                                          getattr(dark, name))
+        assert result.acc_near.g2.sum() > 10 * result.acc_far.g2.sum()
 
     def test_crosstalk_stage_enabled(self):
         settings = small_settings(**{
