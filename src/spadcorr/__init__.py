@@ -49,12 +49,7 @@ from .fitting import damped_least_squares, fit_gaussian_1d, fit_gaussian_2d
 from .optics import (
     DoubleGaussianModel,
     OpticalMapping,
-    PumpProfile,
-    SincModel,
-    evaluate_delta_kz,
-    evaluate_joint_density,
     map_sensor_to_object,
-    momentum_widths_from_position,
     position_widths,
     position_widths_by_coordinate,
     predict_epr,
@@ -69,11 +64,9 @@ from .pipeline import (
 )
 from .sensor import (
     CrosstalkSpec,
-    Frame,
     FrameBatch,
     SensorConfig,
     draw_pixel_offsets,
-    frames_to_batch,
     sample_pair,
     simulate_frames,
 )

@@ -66,6 +66,8 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             pos += 2
             name = buf[pos:pos + nlen].decode("utf-8")
             pos += nlen
+            if name in arrays:
+                raise InvariantViolation(f"array {name!r} stored twice")
             code, ndim = struct.unpack_from("<BB", buf, pos)
             pos += 2
             if code not in _DTYPES:
@@ -87,4 +89,36 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(buf[pos:pos + mlen].decode("utf-8"))
     except struct.error as exc:
         raise TruncatedFile("container ended mid-record") from exc
+    except ValueError as exc:   # bad utf-8 or JSON
+        raise InvariantViolation(f"undecodable container: {exc}") from exc
+    if pos + mlen != len(buf):
+        raise InvariantViolation("bytes after the meta block")
+    if not isinstance(meta, dict):
+        raise InvariantViolation("meta block is not a JSON object")
     return arrays, meta
+
+
+def check_meta(meta: dict, **types) -> dict:
+    """Return the named meta fields, each checked to have its type.
+
+    A type may be a tuple of types. The match is exact, so a JSON true is
+    not an int. Raises InvariantViolation on a missing or mistyped field.
+    """
+    for key, want in types.items():
+        if key not in meta or type(meta[key]) not in (
+                want if isinstance(want, tuple) else (want,)):
+            raise InvariantViolation(f"meta field {key!r} missing or mistyped")
+    return {key: meta[key] for key in types}
+
+
+def check_arrays(arrays: dict, **specs) -> dict:
+    """Return the named arrays, each checked against its (shape, dtype).
+
+    Raises InvariantViolation on a missing array or a mismatch.
+    """
+    for name, (shape, dtype) in specs.items():
+        arr = arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            raise InvariantViolation(
+                f"array {name!r} missing or not {np.dtype(dtype)} {shape}")
+    return {name: arrays[name] for name in specs}

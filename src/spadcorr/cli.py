@@ -169,9 +169,16 @@ def _export_rows(kind, arrays, meta, what):
     raise ConfigError(f"cannot export {what!r} from a {kind} container")
 
 
+_CONTAINERS = {"accumulator": CorrelationAccumulator,
+               "corrected_g2": CorrectedG2, "crosstalk_map": CrosstalkMap}
+
+
 def _cmd_export(args):
     arrays, meta = arraystore.load_arrays(args.infile)
     kind = meta.get("kind")
+    if kind not in _CONTAINERS:
+        raise ConfigError(f"unknown container kind {kind!r}")
+    _CONTAINERS[kind].load(args.infile)   # checks every field used below
     if kind == "crosstalk_map":
         if args.what != "crosstalk":
             raise ConfigError("cross-talk maps only export 'crosstalk'")
@@ -180,12 +187,10 @@ def _cmd_export(args):
         header = ["dx", "dy", "probability"]
         rows = [(dx - r, dy - r, prob[dx, dy].item())
                 for dx in range(prob.shape[0]) for dy in range(prob.shape[1])]
-    elif kind in ("accumulator", "corrected_g2"):
+    else:
         if args.what == "crosstalk":
             raise ConfigError("only cross-talk maps export 'crosstalk'")
         header, rows = _export_rows(kind, arrays, meta, args.what)
-    else:
-        raise ConfigError(f"unknown container kind {kind!r}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -28,14 +28,18 @@ from .errors import (
     EmptyAccumulator,
     FlagOrderViolation,
     InsufficientMask,
+    InvariantViolation,
     MalformedFrame,
     OutOfRange,
     WindowTooLarge,
 )
-from .sensor import Frame, FrameBatch
+from .sensor import FrameBatch
 
 FLAG_ORDER = ("raw", "accidental_subtracted", "crosstalk_corrected",
               "neighbor_masked")
+# meta fields shared by the accumulator and corrected-tensor containers
+_TENSOR_META = dict(n_x=int, n_y=int, bins_per_frame=int, window=int,
+                    shift=int, n_frames=int, mapping_mode=str)
 
 MFRAMES = 1.0e6
 
@@ -139,6 +143,8 @@ class CorrelationAccumulator:
         return out
 
     def add_batch(self, batch: FrameBatch) -> None:
+        if not isinstance(batch, FrameBatch):
+            raise MalformedFrame(f"cannot accumulate {type(batch).__name__}")
         f = np.asarray(batch.frame_ids, dtype=np.int64)
         p = np.asarray(batch.pixels, dtype=np.int64)
         t = np.asarray(batch.tdc, dtype=np.int64)
@@ -202,48 +208,19 @@ class CorrelationAccumulator:
         arrays, meta = arraystore.load_arrays(path)
         if meta.get("kind") != "accumulator":
             raise ConfigError("container does not hold an accumulator")
-        return cls(n_x=meta["n_x"], n_y=meta["n_y"],
-                   bins_per_frame=meta["bins_per_frame"],
-                   window=meta["window"], shift=meta["shift"],
-                   mapping_mode=meta["mapping_mode"],
-                   n_frames=meta["n_frames"], **arrays)
+        fields = arraystore.check_meta(meta, **_TENSOR_META)
+        n_pix = fields["n_x"] * fields["n_y"]
+        pairs = ((n_pix, n_pix), np.int64)
+        return cls(**fields, **arraystore.check_arrays(
+            arrays, g2=pairs, g2_shifted=pairs, g2_later=pairs,
+            g1=((n_pix,), np.int64),
+            dt_hist=((2 * fields["bins_per_frame"] - 1,), np.int64)))
 
 
-def _as_batches(frames):
-    # Loose Frame objects count one frame each; empty exposures must be
-    # passed explicitly to be counted.
-    from .sensor import frames_to_batch
-
-    def pack(pending):
-        return frames_to_batch(pending,
-                               start_frame=min(fr.frame_id for fr in pending),
-                               n_frames=len(pending))
-
-    if isinstance(frames, FrameBatch):
-        yield frames
-        return
-    pending = []
-    for item in frames:
-        if isinstance(item, FrameBatch):
-            if pending:
-                yield pack(pending)
-                pending = []
-            yield item
-        elif isinstance(item, Frame):
-            pending.append(item)
-            if len(pending) >= 8192:
-                yield pack(pending)
-                pending = []
-        else:
-            raise MalformedFrame(f"cannot accumulate {type(item).__name__}")
-    if pending:
-        yield pack(pending)
-
-
-def accumulate(frames, *, window=10, shift=20, n_x=32, n_y=32,
+def accumulate(batches, *, window=10, shift=20, n_x=32, n_y=32,
                bins_per_frame=255, mapping_mode="unspecified",
                workers=1) -> CorrelationAccumulator:
-    """Build a CorrelationAccumulator from frames or frame batches.
+    """Build a CorrelationAccumulator from one FrameBatch or an iterable.
 
     The result is independent of the worker count: each worker fills its own
     accumulator and the final merge is an integer sum.
@@ -253,7 +230,8 @@ def accumulate(frames, *, window=10, shift=20, n_x=32, n_y=32,
             n_x=n_x, n_y=n_y, bins_per_frame=bins_per_frame, window=window,
             shift=shift, mapping_mode=mapping_mode)
 
-    batches = _as_batches(frames)
+    if isinstance(batches, FrameBatch):
+        batches = [batches]
     if workers <= 1:
         acc = fresh()
         for batch in batches:
@@ -263,12 +241,13 @@ def accumulate(frames, *, window=10, shift=20, n_x=32, n_y=32,
     accs = [fresh() for _ in range(workers)]
     lock = threading.Lock()
     it = iter(batches)
+    done = object()
 
     def drain(acc):
         while True:
             with lock:
-                batch = next(it, None)
-            if batch is None:
+                batch = next(it, done)
+            if batch is done:
                 return
             acc.add_batch(batch)
 
@@ -331,15 +310,16 @@ class CorrectedG2:
         arrays, meta = arraystore.load_arrays(path)
         if meta.get("kind") != "corrected_g2":
             raise ConfigError("container does not hold a corrected tensor")
-        return cls(values=arrays["values"], g1=arrays["g1"],
-                   masked=arrays["masked"].astype(bool),
-                   values_later=arrays.get("values_later"),
-                   flags=tuple(meta["flags"]), n_x=meta["n_x"],
-                   n_y=meta["n_y"], bins_per_frame=meta["bins_per_frame"],
-                   window=meta["window"], shift=meta["shift"],
-                   n_frames=meta["n_frames"],
-                   mapping_mode=meta["mapping_mode"],
-                   mask_radius=meta["mask_radius"])
+        fields = arraystore.check_meta(meta, **_TENSOR_META, flags=list,
+                                       mask_radius=(int, type(None)))
+        if any(flag not in FLAG_ORDER for flag in fields["flags"]):
+            raise InvariantViolation("unknown correction flag")
+        fields["flags"] = tuple(fields["flags"])
+        n_pix = fields["n_x"] * fields["n_y"]
+        pairs = ((n_pix, n_pix), np.float64)
+        return cls(**fields, **arraystore.check_arrays(
+            arrays, values=pairs, values_later=pairs,
+            masked=((n_pix, n_pix), np.bool_), g1=((n_pix,), np.float64)))
 
 
 def _require_stage(corr: CorrectedG2, adding: str, needs: tuple) -> None:
@@ -482,9 +462,11 @@ class CrosstalkMap:
         arrays, meta = arraystore.load_arrays(path)
         if meta.get("kind") != "crosstalk_map":
             raise ConfigError("container does not hold a cross-talk map")
-        return cls(probabilities=arrays["probabilities"],
-                   radius=meta["radius"],
-                   clamped_negative=meta["clamped_negative"])
+        fields = arraystore.check_meta(meta, radius=int,
+                                       clamped_negative=int)
+        side = 2 * fields["radius"] + 1
+        return cls(**fields, **arraystore.check_arrays(
+            arrays, probabilities=((side, side), np.float64)))
 
 
 def estimate_crosstalk(corr: CorrectedG2, inner_window=29) -> CrosstalkMap:

@@ -40,7 +40,7 @@ class RangeViolation(DataError):
 
 
 class MalformedFrame(DataError):
-    """Frame contains duplicate pixels or out-of-range events."""
+    """Not a FrameBatch, or its events are ragged, repeated or out of range."""
 
 
 class EmptyAccumulator(DataError):
@@ -75,10 +75,6 @@ class AllColumnsEmpty(DataError):
 
 class NumericError(SpadError):
     """Base class for numerical failures."""
-
-
-class EvanescentInput(NumericError):
-    """Longitudinal wavevector would be imaginary for the given input."""
 
 
 class NotConverged(NumericError):

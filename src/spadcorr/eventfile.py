@@ -31,12 +31,14 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    ConfigError,
     InvariantViolation,
+    MalformedFrame,
     OrderViolation,
     RangeViolation,
     TruncatedFile,
 )
-from .sensor import Frame, FrameBatch
+from .sensor import FrameBatch
 
 MAGIC = b"SPADEVT1"
 _HEADER = struct.Struct("<8sHHIHB3s")
@@ -79,7 +81,7 @@ def _validate_geometry(n_x, n_y, bins_per_frame):
 
 
 class EventFileWriter:
-    """Streaming writer; frames must arrive in strictly increasing id order."""
+    """Streaming batch writer; frame ids must increase across batches."""
 
     def __init__(self, path, n_x=32, n_y=32, tdc_bin_ps=205,
                  bins_per_frame=255, mapping_mode="unspecified"):
@@ -90,7 +92,6 @@ class EventFileWriter:
         self.n_y = n_y
         self.bins_per_frame = bins_per_frame
         self._last_id = -1
-        self._stored = 0
         self.bytes_written = 0
         self._fh = open(path, "wb")
         self._put(_HEADER.pack(MAGIC, n_x, n_y, int(round(tdc_bin_ps)),
@@ -101,75 +102,52 @@ class EventFileWriter:
         self._fh.write(blob)
         self.bytes_written += len(blob)
 
-    def add_frame(self, frame_id: int, pixels, tdc) -> None:
-        pixels = np.asarray(pixels)
-        tdc = np.asarray(tdc)
-        if pixels.size == 0:
-            return
-        if frame_id <= self._last_id:
-            raise OrderViolation(
-                f"frame {frame_id} after frame {self._last_id}")
-        if frame_id >= _SENTINEL:
-            raise RangeViolation("frame id collides with the footer sentinel")
-        n_pix = self.n_x * self.n_y
-        if np.any(pixels < 1) or np.any(pixels > n_pix):
-            raise RangeViolation("pixel index outside the array")
-        if np.any(tdc < 0) or np.any(tdc >= self.bins_per_frame):
-            raise RangeViolation("tdc code outside the frame")
-        if np.any(np.diff(pixels.astype(np.int64)) <= 0):
-            raise OrderViolation("events must be sorted by pixel, no repeats")
-        rec = np.empty(pixels.size, dtype=_EVENT_DTYPE)
-        rec["pixel"] = pixels
-        rec["tdc"] = tdc
-        self._put(_FRAME_HEAD.pack(frame_id, pixels.size))
-        self._put(rec.tobytes())
-        self._last_id = frame_id
-        self._stored += 1
-
     def add_batch(self, batch: FrameBatch) -> None:
-        """Encode a whole batch in one pass; same bytes as add_frame."""
-        if batch.n_events == 0:
-            return
+        """Encode a whole batch in one pass.
+
+        Events must be sorted by frame id and, within a frame, by pixel with
+        no repeats; the ids must continue past those already written.
+        """
+        if not isinstance(batch, FrameBatch):
+            raise MalformedFrame(f"cannot encode {type(batch).__name__}")
         f = np.asarray(batch.frame_ids, dtype=np.int64)
         p = np.asarray(batch.pixels, dtype=np.int64)
         t = np.asarray(batch.tdc, dtype=np.int64)
-        ids, starts = np.unique(f, return_index=True)
-        if ids[0] <= self._last_id:
-            raise OrderViolation(
-                f"frame {ids[0]} after frame {self._last_id}")
-        if ids[-1] >= _SENTINEL:
+        if not f.shape == p.shape == t.shape:
+            raise MalformedFrame("event columns differ in length")
+        if f.size == 0:
+            return
+        if f[0] <= self._last_id:
+            raise OrderViolation(f"frame {f[0]} after frame {self._last_id}")
+        step = np.diff(f)
+        back = np.flatnonzero(step < 0)
+        if back.size:
+            i = back[0]
+            raise OrderViolation(f"frame {f[i + 1]} after frame {f[i]}")
+        if f[-1] >= _SENTINEL:
             raise RangeViolation("frame id collides with the footer sentinel")
-        n_pix = self.n_x * self.n_y
-        if p[0] < 1 or np.any(p > n_pix) or np.any(p < 1):
+        if np.any((p < 1) | (p > self.n_x * self.n_y)):
             raise RangeViolation("pixel index outside the array")
-        if np.any(t < 0) or np.any(t >= self.bins_per_frame):
+        if np.any((t < 0) | (t >= self.bins_per_frame)):
             raise RangeViolation("tdc code outside the frame")
-        same = np.ones(f.size, dtype=bool)
-        same[starts] = False
-        if np.any((np.diff(p) <= 0) & same[1:]):
+        if np.any((np.diff(p) <= 0) & (step == 0)):
             raise OrderViolation("events must be sorted by pixel, no repeats")
-        counts = np.diff(np.append(starts, f.size))
-        if np.any(counts > n_pix):
-            raise RangeViolation("more events than single-hit pixels")
-        k = ids.size
-        rec_start = 6 * np.arange(k, dtype=np.int64) \
-            + 3 * (starts - starts[0])
-        out = np.empty(6 * k + 3 * f.size, dtype=np.uint8)
-        head = np.empty(k, dtype=[("fid", "<u4"), ("n", "<u2")])
-        head["fid"] = ids
-        head["n"] = counts
-        out[(rec_start[:, None] + np.arange(6)).ravel()] = \
-            head.view(np.uint8)
-        ev = np.empty(f.size, dtype=_EVENT_DTYPE)
-        ev["pixel"] = p
-        ev["tdc"] = t
-        ev_start = rec_start[np.repeat(np.arange(k), counts)] + 6 \
-            + 3 * (np.arange(f.size) - np.repeat(starts, counts))
-        out[(ev_start[:, None] + np.arange(3)).ravel()] = \
-            ev.view(np.uint8).reshape(-1, 3).ravel()
-        self._put(out.tobytes())
-        self._last_id = int(ids[-1])
-        self._stored += k
+        # each frame is a 2-unit head followed by its 1-unit events
+        opens = np.concatenate(([True], step > 0))
+        frame_of = np.cumsum(opens) - 1
+        starts = np.flatnonzero(opens)
+        head = np.empty(starts.size, dtype=_HEAD_DTYPE)
+        head["fid"] = f[starts]
+        head["n"] = np.diff(np.append(starts, f.size))
+        units = np.empty(f.size + 2 * starts.size, dtype=_EVENT_DTYPE)
+        at = np.arange(f.size) + 2 * frame_of + 2
+        units["pixel"][at] = p
+        units["tdc"][at] = t
+        head_at = _UNIT * (starts + 2 * np.arange(starts.size))
+        units.view(np.uint8)[head_at[:, None] + np.arange(_FRAME_HEAD.size)] \
+            = head.view(np.uint8).reshape(-1, _FRAME_HEAD.size)
+        self._put(units.tobytes())
+        self._last_id = int(f[-1])
 
     def close(self, total_frames=None) -> int:
         if self._fh is None:
@@ -186,21 +164,17 @@ class EventFileWriter:
         return total
 
 
-def write_events(path, frames, *, n_x=32, n_y=32, tdc_bin_ps=205,
+def write_events(path, batches, *, n_x=32, n_y=32, tdc_bin_ps=205,
                  bins_per_frame=255, mapping_mode="unspecified",
                  total_frames=None) -> int:
-    """Write Frame objects or FrameBatches; returns the byte count written."""
+    """Write one FrameBatch or an iterable of them; returns the byte count."""
     writer = EventFileWriter(path, n_x=n_x, n_y=n_y, tdc_bin_ps=tdc_bin_ps,
                              bins_per_frame=bins_per_frame,
                              mapping_mode=mapping_mode)
-    if isinstance(frames, (Frame, FrameBatch)):
-        frames = [frames]
-    for item in frames:
-        if isinstance(item, FrameBatch):
-            writer.add_batch(item)
-        else:
-            writer.add_frame(item.frame_id, item.events[:, 0],
-                             item.events[:, 1])
+    if isinstance(batches, FrameBatch):
+        batches = [batches]
+    for batch in batches:
+        writer.add_batch(batch)
     writer.close(total_frames)
     return writer.bytes_written
 
@@ -245,13 +219,11 @@ class EventFileReader:
         self.path = path
         self.header = read_header(path)
 
-    def iter_frames(self):
-        """Yield Frame objects in stored order, validating as it goes."""
-        for batch in self.iter_batches():
-            yield from batch.iter_frames()
-
     def iter_batches(self, frames_per_batch: int = 65536):
         """Yield FrameBatch spans that tile [0, total_frames) exactly."""
+        if frames_per_batch < 1:
+            raise ConfigError(
+                f"frames_per_batch must be positive, got {frames_per_batch}")
         total = self.header.total_frames
         span = 0
         parts = []

@@ -1,16 +1,15 @@
 """Transverse two-photon optics for a collinear downconversion source.
 
-Models the joint transverse-momentum amplitude of a photon pair created in a
+Models the joint transverse-momentum density of a photon pair created in a
 periodically poled crystal, plus the imaging geometry that puts either the
 source plane (near field, magnification M) or the pump focal plane (far field,
 Fourier lens f) onto the sensor.
 
-Two density models are provided. The physical one is the pump envelope times
-the phase-matching sinc. The double-Gaussian surrogate carries one standard
-deviation per axis for each of the centroid and difference momentum
-coordinates q+- = (q1 +- q2)/sqrt(2); it is exact in the limit where the sinc
-is well approximated by a Gaussian and is the model the whole analysis chain
-is calibrated against.
+The density is a double-Gaussian surrogate of the pump envelope times the
+phase-matching sinc: one standard deviation per axis for each of the centroid
+and difference momentum coordinates q+- = (q1 +- q2)/sqrt(2). It is exact in
+the limit where the sinc is well approximated by a Gaussian, and it is the
+model the simulator draws from and the analysis chain is calibrated against.
 
 Units are fixed package-wide: transverse momenta in 1/mm, lengths on the
 sensor in um, crystal length in mm, grating period in um, angular frequencies
@@ -21,13 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
-
 import numpy as np
 
-from .errors import ConfigError, EvanescentInput
-
-SPEED_OF_LIGHT_M_S = 299792458.0
+from .errors import ConfigError
 
 
 def _as_qvec(q):
@@ -39,105 +34,6 @@ def _as_qvec(q):
     if q.ndim and q.shape[-1] == 2:
         return q
     return np.stack([q, np.zeros_like(q)], axis=-1)
-
-
-@dataclasses.dataclass(frozen=True)
-class DispersionModel:
-    """Refractive index versus angular frequency.
-
-    Either a constant ``n0`` or an arbitrary callable. The callable must be
-    vectorized over numpy arrays.
-    """
-
-    n0: float = 1.0
-    n_of_omega: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def n(self, omega):
-        if self.n_of_omega is not None:
-            return np.asarray(self.n_of_omega(np.asarray(omega, dtype=float)))
-        return np.full_like(np.asarray(omega, dtype=float), self.n0)
-
-
-@dataclasses.dataclass(frozen=True)
-class PumpProfile:
-    """Transverse pump amplitude E_p(q), default Gaussian.
-
-    waist_x_um / waist_y_um are field waists: E(rho) ~ exp(-x^2/w0x^2 - ...),
-    so the amplitude in momentum space is exp(-(qx^2 w0x^2 + qy^2 w0y^2)/4).
-    A custom complex amplitude callable overrides the Gaussian.
-    """
-
-    waist_x_um: float = 250.0
-    waist_y_um: float = 300.0
-    amplitude_of_q: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def amplitude(self, q_per_mm):
-        q = _as_qvec(q_per_mm)
-        if self.amplitude_of_q is not None:
-            return np.asarray(self.amplitude_of_q(q))
-        # q [1/mm] * w [um] * 1e-3 is dimensionless
-        ax = q[..., 0] * self.waist_x_um * 1e-3
-        ay = q[..., 1] * self.waist_y_um * 1e-3
-        return np.exp(-(ax * ax + ay * ay) / 4.0)
-
-
-def evaluate_delta_kz(q1, q2, omega2, omega_pump, dispersion: DispersionModel,
-                      grating_period_um: float) -> np.ndarray:
-    """Longitudinal wavevector mismatch of the quasi-phase-matched process.
-
-    delta_kz = kz(omega_pump - omega2, q1) + kz(omega2, q2)
-               - kz(omega_pump, q1 + q2) + 2*pi/G
-
-    with kz = sqrt((omega n / c)^2 - |q|^2). Returns 1/um.
-
-    Raises EvanescentInput if any sqrt argument is negative (transverse
-    momentum beyond the propagating cone).
-    """
-    if grating_period_um <= 0:
-        raise ConfigError("grating period must be positive")
-    q1 = _as_qvec(q1) * 1e-3   # 1/mm -> 1/um
-    q2 = _as_qvec(q2) * 1e-3
-    omega2 = np.asarray(omega2, dtype=float)
-    omega1 = omega_pump - omega2
-
-    def kz(omega, qvec):
-        k = dispersion.n(omega) * omega / SPEED_OF_LIGHT_M_S * 1e-6  # 1/um
-        arg = k * k - np.sum(qvec * qvec, axis=-1)
-        if np.any(arg < 0):
-            raise EvanescentInput("transverse momentum exceeds total wavevector")
-        return np.sqrt(arg)
-
-    return (kz(omega1, q1) + kz(omega2, q2) - kz(omega_pump, q1 + q2)
-            + 2.0 * math.pi / grating_period_um)
-
-
-@dataclasses.dataclass(frozen=True)
-class SincModel:
-    """Physical joint-density model: pump envelope times phase-matching sinc.
-
-    density(q1, q2) = |E_p(q1+q2)|^2 * sinc^2(delta_kz * L / 2)
-
-    Unnormalized (relative density). Exists for density evaluation and
-    rejection sampling; the analysis chain itself runs on the
-    double-Gaussian surrogate.
-    """
-
-    pump: PumpProfile = PumpProfile()
-    dispersion: DispersionModel = DispersionModel(n0=1.8396)
-    omega_pump: float = 2 * math.pi * SPEED_OF_LIGHT_M_S / 405e-9
-    crystal_length_mm: float = 12.0
-    grating_period_um: float = 3.51043
-
-    def density(self, q1, q2, omega2=None):
-        q1 = _as_qvec(q1)
-        q2 = _as_qvec(q2)
-        omega2 = self.omega_pump / 2.0 if omega2 is None else omega2
-        dkz = evaluate_delta_kz(q1, q2, omega2, self.omega_pump,
-                                self.dispersion, self.grating_period_um)
-        half_phase = dkz * self.crystal_length_mm * 1e3 / 2.0  # L in um
-        envelope = np.abs(self.pump.amplitude(q1 + q2)) ** 2
-        # np.sinc is sin(pi x)/(pi x)
-        return envelope * np.sinc(half_phase / math.pi) ** 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,11 +108,6 @@ def _solve_axis(delta_pos_um: float, delta_mom_per_mm: float) -> tuple[float, fl
     return narrow, broad
 
 
-def evaluate_joint_density(model, q1, q2) -> np.ndarray:
-    """Joint momentum density of either model at (q1, q2), both in 1/mm."""
-    return model.density(q1, q2)
-
-
 def position_widths(model: DoubleGaussianModel):
     """Position-space width pair per axis, in um.
 
@@ -229,15 +120,6 @@ def position_widths(model: DoubleGaussianModel):
     return (
         (1e3 / (2.0 * model.sigma_q_minus_x), 1e3 / (2.0 * model.sigma_q_plus_x)),
         (1e3 / (2.0 * model.sigma_q_minus_y), 1e3 / (2.0 * model.sigma_q_plus_y)),
-    )
-
-
-def momentum_widths_from_position(widths_um):
-    """Inverse of position_widths: ((sq+x, sq-x), (sq+y, sq-y)) in 1/mm."""
-    (xpx, xmx), (xpy, xmy) = widths_um
-    return (
-        (1e3 / (2.0 * xmx), 1e3 / (2.0 * xpx)),
-        (1e3 / (2.0 * xmy), 1e3 / (2.0 * xpy)),
     )
 
 
@@ -302,11 +184,6 @@ def map_sensor_to_object(mapping: OpticalMapping, rho_um):
     if mapping.mode == "near":
         return rho / mapping.magnification
     raise ConfigError("unspecified mapping has no object-space scale")
-
-
-def object_scale_per_pixel(mapping: OpticalMapping, pixel_pitch_um: float) -> float:
-    """Object-space step per pixel: 1/mm in the far field, um in the near."""
-    return float(map_sensor_to_object(mapping, pixel_pitch_um))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -144,14 +144,6 @@ class CrosstalkSpec:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Frame:
-    """Events of one exposure: (n, 2) uint16 array of (linear pixel, tdc)."""
-
-    frame_id: int
-    events: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class FrameBatch:
     """Columnar slice of the frame stream covering [start_frame, start_frame + n_frames).
 
@@ -169,47 +161,18 @@ class FrameBatch:
     def n_events(self) -> int:
         return int(self.frame_ids.size)
 
-    def iter_frames(self) -> Iterator[Frame]:
-        if self.n_events == 0:
-            return
-        ids, starts = np.unique(self.frame_ids, return_index=True)
-        bounds = np.append(starts, self.frame_ids.size)
-        for k, fid in enumerate(ids):
-            sl = slice(bounds[k], bounds[k + 1])
-            ev = np.stack([self.pixels[sl].astype(np.uint16),
-                           self.tdc[sl].astype(np.uint16)], axis=1)
-            yield Frame(frame_id=int(fid), events=ev)
 
+def quantize_tdc(t_ps, cfg: SensorConfig):
+    """TDC bins of arrival times and the mask of those inside the frame gate.
 
-def frames_to_batch(frames: list[Frame], start_frame: int,
-                    n_frames: int) -> FrameBatch:
-    """Pack Frame objects into one batch (events re-sorted canonically)."""
-    fids, pix, tdc = [], [], []
-    for fr in frames:
-        if len(fr.events):
-            fids.append(np.full(len(fr.events), fr.frame_id, dtype=np.int64))
-            pix.append(np.asarray(fr.events[:, 0], dtype=np.uint16))
-            tdc.append(np.asarray(fr.events[:, 1], dtype=np.uint8))
-    if fids:
-        f = np.concatenate(fids)
-        p = np.concatenate(pix)
-        t = np.concatenate(tdc)
-        order = np.lexsort((p, f))
-        f, p, t = f[order], p[order], t[order]
-    else:
-        f = np.empty(0, dtype=np.int64)
-        p = np.empty(0, dtype=np.uint16)
-        t = np.empty(0, dtype=np.uint8)
-    return FrameBatch(start_frame=start_frame, n_frames=n_frames,
-                      frame_ids=f, pixels=p, tdc=t)
-
-
-def quantize_tdc(t_ps: float, cfg: SensorConfig):
-    """Map an arrival time to its TDC bin, or None when outside the gate."""
-    if t_ps < 0:
-        return None
-    b = int(math.floor(t_ps / cfg.tdc_bin_ps))
-    return b if b < cfg.bins_per_frame else None
+    Returns (bins, inside) as int64 codes and booleans; a code means
+    something only where inside is true.
+    """
+    t_ps = np.asarray(t_ps, dtype=float)
+    bins = np.floor(t_ps / cfg.tdc_bin_ps).astype(np.int64)
+    inside = ((t_ps >= 0.0) & (t_ps < cfg.frame_duration_ps)
+              & (bins < cfg.bins_per_frame))
+    return bins, inside
 
 
 def sample_pair(model: DoubleGaussianModel, mapping: OpticalMapping,
@@ -378,11 +341,9 @@ def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
                                                rng, frame_ids=frames)
 
     # frame gate, TDC quantization, first hit per (frame, pixel)
-    keep = (times >= 0.0) & (times < fd)
-    frames, lins, times = frames[keep], lins[keep], times[keep]
-    bins = np.floor(times / cfg.tdc_bin_ps).astype(np.int64)
-    ok = bins < cfg.bins_per_frame
-    frames, lins, bins, times = frames[ok], lins[ok], bins[ok], times[ok]
+    bins, inside = quantize_tdc(times, cfg)
+    frames, lins, bins, times = (frames[inside], lins[inside], bins[inside],
+                                 times[inside])
     order = np.lexsort((times, lins, frames))
     frames, lins, bins = frames[order], lins[order], bins[order]
     first = np.ones(frames.size, dtype=bool)

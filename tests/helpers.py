@@ -1,5 +1,6 @@
 """Brute-force reference implementations shared by the test modules."""
 
+import dataclasses
 import hashlib
 import struct
 
@@ -14,12 +15,33 @@ from spadcorr.errors import (
     TruncatedFile,
 )
 from spadcorr.eventfile import read_header
-from spadcorr.sensor import Frame, FrameBatch
+from spadcorr.sensor import FrameBatch
 
 
-def random_event_frames(rng, n_frames, n_pix, bins, max_events=8,
-                        p_empty=0.2):
-    """Random valid Frame list; empty frames are skipped (ids stay gapped)."""
+def batch_of(*frames, n_frames=None):
+    """FrameBatch from (frame id, pixels, tdc codes) triples, kept in order.
+
+    The batch starts at frame 0 and covers n_frames frames, by default up
+    to the last id given.
+    """
+    fids, pixels, tdc = ([np.empty(0, dt)]
+                         for dt in (np.int64, np.uint16, np.uint8))
+    for fid, pix, t in frames:
+        fids.append(np.full(len(pix), fid, dtype=np.int64))
+        pixels.append(np.asarray(pix, np.uint16))
+        tdc.append(np.asarray(t, np.uint8))
+    if n_frames is None:
+        n_frames = frames[-1][0] + 1 if frames else 0
+    return FrameBatch(0, n_frames, *(np.concatenate(c)
+                                     for c in (fids, pixels, tdc)))
+
+
+def random_batch(rng, n_frames, n_pix, bins, max_events=8, p_empty=0.2):
+    """Random valid FrameBatch over frames [0, n_frames).
+
+    Each frame is empty with probability p_empty and otherwise holds 1 to
+    max_events distinct pixels in ascending order with random tdc codes.
+    """
     frames = []
     for fid in range(n_frames):
         if rng.random() < p_empty:
@@ -28,22 +50,26 @@ def random_event_frames(rng, n_frames, n_pix, bins, max_events=8,
         k = min(k, n_pix)
         pix = np.sort(rng.choice(np.arange(1, n_pix + 1), size=k,
                                  replace=False))
-        tdc = rng.integers(0, bins, k)
-        ev = np.stack([pix.astype(np.uint16), tdc.astype(np.uint16)], axis=1)
-        frames.append(Frame(frame_id=fid, events=ev))
-    return frames
+        frames.append((fid, pix, rng.integers(0, bins, k)))
+    return batch_of(*frames, n_frames=n_frames)
 
 
-def quadratic_accumulate(frames, n_x, n_y, bins, window, shift,
-                         n_frames=None):
+def frame_groups(batch):
+    """(frame id, pixels, tdc codes) of each frame a sorted batch stores."""
+    ids, starts = np.unique(batch.frame_ids, return_index=True)
+    ends = np.append(starts[1:], batch.n_events)
+    return [(int(fid), batch.pixels[a:b], batch.tdc[a:b])
+            for fid, a, b in zip(ids, starts, ends)]
+
+
+def quadratic_accumulate(batch, n_x, n_y, bins, window, shift):
     """Reference accumulator built from plain nested loops over event pairs."""
-    n_pix = n_x * n_y
     acc = CorrelationAccumulator(n_x=n_x, n_y=n_y, bins_per_frame=bins,
                                  window=window, shift=shift)
-    acc.n_frames = len(frames) if n_frames is None else n_frames
+    acc.n_frames = batch.n_frames
     half = bins - 1
-    for fr in frames:
-        events = [(int(p), int(t)) for p, t in fr.events]
+    for _, pixels, tdc in frame_groups(batch):
+        events = list(zip(pixels.tolist(), tdc.tolist()))
         for p, _ in events:
             acc.g1[p - 1] += 1
         for i, (p1, t1) in enumerate(events):
@@ -83,8 +109,9 @@ def quadruple_loop_projections(values, n_x, n_y):
 def oracle_iter_frames(path):
     """Reference event-file decoder: one Python iteration per stored frame.
 
-    Validates each frame in the format's check order and raises at the
-    first faulty one, after yielding the frames before it.
+    Yields (frame id, pixels, tdc codes) per stored frame. Validates each
+    frame in the format's check order and raises at the first faulty one,
+    after yielding the frames before it.
     """
     hdr = read_header(path)
     n_pix = hdr.n_pixels
@@ -123,41 +150,28 @@ def oracle_iter_frames(path):
                     f"frame {fid}: duplicate or unsorted pixel")
             if np.any(tdc >= hdr.bins_per_frame):
                 raise RangeViolation("tdc code outside the frame")
-            ev = np.stack([pixels.astype(np.uint16),
-                           tdc.astype(np.uint16)], axis=1)
             last_id = fid
-            yield Frame(frame_id=fid, events=ev)
+            yield fid, pixels.astype(np.uint16), tdc.astype(np.uint8)
 
 
 def oracle_read_batches(path, frames_per_batch=65536):
     """Reference batching of oracle_iter_frames into spans tiling the file."""
     total = read_header(path).total_frames
     span = 0
-    fids, pixels, tdcs = [], [], []
+    frames = []
 
     def flush(span):
         n = min(frames_per_batch, total - span * frames_per_batch)
-        batch = FrameBatch(
-            start_frame=span * frames_per_batch, n_frames=n,
-            frame_ids=(np.concatenate(fids) if fids
-                       else np.empty(0, dtype=np.int64)),
-            pixels=(np.concatenate(pixels) if pixels
-                    else np.empty(0, dtype=np.uint16)),
-            tdc=(np.concatenate(tdcs) if tdcs
-                 else np.empty(0, dtype=np.uint8)))
-        fids.clear()
-        pixels.clear()
-        tdcs.clear()
+        batch = dataclasses.replace(batch_of(*frames, n_frames=n),
+                                    start_frame=span * frames_per_batch)
+        frames.clear()
         return batch
 
     for frame in oracle_iter_frames(path):
-        while frame.frame_id >= (span + 1) * frames_per_batch:
+        while frame[0] >= (span + 1) * frames_per_batch:
             yield flush(span)
             span += 1
-        fids.append(np.full(len(frame.events), frame.frame_id,
-                            dtype=np.int64))
-        pixels.append(frame.events[:, 0].astype(np.uint16))
-        tdcs.append(frame.events[:, 1].astype(np.uint8))
+        frames.append(frame)
     while span * frames_per_batch < total:
         yield flush(span)
         span += 1

@@ -14,9 +14,12 @@ import pytest
 
 from conftest import record_criterion
 from helpers import (
+    batch_of,
+    decode_outcome,
+    frame_groups,
     quadratic_accumulate,
     quadruple_loop_projections,
-    random_event_frames,
+    random_batch,
 )
 from test_fitting import central_differences
 
@@ -36,7 +39,7 @@ from spadcorr.errors import (
     RangeViolation,
     TruncatedFile,
 )
-from spadcorr.eventfile import EventFileReader, write_events
+from spadcorr.eventfile import read_batches, write_events
 from spadcorr.fitting import (
     fit_gaussian_1d,
     fit_gaussian_2d,
@@ -55,7 +58,6 @@ from spadcorr.pipeline import (
 from spadcorr.sensor import (
     SensorConfig,
     draw_pixel_offsets,
-    frames_to_batch,
     simulate_frames,
 )
 
@@ -248,12 +250,11 @@ def test_criterion_6_fitter():
 
 def test_criterion_7_oracle_equivalence():
     rng = np.random.default_rng(77)
-    frames = random_event_frames(rng, 100, 1024, 255, max_events=8,
-                                 p_empty=0.0)
-    assert len(frames) == 100
-    acc = accumulate([frames_to_batch(frames, 0, 100)], window=10, shift=20,
-                     n_x=32, n_y=32, bins_per_frame=255)
-    ref = quadratic_accumulate(frames, 32, 32, 255, window=10, shift=20)
+    batch = random_batch(rng, 100, 1024, 255, max_events=8, p_empty=0.0)
+    assert len(frame_groups(batch)) == batch.n_frames == 100
+    acc = accumulate(batch, window=10, shift=20, n_x=32, n_y=32,
+                     bins_per_frame=255)
+    ref = quadratic_accumulate(batch, 32, 32, 255, window=10, shift=20)
     count_equal = (np.array_equal(acc.g2, ref.g2)
                    and np.array_equal(acc.g2_later, ref.g2_later)
                    and np.array_equal(acc.g2_shifted, ref.g2_shifted)
@@ -308,24 +309,17 @@ def test_criterion_9_io_round_trip_and_corruption(tmp_path):
     path = tmp_path / "stream.evt"
     bad_streams = 0
     for _ in range(1000):
-        frames = random_event_frames(rng, int(rng.integers(0, 12)), 1024,
-                                     255, max_events=5, p_empty=0.3)
-        write_events(path, frames)
-        back = []
-        for batch in EventFileReader(path).iter_batches(65536):
-            back.extend(batch.iter_frames())
-        same = len(back) == len(frames) and all(
-            a.frame_id == b.frame_id and np.array_equal(a.events, b.events)
-            for a, b in zip(frames, back))
+        batch = random_batch(rng, int(rng.integers(0, 12)), 1024, 255,
+                             max_events=5, p_empty=0.3)
+        write_events(path, batch, total_frames=batch.n_frames)
+        same = decode_outcome(lambda: read_batches(path, 65536)) == \
+            decode_outcome(lambda: [batch] if batch.n_frames else [])
         if not same:
             bad_streams += 1
 
     full = tmp_path / "full.evt"
-    from spadcorr.sensor import Frame
-    write_events(full, [
-        Frame(frame_id=0, events=np.array([[1, 0], [512, 100], [1024, 254]],
-                                          dtype=np.uint16)),
-        Frame(frame_id=3, events=np.array([[1024, 254]], dtype=np.uint16))])
+    write_events(full, batch_of((0, [1, 512, 1024], [0, 100, 254]),
+                                (3, [1024], [254])))
     good = full.read_bytes()
     protected = list(range(0, 12)) + [16, 17]
     rejected = 0
@@ -336,7 +330,7 @@ def test_criterion_9_io_round_trip_and_corruption(tmp_path):
             blob[pos] ^= delta
             bad.write_bytes(bytes(blob))
             try:
-                for _ in EventFileReader(bad).iter_frames():
+                for _ in read_batches(bad):
                     pass
             except (BadMagic, RangeViolation, InvariantViolation,
                     TruncatedFile, OrderViolation):

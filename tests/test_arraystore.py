@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
+from helpers import batch_of
 from spadcorr.arraystore import load_arrays, save_arrays
-from spadcorr.errors import BadMagic, InvariantViolation, TruncatedFile
+from spadcorr.correlator import (
+    CorrectedG2,
+    CorrelationAccumulator,
+    CrosstalkMap,
+    accumulate,
+    estimate_accidentals,
+    mask_neighbors,
+    normalize,
+    subtract_accidentals,
+)
+from spadcorr.errors import (
+    BadMagic,
+    InvariantViolation,
+    SpadError,
+    TruncatedFile,
+)
 
 
 def sample_payload(rng):
@@ -72,3 +88,75 @@ def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(InvariantViolation):
         save_arrays(tmp_path / "x.blk",
                     {"c": np.arange(3, dtype=np.complex128)}, {})
+
+
+def tiny_containers():
+    """A 2x2 accumulator, its corrected tensor and a cross-talk map."""
+    acc = accumulate(batch_of((0, [1, 2, 4], [0, 1, 6]), (2, [3], [2])),
+                     window=2, shift=5, n_x=2, n_y=2, bins_per_frame=8)
+    corr = subtract_accidentals(normalize(acc), estimate_accidentals(acc))
+    cmap = CrosstalkMap(probabilities=np.full((3, 3), 1e-3), radius=1,
+                        clamped_negative=1)
+    return {"accumulator": (acc, CorrelationAccumulator),
+            "corrected": (mask_neighbors(corr, 1), CorrectedG2),
+            "crosstalk_map": (cmap, CrosstalkMap)}
+
+
+@pytest.mark.parametrize("kind", ["accumulator", "corrected", "crosstalk_map"])
+def test_byte_flips_end_in_spad_errors(tmp_path, kind):
+    obj, cls = tiny_containers()[kind]
+    path = tmp_path / "good.blk"
+    obj.save(path)
+    good = path.read_bytes()
+    cls.load(path)
+    bad = tmp_path / "bad.blk"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for pos in range(len(good)):
+        for delta in (0x01, 0x80, 0xFF):
+            blob = bytearray(good)
+            blob[pos] ^= delta
+            bad.write_bytes(bytes(blob))
+            try:
+                cls.load(bad)
+            except SpadError:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+    assert sum(outcomes.values()) == 3 * len(good)
+    assert min(outcomes.values()) > 0
+
+
+def test_meta_and_arrays_are_checked(tmp_path):
+    path = tmp_path / "x.blk"
+    arrays = {"probabilities": np.zeros((3, 3))}
+    for meta, arr in (
+            ({"kind": "crosstalk_map", "radius": 1}, arrays),
+            ({"kind": "crosstalk_map", "radius": "1",
+              "clamped_negative": 0}, arrays),
+            ({"kind": "crosstalk_map", "radius": True,
+              "clamped_negative": 0}, arrays),
+            ({"kind": "crosstalk_map", "radius": 2,
+              "clamped_negative": 0}, arrays),
+            ({"kind": "crosstalk_map", "radius": 1, "clamped_negative": 0},
+             {"probabilities": np.zeros((3, 3), dtype=np.int64)}),
+            ({"kind": "crosstalk_map", "radius": 1, "clamped_negative": 0},
+             {"other": np.zeros((3, 3))})):
+        save_arrays(path, arr, meta)
+        with pytest.raises(InvariantViolation):
+            CrosstalkMap.load(path)
+
+
+def test_undecodable_bytes_rejected(tmp_path):
+    path = tmp_path / "x.blk"
+    save_arrays(path, {"x": np.arange(3)}, {"k": 1})
+    blob = path.read_bytes()
+    for bad in (blob.replace(b"x", b"\xff", 1),    # name not utf-8
+                blob.replace(b'{"k"', b'{"k\xff', 1),
+                blob.replace(b'{"k"', b'["k"', 1),
+                blob + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(InvariantViolation):
+            load_arrays(path)
+    save_arrays(path, {"x": np.arange(3)}, [1])
+    with pytest.raises(InvariantViolation, match="JSON object"):
+        load_arrays(path)

@@ -6,7 +6,7 @@ import pytest
 
 from spadcorr import arraystore
 from spadcorr.cli import main
-from spadcorr.correlator import CorrelationAccumulator
+from spadcorr.correlator import CorrelationAccumulator, CrosstalkMap
 
 CFG_TEXT = """\
 run.frames = 100000
@@ -216,6 +216,21 @@ class TestExport:
     def test_kind_mismatch(self, ws):
         code, _ = self.export(ws, ws["far_acc"], "crosstalk", "bad-xt")
         assert code == 2
+
+    def test_corrupted_map_ends_in_exit_code(self, ws, capsys):
+        src = ws["root"] / "xt.blk"
+        CrosstalkMap(probabilities=np.full((3, 3), 1e-3), radius=1).save(src)
+        good = src.read_bytes()
+        bad = ws["root"] / "xt-bad.blk"
+        codes = set()
+        for pos in range(len(good)):
+            for delta in (0x01, 0x80, 0xFF):
+                blob = bytearray(good)
+                blob[pos] ^= delta
+                bad.write_bytes(bytes(blob))
+                codes.add(self.export(ws, bad, "crosstalk", "xt-bad")[0])
+        capsys.readouterr()
+        assert codes == {0, 2, 3}
 
 
 class TestErrorExits:

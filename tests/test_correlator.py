@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    batch_of,
+    frame_groups,
     quadratic_accumulate,
     quadruple_loop_projections,
-    random_event_frames,
+    random_batch,
 )
 from spadcorr.correlator import (
     CorrectedG2,
@@ -33,18 +35,11 @@ from spadcorr.errors import (
     OutOfRange,
     WindowTooLarge,
 )
-from spadcorr.sensor import CrosstalkSpec, Frame, SensorConfig, \
-    frames_to_batch, simulate_frames
+from spadcorr.sensor import CrosstalkSpec, SensorConfig, simulate_frames
 
 # triangular occupancy of the default 255-bin frame
 POS_MASS = sum(255 - d for d in range(1, 11))            # dt in [1, 10]
 BOTH_MASS = 255 + 2 * POS_MASS                           # dt in [-10, 10]
-
-
-def make_frame(fid, pixels, tdcs):
-    ev = np.stack([np.asarray(pixels, dtype=np.uint16),
-                   np.asarray(tdcs, dtype=np.uint16)], axis=1)
-    return Frame(frame_id=fid, events=ev)
 
 
 def blank_corrected(n_x=32, n_y=32, flags=("raw",), **kw):
@@ -104,7 +99,7 @@ class TestLinearIndex:
 
 class TestAccumulate:
     def test_two_events_inside_and_outside_window(self):
-        frame = make_frame(0, [10, 12], [10, 12])
+        frame = batch_of((0, [10, 12], [10, 12]))
         acc = accumulate([frame], window=10, shift=20)
         assert acc.g2[9, 11] == 1
         assert acc.g2[11, 9] == 1
@@ -114,23 +109,23 @@ class TestAccumulate:
         assert acc.g2.sum() == 0
 
     def test_three_events_count_all_pairs(self):
-        frame = make_frame(0, [1, 2, 3], [0, 5, 9])
+        frame = batch_of((0, [1, 2, 3], [0, 5, 9]))
         acc = accumulate([frame], window=10, shift=20)
         assert acc.g2.sum() == 6
         assert np.all(np.diag(acc.g2) == 0)
 
     def test_later_counts_tag_the_second_detection(self):
-        frame = make_frame(0, [4, 9], [7, 3])     # pixel 9 fired first
+        frame = batch_of((0, [4, 9], [7, 3]))     # pixel 9 fired first
         acc = accumulate([frame], window=10, shift=20)
         assert acc.g2_later[8, 3] == 1
         assert acc.g2_later[3, 8] == 0
-        tie = make_frame(0, [4, 9], [5, 5])       # equal bins carry no order
+        tie = batch_of((0, [4, 9], [5, 5]))       # equal bins carry no order
         acc = accumulate([tie], window=10, shift=20)
         assert acc.g2_later.sum() == 0
         assert acc.g2[3, 8] == 1
 
     def test_shifted_window_sees_displaced_pairs(self):
-        frame = make_frame(0, [7, 8], [0, 20])
+        frame = batch_of((0, [7, 8], [0, 20]))
         acc = accumulate([frame], window=5, shift=20)
         assert acc.g2.sum() == 0
         assert acc.g2_shifted[6, 7] == 1
@@ -138,33 +133,25 @@ class TestAccumulate:
 
     def test_dt_histogram_is_symmetric_and_complete(self):
         rng = np.random.default_rng(31)
-        frames = random_event_frames(rng, 200, 1024, 255)
-        acc = accumulate(frames)
+        batch = random_batch(rng, 200, 1024, 255)
+        acc = accumulate(batch)
         np.testing.assert_array_equal(acc.dt_hist, acc.dt_hist[::-1])
-        pairs = sum(len(f.events) * (len(f.events) - 1) for f in frames)
+        pairs = sum(len(pix) * (len(pix) - 1)
+                    for _, pix, _ in frame_groups(batch))
         assert acc.dt_hist.sum() == pairs
 
     def test_matches_quadratic_reference(self):
         rng = np.random.default_rng(32)
         for n_x, n_y, bins in ((4, 4, 255), (32, 32, 255), (8, 4, 64)):
-            frames = random_event_frames(rng, 30, n_x * n_y, bins)
-            acc = accumulate(frames, window=10, shift=20, n_x=n_x, n_y=n_y,
+            batch = random_batch(rng, 30, n_x * n_y, bins)
+            acc = accumulate(batch, window=10, shift=20, n_x=n_x, n_y=n_y,
                              bins_per_frame=bins)
-            ref = quadratic_accumulate(frames, n_x, n_y, bins, 10, 20)
+            ref = quadratic_accumulate(batch, n_x, n_y, bins, 10, 20)
             np.testing.assert_array_equal(acc.g2, ref.g2)
             np.testing.assert_array_equal(acc.g2_shifted, ref.g2_shifted)
             np.testing.assert_array_equal(acc.g2_later, ref.g2_later)
             np.testing.assert_array_equal(acc.g1, ref.g1)
             np.testing.assert_array_equal(acc.dt_hist, ref.dt_hist)
-
-    def test_loose_frames_match_packed_batch(self):
-        rng = np.random.default_rng(33)
-        frames = random_event_frames(rng, 50, 1024, 255)
-        a = accumulate(frames)
-        b = accumulate(frames_to_batch(frames, 0, len(frames)))
-        np.testing.assert_array_equal(a.g2, b.g2)
-        np.testing.assert_array_equal(a.g1, b.g1)
-        assert a.n_frames == b.n_frames == len(frames)
 
     def test_worker_count_invisible(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=10000.0)
@@ -195,26 +182,27 @@ class TestAccumulate:
 
     def test_malformed_frames_rejected(self):
         with pytest.raises(MalformedFrame, match="outside the array"):
-            accumulate([make_frame(0, [0], [0])])
+            accumulate([batch_of((0, [0], [0]))])
         with pytest.raises(MalformedFrame, match="outside the array"):
-            accumulate([make_frame(0, [1025], [0])])
+            accumulate([batch_of((0, [1025], [0]))])
         with pytest.raises(MalformedFrame, match="outside the frame"):
-            accumulate([make_frame(0, [1], [255])])
+            accumulate([batch_of((0, [1], [255]))])
         with pytest.raises(MalformedFrame, match="fired twice"):
-            accumulate([make_frame(0, [5, 5], [1, 2])])
-        with pytest.raises(MalformedFrame):
+            accumulate([batch_of((0, [5, 5], [1, 2]))])
+        with pytest.raises(MalformedFrame, match="cannot accumulate str"):
             accumulate(["not a frame"])
-        batch = frames_to_batch([make_frame(0, [1], [0])], 0, 1)
-        bad = frames_to_batch([make_frame(0, [1], [0])], 0, 1)
+        good = batch_of((0, [1], [0]))
+        with pytest.raises(MalformedFrame, match="cannot accumulate None"):
+            accumulate([good, None, good], workers=2)
+        bad = batch_of((0, [1], [0]))
         object.__setattr__(bad, "tdc", np.zeros(2, dtype=np.uint8))
         with pytest.raises(MalformedFrame, match="columns"):
             accumulate(bad)
-        del batch
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(35)
-        frames = random_event_frames(rng, 40, 1024, 255)
-        acc = accumulate(frames, mapping_mode="near")
+        acc = accumulate(random_batch(rng, 40, 1024, 255),
+                         mapping_mode="near")
         path = tmp_path / "acc.blk"
         acc.save(path)
         back = CorrelationAccumulator.load(path)

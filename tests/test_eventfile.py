@@ -3,18 +3,20 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import decode_outcome, oracle_read_batches
+from helpers import batch_of, decode_outcome, frame_groups, \
+    oracle_read_batches
 from spadcorr import eventfile
 from spadcorr.errors import (
     BadMagic,
+    ConfigError,
     InvariantViolation,
+    MalformedFrame,
     OrderViolation,
     RangeViolation,
     TruncatedFile,
 )
 from spadcorr.eventfile import (
     MAGIC,
-    EventFileReader,
     EventFileWriter,
     read_batches,
     read_header,
@@ -22,18 +24,14 @@ from spadcorr.eventfile import (
 )
 from spadcorr.optics import DoubleGaussianModel, OpticalMapping
 from spadcorr.pipeline import accumulate_file
-from spadcorr.sensor import Frame, SensorConfig, frames_to_batch, simulate_frames
+from spadcorr.sensor import FrameBatch, SensorConfig, simulate_frames
 
 SENTINEL = 0xFFFFFFFF
 
 
-def make_frame(fid, pixels, tdcs):
-    ev = np.stack([np.asarray(pixels, dtype=np.uint16),
-                   np.asarray(tdcs, dtype=np.uint16)], axis=1)
-    return Frame(frame_id=fid, events=ev)
-
-
-def random_frames(rng, n_pix=1024, bins=255, id_span=200, max_frames=40):
+def random_sparse_batch(rng, n_pix=1024, bins=255, id_span=200,
+                        max_frames=40):
+    """Batch over [0, id_span) storing up to max_frames random frames."""
     n = int(rng.integers(0, max_frames))
     ids = np.sort(rng.choice(id_span, size=n, replace=False))
     frames = []
@@ -41,9 +39,23 @@ def random_frames(rng, n_pix=1024, bins=255, id_span=200, max_frames=40):
         k = int(rng.integers(1, 8))
         pix = np.sort(rng.choice(np.arange(1, n_pix + 1), size=k,
                                  replace=False))
-        tdc = rng.integers(0, bins, k)
-        frames.append(make_frame(int(fid), pix, tdc))
-    return frames
+        frames.append((int(fid), pix, rng.integers(0, bins, k)))
+    return batch_of(*frames, n_frames=id_span)
+
+
+def columns(batches):
+    """Concatenated (frame id, pixel, tdc) columns of a batch sequence."""
+    batches = list(batches)
+    return [np.concatenate([np.empty(0, dt)] + [getattr(b, name)
+                                                 for b in batches])
+            for name, dt in (("frame_ids", np.int64), ("pixels", np.uint16),
+                             ("tdc", np.uint8))]
+
+
+def assert_same_events(got, want):
+    for a, b in zip(columns(got), columns(want)):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
 
 
 def raw_header(n_x=32, n_y=32, tdc=205, bins=255, mode=2,
@@ -73,11 +85,12 @@ class TestWireFormat:
         assert hdr.total_frames == 10
         assert hdr.n_x == hdr.n_y == 32
         assert hdr.bins_per_frame == 255
-        assert list(EventFileReader(path).iter_frames()) == []
+        assert [(b.start_frame, b.n_frames, b.n_events)
+                for b in read_batches(path)] == [(0, 10, 0)]
 
     def test_single_event_bytes_match_layout(self, tmp_path):
         path = tmp_path / "one.evt"
-        n = write_events(path, [make_frame(3, [5], [7])])
+        n = write_events(path, batch_of((3, [5], [7])))
         expected = raw_header() + raw_frame(3, [(5, 7)]) + raw_footer(4)
         assert path.read_bytes() == expected
         assert n == len(expected) == 45
@@ -85,52 +98,60 @@ class TestWireFormat:
     def test_mode_codes_on_wire(self, tmp_path):
         for mode, code in (("far", 0), ("near", 1), ("unspecified", 2)):
             path = tmp_path / f"{mode}.evt"
-            write_events(path, [make_frame(0, [1], [0])], mapping_mode=mode)
+            write_events(path, batch_of((0, [1], [0])), mapping_mode=mode)
             assert path.read_bytes()[18] == code
             assert read_header(path).mapping_mode == mode
 
     def test_write_is_deterministic(self, tmp_path):
-        frames = random_frames(np.random.default_rng(8))
+        batch = random_sparse_batch(np.random.default_rng(8))
         a, b = tmp_path / "a.evt", tmp_path / "b.evt"
-        write_events(a, frames)
-        write_events(b, frames)
+        write_events(a, batch)
+        write_events(b, batch)
         assert a.read_bytes() == b.read_bytes()
 
     def test_batch_writer_matches_frame_writer(self, tmp_path):
-        frames = random_frames(np.random.default_rng(13))
-        total = frames[-1].frame_id + 1
-        a, b = tmp_path / "a.evt", tmp_path / "b.evt"
-        write_events(a, frames, total_frames=total)
-        write_events(b, frames_to_batch(frames, 0, total),
-                     total_frames=total)
-        assert a.read_bytes() == b.read_bytes()
+        # reference: one struct-packed record per stored frame
+        batch = random_sparse_batch(np.random.default_rng(13))
+        want = (raw_header()
+                + b"".join(raw_frame(fid, list(zip(pix, tdc)))
+                           for fid, pix, tdc in frame_groups(batch))
+                + raw_footer(200))
+        path = tmp_path / "a.evt"
+        write_events(path, batch, total_frames=200)
+        assert path.read_bytes() == want
+        # splitting the stream into batches at frame boundaries changes nothing
+        cut = np.searchsorted(batch.frame_ids, [50, 51, 120])
+        pieces = [np.split(c, cut)
+                  for c in (batch.frame_ids, batch.pixels, batch.tdc)]
+        parts = [FrameBatch(0, 0, *cols) for cols in zip(*pieces)]
+        write_events(path, parts, total_frames=200)
+        assert path.read_bytes() == want
 
 
 class TestRoundTrip:
     def test_random_streams_round_trip(self, tmp_path):
         for seed in range(30):
             rng = np.random.default_rng(1000 + seed)
-            frames = random_frames(rng)
+            batch = random_sparse_batch(rng)
             path = tmp_path / f"s{seed}.evt"
-            write_events(path, frames, total_frames=200)
-            back = list(EventFileReader(path).iter_frames())
-            assert len(back) == len(frames)
-            for src, got in zip(frames, back):
-                assert got.frame_id == src.frame_id
-                np.testing.assert_array_equal(got.events, src.events)
+            write_events(path, batch, total_frames=200)
+            back = list(read_batches(path))
+            assert [(b.start_frame, b.n_frames) for b in back] == [(0, 200)]
+            assert_same_events(back, [batch])
 
     def test_batches_tile_the_frame_range(self, tmp_path):
         rng = np.random.default_rng(55)
-        frames = random_frames(rng, id_span=90, max_frames=30)
+        batch = random_sparse_batch(rng, id_span=90, max_frames=30)
         path = tmp_path / "tile.evt"
-        write_events(path, frames, total_frames=100)
+        write_events(path, batch, total_frames=100)
         batches = list(read_batches(path, frames_per_batch=16))
         assert [b.start_frame for b in batches] == list(range(0, 100, 16))
         assert sum(b.n_frames for b in batches) == 100
-        got = [fr for b in batches for fr in b.iter_frames()]
-        assert [fr.frame_id for fr in got] == [fr.frame_id for fr in frames]
-        for src, back in zip(frames, got):
-            np.testing.assert_array_equal(back.events, src.events)
+        for b in batches:
+            ids = b.frame_ids
+            assert np.all((ids >= b.start_frame)
+                          & (ids < b.start_frame + b.n_frames))
+        assert_same_events(batches, [batch])
 
     def test_simulated_stream_round_trips(self, tmp_path):
         model = DoubleGaussianModel.from_inferred_targets(37.3, 4.0, 37.3, 3.4)
@@ -154,29 +175,53 @@ class TestRoundTrip:
 class TestWriterErrors:
     def test_frame_order_enforced(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
-        w.add_frame(5, [1], [0])
+        w.add_batch(batch_of((5, [1], [0])))
         with pytest.raises(OrderViolation):
-            w.add_frame(5, [2], [0])
+            w.add_batch(batch_of((5, [2], [0])))
         with pytest.raises(OrderViolation):
-            w.add_frame(3, [2], [0])
+            w.add_batch(batch_of((3, [2], [0])))
+
+    def test_ids_decreasing_within_batch_rejected(self, tmp_path):
+        path = tmp_path / "x.evt"
+        w = EventFileWriter(path)
+        w.add_batch(batch_of((0, [2], [0])))
+        # interleaved ids would move frame 3's pixel 7 into frame 4
+        with pytest.raises(OrderViolation, match="frame 3 after frame 4"):
+            w.add_batch(batch_of((3, [3], [0]), (4, [5], [0]),
+                                 (3, [7], [0])))
+        with pytest.raises(OrderViolation, match="frame 3 after frame 4"):
+            w.add_batch(batch_of((4, [1], [0]), (3, [1], [0]),
+                                 (5, [1], [0])))
+        w.close(total_frames=6)
+        assert_same_events(read_batches(path), [batch_of((0, [2], [0]))])
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        w = EventFileWriter(tmp_path / "x.evt")
+        ragged = FrameBatch(0, 1, np.zeros(2, np.int64),
+                            np.ones(1, np.uint16), np.zeros(2, np.uint8))
+        with pytest.raises(MalformedFrame, match="columns"):
+            w.add_batch(ragged)
+        with pytest.raises(MalformedFrame, match="cannot encode"):
+            w.add_batch((0, [1], [0]))
+        assert w.close() == 0
 
     def test_pixel_order_enforced(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
         with pytest.raises(OrderViolation):
-            w.add_frame(0, [5, 3], [0, 0])
+            w.add_batch(batch_of((0, [5, 3], [0, 0])))
         with pytest.raises(OrderViolation):
-            w.add_frame(0, [5, 5], [0, 1])
+            w.add_batch(batch_of((0, [5, 5], [0, 1])))
 
     def test_ranges_enforced(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
         with pytest.raises(RangeViolation):
-            w.add_frame(0, [0], [0])
+            w.add_batch(batch_of((0, [0], [0])))
         with pytest.raises(RangeViolation):
-            w.add_frame(0, [1025], [0])
+            w.add_batch(batch_of((0, [1025], [0])))
         with pytest.raises(RangeViolation):
-            w.add_frame(0, [1], [255])
+            w.add_batch(batch_of((0, [1], [255])))
         with pytest.raises(RangeViolation):
-            w.add_frame(SENTINEL, [1], [0])
+            w.add_batch(batch_of((SENTINEL, [1], [0])))
 
     def test_geometry_limits(self, tmp_path):
         with pytest.raises(RangeViolation):
@@ -188,7 +233,7 @@ class TestWriterErrors:
 
     def test_close_must_cover_last_frame(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
-        w.add_frame(5, [1], [0])
+        w.add_batch(batch_of((5, [1], [0])))
         with pytest.raises(RangeViolation):
             w.close(total_frames=2)
 
@@ -213,7 +258,7 @@ class TestReaderErrors:
         return path
 
     def read_all(self, path):
-        return list(EventFileReader(path).iter_frames())
+        return list(read_batches(path))
 
     def test_corrupt_magic(self, tmp_path):
         blob = bytearray(raw_header() + raw_footer(1))
@@ -306,14 +351,25 @@ class TestReaderErrors:
         with pytest.raises(RangeViolation):
             self.read_all(self.write(tmp_path, blob))
 
+    @pytest.mark.parametrize("frames_per_batch", [0, -2])
+    def test_nonpositive_frames_per_batch_rejected(self, tmp_path,
+                                                   frames_per_batch):
+        # such spans never advance, so the stream would never end
+        path = self.write(tmp_path, raw_header() + raw_frame(0, [(1, 0)])
+                          + raw_footer(1))
+        with pytest.raises(ConfigError, match="frames_per_batch"):
+            next(read_batches(path, frames_per_batch))
+        with pytest.raises(ConfigError, match="frames_per_batch"):
+            accumulate_file(path, frames_per_batch=frames_per_batch)
+
 
 class TestHeaderFuzz:
     def test_protected_byte_mutations_rejected(self, tmp_path):
         # a stream exercising the top pixel and tdc codes, so shrunken
         # dimensions or bin counts are caught by range checks
         path = tmp_path / "full.evt"
-        write_events(path, [make_frame(0, [1, 512, 1024], [0, 100, 254]),
-                            make_frame(3, [1024], [254])])
+        write_events(path, batch_of((0, [1, 512, 1024], [0, 100, 254]),
+                                    (3, [1024], [254])))
         good = path.read_bytes()
         protected = list(range(0, 12)) + [16, 17]
         bad = tmp_path / "bad.evt"
@@ -326,7 +382,7 @@ class TestHeaderFuzz:
                 with pytest.raises((BadMagic, RangeViolation,
                                     InvariantViolation, TruncatedFile,
                                     OrderViolation)):
-                    for _ in EventFileReader(bad).iter_frames():
+                    for _ in read_batches(bad):
                         pass
                 checked += 1
         assert checked == 56
@@ -376,19 +432,15 @@ class TestDifferentialDecode:
         path = tmp_path / "r.evt"
         for seed in range(20):
             rng = np.random.default_rng(3000 + seed)
-            frames = random_frames(rng, n_pix=1024, bins=255, id_span=60,
-                                   max_frames=40)
-            write_events(path, frames, total_frames=60 + seed)
+            batch = random_sparse_batch(rng, n_pix=1024, bins=255,
+                                        id_span=60, max_frames=40)
+            write_events(path, batch, total_frames=60 + seed)
             want = decode_outcome(
                 lambda: oracle_read_batches(path, frames_per_batch))
             got = decode_outcome(lambda: read_batches(path, frames_per_batch))
             assert want[2] is None
             assert got == want
-            back = list(EventFileReader(path).iter_frames())
-            assert [fr.frame_id for fr in back] == \
-                [fr.frame_id for fr in frames]
-            for src, fr in zip(frames, back):
-                np.testing.assert_array_equal(fr.events, src.events)
+            assert_same_events(read_batches(path, frames_per_batch), [batch])
 
     def test_accumulate_file_worker_count(self, tmp_path):
         path = tmp_path / "sim.evt"

@@ -1,148 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spadcorr.errors import ConfigError, EvanescentInput
+from spadcorr.errors import ConfigError
 from spadcorr.optics import (
-    DispersionModel,
     DoubleGaussianModel,
     OpticalMapping,
-    PumpProfile,
-    SincModel,
-    evaluate_delta_kz,
-    evaluate_joint_density,
     map_sensor_to_object,
-    momentum_widths_from_position,
-    object_scale_per_pixel,
     position_widths,
     position_widths_by_coordinate,
     predict_epr,
 )
 
-C = 299792458.0
-OMEGA_PUMP = 2 * math.pi * C / 405e-9
-
-
-def reference_delta_kz(q1, q2, omega2, omega_pump, n_of, grating_um):
-    """Straight transcription of the mismatch formula, scalar arithmetic."""
-    q1 = np.asarray(q1, float) * 1e-3
-    q2 = np.asarray(q2, float) * 1e-3
-    omega1 = omega_pump - omega2
-
-    def kz(omega, q):
-        k = n_of(omega) * omega / C * 1e-6
-        return math.sqrt(k * k - q[0] ** 2 - q[1] ** 2)
-
-    return (kz(omega1, q1) + kz(omega2, q2) - kz(omega_pump, q1 + q2)
-            + 2 * math.pi / grating_um)
-
-
-class TestDeltaKz:
-    def test_collinear_degenerate_leaves_grating_term(self):
-        disp = DispersionModel(n0=1.5)
-        for g in (1.0, 3.51043, 10.0):
-            val = evaluate_delta_kz((0.0, 0.0), (0.0, 0.0), OMEGA_PUMP / 2,
-                                    OMEGA_PUMP, disp, grating_period_um=g)
-            assert val == pytest.approx(2 * math.pi / g, rel=1e-13)
-
-    def test_grating_term_magnitude(self):
-        val = evaluate_delta_kz((0.0, 0.0), (0.0, 0.0), OMEGA_PUMP / 2,
-                                OMEGA_PUMP, DispersionModel(n0=1.8),
-                                grating_period_um=3.51043)
-        assert val == pytest.approx(1.78986, abs=5e-6)
-
-    def test_matches_independent_transcription(self):
-        rng = np.random.default_rng(7)
-        disp = DispersionModel(n0=1.83)
-        for _ in range(200):
-            q1 = rng.uniform(-80, 80, 2)
-            q2 = rng.uniform(-80, 80, 2)
-            omega2 = OMEGA_PUMP * rng.uniform(0.3, 0.7)
-            got = evaluate_delta_kz(q1, q2, omega2, OMEGA_PUMP, disp, 3.51043)
-            want = reference_delta_kz(q1, q2, omega2, OMEGA_PUMP,
-                                      lambda w: 1.83, 3.51043)
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        disp = DispersionModel(n0=1.7)
-        q1 = rng.uniform(-50, 50, (64, 2))
-        q2 = rng.uniform(-50, 50, (64, 2))
-        batch = evaluate_delta_kz(q1, q2, OMEGA_PUMP / 2, OMEGA_PUMP, disp,
-                                  3.51043)
-        singles = [evaluate_delta_kz(a, b, OMEGA_PUMP / 2, OMEGA_PUMP, disp,
-                                     3.51043) for a, b in zip(q1, q2)]
-        np.testing.assert_allclose(batch, singles, rtol=1e-14)
-
-    def test_evanescent_momentum_rejected(self):
-        disp = DispersionModel(n0=1.0)
-        # |q| far beyond omega n / c
-        with pytest.raises(EvanescentInput):
-            evaluate_delta_kz((1e6, 0.0), (0.0, 0.0), OMEGA_PUMP / 2,
-                              OMEGA_PUMP, disp, 3.51043)
-
-    def test_zero_grating_period_rejected(self):
-        with pytest.raises(ConfigError):
-            evaluate_delta_kz((0, 0), (0, 0), OMEGA_PUMP / 2, OMEGA_PUMP,
-                              DispersionModel(), 0.0)
-
-
-def _bisect_antidiagonal_q(model, target_dkz, lo, hi):
-    """Find q with delta_kz((q,0),(-q,0)) == target by bisection."""
-    def f(q):
-        return evaluate_delta_kz((q, 0.0), (-q, 0.0), model.omega_pump / 2,
-                                 model.omega_pump, model.dispersion,
-                                 model.grating_period_um) - target_dkz
-    flo, fhi = f(lo), f(hi)
-    assert flo * fhi < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-class TestSincModel:
-    def setup_method(self):
-        self.model = SincModel(pump=PumpProfile(waist_x_um=250,
-                                                waist_y_um=250))
-
-    def test_density_equals_pump_power_where_mismatch_vanishes(self):
-        q = _bisect_antidiagonal_q(self.model, 0.0, 0.0, 1.2e4)
-        dkz = evaluate_delta_kz((q, 0.0), (-q, 0.0), self.model.omega_pump / 2,
-                                self.model.omega_pump, self.model.dispersion,
-                                self.model.grating_period_um)
-        assert abs(dkz) < 1e-10
-        val = evaluate_joint_density(self.model, (q, 0.0), (-q, 0.0))
-        # q1 + q2 = 0 so the pump envelope is exactly 1 there
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_density_vanishes_at_first_sinc_zero(self):
-        length_um = self.model.crystal_length_mm * 1e3
-        target = 2 * math.pi / length_um    # delta_kz * L / 2 = pi
-        q = _bisect_antidiagonal_q(self.model, target, 0.0, 1.2e4)
-        val = evaluate_joint_density(self.model, (q, 0.0), (-q, 0.0))
-        assert val < 1e-12
-
-    def test_exchange_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            q1 = rng.uniform(-40, 40, 2)
-            q2 = rng.uniform(-40, 40, 2)
-            a = evaluate_joint_density(self.model, q1, q2)
-            b = evaluate_joint_density(self.model, q2, q1)
-            assert a == pytest.approx(b, rel=1e-12)
-
 
 class TestDoubleGaussianDensity:
     def test_peak_at_origin_is_one(self, reference_model):
-        assert evaluate_joint_density(reference_model, (0.0, 0.0),
-                                      (0.0, 0.0)) == 1.0
+        assert reference_model.density((0.0, 0.0), (0.0, 0.0)) == 1.0
 
     def test_axis_factorization(self, reference_model):
         m = reference_model
@@ -184,14 +57,6 @@ class TestPositionWidths:
         (a, b), (c, d) = position_widths(m)
         assert a == b == c == d == pytest.approx(1e3 / (2 * s), rel=1e-12)
 
-    def test_round_trip_with_momentum_widths(self, reference_model):
-        m = reference_model
-        back = momentum_widths_from_position(position_widths(m))
-        assert back[0][0] == pytest.approx(m.sigma_q_plus_x, rel=1e-12)
-        assert back[0][1] == pytest.approx(m.sigma_q_minus_x, rel=1e-12)
-        assert back[1][0] == pytest.approx(m.sigma_q_plus_y, rel=1e-12)
-        assert back[1][1] == pytest.approx(m.sigma_q_minus_y, rel=1e-12)
-
     def test_coordinate_widths_follow_duality(self, reference_model):
         m = reference_model
         (sxp, sxm), (syp, sym) = position_widths_by_coordinate(m)
@@ -226,12 +91,6 @@ class TestSensorMapping:
     def test_near_field_pixel_pitch(self, near_mapping):
         x = map_sensor_to_object(near_mapping, 44.67)
         assert x == pytest.approx(4.963, abs=1e-3)
-
-    def test_object_scale_per_pixel(self, near_mapping, far_mapping):
-        assert object_scale_per_pixel(near_mapping, 44.67) == pytest.approx(
-            44.67 / 9.0)
-        assert object_scale_per_pixel(far_mapping, 44.67) == pytest.approx(
-            map_sensor_to_object(far_mapping, 44.67))
 
     @given(st.floats(-1e4, 1e4), st.floats(-50, 50))
     def test_linearity(self, rho, scale):

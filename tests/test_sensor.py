@@ -66,12 +66,12 @@ class TestSensorConfig:
 class TestQuantizeTdc:
     def test_bin_edges(self):
         cfg = SensorConfig()
-        assert quantize_tdc(0.0, cfg) == 0
-        assert quantize_tdc(204.999, cfg) == 0
-        assert quantize_tdc(205.0, cfg) == 1
-        assert quantize_tdc(52274.9, cfg) == 254
-        assert quantize_tdc(52300.0, cfg) is None
-        assert quantize_tdc(-1.0, cfg) is None
+        bins, inside = quantize_tdc(
+            [0.0, 204.999, 205.0, 52274.9, 52275.0, 52300.0, -1.0], cfg)
+        np.testing.assert_array_equal(
+            inside, [True, True, True, True, False, False, False])
+        np.testing.assert_array_equal(bins[inside], [0, 0, 1, 254])
+        assert bins.dtype == np.int64
 
 
 class TestCrosstalkSpec:
