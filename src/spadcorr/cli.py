@@ -24,6 +24,7 @@ from .correlator import (
     CorrelationAccumulator,
     CrosstalkMap,
     linear_to_pixel,
+    peak_profiles,
     project_axes,
     project_sum_diff,
 )
@@ -145,13 +146,11 @@ def _export_rows(kind, arrays, meta, what):
                 for i in range(proj.shape[0]) for j in range(proj.shape[1])]
         return [f"p{label}1", f"p{label}2", "value"], rows
     if what == "peaks":
-        sum_map, diff_map = project_sum_diff(values, n_x, n_y)
         rows = []
-        for axis, n in (("x", n_x), ("y", n_y)):
-            ax = 1 if axis == "x" else 0
-            for name, grid, base in (("sum", sum_map, 2),
-                                     ("diff", diff_map, 1 - n)):
-                prof = grid.sum(axis=ax)
+        for axis, n, proj in zip("xy", (n_x, n_y),
+                                 project_axes(values, n_x, n_y)):
+            for name, prof, base in zip(("sum", "diff"), peak_profiles(proj),
+                                        (2, 1 - n)):
                 rows.extend((axis, name, base + i, prof[i].item())
                             for i in range(prof.size))
         return ["axis", "profile", "pixel_coordinate", "value"], rows

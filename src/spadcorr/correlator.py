@@ -353,21 +353,24 @@ def normalize(acc: CorrelationAccumulator) -> CorrectedG2:
 def _locus_distance(n_x, n_y, mapping_mode):
     # Chebyshev distance of each ordered pixel pair from the correlated
     # locus: the diagonal always, plus the mirror diagonal for far-field
-    # data where pairs land on opposite sides of the optical axis.
+    # data where pairs land on opposite sides of the optical axis. Built
+    # from per-axis n x n tables broadcast over (y1, x1, y2, x2) in the
+    # smallest signed dtype that holds the largest distance.
+    dtype = np.min_scalar_type(-max(n_x, n_y))
     x = np.arange(n_x)
     y = np.arange(n_y)
-    xi, yi = np.meshgrid(x, y, indexing="xy")
-    px = xi.ravel()
-    py = yi.ravel()
-    ddiag = np.maximum(np.abs(px[:, None] - px[None, :]),
-                       np.abs(py[:, None] - py[None, :]))
-    if mapping_mode != "far":
-        return ddiag
-    mx = (n_x - 1) - px
-    my = (n_y - 1) - py
-    dmirr = np.maximum(np.abs(px[:, None] - mx[None, :]),
-                       np.abs(py[:, None] - my[None, :]))
-    return np.minimum(ddiag, dmirr)
+
+    def pairs(dx, dy):
+        return np.maximum(np.abs(dy).astype(dtype)[:, None, :, None],
+                          np.abs(dx).astype(dtype)[None, :, None, :])
+
+    dist = pairs(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    if mapping_mode == "far":
+        dmirr = pairs(x[:, None] + x[None, :] - (n_x - 1),
+                      y[:, None] + y[None, :] - (n_y - 1))
+        np.minimum(dist, dmirr, out=dist)
+    n_pix = n_x * n_y
+    return dist.reshape(n_pix, n_pix)
 
 
 def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
@@ -593,12 +596,37 @@ def project_sum_diff(values: np.ndarray, n_x: int, n_y: int):
 
     sum_map[sx, sy] covers px1+px2 in [2, 2*n_x]; diff_map[dx, dy] covers
     px1-px2 in [-(n_x-1), n_x-1]. Index 0 is the lowest value of each range.
+    Each map is one weighted bincount over combined (x, y) pair keys.
     """
-    t = np.asarray(values).reshape(n_y, n_x, n_y, n_x)
-    y1, x1, y2, x2 = np.indices(t.shape, sparse=False)
-    sum_map = np.zeros((2 * n_x - 1, 2 * n_y - 1))
-    diff_map = np.zeros((2 * n_x - 1, 2 * n_y - 1))
-    np.add.at(sum_map, ((x1 + x2).ravel(), (y1 + y2).ravel()), t.ravel())
-    np.add.at(diff_map, ((x1 - x2).ravel() + n_x - 1,
-                         (y1 - y2).ravel() + n_y - 1), t.ravel())
-    return sum_map, diff_map
+    t = np.asarray(values).reshape(n_y, n_x, n_y, n_x).ravel()
+    x = np.arange(n_x)
+    y = np.arange(n_y)
+    shape = (2 * n_x - 1, 2 * n_y - 1)
+
+    def histogram(kx, ky):
+        # kx[x1, x2] and ky[y1, y2] are map indices; cell (y1, x1, y2, x2)
+        # lands in flat bin kx * (2 n_y - 1) + ky
+        key = (kx * shape[1])[None, :, None, :] + ky[:, None, :, None]
+        return np.bincount(key.ravel(), weights=t,
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
+    return (histogram(x[:, None] + x[None, :], y[:, None] + y[None, :]),
+            histogram(x[:, None] - x[None, :] + n_x - 1,
+                      y[:, None] - y[None, :] + n_y - 1))
+
+
+def peak_profiles(proj: np.ndarray):
+    """Sum and difference profiles of one n x n axis projection.
+
+    sum_profile[s] adds the cells with a1 + a2 = s (anti-diagonals) and
+    diff_profile[d] those with a1 - a2 = d - (n - 1) (diagonals), both of
+    length 2n - 1. They equal project_sum_diff's maps summed over the other
+    axis, at the cost of one weighted bincount over n * n cells each.
+    """
+    proj = np.asarray(proj, dtype=float)
+    n = proj.shape[0]
+    i = np.arange(n)
+    return tuple(np.bincount(key.ravel(), weights=proj.ravel(),
+                             minlength=2 * n - 1)
+                 for key in (i[:, None] + i[None, :],
+                             i[:, None] - i[None, :] + n - 1))

@@ -24,15 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlator import CorrectedG2, project_axes, project_sum_diff
+from .correlator import CorrectedG2, peak_profiles, project_axes
 from .errors import (
     AllColumnsEmpty,
     ConfigError,
     DegenerateInput,
     NotConverged,
-    NumericError,
 )
-from .fitting import fit_gaussian_1d, fit_gaussian_2d
+from .fitting import (
+    fit_gaussian_1d,
+    fit_gaussian_1d_columns,
+    fit_gaussian_2d,
+)
 from .optics import EprPrediction, OpticalMapping, map_sensor_to_object
 
 VIOLATION_BOUND = 0.25
@@ -150,29 +153,22 @@ def inferred_variance_gauss1d(table: JointTable,
                               min_column_fraction: float = 0.01) -> float:
     """Marginal-weighted variance of per-column Gaussian fits.
 
-    Columns that fail to fit are dropped and the weights renormalized; if
-    every column fails the failure propagates.
+    All retained columns are fitted in one stacked run. Columns with fewer
+    than 5 unmasked points, flat columns and fits that do not converge are
+    dropped and the weights renormalized; if every column fails the failure
+    propagates.
     """
     _, marginal, retained = conditionals_and_marginal(
         table, min_column_fraction)
-    weights = []
-    variances = []
-    for b in np.flatnonzero(retained):
-        keep = ~table.masked[:, b]
-        if int(np.count_nonzero(keep)) < 5:
-            continue
-        try:
-            fit = fit_gaussian_1d(table.coords[keep], table.values[keep, b])
-        except NumericError:
-            continue
-        if not fit.converged:
-            continue
-        weights.append(marginal[b])
-        variances.append(fit.params["sigma"] ** 2)
-    if not weights:
+    cols = np.flatnonzero(retained)
+    fits = fit_gaussian_1d_columns(table.coords, table.values[:, cols],
+                                   ~table.masked[:, cols])
+    used = [(marginal[b], fit.params["sigma"] ** 2)
+            for b, fit in zip(cols, fits) if fit is not None and fit.converged]
+    if not used:
         raise NotConverged("no column produced a usable fit")
-    w = np.asarray(weights)
-    return float(np.sum(w * np.asarray(variances)) / np.sum(w))
+    w, variances = np.array(used).T
+    return float(np.sum(w * variances) / np.sum(w))
 
 
 def inferred_variance_gauss2d(table: JointTable) -> float:
@@ -196,16 +192,18 @@ def inferred_variance_peaks(corr: CorrectedG2, mapping: OpticalMapping,
     number of pixel pairs on a finite array (n - |centered index|), which
     shapes the profile independently of the physics, so the profile is
     divided by that pair acceptance before fitting. Near-field difference
-    bins inside the neighbour mask are excluded from the fit.
+    bins inside the neighbour mask are excluded from the fit. The profile
+    is read off the axis projection (peak_profiles); it is the sum or
+    difference map summed over the other axis, up to rounding.
     """
     if axis not in ("x", "y"):
         raise ConfigError(f"axis must be x or y, got {axis!r}")
     if mapping.mode not in ("near", "far"):
         raise ConfigError("peak widths need a near or far mapping")
-    sum_map, diff_map = project_sum_diff(corr.values, corr.n_x, corr.n_y)
+    g2x, g2y = project_axes(corr.values, corr.n_x, corr.n_y)
+    sum_profile, diff_profile = peak_profiles(g2x if axis == "x" else g2y)
     use_sum = mapping.mode == "far"
-    grid = sum_map if use_sum else diff_map
-    profile = grid.sum(axis=1) if axis == "x" else grid.sum(axis=0)
+    profile = sum_profile if use_sum else diff_profile
     n = corr.n_x if axis == "x" else corr.n_y
     pix = np.arange(profile.size) - (0 if use_sum else n - 1)
     acceptance = n - np.abs(np.arange(profile.size) - (n - 1))

@@ -7,6 +7,17 @@ never increase the weighted residual norm. Convergence is declared when the
 relative parameter step drops below 1e-10; the iteration cap is 200, after
 which the best point so far is returned with converged=False (callers that
 need a hard guarantee check the flag).
+
+The solver runs a stack of K independent problems at once. Each problem
+keeps its own state and follows exactly the path it would follow alone: its
+own damping, its diagonal floor, up to 60 damped tries per iteration, the
+give-up once its damping passes 1e14, its own iteration count and cap, and
+its own step test. The stack only shares the numpy calls: every round
+starts a new iteration (one Jacobian) for the problems whose last try was
+accepted and makes one damped try for every problem still running, so a
+problem that needs many tries holds up no other. A 1-D start vector is a
+stack of one. fit_gaussian_1d_columns fits all columns of a table in one
+such run; dropped points enter with zero weight.
 """
 
 from __future__ import annotations
@@ -20,16 +31,55 @@ from .errors import DegenerateInput
 
 REL_STEP_TOL = 1e-10
 MAX_ITERATIONS = 200
+MAX_TRIES = 60
+MAX_DAMPING = 1e14
 
 
 @dataclasses.dataclass
 class LMResult:
+    """Solver outcome; stacked runs hold one entry per problem in each field.
+
+    For a stack, params is (K, n_params), covariance (K, n_params,
+    n_params), converged, iterations and residual_norm are length-K arrays
+    and cost_history is one tuple per problem.
+    """
+
     params: np.ndarray
     covariance: np.ndarray
-    converged: bool
-    iterations: int
-    residual_norm: float
-    cost_history: tuple[float, ...]
+    converged: bool | np.ndarray
+    iterations: int | np.ndarray
+    residual_norm: float | np.ndarray
+    cost_history: tuple
+
+    def problem(self, k: int) -> "LMResult":
+        """Result of problem k of a stacked run."""
+        return LMResult(params=self.params[k], covariance=self.covariance[k],
+                        converged=bool(self.converged[k]),
+                        iterations=int(self.iterations[k]),
+                        residual_norm=float(self.residual_norm[k]),
+                        cost_history=self.cost_history[k])
+
+
+def _rowdot(a, b):
+    # per-row dot product through matmul, which rounds exactly as a 1-D
+    # a @ b does, so a stack of one reproduces the unstacked arithmetic
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _solve(a, b):
+    """Solve the stacked systems a x = b; b and x are (K, n)."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stack; the others keep the
+        # solution they get alone
+        out = np.empty_like(b)
+        for k, (ak, bk) in enumerate(zip(a, b)):
+            try:
+                out[k] = np.linalg.solve(ak, bk)
+            except np.linalg.LinAlgError:
+                out[k] = np.linalg.lstsq(ak, bk, rcond=None)[0]
+        return out
 
 
 def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
@@ -39,51 +89,85 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     fun returns the residual vector (weights already folded in by the
     caller), jac its derivative with shape (n_residuals, n_params).
     The returned covariance is pinv(J^T J) at the solution, unscaled.
-    """
-    p = np.asarray(p0, dtype=float).copy()
-    r = np.asarray(fun(p), dtype=float)
-    cost = float(r @ r)
-    lam = 1e-3
-    history = [cost]
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        jmat = np.asarray(jac(p), dtype=float)
-        grad = jmat.T @ r
-        hess = jmat.T @ jmat
-        diag = np.diag(hess).copy()
-        floor = 1e-12 * max(diag.max(), 1.0)
-        diag[diag < floor] = floor
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess + lam * np.diag(diag), -grad,
-                                       rcond=None)[0]
-            p_new = p + step
-            r_new = np.asarray(fun(p_new), dtype=float)
-            cost_new = float(r_new @ r_new)
-            if math.isfinite(cost_new) and cost_new <= cost:
-                rel = np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300)
-                p, r, cost = p_new, r_new, cost_new
-                history.append(cost)
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if rel < rel_step_tol:
-                    converged = True
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if converged or not accepted:
-            break
 
-    jmat = np.asarray(jac(p), dtype=float)
-    cov = np.linalg.pinv(jmat.T @ jmat)
-    return LMResult(params=p, covariance=cov, converged=converged,
-                    iterations=it, residual_norm=math.sqrt(cost),
-                    cost_history=tuple(history))
+    A 2-D p0 of shape (K, n_params) is a stack of K independent problems.
+    fun and jac are then called as fun(p, rows) and jac(p, rows): p holds
+    the parameter rows of the problems whose stack indices are in rows, and
+    the results are stacked the same way, (len(rows), n_residuals) and
+    (len(rows), n_residuals, n_params).
+    """
+    p = np.array(p0, dtype=float)
+    if p.ndim == 1:
+        return damped_least_squares(
+            lambda q, rows: np.asarray(fun(q[0]), dtype=float)[None],
+            lambda q, rows: np.asarray(jac(q[0]), dtype=float)[None],
+            p[None], max_iter, rel_step_tol).problem(0)
+    n_stack, n_par = p.shape
+    rows = np.arange(n_stack)
+    r = np.asarray(fun(p, rows), dtype=float)
+    cost = _rowdot(r, r)
+    accepted = [(rows, cost)]       # (problems, cost) of each accepted try
+    # final state per problem, written as each one stops
+    params, final_cost = p.copy(), cost.copy()
+    converged = np.zeros(n_stack, dtype=bool)
+    iterations = np.zeros(n_stack, dtype=int)
+    # state of the problems still running, compacted whenever some stop
+    lam = np.full(n_stack, 1e-3)
+    it = np.zeros(n_stack, dtype=int)
+    tries = np.zeros(n_stack, dtype=int)
+    fresh = np.ones(n_stack, dtype=bool)    # last try accepted: new iteration
+    hess = np.zeros((n_stack, n_par, n_par))
+    grad = np.zeros((n_stack, n_par))
+    diag = np.zeros((n_stack, n_par))
+    on_diag = np.arange(n_par)
+    while max_iter >= 1 and rows.size:
+        new = np.flatnonzero(fresh)
+        if new.size:
+            jmat = np.asarray(jac(p[new], rows[new]), dtype=float)
+            jt = jmat.transpose(0, 2, 1)
+            grad[new] = np.matmul(jt, r[new][..., None])[..., 0]
+            h = hess[new] = np.matmul(jt, jmat)
+            d = np.diagonal(h, axis1=1, axis2=2)
+            floor = 1e-12 * np.maximum(d.max(axis=1), 1.0)[:, None]
+            diag[new] = np.where(d < floor, floor, d)
+            it += fresh
+            tries[new] = 0
+        a = hess.copy()
+        a[:, on_diag, on_diag] += lam[:, None] * diag
+        step = _solve(a, -grad)
+        trial = p + step
+        r_new = np.asarray(fun(trial, rows), dtype=float)
+        cost_new = _rowdot(r_new, r_new)
+        ok = np.isfinite(cost_new) & (cost_new <= cost)
+        rel = np.sqrt(_rowdot(step, step)) / (np.sqrt(_rowdot(p, p)) + 1e-300)
+        done = ok & (rel < rel_step_tol)
+        p = np.where(ok[:, None], trial, p)
+        r = np.where(ok[:, None], r_new, r)
+        cost = np.where(ok, cost_new, cost)
+        accepted.append((rows[ok], cost_new[ok]))
+        lam = np.where(ok, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
+        tries += ~ok
+        fresh = ok
+        stop = np.where(ok, done | (it >= max_iter),
+                        (lam > MAX_DAMPING) | (tries >= MAX_TRIES))
+        if stop.any():
+            idx = rows[stop]
+            params[idx], final_cost[idx] = p[stop], cost[stop]
+            converged[idx], iterations[idx] = done[stop], it[stop]
+            go = ~stop
+            rows, p, r, cost, lam, it, tries, fresh, hess, grad, diag = (
+                v[go] for v in (rows, p, r, cost, lam, it, tries, fresh,
+                                hess, grad, diag))
+
+    jmat = np.asarray(jac(params, np.arange(n_stack)), dtype=float)
+    cov = np.linalg.pinv(np.matmul(jmat.transpose(0, 2, 1), jmat))
+    who, costs = (np.concatenate(c) for c in zip(*accepted))
+    order = np.argsort(who, kind="stable")
+    history = np.split(costs[order],
+                       np.cumsum(np.bincount(who, minlength=n_stack))[:-1])
+    return LMResult(params=params, covariance=cov, converged=converged,
+                    iterations=iterations, residual_norm=np.sqrt(final_cost),
+                    cost_history=tuple(tuple(h.tolist()) for h in history))
 
 
 @dataclasses.dataclass
@@ -110,21 +194,32 @@ class GaussianFit:
 
 # --- 1D model: A exp(-(x-mu)^2 / 2 sigma^2) + c ------------------------------
 
+_NAMES_1D = ("amplitude", "center", "sigma", "offset")
+
+
+def _unstack(p):
+    # one (1,)-shaped entry per parameter for a single vector, one (K, 1)
+    # column per parameter for a (K, n_params) stack; both broadcast with x
+    return np.asarray(p, dtype=float).T[..., None]
+
+
 def gauss1d_model(p, x):
-    a, mu, sigma, c = p
+    """Model values at x; a (K, 4) stack of p gives (K, x.size) rows."""
+    a, mu, sigma, c = _unstack(p)
     z = (x - mu) / sigma
     return a * np.exp(-0.5 * z * z) + c
 
 
 def gauss1d_jacobian(p, x):
-    a, mu, sigma, c = p
+    """d model / d p with shape (x.size, 4), or (K, x.size, 4) for a stack."""
+    a, mu, sigma, c = _unstack(p)
     z = (x - mu) / sigma
     e = np.exp(-0.5 * z * z)
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = e
-    jac[:, 1] = a * e * z / sigma
-    jac[:, 2] = a * e * z * z / sigma
-    jac[:, 3] = 1.0
+    jac = np.empty(e.shape + (4,))
+    jac[..., 0] = e
+    jac[..., 1] = a * e * z / sigma
+    jac[..., 2] = a * e * z * z / sigma
+    jac[..., 3] = 1.0
     return jac
 
 
@@ -162,20 +257,52 @@ def fit_gaussian_1d(x, y, weights=None) -> GaussianFit:
         raise DegenerateInput(f"need at least 5 points, got {x.size}")
     if np.ptp(y) == 0:
         raise DegenerateInput("flat input has no peak to fit")
-    sw = np.sqrt(weights[keep]) if weights is not None else None
+    sw = np.sqrt(weights[keep]) if weights is not None else np.ones(x.size)
+    return _fit_rows(x, y[None], sw[None], scale_cov=weights is None)[0]
 
-    def fun(p):
-        r = gauss1d_model(p, x) - y
-        return r * sw if sw is not None else r
 
-    def jac(p):
-        jmat = gauss1d_jacobian(p, x)
-        return jmat * sw[:, None] if sw is not None else jmat
+def fit_gaussian_1d_columns(x, values, keep) -> list:
+    """Fit the 1D model to every column of a table in one stacked run.
 
-    res = damped_least_squares(fun, jac, _moment_init_1d(x, y))
-    return _package_fit(res, ("amplitude", "center", "sigma", "offset"),
-                        sigma_slots=(2,), n_points=x.size,
-                        scale_cov=weights is None)
+    Column k is fitted to the rows where keep[:, k] holds, as
+    fit_gaussian_1d(x[keep[:, k]], values[keep[:, k], k]) fits it: the other
+    rows enter at zero weight, so only the rounding of the sums differs.
+    Returns one GaussianFit per column, or None where fit_gaussian_1d raises
+    DegenerateInput (fewer than 5 usable points, or a flat column).
+    """
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(values, dtype=float).T
+    use = np.asarray(keep, dtype=bool).T & np.isfinite(x) & np.isfinite(ys)
+    fits = [None] * ys.shape[0]
+    rows = [k for k in range(ys.shape[0])
+            if np.count_nonzero(use[k]) >= 5 and np.ptp(ys[k, use[k]]) != 0]
+    if rows:
+        use = use[rows]
+        row_fits = _fit_rows(np.where(np.isfinite(x), x, 0.0),
+                             np.where(use, ys[rows], 0.0), use.astype(float),
+                             scale_cov=True)
+        for k, fit in zip(rows, row_fits):
+            fits[k] = fit
+    return fits
+
+
+def _fit_rows(x, ys, sw, scale_cov) -> list:
+    # One stacked run over the rows of ys, all sampled at x; sw holds the
+    # square-root weights, zero where a point is dropped.
+    use = sw > 0
+    p0 = np.array([_moment_init_1d(x[u], y[u]) for y, u in zip(ys, use)])
+
+    def fun(p, rows):
+        return (gauss1d_model(p, x) - ys[rows]) * sw[rows]
+
+    def jac(p, rows):
+        return gauss1d_jacobian(p, x) * sw[rows][..., None]
+
+    res = damped_least_squares(fun, jac, p0)
+    return [_package_fit(res.problem(i), _NAMES_1D, sigma_slots=(2,),
+                         n_points=int(np.count_nonzero(u)),
+                         scale_cov=scale_cov)
+            for i, u in enumerate(use)]
 
 
 # --- 2D model on the rotated +- frame ---------------------------------------

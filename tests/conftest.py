@@ -37,6 +37,19 @@ def far_mapping() -> OpticalMapping:
                           wavelength_nm=810.0)
 
 
+@pytest.fixture(scope="session")
+def reduced_arms(reference_model, near_mapping, far_mapping):
+    """Near and far accumulators at reduced statistics (2e5 frames each)."""
+    from spadcorr.config import build_sensor, parse_config
+    from spadcorr.pipeline import simulate_accumulator
+    sensor_cfg = build_sensor(parse_config(""))
+    return {mode: simulate_accumulator(reference_model, mapping, sensor_cfg,
+                                       n_frames=200_000, pairs_per_frame=0.05,
+                                       seed=seed)
+            for mode, mapping, seed in (("near", near_mapping, 5),
+                                        ("far", far_mapping, 6))}
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -2,11 +2,12 @@
 
 import dataclasses
 import hashlib
+import math
 import struct
 
 import numpy as np
 
-from spadcorr.correlator import CorrelationAccumulator
+from spadcorr.correlator import CorrelationAccumulator, project_sum_diff
 from spadcorr.errors import (
     InvariantViolation,
     SpadError,
@@ -15,6 +16,7 @@ from spadcorr.errors import (
     TruncatedFile,
 )
 from spadcorr.eventfile import read_header
+from spadcorr.fitting import MAX_ITERATIONS, REL_STEP_TOL, LMResult
 from spadcorr.sensor import FrameBatch
 
 
@@ -105,6 +107,39 @@ def quadruple_loop_projections(values, n_x, n_y):
                     diff_map[x1 - x2 + n_x - 1, y1 - y2 + n_y - 1] += v
     return g2x, g2y, sum_map, diff_map
 
+
+def oracle_locus_distance(n_x, n_y, mapping_mode):
+    """Reference pair distance from the correlated locus, as (n_pix, n_pix).
+
+    The construction the library used before it broadcast per-axis tables:
+    int64 pixel coordinates and full (n_pix, n_pix) difference temporaries.
+    """
+    x = np.arange(n_x)
+    y = np.arange(n_y)
+    xi, yi = np.meshgrid(x, y, indexing="xy")
+    px = xi.ravel()
+    py = yi.ravel()
+    ddiag = np.maximum(np.abs(px[:, None] - px[None, :]),
+                       np.abs(py[:, None] - py[None, :]))
+    if mapping_mode != "far":
+        return ddiag
+    mx = (n_x - 1) - px
+    my = (n_y - 1) - py
+    dmirr = np.maximum(np.abs(px[:, None] - mx[None, :]),
+                       np.abs(py[:, None] - my[None, :]))
+    return np.minimum(ddiag, dmirr)
+
+
+def sum_diff_route_profiles(values, n_x, n_y, axis):
+    """Sum and difference peak profiles through the full sum/diff maps.
+
+    The route inferred_variance_peaks took before it read the profiles off
+    the axis projection: project the whole tensor, then sum each map over
+    the other axis.
+    """
+    sum_map, diff_map = project_sum_diff(values, n_x, n_y)
+    other = 1 if axis == "x" else 0
+    return sum_map.sum(axis=other), diff_map.sum(axis=other)
 
 def oracle_iter_frames(path):
     """Reference event-file decoder: one Python iteration per stored frame.
@@ -201,3 +236,56 @@ def decode_outcome(make_batches):
     except SpadError as exc:
         return n, digest.hexdigest(), (type(exc), str(exc))
     return n, digest.hexdigest(), None
+
+
+def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
+                                rel_step_tol=REL_STEP_TOL) -> LMResult:
+    """Reference Levenberg-Marquardt loop for one problem at a time.
+
+    This is the unstacked solver the stacked one replaced, kept verbatim:
+    one damped try after another, np.linalg.solve with an lstsq fallback.
+    """
+    p = np.asarray(p0, dtype=float).copy()
+    r = np.asarray(fun(p), dtype=float)
+    cost = float(r @ r)
+    lam = 1e-3
+    history = [cost]
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        jmat = np.asarray(jac(p), dtype=float)
+        grad = jmat.T @ r
+        hess = jmat.T @ jmat
+        diag = np.diag(hess).copy()
+        floor = 1e-12 * max(diag.max(), 1.0)
+        diag[diag < floor] = floor
+        accepted = False
+        for _ in range(60):
+            try:
+                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess + lam * np.diag(diag), -grad,
+                                       rcond=None)[0]
+            p_new = p + step
+            r_new = np.asarray(fun(p_new), dtype=float)
+            cost_new = float(r_new @ r_new)
+            if math.isfinite(cost_new) and cost_new <= cost:
+                rel = np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300)
+                p, r, cost = p_new, r_new, cost_new
+                history.append(cost)
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                if rel < rel_step_tol:
+                    converged = True
+                break
+            lam *= 10.0
+            if lam > 1e14:
+                break
+        if converged or not accepted:
+            break
+
+    jmat = np.asarray(jac(p), dtype=float)
+    cov = np.linalg.pinv(jmat.T @ jmat)
+    return LMResult(params=p, covariance=cov, converged=converged,
+                    iterations=it, residual_norm=math.sqrt(cost),
+                    cost_history=tuple(history))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import sum_diff_route_profiles
 from spadcorr import arraystore
 from spadcorr.cli import main
 from spadcorr.correlator import CorrelationAccumulator, CrosstalkMap
@@ -194,6 +195,21 @@ class TestExport:
         assert len(read_csv(out)[1]) == 63 * 63
         _, out = self.export(ws, ws["far_g2"], "peaks", "peaks-count")
         assert len(read_csv(out)[1]) == 2 * (63 + 63)
+
+    def test_peaks_match_sum_diff_maps(self, ws):
+        _, out = self.export(ws, ws["far_g2"], "peaks", "peaks-values")
+        rows = read_csv(out)[1]
+        values = arraystore.load_arrays(ws["far_g2"])[0]["values"]
+        for axis in ("x", "y"):
+            want = dict(zip(("sum", "diff"),
+                            sum_diff_route_profiles(values, 32, 32, axis)))
+            for name, prof in want.items():
+                got = [float(r[3]) for r in rows
+                       if r[0] == axis and r[1] == name]
+                np.testing.assert_allclose(got, prof, rtol=1e-12,
+                                           atol=1e-12 * np.abs(prof).max())
+        coords = [int(r[2]) for r in rows if r[:2] == ["x", "diff"]]
+        assert coords == list(range(-31, 32))
 
     def test_crosstalk_map_export(self, ws):
         map_path = ws["root"] / "far.map.blk"

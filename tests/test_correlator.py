@@ -4,10 +4,12 @@ import pytest
 from helpers import (
     batch_of,
     frame_groups,
+    oracle_locus_distance,
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
 )
+from spadcorr import correlator
 from spadcorr.correlator import (
     CorrectedG2,
     CorrelationAccumulator,
@@ -566,6 +568,44 @@ class TestProjections:
         np.testing.assert_allclose(g2y, ry, rtol=1e-12)
         np.testing.assert_allclose(sum_map, rs, rtol=1e-12)
         np.testing.assert_allclose(diff_map, rd, rtol=1e-12)
+
+
+class TestLocusDistance:
+    """Broadcast per-axis construction against the full-pair construction."""
+
+    GEOMETRIES = [(32, 32), (6, 5), (5, 4), (1, 7), (7, 1)]
+
+    @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
+    @pytest.mark.parametrize("mode", ["near", "far", "unspecified"])
+    def test_distances_and_selections_identical(self, n_x, n_y, mode):
+        got = correlator._locus_distance(n_x, n_y, mode)
+        want = oracle_locus_distance(n_x, n_y, mode)
+        assert got.shape == want.shape
+        assert got.itemsize == 1
+        np.testing.assert_array_equal(got, want)
+        for d in (0, 1, 2, 10, 300):
+            np.testing.assert_array_equal(got >= d, want >= d)
+
+    @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
+    def test_neighbor_masks_identical(self, n_x, n_y):
+        want = oracle_locus_distance(n_x, n_y, "unspecified")
+        for radius in range(4):
+            np.testing.assert_array_equal(
+                neighbor_mask_pairs(n_x, n_y, radius),
+                (want <= radius) & (want > 0))
+
+    @pytest.mark.parametrize("mode", ["near", "far"])
+    def test_g1_product_estimate_bit_identical(self, mode, monkeypatch):
+        rng = np.random.default_rng(44)
+        acc = accumulate(random_batch(rng, 400, 30, 255), n_x=6, n_y=5,
+                         mapping_mode=mode)
+        got = estimate_accidentals(acc, "g1_product", mask_distance=2,
+                                   min_mask_pairs=10)
+        monkeypatch.setattr(correlator, "_locus_distance",
+                            oracle_locus_distance)
+        want = estimate_accidentals(acc, "g1_product", mask_distance=2,
+                                    min_mask_pairs=10)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSymmetryThroughStages:

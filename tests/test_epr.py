@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spadcorr.correlator import CorrectedG2, linear_index, mask_neighbors
+from helpers import sum_diff_route_profiles
+from spadcorr import epr
+from spadcorr.correlator import (
+    CorrectedG2,
+    linear_index,
+    mask_neighbors,
+    peak_profiles,
+    project_axes,
+)
 from spadcorr.epr import (
     EprReport,
     JointTable,
@@ -26,12 +34,15 @@ from spadcorr.errors import (
     ConfigError,
     DegenerateInput,
     NotConverged,
+    SpadError,
 )
+from spadcorr.fitting import fit_gaussian_1d_columns
 from spadcorr.optics import (
     OpticalMapping,
     position_widths_by_coordinate,
     predict_epr,
 )
+from spadcorr.pipeline import correct_chain
 
 PITCH = 44.67
 
@@ -215,6 +226,22 @@ class TestGaussianEstimators:
         got = inferred_variance_numerical(table_from(self.vals, self.coords))
         assert got == pytest.approx(self.truth, rel=0.05)
 
+    def test_gauss1d_drops_columns_that_do_not_converge(self):
+        vals = self.vals.copy()
+        rng = np.random.default_rng(0)
+        vals[:, 30] = 0.05 + rng.normal(0.0, 0.01, vals.shape[0])
+        vals[17, 30] = 2.5          # one hot cell: the width shrinks forever
+        fits = fit_gaussian_1d_columns(self.coords, vals,
+                                       np.ones(vals.shape, dtype=bool))
+        assert not fits[30].converged
+        assert all(f.converged for k, f in enumerate(fits) if k != 30)
+        masked = np.zeros(vals.shape, dtype=bool)
+        masked[:, 30] = True
+        got = inferred_variance_gauss1d(table_from(vals, self.coords))
+        want = inferred_variance_gauss1d(
+            table_from(vals, self.coords, masked=masked))
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_gauss1d_requires_a_fittable_column(self):
         with pytest.raises(NotConverged):
             inferred_variance_gauss1d(table_from(np.ones((8, 8)),
@@ -318,6 +345,99 @@ class TestPeakWidths:
         with pytest.raises(ConfigError):
             inferred_variance_peaks(corr, OpticalMapping(mode="unspecified"),
                                     PITCH, "x")
+
+
+def outcome(fn):
+    """fn's value, or the class of the SpadError it raised."""
+    try:
+        return fn()
+    except SpadError as exc:
+        return type(exc)
+
+
+def peaks_with_profiles(corr, mapping, axis, profiles, monkeypatch):
+    """inferred_variance_peaks fed the given (sum, diff) profiles."""
+    with monkeypatch.context() as m:
+        m.setattr(epr, "peak_profiles", lambda proj: profiles)
+        return outcome(
+            lambda: inferred_variance_peaks(corr, mapping, PITCH, axis))
+
+
+def rounding_spread(corr, mapping, axis, profiles, monkeypatch):
+    """Relative spread of the peak variance under last-bit profile changes.
+
+    The fit's stopping point moves with the rounding of its input; this is
+    how far it moves when the profiles are perturbed at 1e-16 relative.
+    """
+    rng = np.random.default_rng(0)
+    got = [peaks_with_profiles(
+        corr, mapping, axis,
+        tuple(p * (1.0 + rng.normal(0.0, 1e-16, p.size)) for p in profiles),
+        monkeypatch) for _ in range(8)]
+    return (max(got) - min(got)) / abs(np.median(got))
+
+
+def both_routes(corr, mapping, axis, monkeypatch):
+    """Peak variance from the axis projection and from the sum/diff maps.
+
+    Checks on the way that the two routes' profiles agree to 1e-12. Returns
+    (new, old, old route's profiles).
+    """
+    route = sum_diff_route_profiles(corr.values, corr.n_x, corr.n_y, axis)
+    g2x, g2y = project_axes(corr.values, corr.n_x, corr.n_y)
+    for got, want in zip(peak_profiles(g2x if axis == "x" else g2y), route):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+    new = outcome(lambda: inferred_variance_peaks(corr, mapping, PITCH, axis))
+    old = peaks_with_profiles(corr, mapping, axis, route, monkeypatch)
+    return new, old, route
+
+
+class TestPeakProfilesFromProjections:
+    @pytest.mark.parametrize("radius", [0, 1])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("mode", ["near", "far"])
+    def test_simulated_tensors(self, reduced_arms, near_mapping, far_mapping,
+                               mode, axis, radius, monkeypatch):
+        mapping = near_mapping if mode == "near" else far_mapping
+        corr, _ = correct_chain(reduced_arms[mode], mask_radius=radius)
+        new, old, _ = both_routes(corr, mapping, axis, monkeypatch)
+        assert isinstance(old, float)
+        assert new == pytest.approx(old, rel=1e-9)
+
+    @pytest.mark.parametrize("radius", [None, 0, 1])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("mode", ["near", "far"])
+    def test_non_square_geometry(self, near_mapping, far_mapping, mode, axis,
+                                 radius, monkeypatch):
+        """5 x 4 pixels: the same outcome, the same variance to 1e-9.
+
+        On the masked far-field profiles the fit itself moves by up to 3e-7
+        when its input changes in the last bit; there the routes must agree
+        to twice that measured spread.
+        """
+        n_x, n_y = 5, 4
+        rng = np.random.default_rng(91)
+        jx = gaussian_tensor(n_x, 1.5, 0.8)
+        jy = gaussian_tensor(n_y, 1.2, 0.7)
+        tensor = np.einsum("ac,bd->abcd", jy, jx).reshape(20, 20)
+        tensor += rng.normal(0.0, 0.01, tensor.shape)
+        corr = CorrectedG2(values=tensor, g1=np.zeros(20),
+                           flags=("raw", "accidental_subtracted"), n_x=n_x,
+                           n_y=n_y, bins_per_frame=255, window=10, shift=20,
+                           n_frames=1_000_000, mapping_mode=mode)
+        if radius is not None:
+            corr = mask_neighbors(corr, radius)
+        mapping = near_mapping if mode == "near" else far_mapping
+        new, old, route = both_routes(corr, mapping, axis, monkeypatch)
+        if not isinstance(old, float):
+            assert new is old
+            return
+        tol = 1e-9
+        if mode == "far":
+            tol = max(tol, 2.0 * rounding_spread(corr, mapping, axis, route,
+                                                 monkeypatch))
+        assert new == pytest.approx(old, rel=tol)
 
 
 def synthetic_pair_tensors(model, near_mapping, far_mapping):

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from helpers import oracle_damped_least_squares
+from spadcorr.epr import build_joint_table
 from spadcorr.errors import DegenerateInput
 from spadcorr.fitting import (
+    _moment_init_1d,
     damped_least_squares,
     fit_gaussian_1d,
+    fit_gaussian_1d_columns,
     fit_gaussian_2d,
     gauss1d_jacobian,
     gauss1d_model,
     gauss2d_jacobian,
     gauss2d_model,
 )
+from spadcorr.pipeline import correct_chain
 
 
 def central_differences(fun, p, scale=1e-6):
@@ -208,3 +213,179 @@ class TestGaussian2d:
         with pytest.raises(DegenerateInput):
             fit_gaussian_2d(values, coords, coords,
                             mask=np.ones((8, 8), dtype=bool))
+
+
+def column_problems(x, values, keep):
+    """Stacked and one-at-a-time residuals of the columns of a table.
+
+    Each column becomes the zero-weight problem fit_gaussian_1d_columns
+    builds: dropped rows stay in the residual vector at weight 0. Returns
+    (fun, jac, p0, alone) where alone(k) gives column k's (fun, jac) for the
+    unstacked oracle.
+    """
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(values, dtype=float).T
+    w = np.asarray(keep, dtype=bool).T.astype(float)
+    target = ys * w
+    p0 = np.array([_moment_init_1d(x[u > 0], y[u > 0])
+                   for y, u in zip(ys, w)])
+
+    def fun(p, rows):
+        return (gauss1d_model(p, x) - target[rows]) * w[rows]
+
+    def jac(p, rows):
+        return gauss1d_jacobian(p, x) * w[rows][..., None]
+
+    def alone(k):
+        return (lambda q: (gauss1d_model(q, x) - target[k]) * w[k],
+                lambda q: gauss1d_jacobian(q, x) * w[k][:, None])
+
+    return fun, jac, p0, alone
+
+
+def assert_matches_oracle(res, alone, p0, **kwargs):
+    """Every problem of a stacked result equals its unstacked oracle run."""
+    for k in range(p0.shape[0]):
+        want = oracle_damped_least_squares(*alone(k), p0[k], **kwargs)
+        got = res.problem(k)
+        assert got.converged == want.converged, k
+        assert got.iterations == want.iterations, k
+        np.testing.assert_allclose(got.params, want.params, rtol=1e-6,
+                                   atol=1e-12, err_msg=f"problem {k}")
+        np.testing.assert_allclose(got.residual_norm, want.residual_norm,
+                                   rtol=1e-6)
+
+
+def simulated_tables(arms, near_mapping, far_mapping):
+    for mode, mapping in (("near", near_mapping), ("far", far_mapping)):
+        corr, _ = correct_chain(arms[mode], mask_radius=1)
+        for axis in ("x", "y"):
+            yield (f"{mode}-{axis}",
+                   build_joint_table(corr, mapping, 44.67, axis))
+
+
+class TestStackedSolver:
+    """The stacked solver against the one-problem-at-a-time loop."""
+
+    def test_simulated_table_columns(self, reduced_arms, near_mapping,
+                                     far_mapping):
+        capped = 0
+        for label, table in simulated_tables(reduced_arms, near_mapping,
+                                             far_mapping):
+            fun, jac, p0, alone = column_problems(
+                table.coords, table.values, ~table.masked)
+            res = damped_least_squares(fun, jac, p0)
+            assert_matches_oracle(res, alone, p0)
+            capped += int(np.count_nonzero(res.iterations == 200))
+        # reduced statistics leave columns that run to the iteration cap
+        assert capped > 0
+
+    def test_planted_column_hits_iteration_cap(self):
+        x = np.linspace(-60.0, 60.0, 31)
+        rng = np.random.default_rng(0)
+        good = gauss1d_model([40.0, 5.0, 12.0, 1.0], x)
+        spike = 1.5 + rng.normal(0.0, 0.3, x.size)
+        spike[12] = 75.0            # one hot point: the width shrinks forever
+        values = np.stack([good, spike, good[::-1]], axis=1)
+        fun, jac, p0, alone = column_problems(
+            x, values, np.ones(values.shape, dtype=bool))
+        res = damped_least_squares(fun, jac, p0)
+        assert list(res.converged) == [True, False, True]
+        assert res.iterations[1] == 200
+        assert_matches_oracle(res, alone, p0)
+
+    def test_flat_and_short_columns_are_skipped(self):
+        x = np.linspace(-10.0, 10.0, 12)
+        values = np.stack([gauss1d_model([3.0, 1.0, 2.5, 0.2], x),
+                           np.full(x.size, 2.0),
+                           gauss1d_model([2.0, -2.0, 3.0, 0.1], x)], axis=1)
+        keep = np.ones(values.shape, dtype=bool)
+        keep[4:, 2] = False         # 4 usable points
+        fits = fit_gaussian_1d_columns(x, values, keep)
+        assert fits[1] is None and fits[2] is None
+        for k in (1, 2):
+            with pytest.raises(DegenerateInput):
+                fit_gaussian_1d(x[keep[:, k]], values[keep[:, k], k])
+        single = fit_gaussian_1d(x, values[:, 0])
+        assert fits[0].converged and single.converged
+        assert fits[0].params == pytest.approx(single.params, rel=1e-9)
+
+    def test_singular_element_falls_back_alone(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        design = rng.normal(size=(4, 30, 3))
+        design[2, :, 1] = design[2, :, 0]   # rank-deficient normal equations
+        target = rng.normal(size=(4, 30))
+        p0 = np.zeros((4, 3))
+
+        def fun(p, rows):
+            return np.matmul(design[rows], p[..., None])[..., 0] - target[rows]
+
+        def jac(p, rows):
+            return design[rows]
+
+        def alone(k):
+            return (lambda q: design[k] @ q - target[k], lambda q: design[k])
+
+        clean = damped_least_squares(fun, jac, p0)
+        real_solve = np.linalg.solve
+        raised = []
+
+        def solve(a, b):
+            # LAPACK reports an exactly singular matrix for the whole stack;
+            # plant that report on the problem with two equal columns
+            a = np.asarray(a)
+            if np.any((a[..., 0, 0] == a[..., 1, 1])
+                      & (a[..., 0, 2] == a[..., 1, 2])):
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        res = damped_least_squares(fun, jac, p0)
+        assert any(len(shape) == 3 for shape in raised)
+        assert any(len(shape) == 2 for shape in raised)
+        for k in (0, 1, 3):
+            np.testing.assert_array_equal(res.params[k], clean.params[k])
+            assert res.iterations[k] == clean.iterations[k]
+            assert res.converged[k] == clean.converged[k]
+        assert_matches_oracle(res, alone, p0)
+
+    def test_one_dimensional_start_is_a_stack_of_one(self):
+        x = np.linspace(-8, 8, 60)
+        rng = np.random.default_rng(5)
+        y = gauss1d_model([3.0, 1.0, 2.0, 0.5], x) + rng.normal(0, 0.05, 60)
+        p0 = np.array([1.0, -2.0, 5.0, 0.0])
+        single = damped_least_squares(lambda p: gauss1d_model(p, x) - y,
+                                      lambda p: gauss1d_jacobian(p, x), p0)
+        stack = damped_least_squares(
+            lambda p, rows: gauss1d_model(p, x) - y,
+            lambda p, rows: gauss1d_jacobian(p, x), p0[None])
+        np.testing.assert_array_equal(single.params, stack.params[0])
+        assert single.cost_history == stack.cost_history[0]
+        assert isinstance(single.converged, bool)
+        assert isinstance(single.iterations, int)
+
+
+class TestFitColumns:
+    def test_zero_weight_matches_dropped_points(self, reduced_arms,
+                                                near_mapping, far_mapping):
+        """Zero weights change the rounding of the sums, not the fits.
+
+        The unstacked per-column fit drops masked rows; the stacked one
+        keeps them at weight 0. Converged flags agree and converged widths
+        agree to 1e-6.
+        """
+        for label, table in simulated_tables(reduced_arms, near_mapping,
+                                             far_mapping):
+            fits = fit_gaussian_1d_columns(table.coords, table.values,
+                                           ~table.masked)
+            for b, fit in enumerate(fits):
+                keep = ~table.masked[:, b]
+                x, y = table.coords[keep], table.values[keep, b]
+                want = oracle_damped_least_squares(
+                    lambda p: gauss1d_model(p, x) - y,
+                    lambda p: gauss1d_jacobian(p, x), _moment_init_1d(x, y))
+                assert fit.converged == want.converged, (label, b)
+                if want.converged:
+                    assert fit.params["sigma"] == pytest.approx(
+                        abs(want.params[2]), rel=1e-6), (label, b)
