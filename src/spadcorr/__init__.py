@@ -67,7 +67,6 @@ from .sensor import (
     FrameBatch,
     SensorConfig,
     draw_pixel_offsets,
-    sample_pair,
     simulate_frames,
 )
 

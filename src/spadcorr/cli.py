@@ -204,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="photon-pair simulation and coincidence analysis "
                     "for time-tagging SPAD arrays")
     sub = parser.add_subparsers(dest="command", required=True)
+    schema = cfgmod.defaults()
 
     p = sub.add_parser("simulate", help="simulate an event file")
     p.add_argument("--config", help="key=value settings file")
@@ -217,18 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="accumulate an event file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True, help="accumulator container")
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--shift", type=int, default=20)
+    p.add_argument("--window", type=int, default=schema["correlate.window"])
+    p.add_argument("--shift", type=int, default=schema["correlate.shift"])
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("correct", help="run the correction chain")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True, help="corrected tensor container")
-    p.add_argument("--method", default="shifted_window",
+    p.add_argument("--method", default=schema["correct.accidental_method"],
                    choices=("shifted_window", "g1_product"))
-    p.add_argument("--mask-radius", type=int, default=1)
-    p.add_argument("--inner-window", type=int, default=29)
+    p.add_argument("--mask-radius", type=int,
+                   default=schema["correct.mask_radius"])
+    p.add_argument("--inner-window", type=int,
+                   default=schema["correct.crosstalk_inner_window"])
     p.add_argument("--crosstalk-map",
                    help="apply a previously saved map instead of estimating")
     p.add_argument("--no-crosstalk", action="store_true",

@@ -33,6 +33,7 @@ from .errors import (
     OutOfRange,
     WindowTooLarge,
 )
+from .optics import MAPPING_MODES
 from .sensor import FrameBatch
 
 FLAG_ORDER = ("raw", "accidental_subtracted", "crosstalk_corrected",
@@ -42,6 +43,17 @@ _TENSOR_META = dict(n_x=int, n_y=int, bins_per_frame=int, window=int,
                     shift=int, n_frames=int, mapping_mode=str)
 
 MFRAMES = 1.0e6
+
+
+def _in_range(fields: dict) -> dict:
+    # Rejects type-checked meta values that no saver writes.
+    bad = [name for name in ("n_frames", "mask_radius", "clamped_negative")
+           if (fields.get(name) or 0) < 0]
+    if fields.get("mapping_mode", "far") not in MAPPING_MODES:
+        bad.append("mapping_mode")
+    if bad:
+        raise InvariantViolation(f"meta fields {bad} out of range")
+    return fields
 
 
 def linear_index(px, py, n_x=32, n_y=32):
@@ -208,7 +220,7 @@ class CorrelationAccumulator:
         arrays, meta = arraystore.load_arrays(path)
         if meta.get("kind") != "accumulator":
             raise ConfigError("container does not hold an accumulator")
-        fields = arraystore.check_meta(meta, **_TENSOR_META)
+        fields = _in_range(arraystore.check_meta(meta, **_TENSOR_META))
         n_pix = fields["n_x"] * fields["n_y"]
         pairs = ((n_pix, n_pix), np.int64)
         return cls(**fields, **arraystore.check_arrays(
@@ -310,8 +322,8 @@ class CorrectedG2:
         arrays, meta = arraystore.load_arrays(path)
         if meta.get("kind") != "corrected_g2":
             raise ConfigError("container does not hold a corrected tensor")
-        fields = arraystore.check_meta(meta, **_TENSOR_META, flags=list,
-                                       mask_radius=(int, type(None)))
+        fields = _in_range(arraystore.check_meta(
+            meta, **_TENSOR_META, flags=list, mask_radius=(int, type(None))))
         if any(flag not in FLAG_ORDER for flag in fields["flags"]):
             raise InvariantViolation("unknown correction flag")
         fields["flags"] = tuple(fields["flags"])
@@ -350,27 +362,45 @@ def normalize(acc: CorrelationAccumulator) -> CorrectedG2:
         mapping_mode=acc.mapping_mode)
 
 
+def _axis_offsets(n, sources=None):
+    # Per-axis table [i, a2] of the offset a2 - sources[i] to every pixel
+    # a2 of an n-pixel axis; the sources default to the axis itself.
+    a = np.arange(n)
+    return a[None, :] - (a if sources is None else sources)[:, None]
+
+
+def _over_pairs(tx, ty):
+    # Views of per-axis tables tx[x1, x2] and ty[y1, y2] that broadcast
+    # over the (y1, x1, y2, x2) layout of a pixel-pair tensor.
+    return tx[None, :, None, :], ty[:, None, :, None]
+
+
+def _offset_index(offsets, radius):
+    # Offsets within the radius as indices 0..2r into a cross-talk table;
+    # 2r + 1 marks every offset beyond it.
+    return np.where(np.abs(offsets) <= radius, offsets + radius,
+                    2 * radius + 1)
+
+
 def _locus_distance(n_x, n_y, mapping_mode):
     # Chebyshev distance of each ordered pixel pair from the correlated
     # locus: the diagonal always, plus the mirror diagonal for far-field
-    # data where pairs land on opposite sides of the optical axis. Built
-    # from per-axis n x n tables broadcast over (y1, x1, y2, x2) in the
-    # smallest signed dtype that holds the largest distance.
+    # data where pairs land on opposite sides of the optical axis (the
+    # offset from the mirrored source pixel). Kept in the smallest signed
+    # dtype that holds the largest distance.
     dtype = np.min_scalar_type(-max(n_x, n_y))
-    x = np.arange(n_x)
-    y = np.arange(n_y)
 
-    def pairs(dx, dy):
-        return np.maximum(np.abs(dy).astype(dtype)[:, None, :, None],
-                          np.abs(dx).astype(dtype)[None, :, None, :])
+    def dist(sx=None, sy=None):
+        return np.maximum(*_over_pairs(
+            np.abs(_axis_offsets(n_x, sx)).astype(dtype),
+            np.abs(_axis_offsets(n_y, sy)).astype(dtype)))
 
-    dist = pairs(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    out = dist()
     if mapping_mode == "far":
-        dmirr = pairs(x[:, None] + x[None, :] - (n_x - 1),
-                      y[:, None] + y[None, :] - (n_y - 1))
-        np.minimum(dist, dmirr, out=dist)
+        np.minimum(out, dist(np.arange(n_x)[::-1], np.arange(n_y)[::-1]),
+                   out=out)
     n_pix = n_x * n_y
-    return dist.reshape(n_pix, n_pix)
+    return out.reshape(n_pix, n_pix)
 
 
 def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
@@ -465,8 +495,8 @@ class CrosstalkMap:
         arrays, meta = arraystore.load_arrays(path)
         if meta.get("kind") != "crosstalk_map":
             raise ConfigError("container does not hold a cross-talk map")
-        fields = arraystore.check_meta(meta, radius=int,
-                                       clamped_negative=int)
+        fields = _in_range(arraystore.check_meta(meta, radius=int,
+                                                 clamped_negative=int))
         side = 2 * fields["radius"] + 1
         return cls(**fields, **arraystore.check_arrays(
             arrays, probabilities=((side, side), np.float64)))
@@ -485,65 +515,62 @@ def estimate_crosstalk(corr: CorrectedG2, inner_window=29) -> CrosstalkMap:
     ratio (an even split when no ordered pairs survive subtraction, which
     reproduces the plain half-total rule). Negative cells clamp to zero and
     are counted.
+
+    The sums are offset-keyed bincounts, one source row at a time; against
+    one sum per offset this order of summation moves a probability by at
+    most 1e-12 of the map's largest (about 1e-15 measured), and could only
+    clamp a sum that cancels to zero within rounding differently.
     """
     _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
     n_x, n_y = corr.n_x, corr.n_y
     if inner_window < 1 or inner_window > min(n_x, n_y):
         raise WindowTooLarge("inner window does not fit on the sensor")
     radius = inner_window - 1
-    lo_x = (n_x - inner_window) // 2
-    lo_y = (n_y - inner_window) // 2
-    vals = corr.values.reshape(n_y, n_x, n_y, n_x)
-    later = corr.values_later.reshape(n_y, n_x, n_y, n_x)
-    g1 = corr.g1.reshape(n_y, n_x)
-    ys = np.arange(lo_y, lo_y + inner_window)
-    xs = np.arange(lo_x, lo_x + inner_window)
-    norm = float(np.sum(g1[np.ix_(ys, xs)]))
+    grid = 2 * radius + 2    # offsets -r..r, then one bin beyond the radius
+    xs = np.arange((n_x - inner_window) // 2, (n_x + inner_window) // 2)
+    ys = np.arange((n_y - inner_window) // 2, (n_y + inner_window) // 2)
+    norm = float(np.sum(corr.g1.reshape(n_y, n_x)[np.ix_(ys, xs)]))
     if norm <= 0:
         raise EmptyAccumulator("inner window saw no singles")
-    prob = np.zeros((2 * radius + 1, 2 * radius + 1))
-    clamped = 0
-    for dx in range(-radius, radius + 1):
-        tx = xs + dx
-        okx = (tx >= 0) & (tx < n_x)
-        for dy in range(-radius, radius + 1):
-            if dx == 0 and dy == 0:
-                continue
-            ty = ys + dy
-            oky = (ty >= 0) & (ty < n_y)
-            if not (np.any(okx) and np.any(oky)):
-                continue
-            sy = ys[oky][:, None]
-            sx = xs[okx][None, :]
-            tyk = ty[oky][:, None]
-            txk = tx[okx][None, :]
-            total = float(np.sum(vals[sy, sx, tyk, txk]))
-            fwd = max(float(np.sum(later[sy, sx, tyk, txk])), 0.0)
-            rev = max(float(np.sum(later[tyk, txk, sy, sx])), 0.0)
-            share = fwd / (fwd + rev) if fwd + rev > 0 else 0.5
-            p = share * total / norm
-            if p < 0:
-                clamped += 1
-                p = 0.0
-            prob[dx + radius, dy + radius] = p
+    later = corr.values_later.reshape(n_y, n_x, n_y, n_x)
+    # pair rates at (source, target), and their ordered shares with the
+    # target fired later and with the source fired later
+    tensors = (corr.values.reshape(n_y, n_x, n_y, n_x), later,
+               later.transpose(2, 3, 0, 1))
+    # key[0, sx, ty, tx] of the offset from (sy, sx) to (ty, tx) on a
+    # grid x grid table whose last row and column collect what lies beyond
+    # the radius
+    kx, ky = _over_pairs(_offset_index(_axis_offsets(n_x, xs), radius),
+                         _offset_index(_axis_offsets(n_y, ys), radius))
+    sums = np.zeros((3, grid * grid))
+    for row, sy in enumerate(ys):
+        key = (kx * grid + ky[row:row + 1]).ravel()
+        block = np.s_[sy:sy + 1, xs[0]:xs[-1] + 1]
+        for out, tensor in zip(sums, tensors):
+            out += np.bincount(key, tensor[block].ravel(), out.size)
+    total, fwd, rev = sums.reshape(3, grid, grid)[:, :-1, :-1]
+    total[radius, radius] = 0.0    # a pixel never pairs with itself
+    fwd, rev = np.maximum((fwd, rev), 0.0)
+    share = np.divide(fwd, fwd + rev, out=np.full_like(fwd, 0.5),
+                      where=fwd + rev > 0)
+    prob = share * total / norm
+    negative = prob < 0
+    prob[negative] = 0.0
     return CrosstalkMap(probabilities=prob, radius=radius,
-                        clamped_negative=clamped)
+                        clamped_negative=int(np.count_nonzero(negative)))
 
 
 def _offset_lookup(cmap: CrosstalkMap, n_x: int, n_y: int) -> np.ndarray:
-    # XT[l1, l2] = p(pixel(l2) - pixel(l1)) for every ordered pixel pair.
-    x = np.arange(n_x)
-    y = np.arange(n_y)
-    xi, yi = np.meshgrid(x, y, indexing="xy")
-    px = xi.ravel()
-    py = yi.ravel()
-    dx = px[None, :] - px[:, None]
-    dy = py[None, :] - py[:, None]
+    # XT[l1, l2] = p(pixel(l2) - pixel(l1)) for every ordered pixel pair,
+    # gathered through the per-axis offset indices; the zero row and column
+    # padded onto the table serve every offset beyond the radius.
     r = cmap.radius
-    inside = (np.abs(dx) <= r) & (np.abs(dy) <= r)
-    out = np.zeros((n_x * n_y, n_x * n_y))
-    out[inside] = cmap.probabilities[dx[inside] + r, dy[inside] + r]
-    return out
+    table = np.zeros((2 * r + 2, 2 * r + 2))
+    table[:-1, :-1] = cmap.probabilities
+    n_pix = n_x * n_y
+    return table[_over_pairs(_offset_index(_axis_offsets(n_x), r),
+                             _offset_index(_axis_offsets(n_y), r))
+                 ].reshape(n_pix, n_pix)
 
 
 def correct_crosstalk(corr: CorrectedG2, cmap: CrosstalkMap) -> CorrectedG2:
@@ -606,7 +633,7 @@ def project_sum_diff(values: np.ndarray, n_x: int, n_y: int):
     def histogram(kx, ky):
         # kx[x1, x2] and ky[y1, y2] are map indices; cell (y1, x1, y2, x2)
         # lands in flat bin kx * (2 n_y - 1) + ky
-        key = (kx * shape[1])[None, :, None, :] + ky[:, None, :, None]
+        key = np.add(*_over_pairs(kx * shape[1], ky))
         return np.bincount(key.ravel(), weights=t,
                            minlength=shape[0] * shape[1]).reshape(shape)
 

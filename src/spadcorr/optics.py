@@ -25,17 +25,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _as_qvec(q):
-    """Normalize a transverse momentum argument to shape (..., 2) in 1/mm.
-
-    Scalars and plain arrays are treated as x-components with qy = 0.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.ndim and q.shape[-1] == 2:
-        return q
-    return np.stack([q, np.zeros_like(q)], axis=-1)
-
-
 @dataclasses.dataclass(frozen=True)
 class DoubleGaussianModel:
     """Gaussian surrogate for the joint momentum density, one pair per axis.
@@ -78,17 +67,6 @@ class DoubleGaussianModel:
         sy = _solve_axis(delta_y_um, delta_qy_per_mm)
         return cls(sigma_q_plus_x=sx[0], sigma_q_minus_x=sx[1],
                    sigma_q_plus_y=sy[0], sigma_q_minus_y=sy[1])
-
-    def density(self, q1, q2):
-        q1 = _as_qvec(q1)
-        q2 = _as_qvec(q2)
-        qp = (q1 + q2) / math.sqrt(2.0)
-        qm = (q1 - q2) / math.sqrt(2.0)
-        return np.exp(
-            -qp[..., 0] ** 2 / (2 * self.sigma_q_plus_x ** 2)
-            - qm[..., 0] ** 2 / (2 * self.sigma_q_minus_x ** 2)
-            - qp[..., 1] ** 2 / (2 * self.sigma_q_plus_y ** 2)
-            - qm[..., 1] ** 2 / (2 * self.sigma_q_minus_y ** 2))
 
 
 def _solve_axis(delta_pos_um: float, delta_mom_per_mm: float) -> tuple[float, float]:

@@ -124,11 +124,6 @@ class CrosstalkSpec:
                          if p > 0.0))
 
     @classmethod
-    def nearest(cls, p_horizontal: float, p_vertical: float) -> "CrosstalkSpec":
-        return cls.from_dict({(1, 0): p_horizontal, (-1, 0): p_horizontal,
-                              (0, 1): p_vertical, (0, -1): p_vertical})
-
-    @classmethod
     def none(cls) -> "CrosstalkSpec":
         return cls(())
 
@@ -175,23 +170,12 @@ def quantize_tdc(t_ps, cfg: SensorConfig):
     return bins, inside
 
 
-def sample_pair(model: DoubleGaussianModel, mapping: OpticalMapping,
-                rng: np.random.Generator, n: int | None = None):
-    """Draw sensor-plane landing coordinates (rho1, rho2) for photon pairs.
-
-    Returns two (n, 2) arrays in um relative to the optical axis (shape (2,)
-    each when n is None). Far field draws the momentum-space density and
-    scales by lambda f / 2 pi; near field draws the position-space density
-    (coordinate widths 1/(2 sigma_q+-)) and scales by the magnification.
-    """
-    count = 1 if n is None else int(n)
-    rho1, rho2 = _draw_pair_coordinates(model, mapping, count, rng)
-    if n is None:
-        return rho1[0], rho2[0]
-    return rho1, rho2
-
-
 def _draw_pair_coordinates(model, mapping, count, rng):
+    # Sensor-plane landing coordinates (rho1, rho2) of count photon pairs,
+    # two (count, 2) arrays in um relative to the optical axis. Far field
+    # draws the momentum-space density and scales by lambda f / 2 pi; near
+    # field draws the position-space density (coordinate widths
+    # 1/(2 sigma_q+-)) and scales by the magnification.
     if mapping.mode == "far":
         sp = (model.sigma_q_plus_x, model.sigma_q_plus_y)
         sm = (model.sigma_q_minus_x, model.sigma_q_minus_y)

@@ -7,13 +7,20 @@ import struct
 
 import numpy as np
 
-from spadcorr.correlator import CorrelationAccumulator, project_sum_diff
+from spadcorr.correlator import (
+    CorrelationAccumulator,
+    CrosstalkMap,
+    _require_stage,
+    project_sum_diff,
+)
 from spadcorr.errors import (
+    EmptyAccumulator,
     InvariantViolation,
     SpadError,
     OrderViolation,
     RangeViolation,
     TruncatedFile,
+    WindowTooLarge,
 )
 from spadcorr.eventfile import read_header
 from spadcorr.fitting import MAX_ITERATIONS, REL_STEP_TOL, LMResult
@@ -128,6 +135,77 @@ def oracle_locus_distance(n_x, n_y, mapping_mode):
     dmirr = np.maximum(np.abs(px[:, None] - mx[None, :]),
                        np.abs(py[:, None] - my[None, :]))
     return np.minimum(ddiag, dmirr)
+
+
+def oracle_offset_lookup(cmap, n_x, n_y):
+    """Reference XT[l1, l2] = p(pixel(l2) - pixel(l1)), as (n_pix, n_pix).
+
+    The construction the library used before it gathered through per-axis
+    offset tables: int64 (n_pix, n_pix) offset temporaries and a boolean
+    index.
+    """
+    x = np.arange(n_x)
+    y = np.arange(n_y)
+    xi, yi = np.meshgrid(x, y, indexing="xy")
+    px = xi.ravel()
+    py = yi.ravel()
+    dx = px[None, :] - px[:, None]
+    dy = py[None, :] - py[:, None]
+    r = cmap.radius
+    inside = (np.abs(dx) <= r) & (np.abs(dy) <= r)
+    out = np.zeros((n_x * n_y, n_x * n_y))
+    out[inside] = cmap.probabilities[dx[inside] + r, dy[inside] + r]
+    return out
+
+
+def oracle_estimate_crosstalk(corr, inner_window=29):
+    """Reference cross-talk estimator: one fancy-indexed sum per offset.
+
+    The loop over all (2r + 1)^2 offsets the library ran before it keyed
+    weighted bincounts on the pair offset.
+    """
+    _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
+    n_x, n_y = corr.n_x, corr.n_y
+    if inner_window < 1 or inner_window > min(n_x, n_y):
+        raise WindowTooLarge("inner window does not fit on the sensor")
+    radius = inner_window - 1
+    lo_x = (n_x - inner_window) // 2
+    lo_y = (n_y - inner_window) // 2
+    vals = corr.values.reshape(n_y, n_x, n_y, n_x)
+    later = corr.values_later.reshape(n_y, n_x, n_y, n_x)
+    g1 = corr.g1.reshape(n_y, n_x)
+    ys = np.arange(lo_y, lo_y + inner_window)
+    xs = np.arange(lo_x, lo_x + inner_window)
+    norm = float(np.sum(g1[np.ix_(ys, xs)]))
+    if norm <= 0:
+        raise EmptyAccumulator("inner window saw no singles")
+    prob = np.zeros((2 * radius + 1, 2 * radius + 1))
+    clamped = 0
+    for dx in range(-radius, radius + 1):
+        tx = xs + dx
+        okx = (tx >= 0) & (tx < n_x)
+        for dy in range(-radius, radius + 1):
+            if dx == 0 and dy == 0:
+                continue
+            ty = ys + dy
+            oky = (ty >= 0) & (ty < n_y)
+            if not (np.any(okx) and np.any(oky)):
+                continue
+            sy = ys[oky][:, None]
+            sx = xs[okx][None, :]
+            tyk = ty[oky][:, None]
+            txk = tx[okx][None, :]
+            total = float(np.sum(vals[sy, sx, tyk, txk]))
+            fwd = max(float(np.sum(later[sy, sx, tyk, txk])), 0.0)
+            rev = max(float(np.sum(later[tyk, txk, sy, sx])), 0.0)
+            share = fwd / (fwd + rev) if fwd + rev > 0 else 0.5
+            p = share * total / norm
+            if p < 0:
+                clamped += 1
+                p = 0.0
+            prob[dx + radius, dy + radius] = p
+    return CrosstalkMap(probabilities=prob, radius=radius,
+                        clamped_negative=clamped)
 
 
 def sum_diff_route_profiles(values, n_x, n_y, axis):

@@ -1,4 +1,5 @@
-"""The public surface keeps FrameBatch as its only in-memory event form."""
+"""The public surface: FrameBatch is the only in-memory event form, and
+helpers that no pipeline path calls stay deleted."""
 
 import pytest
 
@@ -7,7 +8,8 @@ from spadcorr import correlator, eventfile, optics, sensor
 from spadcorr.eventfile import EventFileReader, EventFileWriter
 
 REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
-           "evaluate_delta_kz", "evaluate_joint_density")
+           "evaluate_delta_kz", "evaluate_joint_density", "sample_pair",
+           "_as_qvec")
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -21,3 +23,8 @@ def test_event_file_has_no_per_frame_path():
     assert not hasattr(EventFileWriter, "add_frame")
     assert not hasattr(EventFileReader, "iter_frames")
     assert not hasattr(sensor.FrameBatch, "iter_frames")
+
+
+def test_unused_model_helpers_deleted():
+    assert not hasattr(sensor.CrosstalkSpec, "nearest")
+    assert not hasattr(optics.DoubleGaussianModel, "density")

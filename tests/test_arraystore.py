@@ -146,6 +146,25 @@ def test_meta_and_arrays_are_checked(tmp_path):
             CrosstalkMap.load(path)
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("accumulator", "mapping_mode", "fas"),
+    ("accumulator", "n_frames", -1),
+    ("corrected", "mapping_mode", "fas"),
+    ("corrected", "n_frames", -1),
+    ("corrected", "mask_radius", -1),
+    ("crosstalk_map", "clamped_negative", -1),
+])
+def test_meta_values_are_checked(tmp_path, kind, field, value):
+    obj, cls = tiny_containers()[kind]
+    path = tmp_path / "x.blk"
+    obj.save(path)
+    arrays, meta = load_arrays(path)
+    cls.load(path)
+    save_arrays(path, arrays, {**meta, field: value})
+    with pytest.raises(InvariantViolation):
+        cls.load(path)
+
+
 def test_undecodable_bytes_rejected(tmp_path):
     path = tmp_path / "x.blk"
     save_arrays(path, {"x": np.arange(3)}, {"k": 1})

@@ -6,7 +6,8 @@ import pytest
 
 from helpers import sum_diff_route_profiles
 from spadcorr import arraystore
-from spadcorr.cli import main
+from spadcorr import config as cfgmod
+from spadcorr.cli import build_parser, main
 from spadcorr.correlator import CorrelationAccumulator, CrosstalkMap
 
 CFG_TEXT = """\
@@ -247,6 +248,28 @@ class TestExport:
                 codes.add(self.export(ws, bad, "crosstalk", "xt-bad")[0])
         capsys.readouterr()
         assert codes == {0, 2, 3}
+
+    @pytest.mark.parametrize("field,value", [("mapping_mode", "fas"),
+                                             ("n_frames", -1)])
+    def test_meta_value_out_of_range_exits_3(self, ws, capsys, field, value):
+        arrays, meta = arraystore.load_arrays(ws["far_acc"])
+        bad = ws["root"] / f"acc-{field}.blk"
+        arraystore.save_arrays(bad, arrays, {**meta, field: value})
+        code, _ = self.export(ws, bad, "g1", f"bad-{field}")
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
+
+def test_stage_flag_defaults_come_from_the_schema():
+    schema = cfgmod.defaults()
+    parser = build_parser()
+    correlate = parser.parse_args(["correlate", "--in", "a", "--out", "b"])
+    assert (correlate.window, correlate.shift) == (
+        schema["correlate.window"], schema["correlate.shift"])
+    correct = parser.parse_args(["correct", "--in", "a", "--out", "b"])
+    assert (correct.method, correct.mask_radius, correct.inner_window) == (
+        schema["correct.accidental_method"], schema["correct.mask_radius"],
+        schema["correct.crosstalk_inner_window"])
 
 
 class TestErrorExits:

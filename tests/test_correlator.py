@@ -4,7 +4,9 @@ import pytest
 from helpers import (
     batch_of,
     frame_groups,
+    oracle_estimate_crosstalk,
     oracle_locus_distance,
+    oracle_offset_lookup,
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
@@ -608,11 +610,74 @@ class TestLocusDistance:
         np.testing.assert_array_equal(got, want)
 
 
+class TestOffsetKeyedCrosstalk:
+    """Offset-keyed lookup and estimator against the per-offset loops."""
+
+    GEOMETRIES = [(32, 32), (5, 4), (3, 7)]
+    # the estimator sums each offset in another order than the oracle;
+    # bound the difference by this share of the map's largest probability
+    REL_TO_PEAK = 1e-12
+
+    def assert_maps_agree(self, got, want):
+        assert got.radius == want.radius
+        assert got.clamped_negative == want.clamped_negative
+        np.testing.assert_array_equal(got.probabilities == 0,
+                                      want.probabilities == 0)
+        peak = np.abs(want.probabilities).max()
+        np.testing.assert_allclose(got.probabilities, want.probabilities,
+                                   rtol=0, atol=self.REL_TO_PEAK * peak)
+
+    @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
+    @pytest.mark.parametrize("radius", [0, 1, 4, 28])
+    def test_lookup_bit_identical(self, n_x, n_y, radius):
+        rng = np.random.default_rng(radius + 10 * n_x + n_y)
+        side = 2 * radius + 1
+        cmap = CrosstalkMap(probabilities=rng.normal(size=(side, side)),
+                            radius=radius)
+        got = correlator._offset_lookup(cmap, n_x, n_y)
+        want = oracle_offset_lookup(cmap, n_x, n_y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
+    @pytest.mark.parametrize("which", ["one", "two", "full"])
+    def test_estimate_matches_oracle_on_random_tensors(self, n_x, n_y,
+                                                       which):
+        inner = {"one": 1, "two": 2, "full": min(n_x, n_y)}[which]
+        rng = np.random.default_rng(n_x * n_y + inner)
+        n_pix = n_x * n_y
+        for negative_share in (0.3, 0.5):
+            # values and ordered shares both carry negative cells
+            corr = blank_corrected(
+                n_x, n_y, flags=("raw", "accidental_subtracted"),
+                values=rng.random((n_pix, n_pix)) - negative_share,
+                values_later=rng.random((n_pix, n_pix)) - negative_share,
+                g1=rng.random(n_pix) + 0.1)
+            self.assert_maps_agree(estimate_crosstalk(corr, inner),
+                                   oracle_estimate_crosstalk(corr, inner))
+
+    @pytest.mark.parametrize("seed", [105, 7])
+    def test_estimate_matches_oracle_on_characterization(
+            self, reference_model, far_mapping, seed):
+        cfg = SensorConfig(dark_rate_hz=30000.0)
+        xt = CrosstalkSpec.from_dict({(1, 0): 1e-3, (-1, 0): 1e-3,
+                                      (0, 1): 1e-3, (0, -1): 1e-3})
+        acc = accumulate(simulate_frames(reference_model, far_mapping, cfg,
+                                         4 * 65536, 0.0, crosstalk=xt,
+                                         seed=seed), mapping_mode="far")
+        corr = subtract_accidentals(normalize(acc),
+                                    estimate_accidentals(acc))
+        got = estimate_crosstalk(corr, inner_window=29)
+        self.assert_maps_agree(got, oracle_estimate_crosstalk(corr, 29))
+        assert got.clamped_negative > 0
+
+
 class TestSymmetryThroughStages:
     def test_exchange_symmetry_and_zero_diagonal(self, reference_model,
                                                  near_mapping):
         cfg = SensorConfig(dark_rate_hz=5000.0)
-        xt = CrosstalkSpec.nearest(1e-3, 1e-3)
+        xt = CrosstalkSpec.from_dict({(1, 0): 1e-3, (-1, 0): 1e-3,
+                                      (0, 1): 1e-3, (0, -1): 1e-3})
         batches = simulate_frames(reference_model, near_mapping, cfg,
                                   65536, 0.5, crosstalk=xt, seed=40)
         acc = accumulate(batches, mapping_mode="near")

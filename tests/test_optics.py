@@ -14,30 +14,6 @@ from spadcorr.optics import (
 
 
 class TestDoubleGaussianDensity:
-    def test_peak_at_origin_is_one(self, reference_model):
-        assert reference_model.density((0.0, 0.0), (0.0, 0.0)) == 1.0
-
-    def test_axis_factorization(self, reference_model):
-        m = reference_model
-        rng = np.random.default_rng(5)
-        mx = DoubleGaussianModel(m.sigma_q_plus_x, m.sigma_q_minus_x, 1.0, 1.0)
-        my = DoubleGaussianModel(1.0, 1.0, m.sigma_q_plus_y, m.sigma_q_minus_y)
-        for _ in range(50):
-            q1 = rng.uniform(-30, 30, 2)
-            q2 = rng.uniform(-30, 30, 2)
-            full = m.density(q1, q2)
-            only_x = mx.density((q1[0], 0.0), (q2[0], 0.0))
-            only_y = my.density((0.0, q1[1]), (0.0, q2[1]))
-            assert full == pytest.approx(only_x * only_y, rel=1e-12)
-
-    def test_exchange_symmetry(self, reference_model):
-        rng = np.random.default_rng(6)
-        q1 = rng.uniform(-30, 30, (40, 2))
-        q2 = rng.uniform(-30, 30, (40, 2))
-        np.testing.assert_allclose(reference_model.density(q1, q2),
-                                   reference_model.density(q2, q1),
-                                   rtol=1e-13)
-
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ConfigError):
             DoubleGaussianModel(0.0, 1.0, 1.0, 1.0)

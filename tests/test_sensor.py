@@ -6,10 +6,10 @@ from spadcorr.optics import map_sensor_to_object
 from spadcorr.sensor import (
     CrosstalkSpec,
     SensorConfig,
+    _draw_pair_coordinates,
     draw_pixel_offsets,
     inject_crosstalk,
     quantize_tdc,
-    sample_pair,
     simulate_frames,
 )
 
@@ -81,14 +81,6 @@ class TestCrosstalkSpec:
         assert spec.probability(1, 0) == 1e-3
         assert spec.probability(0, 1) == 0.0
 
-    def test_nearest_builds_four_offsets(self):
-        spec = CrosstalkSpec.nearest(1e-3, 2e-3)
-        assert spec.probability(1, 0) == 1e-3
-        assert spec.probability(-1, 0) == 1e-3
-        assert spec.probability(0, 1) == 2e-3
-        assert spec.probability(0, -1) == 2e-3
-        assert len(spec.entries) == 4
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             CrosstalkSpec(((0, 0, 0.5),))
@@ -100,15 +92,18 @@ class TestCrosstalkSpec:
 
 
 class TestSamplePair:
+    """The pair draw that _simulate_chunk runs."""
+
     def test_shapes(self, reference_model, far_mapping, rng):
-        r1, r2 = sample_pair(reference_model, far_mapping, rng)
-        assert r1.shape == r2.shape == (2,)
-        r1, r2 = sample_pair(reference_model, far_mapping, rng, n=5)
+        r1, r2 = _draw_pair_coordinates(reference_model, far_mapping, 1, rng)
+        assert r1.shape == r2.shape == (1, 2)
+        r1, r2 = _draw_pair_coordinates(reference_model, far_mapping, 5, rng)
         assert r1.shape == r2.shape == (5, 2)
 
     def test_centroid_unbiased(self, reference_model, far_mapping):
         rng = np.random.default_rng(41)
-        r1, r2 = sample_pair(reference_model, far_mapping, rng, n=1_000_000)
+        r1, r2 = _draw_pair_coordinates(reference_model, far_mapping,
+                                        1_000_000, rng)
         s = r1 + r2
         for k in range(2):
             se = s[:, k].std() / np.sqrt(s.shape[0])
@@ -116,7 +111,8 @@ class TestSamplePair:
 
     def test_far_field_difference_width(self, reference_model, far_mapping):
         rng = np.random.default_rng(42)
-        r1, r2 = sample_pair(reference_model, far_mapping, rng, n=1_000_000)
+        r1, r2 = _draw_pair_coordinates(reference_model, far_mapping,
+                                        1_000_000, rng)
         q1 = map_sensor_to_object(far_mapping, r1)
         q2 = map_sensor_to_object(far_mapping, r2)
         qm = (q1 - q2) / np.sqrt(2.0)
@@ -127,7 +123,8 @@ class TestSamplePair:
 
     def test_momentum_anticorrelation(self, reference_model, far_mapping):
         rng = np.random.default_rng(43)
-        r1, r2 = sample_pair(reference_model, far_mapping, rng, n=1_000_000)
+        r1, r2 = _draw_pair_coordinates(reference_model, far_mapping,
+                                        1_000_000, rng)
         q1 = map_sensor_to_object(far_mapping, r1)[:, 0]
         q2 = map_sensor_to_object(far_mapping, r2)[:, 0]
         got = np.corrcoef(q1, q2)[0, 1]
@@ -140,8 +137,8 @@ class TestSamplePair:
     def test_unspecified_mapping_rejected(self, reference_model, rng):
         from spadcorr.optics import OpticalMapping
         with pytest.raises(ConfigError):
-            sample_pair(reference_model, OpticalMapping(mode="unspecified"),
-                        rng)
+            _draw_pair_coordinates(reference_model,
+                                   OpticalMapping(mode="unspecified"), 1, rng)
 
 
 class TestInjectCrosstalk:
@@ -249,7 +246,8 @@ class TestSimulateFrames:
 
     def test_stream_invariants(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=30000.0)
-        xt = CrosstalkSpec.nearest(0.01, 0.01)
+        xt = CrosstalkSpec.from_dict({(1, 0): 0.01, (-1, 0): 0.01,
+                                      (0, 1): 0.01, (0, -1): 0.01})
         for batch in simulate_frames(reference_model, far_mapping, cfg,
                                      65536, pairs_per_frame_mean=2.5,
                                      crosstalk=xt, seed=11):
