@@ -4,6 +4,8 @@ Pixels are addressed by the linear index l = px + n_x*(py - 1) with px, py
 starting at 1, so l runs from 1 to n_x*n_y. Tensors are stored 0-based:
 g2[l1-1, l2-1]. Both orderings of every coincident pair are counted and the
 diagonal stays structurally zero because a pixel fires at most once per frame.
+Accumulation checks FrameBatch's strict (frame, pixel) order and rejects a
+batch that breaks it with MalformedFrame (CLI exit 3); it never re-sorts.
 
 The correction chain is recorded in provenance flags on CorrectedG2 and must
 advance in one direction only:
@@ -169,40 +171,38 @@ class CorrelationAccumulator:
             raise MalformedFrame("pixel index outside the array")
         if np.any(t < 0) or np.any(t >= self.bins_per_frame):
             raise MalformedFrame("tdc code outside the frame")
-        order = np.lexsort((p, f))
-        f, p, t = f[order], p[order], t[order]
-        same = f[1:] == f[:-1]
-        if np.any(same & (p[1:] == p[:-1])):
-            raise MalformedFrame("pixel fired twice in one frame")
+        step = np.diff(f * self.n_pixels + p)
+        if np.any(step <= 0):
+            raise MalformedFrame("pixel fired twice in one frame"
+                                 if np.any(step == 0) else
+                                 "events out of (frame, pixel) order")
         self.g1 += np.bincount(p - 1, minlength=self.n_pixels)
 
-        counts = np.diff(np.flatnonzero(
-            np.r_[True, ~same, True]))
-        half = self.bins_per_frame - 1
-        for d in range(1, int(counts.max())):
-            sel = np.flatnonzero(f[:-d] == f[d:])
-            if sel.size == 0:
-                continue
-            p1 = p[sel] - 1
-            p2 = p[sel + d] - 1
-            dt = t[sel] - t[sel + d]
-            np.add.at(self.dt_hist, dt + half, 1)
-            np.add.at(self.dt_hist, -dt + half, 1)
-            adt = np.abs(dt)
-            win = adt <= self.window
-            if np.any(win):
-                np.add.at(self.g2, (p1[win], p2[win]), 1)
-                np.add.at(self.g2, (p2[win], p1[win]), 1)
-                fwd = win & (dt < 0)
-                if np.any(fwd):
-                    np.add.at(self.g2_later, (p1[fwd], p2[fwd]), 1)
-                rev = win & (dt > 0)
-                if np.any(rev):
-                    np.add.at(self.g2_later, (p2[rev], p1[rev]), 1)
-            sw = np.abs(adt - self.shift) <= self.window
-            if np.any(sw):
-                np.add.at(self.g2_shifted, (p1[sw], p2[sw]), 1)
-                np.add.at(self.g2_shifted, (p2[sw], p1[sw]), 1)
+        # every same-frame pair (i, j) with i < j, hence p[i] < p[j]
+        head = np.flatnonzero(np.diff(f, prepend=f[0] - 1))
+        size = np.diff(head, append=f.size)
+        later = np.repeat(head + size, size) - np.arange(f.size) - 1
+        i = np.repeat(np.arange(f.size), later)
+        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later,
+                                                  later)
+        dt = t[i] - t[j]
+        hist = np.bincount(dt + self.bins_per_frame - 1,
+                           minlength=self.dt_hist.size)
+        self.dt_hist += hist + hist[::-1]
+        adt = np.abs(dt)
+        win = adt <= self.window
+        sw = np.abs(adt - self.shift) <= self.window
+        # flat cells of both orders; a pair adds to [p_i, p_j] where fwd
+        # holds and to [p_j, p_i] where rev holds, one scatter per tensor
+        # into its C-contiguous storage
+        ij = (p[i] - 1) * self.n_pixels + p[j] - 1
+        ji = (p[j] - 1) * self.n_pixels + p[i] - 1
+        for tensor, fwd, rev in ((self.g2, win, win),
+                                 (self.g2_later, win & (dt < 0),
+                                  win & (dt > 0)),
+                                 (self.g2_shifted, sw, sw)):
+            np.add.at(tensor.reshape(-1),
+                      np.concatenate((ij[fwd], ji[rev])), 1)
 
     def save(self, path) -> None:
         arraystore.save_arrays(

@@ -142,8 +142,10 @@ class CrosstalkSpec:
 class FrameBatch:
     """Columnar slice of the frame stream covering [start_frame, start_frame + n_frames).
 
-    Event arrays are sorted by (frame_id, pixel); empty frames simply have no
-    rows but still count toward n_frames.
+    Event arrays are strictly sorted by (frame_id, pixel); accumulation
+    checks that order, rejects a batch that breaks it with MalformedFrame
+    (CLI exit 3) and never re-sorts. Empty frames have no rows but still
+    count toward n_frames.
     """
 
     start_frame: int
@@ -195,23 +197,20 @@ def _draw_pair_coordinates(model, mapping, count, rng):
     return c1, c2
 
 
-def inject_crosstalk(pixels_lin: np.ndarray, times_ps: np.ndarray,
-                     spec: CrosstalkSpec, cfg: SensorConfig,
-                     rng: np.random.Generator,
-                     frame_ids: np.ndarray | None = None):
+def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
+                     times_ps: np.ndarray, spec: CrosstalkSpec,
+                     cfg: SensorConfig, rng: np.random.Generator):
     """Append cross-talk secondaries to a detection list.
 
     Every input detection independently fires each configured neighbour
-    offset with its probability; the secondary lands at the source time plus
-    a uniform delay within one TDC bin. Secondaries do not cascade.
-    Off-sensor neighbours are discarded. Returns (pixels, times) or
-    (pixels, times, frame_ids) with the secondaries appended.
+    offset with its probability; the secondary lands in the source's frame
+    at the source time plus a uniform delay within one TDC bin. Secondaries
+    do not cascade. Off-sensor neighbours are discarded. Returns
+    (frame_ids, pixels, times) with the secondaries appended.
     """
     pixels_lin = np.asarray(pixels_lin)
     times_ps = np.asarray(times_ps, dtype=float)
-    add_pix = [pixels_lin]
-    add_t = [times_ps]
-    add_f = [frame_ids] if frame_ids is not None else None
+    add_f, add_pix, add_t = [frame_ids], [pixels_lin], [times_ps]
     base0 = pixels_lin.astype(np.int64) - 1
     col = base0 % cfg.n_x
     row = base0 // cfg.n_x
@@ -221,15 +220,10 @@ def inject_crosstalk(pixels_lin: np.ndarray, times_ps: np.ndarray,
         nrow = row[hit] + dy
         ok = (ncol >= 0) & (ncol < cfg.n_x) & (nrow >= 0) & (nrow < cfg.n_y)
         delay = rng.uniform(0.0, cfg.tdc_bin_ps, int(hit.sum()))
+        add_f.append(frame_ids[hit][ok])
         add_pix.append((nrow[ok] * cfg.n_x + ncol[ok] + 1).astype(pixels_lin.dtype))
         add_t.append(times_ps[hit][ok] + delay[ok])
-        if add_f is not None:
-            add_f.append(frame_ids[hit][ok])
-    pix = np.concatenate(add_pix)
-    t = np.concatenate(add_t)
-    if add_f is None:
-        return pix, t
-    return pix, t, np.concatenate(add_f)
+    return tuple(np.concatenate(c) for c in (add_f, add_pix, add_t))
 
 
 def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
@@ -321,19 +315,19 @@ def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
         frames, lins, times = ph_frame, lin, ph_time
 
     if not crosstalk.is_empty and lins.size:
-        lins, times, frames = inject_crosstalk(lins, times, crosstalk, cfg,
-                                               rng, frame_ids=frames)
+        frames, lins, times = inject_crosstalk(frames, lins, times,
+                                               crosstalk, cfg, rng)
 
-    # frame gate, TDC quantization, first hit per (frame, pixel)
+    # Frame gate, then the first hit per (frame, pixel) slot from one sort
+    # of one code per event. The TDC bin never decreases as the time grows,
+    # so the lowest code in a slot is the earliest hit's.
     bins, inside = quantize_tdc(times, cfg)
-    frames, lins, bins, times = (frames[inside], lins[inside], bins[inside],
-                                 times[inside])
-    order = np.lexsort((times, lins, frames))
-    frames, lins, bins = frames[order], lins[order], bins[order]
-    first = np.ones(frames.size, dtype=bool)
-    if frames.size > 1:
-        first[1:] = (frames[1:] != frames[:-1]) | (lins[1:] != lins[:-1])
-    return FrameBatch(start_frame=lo, n_frames=n,
-                      frame_ids=frames[first],
-                      pixels=lins[first].astype(np.uint16),
-                      tdc=bins[first].astype(np.uint8))
+    code = (((frames[inside] - lo) * cfg.n_pixels + lins[inside] - 1)
+            * cfg.bins_per_frame + bins[inside])
+    code.sort()
+    slot, tdc = np.divmod(code, cfg.bins_per_frame)
+    first = np.diff(slot, prepend=-1) > 0
+    frame, pixel = np.divmod(slot[first], cfg.n_pixels)
+    return FrameBatch(start_frame=lo, n_frames=n, frame_ids=frame + lo,
+                      pixels=(pixel + 1).astype(np.uint16),
+                      tdc=tdc[first].astype(np.uint8))

@@ -4,13 +4,22 @@ import dataclasses
 import hashlib
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
+from spadcorr.config import (
+    build_crosstalk,
+    build_mapping,
+    build_model,
+    build_sensor,
+    load_config,
+)
 from spadcorr.correlator import (
     CorrelationAccumulator,
     CrosstalkMap,
     _require_stage,
+    accumulate,
     project_sum_diff,
 )
 from spadcorr.errors import (
@@ -24,7 +33,12 @@ from spadcorr.errors import (
 )
 from spadcorr.eventfile import read_header
 from spadcorr.fitting import MAX_ITERATIONS, REL_STEP_TOL, LMResult
-from spadcorr.sensor import FrameBatch
+from spadcorr.sensor import FrameBatch, simulate_frames
+
+REFERENCE_CFG = Path(__file__).resolve().parent.parent / "default.cfg"
+# one full simulation chunk plus a short tail chunk
+PINNED_FRAMES = 65536 + 1234
+ACC_FIELDS = ("g2", "g2_shifted", "g2_later", "g1", "dt_hist")
 
 
 def batch_of(*frames, n_frames=None):
@@ -61,6 +75,42 @@ def random_batch(rng, n_frames, n_pix, bins, max_events=8, p_empty=0.2):
                                  replace=False))
         frames.append((fid, pix, rng.integers(0, bins, k)))
     return batch_of(*frames, n_frames=n_frames)
+
+
+def stream_digests(seed):
+    """{stream: {field: first 16 hex digits of its sha256}} at one seed.
+
+    The streams are the default.cfg far arm, near arm and 30 kHz cross-talk
+    characterization sensor (zero pairs, far mapping), cross-talk on,
+    PINNED_FRAMES frames each, all simulated on seed. The fields are each
+    FrameBatch event column over the whole stream and the five arrays of
+    the stream's accumulator at the default.cfg window and shift.
+    """
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()[:16]
+
+    settings = load_config(REFERENCE_CFG)
+    settings["run.seed"] = seed
+    model = build_model(settings)
+    sensor = build_sensor(settings)
+    dark = settings["correct.characterization_dark_hz"]
+    out = {}
+    for name, mode, cfg, pairs in (
+            ("far", "far", sensor, settings["run.pairs_per_frame_far"]),
+            ("near", "near", sensor, settings["run.pairs_per_frame_near"]),
+            ("characterization", "far",
+             dataclasses.replace(sensor, dark_rate_hz=dark), 0.0)):
+        batches = list(simulate_frames(
+            model, build_mapping(settings, mode), cfg, PINNED_FRAMES, pairs,
+            crosstalk=build_crosstalk(settings), seed=seed))
+        acc = accumulate(batches, window=10, shift=20, mapping_mode=mode)
+        out[name] = {f: digest(getattr(b, f) for b in batches)
+                     for f in ("frame_ids", "pixels", "tdc")}
+        out[name].update({f: digest([getattr(acc, f)]) for f in ACC_FIELDS})
+    return out
 
 
 def frame_groups(batch):

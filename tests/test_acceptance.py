@@ -7,13 +7,13 @@ run of default.cfg; everything else builds its own smaller dataset.
 
 import dataclasses
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import record_criterion
 from helpers import (
+    REFERENCE_CFG,
     batch_of,
     decode_outcome,
     frame_groups,
@@ -61,7 +61,6 @@ from spadcorr.sensor import (
     simulate_frames,
 )
 
-REFERENCE_CFG = Path(__file__).resolve().parent.parent / "default.cfg"
 
 TARGET_WIDTHS = {"delta_x_um": 37.3, "delta_qx_per_mm": 4.0,
                  "delta_y_um": 37.3, "delta_qy_per_mm": 3.4}

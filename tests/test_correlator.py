@@ -147,15 +147,26 @@ class TestAccumulate:
     def test_matches_quadratic_reference(self):
         rng = np.random.default_rng(32)
         for n_x, n_y, bins in ((4, 4, 255), (32, 32, 255), (8, 4, 64)):
-            batch = random_batch(rng, 30, n_x * n_y, bins)
-            acc = accumulate(batch, window=10, shift=20, n_x=n_x, n_y=n_y,
-                             bins_per_frame=bins)
-            ref = quadratic_accumulate(batch, n_x, n_y, bins, 10, 20)
-            np.testing.assert_array_equal(acc.g2, ref.g2)
-            np.testing.assert_array_equal(acc.g2_shifted, ref.g2_shifted)
-            np.testing.assert_array_equal(acc.g2_later, ref.g2_later)
-            np.testing.assert_array_equal(acc.g1, ref.g1)
-            np.testing.assert_array_equal(acc.dt_hist, ref.dt_hist)
+            n_pix = n_x * n_y
+            for batch in (random_batch(rng, 30, n_pix, bins),
+                          # runs longer than 8 events, up to the whole array
+                          random_batch(rng, 30, n_pix, bins, max_events=40,
+                                       p_empty=0),
+                          random_batch(rng, 30, n_pix, bins, max_events=1),
+                          batch_of(n_frames=5)):
+                self._check_against_quadratic(batch, n_x, n_y, bins)
+
+    @staticmethod
+    def _check_against_quadratic(batch, n_x, n_y, bins):
+        acc = accumulate(batch, window=10, shift=20, n_x=n_x, n_y=n_y,
+                         bins_per_frame=bins)
+        ref = quadratic_accumulate(batch, n_x, n_y, bins, 10, 20)
+        assert acc.n_frames == ref.n_frames
+        np.testing.assert_array_equal(acc.g2, ref.g2)
+        np.testing.assert_array_equal(acc.g2_shifted, ref.g2_shifted)
+        np.testing.assert_array_equal(acc.g2_later, ref.g2_later)
+        np.testing.assert_array_equal(acc.g1, ref.g1)
+        np.testing.assert_array_equal(acc.dt_hist, ref.dt_hist)
 
     def test_worker_count_invisible(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=10000.0)
@@ -193,6 +204,8 @@ class TestAccumulate:
             accumulate([batch_of((0, [1], [255]))])
         with pytest.raises(MalformedFrame, match="fired twice"):
             accumulate([batch_of((0, [5, 5], [1, 2]))])
+        with pytest.raises(MalformedFrame, match="fired twice"):
+            accumulate(batch_of((0, [3], [0]), (1, [2, 7, 7], [0, 1, 2])))
         with pytest.raises(MalformedFrame, match="cannot accumulate str"):
             accumulate(["not a frame"])
         good = batch_of((0, [1], [0]))
@@ -202,6 +215,18 @@ class TestAccumulate:
         object.__setattr__(bad, "tdc", np.zeros(2, dtype=np.uint8))
         with pytest.raises(MalformedFrame, match="columns"):
             accumulate(bad)
+
+    @pytest.mark.parametrize("batch", [
+        batch_of((1, [3], [0]), (0, [2], [0])),             # ids decrease
+        batch_of((0, [1], [0]), (1, [2], [0]), (0, [3], [0])),
+        batch_of((0, [5, 2], [1, 2])),                      # pixels descend
+        batch_of((0, [2, 9], [0, 0]), (1, [9, 2, 4], [0, 0, 0])),
+    ], ids=["ids-decrease", "ids-interleaved", "pixels-descend",
+            "pixels-descend-later"])
+    def test_out_of_order_batches_rejected(self, batch):
+        # the (frame, pixel) order is checked, never re-established
+        with pytest.raises(MalformedFrame, match=r"out of \(frame, pixel\)"):
+            accumulate(batch)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(35)

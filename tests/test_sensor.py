@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import ACC_FIELDS, stream_digests
 from spadcorr.errors import ConfigError
 from spadcorr.optics import map_sensor_to_object
 from spadcorr.sensor import (
@@ -12,6 +13,40 @@ from spadcorr.sensor import (
     quantize_tdc,
     simulate_frames,
 )
+
+# First 16 hex digits of the sha256 of each stream's event columns and
+# accumulator arrays (helpers.stream_digests), recorded on the simulator
+# that kept each pixel's earliest hit by a lexsort on float times: the
+# one-key sort must reproduce them bit for bit.
+PINNED_DIGESTS = {
+    (0, "far"):
+        "6422e9e5cf5d4e88 7193f79175ab9df1 8d88734e234d6067 3cd913b3f43138d4 "
+        "d7307e9b36c5d7dd bf0aacb55bb3080c 3ae5b68a1605b025 e5ad11d836b10fac",
+    (0, "near"):
+        "51c47f8106c94255 9b06310333311be1 74ab6a6976cdc886 1b8be1f6adffa0b4 "
+        "bd1524e9c4e6cb1c 9bea307999179788 7db0f76d296a351e b78648235510acb1",
+    (0, "characterization"):
+        "3df1437f65f29c7c e577a73bf247db24 83ae28c7c19de601 50bd43884e554dfe "
+        "e102386edfd0cf81 252ba425b88cfbfe 26f48620cc61a515 a105245fe004c55f",
+    (36, "far"):
+        "cada4f221adda46e ae98328e15c85fbd 0fed697c21da4a7b 52b5c30c3df4e108 "
+        "67c592f26951f146 0b40617f1c46ca96 2aebfc9a8d5bf3fd cddbaa5b5b79fadc",
+    (36, "near"):
+        "2a045dbaf243456c aeabf123b5523d97 2e1a1562bc4016e6 2b53200a36812ac4 "
+        "60dbe6cd53f6a45e f651af95a4099f9c 09ed6ba1a48dca57 71d1cec20305fb88",
+    (36, "characterization"):
+        "92a76c6694923359 4dc4fc36b1ff2db6 2d6caf692e3f3b3e 7f895bb7be85ce38 "
+        "0858c7b8e927c80e 2cf5472c02f82c78 51ff552ac72a1bdf 3727fbe4e5426fde",
+    (103, "far"):
+        "cecb4b11245aa58c 42c9aade5b03cf17 bca93bfd9a97e872 c2839edf0808d04f "
+        "c2c85e582148531c 9eb7ec7b287cb839 e2e7ba5a892aa3d5 a0c4e9908d889569",
+    (103, "near"):
+        "d2d78421a898e145 80613e1d7f0756cd a72c469e6a29fb44 bf41cf3e5e4fa396 "
+        "7de1555da1cf54a0 db9f8e2296793beb c28336d6adf0b0ac 5d0b5e99868fe880",
+    (103, "characterization"):
+        "89b5dd5020a03e5e b27ba2d0aff5cdfd ebfc8ead6aae37ea eeb44e186149a395 "
+        "6b365193ebf00e18 b29589f0cc2844cb c4568914312beb86 bbfed0fcecdfd1fb",
+}
 
 
 def concat_batches(batches):
@@ -144,10 +179,12 @@ class TestSamplePair:
 class TestInjectCrosstalk:
     def test_empty_spec_is_identity(self, rng):
         cfg = SensorConfig()
+        fids = np.array([0, 0, 4], dtype=np.int64)
         pix = np.array([10, 20, 30], dtype=np.int64)
         t = np.array([1.0, 2.0, 3.0])
-        out_pix, out_t = inject_crosstalk(pix, t, CrosstalkSpec.none(), cfg,
-                                          rng)
+        out_f, out_pix, out_t = inject_crosstalk(
+            fids, pix, t, CrosstalkSpec.none(), cfg, rng)
+        np.testing.assert_array_equal(out_f, fids)
         np.testing.assert_array_equal(out_pix, pix)
         np.testing.assert_array_equal(out_t, t)
 
@@ -155,9 +192,10 @@ class TestInjectCrosstalk:
         cfg = SensorConfig()
         # pixel (5, 5) 1-based is linear 133; (6, 5) is 134
         spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
-        pix, t = inject_crosstalk(np.array([133]), np.array([1000.0]),
-                                  spec, cfg, rng)
-        np.testing.assert_array_equal(np.sort(pix), [133, 134])
+        fids, pix, t = inject_crosstalk(np.array([3]), np.array([133]),
+                                        np.array([1000.0]), spec, cfg, rng)
+        np.testing.assert_array_equal(fids, [3, 3])
+        np.testing.assert_array_equal(pix, [133, 134])
         delay = t[1] - 1000.0
         assert 0.0 <= delay < cfg.tdc_bin_ps
 
@@ -165,8 +203,9 @@ class TestInjectCrosstalk:
         cfg = SensorConfig()
         spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
         # pixel 32 sits on the rightmost column
-        pix, t = inject_crosstalk(np.array([32]), np.array([0.0]), spec,
-                                  cfg, rng)
+        fids, pix, t = inject_crosstalk(np.array([0]), np.array([32]),
+                                        np.array([0.0]), spec, cfg, rng)
+        np.testing.assert_array_equal(fids, [0])
         np.testing.assert_array_equal(pix, [32])
 
     def test_binomial_rate(self):
@@ -174,8 +213,8 @@ class TestInjectCrosstalk:
         rng = np.random.default_rng(44)
         n = 10_000_000
         spec = CrosstalkSpec.from_dict({(1, 0): 1e-3})
-        pix, t = inject_crosstalk(np.full(n, 500, dtype=np.int64),
-                                  np.zeros(n), spec, cfg, rng)
+        fids, pix, t = inject_crosstalk(np.arange(n), np.full(n, 500),
+                                        np.zeros(n), spec, cfg, rng)
         echoes = pix.size - n
         assert abs(echoes - 1e4) < 4 * np.sqrt(1e4)
         assert np.all(t[n:] >= 0.0)
@@ -184,12 +223,11 @@ class TestInjectCrosstalk:
     def test_frame_ids_carried_along(self, rng):
         cfg = SensorConfig()
         spec = CrosstalkSpec.from_dict({(0, 1): 1.0})
-        pix, t, fids = inject_crosstalk(np.array([1, 33]),
-                                        np.array([0.0, 5.0]), spec, cfg,
-                                        rng, frame_ids=np.array([7, 9]))
+        fids, pix, t = inject_crosstalk(np.array([7, 9]), np.array([1, 33]),
+                                        np.array([0.0, 5.0]), spec, cfg, rng)
         assert pix.size == 4
-        np.testing.assert_array_equal(fids[:2], [7, 9])
-        np.testing.assert_array_equal(np.sort(fids[2:]), [7, 9])
+        np.testing.assert_array_equal(fids, [7, 9, 7, 9])
+        np.testing.assert_array_equal(pix[2:], [33, 65])
 
 
 class TestSimulateFrames:
@@ -304,6 +342,16 @@ class TestSimulateFrames:
         se = ratio * np.sqrt(variances[30000.0] / totals[30000.0] ** 2
                              + variances[15000.0] / totals[15000.0] ** 2)
         assert abs(ratio - 4.0) < 4 * se
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("seed", [0, 36, 103])
+    def test_streams_match_pinned_digests(self, seed):
+        fields = ("frame_ids", "pixels", "tdc") + ACC_FIELDS
+        got = stream_digests(seed)
+        for name in ("far", "near", "characterization"):
+            want = dict(zip(fields, PINNED_DIGESTS[seed, name].split()))
+            assert got[name] == want, name
 
 
 class TestPixelOffsets:
