@@ -6,7 +6,10 @@ damping lowered on accepted steps and raised on rejected ones. Accepted steps
 never increase the weighted residual norm. Convergence is declared when the
 relative parameter step drops below 1e-10; the iteration cap is 200, after
 which the best point so far is returned with converged=False (callers that
-need a hard guarantee check the flag).
+need a hard guarantee check the flag). A converged problem then takes up to
+two undamped Gauss-Newton steps, each only while it is below 1e-8 relative,
+so it ends at its optimum rather than where the damping left it; the
+residual norm and covariance are those of the returned point.
 
 The solver runs a stack of K independent problems at once. Each problem
 keeps its own state and follows exactly the path it would follow alone: its
@@ -33,6 +36,8 @@ REL_STEP_TOL = 1e-10
 MAX_ITERATIONS = 200
 MAX_TRIES = 60
 MAX_DAMPING = 1e14
+FINAL_STEPS = 2
+FINAL_STEP_TOL = 1e-8
 
 
 @dataclasses.dataclass
@@ -108,7 +113,7 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     cost = _rowdot(r, r)
     accepted = [(rows, cost)]       # (problems, cost) of each accepted try
     # final state per problem, written as each one stops
-    params, final_cost = p.copy(), cost.copy()
+    params = p.copy()
     converged = np.zeros(n_stack, dtype=bool)
     iterations = np.zeros(n_stack, dtype=int)
     # state of the problems still running, compacted whenever some stop
@@ -152,13 +157,32 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
                         (lam > MAX_DAMPING) | (tries >= MAX_TRIES))
         if stop.any():
             idx = rows[stop]
-            params[idx], final_cost[idx] = p[stop], cost[stop]
+            params[idx] = p[stop]
             converged[idx], iterations[idx] = done[stop], it[stop]
             go = ~stop
             rows, p, r, cost, lam, it, tries, fresh, hess, grad, diag = (
                 v[go] for v in (rows, p, r, cost, lam, it, tries, fresh,
                                 hess, grad, diag))
 
+    # A short damped step does not mean the optimum is reached: finish each
+    # converged problem with up to FINAL_STEPS undamped Gauss-Newton steps,
+    # each taken only while it is below FINAL_STEP_TOL relative, so the
+    # stopping point no longer depends on the damping path.
+    rows = np.flatnonzero(converged)
+    for _ in range(FINAL_STEPS):
+        if not rows.size:
+            break
+        p = params[rows]
+        jmat = np.asarray(jac(p, rows), dtype=float)
+        jt = jmat.transpose(0, 2, 1)
+        r = np.asarray(fun(p, rows), dtype=float)
+        step = _solve(np.matmul(jt, jmat), -np.matmul(jt, r[..., None])[..., 0])
+        rel = np.sqrt(_rowdot(step, step)) / (np.sqrt(_rowdot(p, p)) + 1e-300)
+        take = rel < FINAL_STEP_TOL
+        rows = rows[take]
+        params[rows] = p[take] + step[take]
+
+    r = np.asarray(fun(params, np.arange(n_stack)), dtype=float)
     jmat = np.asarray(jac(params, np.arange(n_stack)), dtype=float)
     cov = np.linalg.pinv(np.matmul(jmat.transpose(0, 2, 1), jmat))
     who, costs = (np.concatenate(c) for c in zip(*accepted))
@@ -166,7 +190,7 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     history = np.split(costs[order],
                        np.cumsum(np.bincount(who, minlength=n_stack))[:-1])
     return LMResult(params=params, covariance=cov, converged=converged,
-                    iterations=iterations, residual_norm=np.sqrt(final_cost),
+                    iterations=iterations, residual_norm=np.sqrt(_rowdot(r, r)),
                     cost_history=tuple(tuple(h.tolist()) for h in history))
 
 

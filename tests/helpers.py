@@ -32,7 +32,13 @@ from spadcorr.errors import (
     WindowTooLarge,
 )
 from spadcorr.eventfile import read_header
-from spadcorr.fitting import MAX_ITERATIONS, REL_STEP_TOL, LMResult
+from spadcorr.fitting import (
+    FINAL_STEP_TOL,
+    FINAL_STEPS,
+    MAX_ITERATIONS,
+    REL_STEP_TOL,
+    LMResult,
+)
 from spadcorr.sensor import FrameBatch, simulate_frames
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "default.cfg"
@@ -370,8 +376,9 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
                                 rel_step_tol=REL_STEP_TOL) -> LMResult:
     """Reference Levenberg-Marquardt loop for one problem at a time.
 
-    This is the unstacked solver the stacked one replaced, kept verbatim:
-    one damped try after another, np.linalg.solve with an lstsq fallback.
+    This is the unstacked solver the stacked one replaced: one damped try
+    after another, np.linalg.solve with an lstsq fallback, then the same
+    undamped final steps on a converged problem.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = np.asarray(fun(p), dtype=float)
@@ -412,8 +419,21 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
         if converged or not accepted:
             break
 
+    for _ in range(FINAL_STEPS if converged else 0):
+        jmat = np.asarray(jac(p), dtype=float)
+        r = np.asarray(fun(p), dtype=float)
+        try:
+            step = np.linalg.solve(jmat.T @ jmat, -jmat.T @ r)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jmat.T @ jmat, -jmat.T @ r, rcond=None)[0]
+        if not np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300) \
+                < FINAL_STEP_TOL:
+            break
+        p = p + step
+
+    r = np.asarray(fun(p), dtype=float)
     jmat = np.asarray(jac(p), dtype=float)
     cov = np.linalg.pinv(jmat.T @ jmat)
     return LMResult(params=p, covariance=cov, converged=converged,
-                    iterations=it, residual_norm=math.sqrt(cost),
+                    iterations=it, residual_norm=math.sqrt(r @ r),
                     cost_history=tuple(history))
