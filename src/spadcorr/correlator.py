@@ -45,6 +45,8 @@ _TENSOR_META = dict(n_x=int, n_y=int, bins_per_frame=int, window=int,
                     shift=int, n_frames=int, mapping_mode=str)
 
 MFRAMES = 1.0e6
+# most same-frame pairs add_batch gathers at once (about 62 B each)
+PAIR_SLICE = 1 << 18
 
 
 def _in_range(fields: dict) -> dict:
@@ -178,13 +180,33 @@ class CorrelationAccumulator:
                                  "events out of (frame, pixel) order")
         self.g1 += np.bincount(p - 1, minlength=self.n_pixels)
 
-        # every same-frame pair (i, j) with i < j, hence p[i] < p[j]
+        # later[i]: events after i in its frame; before[i]: pairs of the
+        # events ahead of i
         head = np.flatnonzero(np.diff(f, prepend=f[0] - 1))
         size = np.diff(head, append=f.size)
         later = np.repeat(head + size, size) - np.arange(f.size) - 1
-        i = np.repeat(np.arange(f.size), later)
-        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later,
-                                                  later)
+        before = np.cumsum(later) - later
+        if before[-1] + later[-1] <= PAIR_SLICE:
+            self._add_pairs(p, t, later, before)
+            return
+        # a dense batch: slices of whole frames holding at most PAIR_SLICE
+        # pairs (or one frame's, if it has more) bound the temporaries
+        starts = np.append(before[head], before[-1] + later[-1])
+        edges = np.append(head, f.size)
+        k = 0
+        while k < head.size:
+            stop = max(k + 1, int(np.searchsorted(
+                starts, starts[k] + PAIR_SLICE, side="right")) - 1)
+            a, b = edges[k], edges[stop]
+            self._add_pairs(p[a:b], t[a:b], later[a:b],
+                            before[a:b] - before[a])
+            k = stop
+
+    def _add_pairs(self, p, t, later, before):
+        # every same-frame pair (i, j) with i < j, hence p[i] < p[j], of a
+        # run of whole frames
+        i = np.repeat(np.arange(later.size), later)
+        j = i + 1 + np.arange(i.size) - np.repeat(before, later)
         dt = t[i] - t[j]
         hist = np.bincount(dt + self.bins_per_frame - 1,
                            minlength=self.dt_hist.size)

@@ -176,7 +176,8 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
         jmat = np.asarray(jac(p, rows), dtype=float)
         jt = jmat.transpose(0, 2, 1)
         r = np.asarray(fun(p, rows), dtype=float)
-        step = _solve(np.matmul(jt, jmat), -np.matmul(jt, r[..., None])[..., 0])
+        step = _solve(np.matmul(jt, jmat),
+                      -np.matmul(jt, r[..., None])[..., 0])
         rel = np.sqrt(_rowdot(step, step)) / (np.sqrt(_rowdot(p, p)) + 1e-300)
         take = rel < FINAL_STEP_TOL
         rows = rows[take]
@@ -190,7 +191,8 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     history = np.split(costs[order],
                        np.cumsum(np.bincount(who, minlength=n_stack))[:-1])
     return LMResult(params=params, covariance=cov, converged=converged,
-                    iterations=iterations, residual_norm=np.sqrt(_rowdot(r, r)),
+                    iterations=iterations,
+                    residual_norm=np.sqrt(_rowdot(r, r)),
                     cost_history=tuple(tuple(h.tolist()) for h in history))
 
 

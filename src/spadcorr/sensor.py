@@ -8,6 +8,16 @@ and finally each pixel time-stamps only its earliest event in the frame with
 a TDC of fixed bin width. Events whose time falls outside the frame gate are
 lost.
 
+The random draws scale with the events emitted, not with frames or sources.
+A chunk of n frames draws one Poisson(n * mean) pair total and puts each
+pair on a uniformly random frame. That is the law of independent
+Poisson(mean) counts per frame: their sum is Poisson(n * mean) and, given
+the sum, the pairs fall on the frames uniformly. Dark counts are one
+Poisson total over pixels x frames, placed the same way. Cross-talk draws,
+per neighbour offset, a Binomial(N, p) hit count and a uniform subset of
+that many of the N detections: the law of N independent Bernoulli(p)
+trials.
+
 The stream is produced in fixed 65536-frame chunks, each driven by its own
 counter-based RNG substream keyed on (seed, chunk index). Chunk boundaries do
 not depend on the worker count, so a run is byte-identical no matter how the
@@ -206,7 +216,12 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     offset with its probability; the secondary lands in the source's frame
     at the source time plus a uniform delay within one TDC bin. Secondaries
     do not cascade. Off-sensor neighbours are discarded. Returns
-    (frame_ids, pixels, times) with the secondaries appended.
+    (frame_ids, pixels, times) with the secondaries appended, per offset in
+    the order of their sources.
+
+    Per offset the draw is a Binomial(N, p) hit count and a uniform subset
+    of that many of the N sources: the law of N independent Bernoulli(p)
+    trials, with random draws that scale with the hits, not the sources.
     """
     pixels_lin = np.asarray(pixels_lin)
     times_ps = np.asarray(times_ps, dtype=float)
@@ -215,11 +230,12 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     col = base0 % cfg.n_x
     row = base0 // cfg.n_x
     for dx, dy, p in spec.entries:
-        hit = rng.random(pixels_lin.size) < p
+        n_hit = rng.binomial(pixels_lin.size, p)
+        hit = np.sort(rng.choice(pixels_lin.size, n_hit, replace=False))
         ncol = col[hit] + dx
         nrow = row[hit] + dy
         ok = (ncol >= 0) & (ncol < cfg.n_x) & (nrow >= 0) & (nrow < cfg.n_y)
-        delay = rng.uniform(0.0, cfg.tdc_bin_ps, int(hit.sum()))
+        delay = rng.uniform(0.0, cfg.tdc_bin_ps, n_hit)
         add_f.append(frame_ids[hit][ok])
         add_pix.append((nrow[ok] * cfg.n_x + ncol[ok] + 1).astype(pixels_lin.dtype))
         add_t.append(times_ps[hit][ok] + delay[ok])
@@ -261,6 +277,16 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
             yield from pool.map(run, spans)
 
 
+def _pair_frames(rng, pairs_mean, lo, hi) -> np.ndarray:
+    """Frame ids of the photon pairs of frames [lo, hi), in no order.
+
+    One Poisson((hi - lo) * pairs_mean) total placed on uniformly random
+    frames, so each frame holds an independent Poisson(pairs_mean) number.
+    """
+    total = rng.poisson(pairs_mean * (hi - lo)) if pairs_mean > 0 else 0
+    return rng.integers(lo, hi, total)
+
+
 def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
                     seed, chunk_index, lo, hi) -> FrameBatch:
     rng = np.random.Generator(np.random.Philox(
@@ -268,15 +294,10 @@ def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
     n = hi - lo
     fd = cfg.frame_duration_ps
 
-    # photon pairs
-    if pairs_mean > 0:
-        counts = rng.poisson(pairs_mean, n)
-        total = int(counts.sum())
-    else:
-        counts = None
-        total = 0
+    # photon pairs, in no frame order: the final code sort orders them
+    pair_frame = _pair_frames(rng, pairs_mean, lo, hi)
+    total = pair_frame.size
     if total:
-        pair_frame = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
         rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
         t_true = rng.uniform(0.0, fd, total)
         survive = rng.random((total, 2)) < cfg.efficiency

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import statistics
 import struct
 from pathlib import Path
 
@@ -437,3 +438,67 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
     return LMResult(params=p, covariance=cov, converged=converged,
                     iterations=it, residual_norm=math.sqrt(r @ r),
                     cost_history=tuple(history))
+
+
+def chi2_critical(dof, alpha):
+    """Upper alpha point of the chi-square law with dof degrees of freedom.
+
+    Wilson-Hilferty cube-root normal approximation; at alpha = 1e-3 it is
+    at most 3.1 % above the exact point for every dof >= 1.
+    """
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha)
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+def fold_sparse(expected, *observed, min_expected=5.0):
+    """Fold the categories expecting fewer than min_expected into one.
+
+    The fold goes into the last well-filled category when it expects too
+    little itself. Returns expected and each observed histogram, folded.
+    """
+    expected = np.asarray(expected, dtype=float)
+    big = expected >= min_expected
+    out = []
+    for h in (expected,) + observed:
+        h = np.asarray(h, dtype=float)
+        folded = h[big]
+        if expected[~big].sum() >= min_expected:
+            folded = np.append(folded, h[~big].sum())
+        else:
+            folded[-1] += h[~big].sum()
+        out.append(folded)
+    return out
+
+
+def goodness_of_fit(counts, pmf, alpha):
+    """(chi-square statistic, critical point) of counts against a law.
+
+    counts holds one draw per trial; pmf(k) is the law's probability of k
+    for an array of k, which must cover its mass up to counts.max() + 50.
+    """
+    counts = np.asarray(counts)
+    k = np.arange(counts.max() + 50)
+    expected = counts.size * pmf(k)
+    expected[-1] += counts.size - expected.sum()    # the mass past k
+    exp, obs = fold_sparse(expected, np.bincount(counts, minlength=k.size))
+    return float(np.sum((obs - exp) ** 2 / exp)), chi2_critical(exp.size - 1,
+                                                                alpha)
+
+
+def two_sample_chi2(a, b, alpha):
+    """(chi-square statistic, critical point) for two count samples of one law.
+
+    a and b hold one count per trial. Categories whose pooled expectation
+    falls below 5 in either sample are folded together.
+    """
+    size = int(max(np.max(a), np.max(b))) + 1
+    ha, hb = (np.bincount(x, minlength=size).astype(float) for x in (a, b))
+    pooled = (ha + hb) / (ha.sum() + hb.sum())
+    least = min(ha.sum(), hb.sum()) * pooled
+    _, ha, hb = fold_sparse(least, ha, hb)
+    stat = 0.0
+    for h in (ha, hb):
+        e = h.sum() * (ha + hb) / (ha.sum() + hb.sum())
+        stat += float(np.sum((h - e) ** 2 / e))
+    return stat, chi2_critical(ha.size - 1, alpha)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,12 @@ from spadcorr.errors import (
     OutOfRange,
     WindowTooLarge,
 )
-from spadcorr.sensor import CrosstalkSpec, SensorConfig, simulate_frames
+from spadcorr.sensor import (
+    CrosstalkSpec,
+    FrameBatch,
+    SensorConfig,
+    simulate_frames,
+)
 
 # triangular occupancy of the default 255-bin frame
 POS_MASS = sum(255 - d for d in range(1, 11))            # dt in [1, 10]
@@ -155,6 +162,45 @@ class TestAccumulate:
                           random_batch(rng, 30, n_pix, bins, max_events=1),
                           batch_of(n_frames=5)):
                 self._check_against_quadratic(batch, n_x, n_y, bins)
+
+    @pytest.mark.parametrize("pair_slice", [1, 50])
+    def test_pair_slices_match_quadratic_reference(self, pair_slice,
+                                                   monkeypatch):
+        # a slice of 1 pair gathers one frame at a time; 50 packs several
+        monkeypatch.setattr(correlator, "PAIR_SLICE", pair_slice)
+        rng = np.random.default_rng(36)
+        for batch in (random_batch(rng, 60, 1024, 255),
+                      random_batch(rng, 60, 1024, 255, max_events=40,
+                                   p_empty=0.3)):
+            self._check_against_quadratic(batch, 32, 32, 255)
+
+    def test_dense_batch_memory_is_bounded(self):
+        """A dense 65536-frame batch: bounded pair temporaries.
+
+        16 events in every frame make 7.9M same-frame pairs; gathered at
+        once they would peak near 490 MB (about 62 B per pair). In slices
+        the peak is the O(events) columns (about 48 B per event) plus one
+        slice of pairs.
+        """
+        n_frames, per = 65536, 16
+        rng = np.random.default_rng(37)
+        # one pixel from each block of 64: distinct and ascending per frame
+        pixels = 64 * np.arange(per) + rng.integers(0, 64, (n_frames, per))
+        batch = FrameBatch(
+            start_frame=0, n_frames=n_frames,
+            frame_ids=np.repeat(np.arange(n_frames, dtype=np.int64), per),
+            pixels=(pixels + 1).astype(np.uint16).ravel(),
+            tdc=rng.integers(0, 255, n_frames * per).astype(np.uint8))
+        acc = CorrelationAccumulator(n_x=32, n_y=32, bins_per_frame=255,
+                                     window=10, shift=20)
+        tracemalloc.start()
+        try:
+            acc.add_batch(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+        assert acc.dt_hist.sum() == n_frames * per * (per - 1)
 
     @staticmethod
     def _check_against_quadratic(batch, n_x, n_y, bins):

@@ -1,13 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import ACC_FIELDS, stream_digests
+from helpers import (
+    ACC_FIELDS,
+    chi2_critical,
+    goodness_of_fit,
+    stream_digests,
+    two_sample_chi2,
+)
+from spadcorr import sensor
 from spadcorr.errors import ConfigError
 from spadcorr.optics import map_sensor_to_object
 from spadcorr.sensor import (
     CrosstalkSpec,
     SensorConfig,
     _draw_pair_coordinates,
+    _pair_frames,
     draw_pixel_offsets,
     inject_crosstalk,
     quantize_tdc,
@@ -16,36 +26,37 @@ from spadcorr.sensor import (
 
 # First 16 hex digits of the sha256 of each stream's event columns and
 # accumulator arrays (helpers.stream_digests), recorded on the simulator
-# that kept each pixel's earliest hit by a lexsort on float times: the
-# one-key sort must reproduce them bit for bit.
+# that draws one Poisson pair total per chunk on uniform frames and one
+# binomial hit count plus a uniform subset of sources per cross-talk offset.
+# Any change to the random draws or their order changes them.
 PINNED_DIGESTS = {
     (0, "far"):
-        "6422e9e5cf5d4e88 7193f79175ab9df1 8d88734e234d6067 3cd913b3f43138d4 "
-        "d7307e9b36c5d7dd bf0aacb55bb3080c 3ae5b68a1605b025 e5ad11d836b10fac",
+        "ea9204a127069817 608775fc8c7f5c9f e9336c3e63adfb31 accf25e5c3f9dd4b "
+        "da82ce456c28a72d b145420e8b0db605 aeb74d67593f7974 69879ce90e8d0e09",
     (0, "near"):
-        "51c47f8106c94255 9b06310333311be1 74ab6a6976cdc886 1b8be1f6adffa0b4 "
-        "bd1524e9c4e6cb1c 9bea307999179788 7db0f76d296a351e b78648235510acb1",
+        "5f6758394e15a35a 150cece4c4905dee 37b814d14de62e47 c8bb98b75a62423a "
+        "accb1c8a1124ed6d 9167e69befb9f227 3d3b850adc1199dc 0b7481c2e6489c69",
     (0, "characterization"):
-        "3df1437f65f29c7c e577a73bf247db24 83ae28c7c19de601 50bd43884e554dfe "
-        "e102386edfd0cf81 252ba425b88cfbfe 26f48620cc61a515 a105245fe004c55f",
+        "ddbbfcdbd7a51490 4f6f70ccb446d9ce e563e622d801f616 089f081f411a206d "
+        "9050778fb2713e9a 6f1827dd0eebd44d 996915ab081a2bcd 671cd18ed32f367e",
     (36, "far"):
-        "cada4f221adda46e ae98328e15c85fbd 0fed697c21da4a7b 52b5c30c3df4e108 "
-        "67c592f26951f146 0b40617f1c46ca96 2aebfc9a8d5bf3fd cddbaa5b5b79fadc",
+        "1ae8bb7875288744 6aeb2b7245822cb9 2a71f0566430ceed ff6bc261802f231a "
+        "6884e6b7d90ea225 8f2db4d8282cfa32 e2735bbf1ed6700e cac00496572b017b",
     (36, "near"):
-        "2a045dbaf243456c aeabf123b5523d97 2e1a1562bc4016e6 2b53200a36812ac4 "
-        "60dbe6cd53f6a45e f651af95a4099f9c 09ed6ba1a48dca57 71d1cec20305fb88",
+        "44d729f383aa93a8 024b9bd6b05ec647 5ceac5c54a56cc9c 0a7abb705aaed0dc "
+        "a980d149162c2771 d82a8a2fc613d4f2 5e529003855727d8 a686d38d03b326ae",
     (36, "characterization"):
-        "92a76c6694923359 4dc4fc36b1ff2db6 2d6caf692e3f3b3e 7f895bb7be85ce38 "
-        "0858c7b8e927c80e 2cf5472c02f82c78 51ff552ac72a1bdf 3727fbe4e5426fde",
+        "5a0b3e15ccc30590 a11d306e6ae8a0a3 c81ee03b745b17c3 4dc49fb08da477e5 "
+        "704e499c34275328 71a7abb0c0279638 4efa4b730cf0cba9 59026c073b18b97b",
     (103, "far"):
-        "cecb4b11245aa58c 42c9aade5b03cf17 bca93bfd9a97e872 c2839edf0808d04f "
-        "c2c85e582148531c 9eb7ec7b287cb839 e2e7ba5a892aa3d5 a0c4e9908d889569",
+        "01b7ce1e73bdd8c1 af3810a0b193ae02 7041e5de0557fc4a 8f1e6f44ea3e0fa6 "
+        "758facebe90a71ef afdb49c3ac0dd865 6c52179e2758b9a2 423d70b7aff91b31",
     (103, "near"):
-        "d2d78421a898e145 80613e1d7f0756cd a72c469e6a29fb44 bf41cf3e5e4fa396 "
-        "7de1555da1cf54a0 db9f8e2296793beb c28336d6adf0b0ac 5d0b5e99868fe880",
+        "66f87d8f4a3fbb51 e7581ee83f52a026 8f9adf9e2ed688a5 5508102bb05c9915 "
+        "b462cd8f5b6be1eb 7815c93f41c28977 58182a764f713ab7 13cf3712544a34f0",
     (103, "characterization"):
-        "89b5dd5020a03e5e b27ba2d0aff5cdfd ebfc8ead6aae37ea eeb44e186149a395 "
-        "6b365193ebf00e18 b29589f0cc2844cb c4568914312beb86 bbfed0fcecdfd1fb",
+        "17c97058e17e1f09 2d52a1460e57f968 75e0c1e423cfaa6f 655a6139f3993a59 "
+        "9afe364ddba33e83 f3ea82f8c9cdef19 6b260c229c028466 6c46d39aa7ba2f41",
 }
 
 
@@ -342,6 +353,110 @@ class TestSimulateFrames:
         se = ratio * np.sqrt(variances[30000.0] / totals[30000.0] ** 2
                              + variances[15000.0] / totals[15000.0] ** 2)
         assert abs(ratio - 4.0) < 4 * se
+
+
+# Significance level of each chi-square check below; every test repeats its
+# checks on 3 seeds.
+ALPHA = 1e-3
+LAW_SEEDS = [1, 2, 3]
+
+
+def poisson_pmf(mean):
+    return lambda k: np.array([math.exp(i * math.log(mean) - mean
+                                        - math.lgamma(i + 1)) for i in k])
+
+
+def binomial_pmf(n, p):
+    def one(i):
+        if i > n:
+            return 0.0
+        return math.exp(math.lgamma(n + 1) - math.lgamma(i + 1)
+                        - math.lgamma(n - i + 1) + i * math.log(p)
+                        + (n - i) * math.log1p(-p))
+    return lambda k: np.array([one(i) for i in k])
+
+
+def per_frame_pair_draw(rng, pairs_mean, lo, hi):
+    """The draw the per-chunk total replaced: one Poisson count per frame."""
+    counts = rng.poisson(pairs_mean, hi - lo)
+    return np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
+
+
+class TestSameLaw:
+    """The per-chunk draws have the law of the per-frame / per-source ones."""
+
+    @pytest.mark.parametrize("mean", [0.05, 1.5])
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
+    def test_pair_counts_per_frame_are_poisson(self, seed, mean):
+        lo, hi = 3 * 65536, 7 * 65536
+        frames = _pair_frames(np.random.default_rng(seed), mean, lo, hi)
+        assert frames.min() >= lo and frames.max() < hi
+        counts = np.bincount(frames - lo, minlength=hi - lo)
+        stat, crit = goodness_of_fit(counts, poisson_pmf(mean), ALPHA)
+        assert stat < crit
+        old = per_frame_pair_draw(np.random.default_rng(seed + 100), mean,
+                                  lo, hi)
+        stat, crit = two_sample_chi2(
+            counts, np.bincount(old - lo, minlength=hi - lo), ALPHA)
+        assert stat < crit
+
+    def test_no_pairs_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        assert _pair_frames(rng, 0.0, 0, 65536).size == 0
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
+    def test_noise_free_stream_matches_per_frame_draw(
+            self, reference_model, far_mapping, seed, monkeypatch):
+        """Events per frame of a noise-free stream, new draw against old."""
+        cfg = SensorConfig(efficiency=1.0, dark_rate_hz=0.0,
+                           jitter_sigma_ps=0.0)
+        n = 4 * 65536
+
+        def events_per_frame():
+            fids, _, _ = concat_batches(simulate_frames(
+                reference_model, far_mapping, cfg, n,
+                pairs_per_frame_mean=0.5, seed=seed))
+            return np.bincount(fids, minlength=n)
+
+        new = events_per_frame()
+        monkeypatch.setattr(sensor, "_pair_frames", per_frame_pair_draw)
+        old = events_per_frame()
+        stat, crit = two_sample_chi2(new, old, ALPHA)
+        assert stat < crit
+
+    @pytest.mark.parametrize("seed", LAW_SEEDS)
+    def test_crosstalk_hits_are_binomial_and_even(self, seed):
+        cfg = SensorConfig()
+        n_src, reps = 1000, 1000
+        # pixel 500 is column 19, row 15 (0-based): every neighbour is on
+        # the sensor, and each offset lands on its own pixel
+        probs = {(1, 0): 0.02, (0, 1): 0.005, (-1, -1): 0.05}
+        landing = {500 + dx + 32 * dy: (dx, dy) for dx, dy in probs}
+        spec = CrosstalkSpec.from_dict(probs)
+        rng = np.random.default_rng(seed)
+        hits = {off: np.zeros(reps, dtype=np.int64) for off in probs}
+        per_source = {off: np.zeros(n_src, dtype=np.int64) for off in probs}
+        for r in range(reps):
+            fids, pix, _ = inject_crosstalk(np.arange(n_src),
+                                            np.full(n_src, 500),
+                                            np.zeros(n_src), spec, cfg, rng)
+            src, pix = fids[n_src:], pix[n_src:]
+            for lin, off in landing.items():
+                mine = src[pix == lin]
+                # secondaries of one offset follow their sources' order
+                assert np.all(np.diff(mine) > 0)
+                hits[off][r] = mine.size
+                per_source[off] += np.bincount(mine, minlength=n_src)
+        for off, p in probs.items():
+            stat, crit = goodness_of_fit(hits[off], binomial_pmf(n_src, p),
+                                         ALPHA)
+            assert stat < crit, off
+            # every source fires equally often: uniform over sources
+            got = per_source[off]
+            want = got.sum() / n_src
+            stat = float(np.sum((got - want) ** 2 / want))
+            assert stat < chi2_critical(n_src - 1, ALPHA), off
 
 
 class TestPinnedStreams:
