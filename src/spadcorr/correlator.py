@@ -186,11 +186,8 @@ class CorrelationAccumulator:
         size = np.diff(head, append=f.size)
         later = np.repeat(head + size, size) - np.arange(f.size) - 1
         before = np.cumsum(later) - later
-        if before[-1] + later[-1] <= PAIR_SLICE:
-            self._add_pairs(p, t, later, before)
-            return
-        # a dense batch: slices of whole frames holding at most PAIR_SLICE
-        # pairs (or one frame's, if it has more) bound the temporaries
+        # slices of whole frames holding at most PAIR_SLICE pairs (or one
+        # frame's, if it has more) bound the temporaries
         starts = np.append(before[head], before[-1] + later[-1])
         edges = np.append(head, f.size)
         k = 0

@@ -2,14 +2,18 @@
 
 The solver is a plain Levenberg-Marquardt loop with analytic Jacobians:
 normal equations with a multiplicative damping term on the Hessian diagonal,
-damping lowered on accepted steps and raised on rejected ones. Accepted steps
-never increase the weighted residual norm. Convergence is declared when the
-relative parameter step drops below 1e-10; the iteration cap is 200, after
-which the best point so far is returned with converged=False (callers that
-need a hard guarantee check the flag). A converged problem then takes up to
-two undamped Gauss-Newton steps, each only while it is below 1e-8 relative,
-so it ends at its optimum rather than where the damping left it; the
-residual norm and covariance are those of the returned point.
+damping lowered on accepted steps and raised on rejected ones. Accepted
+damped steps never increase the weighted residual norm. Convergence is
+declared when the relative parameter step drops below 1e-10; the iteration
+cap is 200, after which the best point so far is returned with
+converged=False (callers that need a hard guarantee check the flag).
+
+A converged problem then takes up to two undamped Gauss-Newton steps, each
+only while it is below 1e-8 relative, so it ends at its optimum rather than
+where the damping left it. These final steps are not cost-checked: so close
+to the optimum the cost changes by less than its own rounding, and a check
+would turn good steps away at random. The residual norm and covariance are
+those of the returned point.
 
 The solver runs a stack of K independent problems at once. Each problem
 keeps its own state and follows exactly the path it would follow alone: its
@@ -47,6 +51,11 @@ class LMResult:
     For a stack, params is (K, n_params), covariance (K, n_params,
     n_params), converged, iterations and residual_norm are length-K arrays
     and cost_history is one tuple per problem.
+
+    cost_history holds the starting cost and that of every accepted damped
+    step, so it never increases. residual_norm is taken at the returned
+    point, after the final Gauss-Newton steps, which are not cost-checked;
+    it can differ from sqrt(cost_history[-1]) by rounding.
     """
 
     params: np.ndarray
@@ -113,7 +122,7 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     cost = _rowdot(r, r)
     accepted = [(rows, cost)]       # (problems, cost) of each accepted try
     # final state per problem, written as each one stops
-    params = p.copy()
+    params, final_cost = p.copy(), cost.copy()
     converged = np.zeros(n_stack, dtype=bool)
     iterations = np.zeros(n_stack, dtype=int)
     # state of the problems still running, compacted whenever some stop
@@ -157,7 +166,7 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
                         (lam > MAX_DAMPING) | (tries >= MAX_TRIES))
         if stop.any():
             idx = rows[stop]
-            params[idx] = p[stop]
+            params[idx], final_cost[idx] = p[stop], cost[stop]
             converged[idx], iterations[idx] = done[stop], it[stop]
             go = ~stop
             rows, p, r, cost, lam, it, tries, fresh, hess, grad, diag = (
@@ -167,23 +176,27 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     # A short damped step does not mean the optimum is reached: finish each
     # converged problem with up to FINAL_STEPS undamped Gauss-Newton steps,
     # each taken only while it is below FINAL_STEP_TOL relative, so the
-    # stopping point no longer depends on the damping path.
+    # stopping point no longer depends on the damping path. The cost change
+    # of such a step is below the rounding of the cost itself, so no cost
+    # check is made: it would reject good steps at random.
     rows = np.flatnonzero(converged)
+    p = params[rows]
+    r = np.asarray(fun(p, rows), dtype=float) if rows.size else None
     for _ in range(FINAL_STEPS):
         if not rows.size:
             break
-        p = params[rows]
         jmat = np.asarray(jac(p, rows), dtype=float)
         jt = jmat.transpose(0, 2, 1)
-        r = np.asarray(fun(p, rows), dtype=float)
         step = _solve(np.matmul(jt, jmat),
                       -np.matmul(jt, r[..., None])[..., 0])
         rel = np.sqrt(_rowdot(step, step)) / (np.sqrt(_rowdot(p, p)) + 1e-300)
-        take = rel < FINAL_STEP_TOL
-        rows = rows[take]
-        params[rows] = p[take] + step[take]
+        go = rel < FINAL_STEP_TOL
+        if not go.any():
+            break
+        rows, p = rows[go], p[go] + step[go]
+        r = np.asarray(fun(p, rows), dtype=float)
+        params[rows], final_cost[rows] = p, _rowdot(r, r)
 
-    r = np.asarray(fun(params, np.arange(n_stack)), dtype=float)
     jmat = np.asarray(jac(params, np.arange(n_stack)), dtype=float)
     cov = np.linalg.pinv(np.matmul(jmat.transpose(0, 2, 1), jmat))
     who, costs = (np.concatenate(c) for c in zip(*accepted))
@@ -191,8 +204,7 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     history = np.split(costs[order],
                        np.cumsum(np.bincount(who, minlength=n_stack))[:-1])
     return LMResult(params=params, covariance=cov, converged=converged,
-                    iterations=iterations,
-                    residual_norm=np.sqrt(_rowdot(r, r)),
+                    iterations=iterations, residual_norm=np.sqrt(final_cost),
                     cost_history=tuple(tuple(h.tolist()) for h in history))
 
 

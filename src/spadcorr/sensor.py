@@ -231,7 +231,8 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     row = base0 // cfg.n_x
     for dx, dy, p in spec.entries:
         n_hit = rng.binomial(pixels_lin.size, p)
-        hit = np.sort(rng.choice(pixels_lin.size, n_hit, replace=False))
+        hit = np.sort(rng.choice(pixels_lin.size, n_hit, replace=False,
+                                 shuffle=False))
         ncol = col[hit] + dx
         nrow = row[hit] + dy
         ok = (ncol >= 0) & (ncol < cfg.n_x) & (nrow >= 0) & (nrow < cfg.n_y)
@@ -277,13 +278,13 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
             yield from pool.map(run, spans)
 
 
-def _pair_frames(rng, pairs_mean, lo, hi) -> np.ndarray:
-    """Frame ids of the photon pairs of frames [lo, hi), in no order.
+def _place_on_frames(rng, mean, lo, hi) -> np.ndarray:
+    """Frame ids of events of frames [lo, hi), in no order.
 
-    One Poisson((hi - lo) * pairs_mean) total placed on uniformly random
-    frames, so each frame holds an independent Poisson(pairs_mean) number.
+    One Poisson((hi - lo) * mean) total placed on uniformly random frames,
+    so each frame holds an independent Poisson(mean) number.
     """
-    total = rng.poisson(pairs_mean * (hi - lo)) if pairs_mean > 0 else 0
+    total = rng.poisson(mean * (hi - lo)) if mean > 0 else 0
     return rng.integers(lo, hi, total)
 
 
@@ -295,7 +296,7 @@ def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
     fd = cfg.frame_duration_ps
 
     # photon pairs, in no frame order: the final code sort orders them
-    pair_frame = _pair_frames(rng, pairs_mean, lo, hi)
+    pair_frame = _place_on_frames(rng, pairs_mean, lo, hi)
     total = pair_frame.size
     if total:
         rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
@@ -323,10 +324,10 @@ def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
         ph_time = np.empty(0, dtype=float)
 
     # dark counts: Poisson total over (pixels x frames), placed uniformly
-    lam = cfg.dark_rate_hz * fd * 1e-12 * cfg.n_pixels * n
-    n_dark = int(rng.poisson(lam)) if lam > 0 else 0
+    d_frame = _place_on_frames(rng, cfg.dark_rate_hz * fd * 1e-12
+                               * cfg.n_pixels, lo, hi)
+    n_dark = d_frame.size
     if n_dark:
-        d_frame = rng.integers(lo, hi, n_dark)
         d_lin = rng.integers(1, cfg.n_pixels + 1, n_dark)
         d_time = rng.uniform(0.0, fd, n_dark)
         frames = np.concatenate([ph_frame, d_frame])

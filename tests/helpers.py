@@ -422,7 +422,6 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
 
     for _ in range(FINAL_STEPS if converged else 0):
         jmat = np.asarray(jac(p), dtype=float)
-        r = np.asarray(fun(p), dtype=float)
         try:
             step = np.linalg.solve(jmat.T @ jmat, -jmat.T @ r)
         except np.linalg.LinAlgError:
@@ -431,12 +430,13 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
                 < FINAL_STEP_TOL:
             break
         p = p + step
+        r = np.asarray(fun(p), dtype=float)
+        cost = float(r @ r)
 
-    r = np.asarray(fun(p), dtype=float)
     jmat = np.asarray(jac(p), dtype=float)
     cov = np.linalg.pinv(jmat.T @ jmat)
     return LMResult(params=p, covariance=cov, converged=converged,
-                    iterations=it, residual_norm=math.sqrt(r @ r),
+                    iterations=it, residual_norm=math.sqrt(cost),
                     cost_history=tuple(history))
 
 

@@ -17,7 +17,7 @@ from spadcorr.sensor import (
     CrosstalkSpec,
     SensorConfig,
     _draw_pair_coordinates,
-    _pair_frames,
+    _place_on_frames,
     draw_pixel_offsets,
     inject_crosstalk,
     quantize_tdc,
@@ -27,36 +27,37 @@ from spadcorr.sensor import (
 # First 16 hex digits of the sha256 of each stream's event columns and
 # accumulator arrays (helpers.stream_digests), recorded on the simulator
 # that draws one Poisson pair total per chunk on uniform frames and one
-# binomial hit count plus a uniform subset of sources per cross-talk offset.
-# Any change to the random draws or their order changes them.
+# binomial hit count plus an unshuffled uniform subset of sources per
+# cross-talk offset. Any change to the random draws or their order changes
+# them.
 PINNED_DIGESTS = {
     (0, "far"):
-        "ea9204a127069817 608775fc8c7f5c9f e9336c3e63adfb31 accf25e5c3f9dd4b "
-        "da82ce456c28a72d b145420e8b0db605 aeb74d67593f7974 69879ce90e8d0e09",
+        "f184b47d600c43dc 54a3e6317cb0d4a3 de3bf2e16a5b5751 b162c2ecd3234fd9 "
+        "da82ce456c28a72d d9d7caa5c7eb9945 6e0cd8cf06b256c9 8923d53d7f842a12",
     (0, "near"):
-        "5f6758394e15a35a 150cece4c4905dee 37b814d14de62e47 c8bb98b75a62423a "
-        "accb1c8a1124ed6d 9167e69befb9f227 3d3b850adc1199dc 0b7481c2e6489c69",
+        "bf1decd16427119d 05619b2d64cf64fe fc4ab323b1203757 9f062946c2d91b73 "
+        "accb1c8a1124ed6d e57978694ed9d9f2 bbe539be1e759620 5a665aa3a2a27883",
     (0, "characterization"):
-        "ddbbfcdbd7a51490 4f6f70ccb446d9ce e563e622d801f616 089f081f411a206d "
-        "9050778fb2713e9a 6f1827dd0eebd44d 996915ab081a2bcd 671cd18ed32f367e",
+        "928dda28a6bc8702 cc4bc6566e20008f 8ee2b8ea949518da c2bf83c39f7045b3 "
+        "1e27549e742e1c3e 3e7f7799f10b0aa3 e5916c7b2ea5cc3b 50e2881e435be3c1",
     (36, "far"):
-        "1ae8bb7875288744 6aeb2b7245822cb9 2a71f0566430ceed ff6bc261802f231a "
-        "6884e6b7d90ea225 8f2db4d8282cfa32 e2735bbf1ed6700e cac00496572b017b",
+        "c97c509b9ba904ac 4630a60cad8ecc6a 97ebd1e761ca9b53 f6e8eb10a4eb9c28 "
+        "6884e6b7d90ea225 c64e1172e77aff51 301b85c814b8cfed 37948b1ebbab3c9c",
     (36, "near"):
-        "44d729f383aa93a8 024b9bd6b05ec647 5ceac5c54a56cc9c 0a7abb705aaed0dc "
-        "a980d149162c2771 d82a8a2fc613d4f2 5e529003855727d8 a686d38d03b326ae",
+        "02b64f586ecdf3dd 9490ea478a5a4a7a 12a0aa9e8c6edda7 56774f70d2e868fc "
+        "a980d149162c2771 d8c3122fe3f5b3b6 8c18c993914afd55 a4ed1f678abdc9b6",
     (36, "characterization"):
-        "5a0b3e15ccc30590 a11d306e6ae8a0a3 c81ee03b745b17c3 4dc49fb08da477e5 "
-        "704e499c34275328 71a7abb0c0279638 4efa4b730cf0cba9 59026c073b18b97b",
+        "5e193c722159e4fe fe1946e2c0652d0e dcdd823f60f634ab 314aa3e87e0846c6 "
+        "af5c0ba7f1af7839 2946b52bbed3257b 20c3f7a77a3c1ccc e0af1a44c2a8ebb7",
     (103, "far"):
-        "01b7ce1e73bdd8c1 af3810a0b193ae02 7041e5de0557fc4a 8f1e6f44ea3e0fa6 "
-        "758facebe90a71ef afdb49c3ac0dd865 6c52179e2758b9a2 423d70b7aff91b31",
+        "e45206af621199e6 3eb410e7b5c8e6a0 857c7ee0e0588049 9db36b46d3b89867 "
+        "758facebe90a71ef e4158bd5c653ea6e ae7e82d68bdaca63 592689e22ca88c1c",
     (103, "near"):
-        "66f87d8f4a3fbb51 e7581ee83f52a026 8f9adf9e2ed688a5 5508102bb05c9915 "
-        "b462cd8f5b6be1eb 7815c93f41c28977 58182a764f713ab7 13cf3712544a34f0",
+        "37f6d0faf2178c15 c1853bc41616b2e3 16d1e6b99f5ad437 3f63fb65bf77d008 "
+        "b462cd8f5b6be1eb e4b527c2e26bbad3 c73dbcf2859411af 09b440b7d0469064",
     (103, "characterization"):
-        "17c97058e17e1f09 2d52a1460e57f968 75e0c1e423cfaa6f 655a6139f3993a59 "
-        "9afe364ddba33e83 f3ea82f8c9cdef19 6b260c229c028466 6c46d39aa7ba2f41",
+        "4488f8f3660ba7c0 c7ce89731c7e0c65 b58d8564ff31c316 b3263624a4938469 "
+        "a30acdb584be2362 5c2ec09c08b0b093 17f9504873930825 53c55aa2c7dd1cee",
 }
 
 
@@ -389,7 +390,7 @@ class TestSameLaw:
     @pytest.mark.parametrize("seed", LAW_SEEDS)
     def test_pair_counts_per_frame_are_poisson(self, seed, mean):
         lo, hi = 3 * 65536, 7 * 65536
-        frames = _pair_frames(np.random.default_rng(seed), mean, lo, hi)
+        frames = _place_on_frames(np.random.default_rng(seed), mean, lo, hi)
         assert frames.min() >= lo and frames.max() < hi
         counts = np.bincount(frames - lo, minlength=hi - lo)
         stat, crit = goodness_of_fit(counts, poisson_pmf(mean), ALPHA)
@@ -402,7 +403,7 @@ class TestSameLaw:
 
     def test_no_pairs_draws_nothing(self):
         rng = np.random.default_rng(0)
-        assert _pair_frames(rng, 0.0, 0, 65536).size == 0
+        assert _place_on_frames(rng, 0.0, 0, 65536).size == 0
         assert rng.random() == np.random.default_rng(0).random()
 
     @pytest.mark.parametrize("seed", LAW_SEEDS)
@@ -420,7 +421,7 @@ class TestSameLaw:
             return np.bincount(fids, minlength=n)
 
         new = events_per_frame()
-        monkeypatch.setattr(sensor, "_pair_frames", per_frame_pair_draw)
+        monkeypatch.setattr(sensor, "_place_on_frames", per_frame_pair_draw)
         old = events_per_frame()
         stat, crit = two_sample_chi2(new, old, ALPHA)
         assert stat < crit
