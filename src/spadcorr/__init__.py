@@ -50,9 +50,6 @@ from .optics import (
     DoubleGaussianModel,
     OpticalMapping,
     map_sensor_to_object,
-    position_widths,
-    position_widths_by_coordinate,
-    predict_epr,
 )
 from .pipeline import (
     PairStudyResult,

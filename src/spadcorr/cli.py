@@ -30,7 +30,6 @@ from .correlator import (
 )
 from .epr import evaluate_epr
 from .errors import ConfigError, DataError, NumericError
-from .optics import predict_epr
 from .pipeline import (
     accumulate_file,
     correct_chain,
@@ -45,10 +44,10 @@ def _load_settings(path):
 
 def _cmd_simulate(args):
     settings = _load_settings(args.config)
-    mode = args.mapping or settings["run.mapping"]
-    total = simulate_to_file(settings, mode, args.out, frames=args.frames,
-                             seed=args.seed, workers=args.workers)
-    print(f"wrote {args.out}: {total} frames, {mode} mapping")
+    total = simulate_to_file(settings, args.mapping, args.out,
+                             frames=args.frames, seed=args.seed,
+                             workers=args.workers)
+    print(f"wrote {args.out}: {total} frames, {args.mapping} mapping")
     return 0
 
 
@@ -80,8 +79,7 @@ def _cmd_epr(args):
     settings = _load_settings(args.config)
     corr_near = CorrectedG2.load(args.near)
     corr_far = CorrectedG2.load(args.far)
-    expected = predict_epr(cfgmod.build_model(settings)) if args.expected \
-        else None
+    expected = cfgmod.target_widths(settings) if args.expected else None
     report = evaluate_epr(
         corr_near, corr_far,
         cfgmod.build_mapping(settings, "near"),
@@ -208,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate an event file")
     p.add_argument("--config", help="key=value settings file")
-    p.add_argument("--mapping", choices=("near", "far"))
+    p.add_argument("--mapping", required=True, choices=("near", "far"))
     p.add_argument("--out", required=True, help="event file to write")
     p.add_argument("--frames", type=int, help="override run.frames")
     p.add_argument("--seed", type=int, help="override run.seed")
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--json", action="store_true")
     p.add_argument("--expected", action="store_true",
-                   help="append the model prediction from the config")
+                   help="append the config's target widths")
     p.set_defaults(func=_cmd_epr)
 
     p = sub.add_parser("pipeline", help="full closed loop in memory")

@@ -40,10 +40,6 @@ SCHEMA = {
     "model.target_delta_qx_per_mm": (float, 4.0),
     "model.target_delta_y_um": (float, 37.3),
     "model.target_delta_qy_per_mm": (float, 3.4),
-    "model.sigma_q_plus_x": (float, None),
-    "model.sigma_q_minus_x": (float, None),
-    "model.sigma_q_plus_y": (float, None),
-    "model.sigma_q_minus_y": (float, None),
     "sensor.n_x": (int, 32),
     "sensor.n_y": (int, 32),
     "sensor.pixel_pitch_um": (float, 44.67),
@@ -64,7 +60,6 @@ SCHEMA = {
     "run.pairs_per_frame_far": (float, None),
     "run.seed": (int, 0),
     "run.workers": (int, 1),
-    "run.mapping": (_as_choice("near", "far"), "far"),
     "correlate.window": (int, 10),
     "correlate.shift": (int, 20),
     "correct.accidental_method": (
@@ -78,9 +73,6 @@ SCHEMA = {
 }
 
 _XTALK_KEY = re.compile(r"^crosstalk\.p_(-?\d+)_(-?\d+)$")
-
-_SIGMA_KEYS = ("model.sigma_q_plus_x", "model.sigma_q_minus_x",
-               "model.sigma_q_plus_y", "model.sigma_q_minus_y")
 
 
 def defaults() -> dict:
@@ -133,22 +125,19 @@ def load_config(path) -> dict:
         return parse_config(fh.read())
 
 
+def target_widths(settings: dict) -> dict:
+    """The four inferred-width targets, keyed as the EPR report keys them.
+
+    They state the source model: build_model solves for the double
+    Gaussian that reproduces them, so they are also its prediction.
+    """
+    return {key: settings[f"model.target_{key}"]
+            for key in ("delta_x_um", "delta_qx_per_mm",
+                        "delta_y_um", "delta_qy_per_mm")}
+
+
 def build_model(settings: dict) -> DoubleGaussianModel:
-    present = [k for k in _SIGMA_KEYS if k in settings]
-    if present and len(present) < len(_SIGMA_KEYS):
-        missing = sorted(set(_SIGMA_KEYS) - set(present))
-        raise ConfigError(f"partial width override, missing {missing}")
-    if present:
-        return DoubleGaussianModel(
-            sigma_q_plus_x=settings["model.sigma_q_plus_x"],
-            sigma_q_minus_x=settings["model.sigma_q_minus_x"],
-            sigma_q_plus_y=settings["model.sigma_q_plus_y"],
-            sigma_q_minus_y=settings["model.sigma_q_minus_y"])
-    return DoubleGaussianModel.from_inferred_targets(
-        delta_x_um=settings["model.target_delta_x_um"],
-        delta_qx_per_mm=settings["model.target_delta_qx_per_mm"],
-        delta_y_um=settings["model.target_delta_y_um"],
-        delta_qy_per_mm=settings["model.target_delta_qy_per_mm"])
+    return DoubleGaussianModel.from_inferred_targets(**target_widths(settings))
 
 
 def build_sensor(settings: dict) -> SensorConfig:
@@ -168,8 +157,7 @@ def build_sensor(settings: dict) -> SensorConfig:
     return cfg
 
 
-def build_mapping(settings: dict, mode: str = None) -> OpticalMapping:
-    mode = settings["run.mapping"] if mode is None else mode
+def build_mapping(settings: dict, mode: str) -> OpticalMapping:
     return OpticalMapping(
         mode=mode,
         magnification=settings["mapping.near.magnification"],

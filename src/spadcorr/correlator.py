@@ -599,8 +599,9 @@ def correct_crosstalk(corr: CorrectedG2, cmap: CrosstalkMap) -> CorrectedG2:
     p(p2 - p1) * g1(p1) pairs, and symmetrically for echoes of p2.
     """
     _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
-    xt = _offset_lookup(cmap, corr.n_x, corr.n_y)
-    echo = xt * corr.g1[:, None] + xt.T * corr.g1[None, :]
+    echo = _offset_lookup(cmap, corr.n_x, corr.n_y)
+    echo *= corr.g1[:, None]
+    echo = echo + echo.T    # not in place: echo.T is a view of echo
     return replace(corr, values=corr.values - echo,
                    flags=corr.flags + ("crosstalk_corrected",))
 

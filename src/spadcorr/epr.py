@@ -36,7 +36,7 @@ from .fitting import (
     fit_gaussian_1d_columns,
     fit_gaussian_2d,
 )
-from .optics import EprPrediction, OpticalMapping, map_sensor_to_object
+from .optics import OpticalMapping, map_sensor_to_object
 
 VIOLATION_BOUND = 0.25
 
@@ -73,13 +73,6 @@ class JointTable:
     axis: str
     domain: str
     negative_floored: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def total(self) -> float:
-        return float(np.sum(self.values[~self.masked]))
 
 
 def pixel_center_coords(n: int, offset_px: float,
@@ -283,8 +276,12 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
                  mapping_near: OpticalMapping, mapping_far: OpticalMapping,
                  pixel_pitch_um: float = 44.67,
                  min_column_fraction: float = 0.01,
-                 expected: EprPrediction = None) -> EprReport:
-    """Run every estimator on a near-field / far-field tensor pair."""
+                 expected: dict = None) -> EprReport:
+    """Run every estimator on a near-field / far-field tensor pair.
+
+    expected, when given, holds the four target widths keyed as the
+    method rows (config.target_widths); the report adds their v_x, v_y.
+    """
     if mapping_near.mode != "near" or mapping_far.mode != "far":
         raise ConfigError("tensors must come with near and far mappings")
     for corr, want in ((corr_near, "near"), (corr_far, "far")):
@@ -326,14 +323,11 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
             "v_x": vx, "v_y": vy,
             "violated_x": violates(vx), "violated_y": violates(vy)}
 
-    expected_dict = None
     if expected is not None:
-        expected_dict = {
-            "delta_x_um": expected.x.delta_pos_um,
-            "delta_y_um": expected.y.delta_pos_um,
-            "delta_qx_per_mm": expected.x.delta_mom_per_mm,
-            "delta_qy_per_mm": expected.y.delta_mom_per_mm,
-            "v_x": expected.x.v_min, "v_y": expected.y.v_min}
+        expected = {**expected, **{
+            f"v_{axis}": v_min(expected[f"delta_{axis}_um"] ** 2,
+                               expected[f"delta_q{axis}_per_mm"] ** 2)
+            for axis in ("x", "y")}}
     meta = {
         "pixel_pitch_um": pixel_pitch_um,
         "min_column_fraction": min_column_fraction,
@@ -347,4 +341,4 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
             axis: [tables[axis][0].negative_floored,
                    tables[axis][1].negative_floored]
             for axis in ("x", "y")}}
-    return EprReport(methods=methods, meta=meta, expected=expected_dict)
+    return EprReport(methods=methods, meta=meta, expected=expected)

@@ -86,35 +86,6 @@ def _solve_axis(delta_pos_um: float, delta_mom_per_mm: float) -> tuple[float, fl
     return narrow, broad
 
 
-def position_widths(model: DoubleGaussianModel):
-    """Position-space width pair per axis, in um.
-
-    Returns ((sx_plus_x, sx_minus_x), (sx_plus_y, sx_minus_y)) with
-    sigma_x+- = 1 / (2 sigma_q-+). The slot convention keeps the narrow
-    (pump-limited) width first in both domains; note that the narrow position
-    width physically lives on the *difference* coordinate x- (photon pairs
-    are position-correlated), see position_widths_by_coordinate.
-    """
-    return (
-        (1e3 / (2.0 * model.sigma_q_minus_x), 1e3 / (2.0 * model.sigma_q_plus_x)),
-        (1e3 / (2.0 * model.sigma_q_minus_y), 1e3 / (2.0 * model.sigma_q_plus_y)),
-    )
-
-
-def position_widths_by_coordinate(model: DoubleGaussianModel):
-    """Standard deviations of the position coordinates x+- = (x1 +- x2)/sqrt(2).
-
-    Pure-state Fourier duality pairs each position coordinate with its
-    matching momentum coordinate: sigma(x+-) = 1/(2 sigma(q+-)). The broad
-    momentum difference therefore gives a tight position correlation.
-    Returns ((sigma_x_plus, sigma_x_minus) per axis) in um.
-    """
-    return (
-        (1e3 / (2.0 * model.sigma_q_plus_x), 1e3 / (2.0 * model.sigma_q_minus_x)),
-        (1e3 / (2.0 * model.sigma_q_plus_y), 1e3 / (2.0 * model.sigma_q_minus_y)),
-    )
-
-
 MAPPING_MODES = ("far", "near", "unspecified")
 
 
@@ -162,43 +133,3 @@ def map_sensor_to_object(mapping: OpticalMapping, rho_um):
     if mapping.mode == "near":
         return rho / mapping.magnification
     raise ConfigError("unspecified mapping has no object-space scale")
-
-
-@dataclasses.dataclass(frozen=True)
-class AxisPrediction:
-    delta_pos_um: float
-    delta_mom_per_mm: float
-    v_min: float
-
-
-@dataclasses.dataclass(frozen=True)
-class EprPrediction:
-    x: AxisPrediction
-    y: AxisPrediction
-
-
-def predict_epr(model: DoubleGaussianModel) -> EprPrediction:
-    """Predicted minimum inferred widths and variance products, per axis.
-
-    Uses delta^2(a|b) = 2 s+^2 s-^2 / (s+^2 + s-^2) in each domain; the
-    expression is symmetric in the two widths so the slot convention of
-    position_widths does not matter here. v_min is dimensionless
-    (mm^2 * 1/mm^2); values below 1/4 are non-separable.
-    """
-    pos = position_widths(model)
-    mom = ((model.sigma_q_plus_x, model.sigma_q_minus_x),
-           (model.sigma_q_plus_y, model.sigma_q_minus_y))
-
-    def axis(i):
-        d2_pos = _paired_variance(*pos[i])          # um^2
-        d2_mom = _paired_variance(*mom[i])          # 1/mm^2
-        return AxisPrediction(
-            delta_pos_um=math.sqrt(d2_pos),
-            delta_mom_per_mm=math.sqrt(d2_mom),
-            v_min=d2_pos * 1e-6 * d2_mom)
-
-    return EprPrediction(x=axis(0), y=axis(1))
-
-
-def _paired_variance(a: float, b: float) -> float:
-    return 2.0 * a * a * b * b / (a * a + b * b)

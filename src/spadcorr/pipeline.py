@@ -23,7 +23,6 @@ from .correlator import (
 )
 from .epr import EprReport, evaluate_epr
 from .eventfile import EventFileWriter, read_batches, read_header
-from .optics import predict_epr
 from .sensor import simulate_frames
 
 
@@ -180,7 +179,7 @@ def run_pair_study(settings: dict) -> PairStudyResult:
         corr_near, corr_far, map_near, map_far,
         pixel_pitch_um=settings["sensor.pixel_pitch_um"],
         min_column_fraction=settings["epr.min_column_fraction"],
-        expected=predict_epr(model))
+        expected=cfgmod.target_widths(settings))
     return PairStudyResult(settings=settings, acc_near=acc_near,
                            acc_far=acc_far, corr_near=corr_near,
                            corr_far=corr_far, crosstalk_map=cmap,

@@ -298,43 +298,33 @@ def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
     # photon pairs, in no frame order: the final code sort orders them
     pair_frame = _place_on_frames(rng, pairs_mean, lo, hi)
     total = pair_frame.size
-    if total:
-        rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
-        t_true = rng.uniform(0.0, fd, total)
-        survive = rng.random((total, 2)) < cfg.efficiency
-        ph_frame = np.concatenate([pair_frame[survive[:, 0]],
-                                   pair_frame[survive[:, 1]]])
-        ph_rho = np.concatenate([rho1[survive[:, 0]], rho2[survive[:, 1]]])
-        ph_time = np.concatenate([t_true[survive[:, 0]], t_true[survive[:, 1]]])
-        col = np.floor(ph_rho[:, 0] / cfg.pixel_pitch_um + cfg.n_x / 2.0
-                       + mapping.center_offset_px[0]).astype(np.int64)
-        row = np.floor(ph_rho[:, 1] / cfg.pixel_pitch_um + cfg.n_y / 2.0
-                       + mapping.center_offset_px[1]).astype(np.int64)
-        on = (col >= 0) & (col < cfg.n_x) & (row >= 0) & (row < cfg.n_y)
-        lin = (row[on] * cfg.n_x + col[on] + 1)
-        ph_frame = ph_frame[on]
-        ph_time = ph_time[on]
-        if cfg.pixel_offsets_ps is not None:
-            ph_time = ph_time + cfg.pixel_offsets_ps[lin - 1]
-        if cfg.jitter_sigma_ps > 0:
-            ph_time = ph_time + rng.normal(0.0, cfg.jitter_sigma_ps, lin.size)
-    else:
-        ph_frame = np.empty(0, dtype=np.int64)
-        lin = np.empty(0, dtype=np.int64)
-        ph_time = np.empty(0, dtype=float)
+    rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
+    t_true = rng.uniform(0.0, fd, total)
+    survive = rng.random((total, 2)) < cfg.efficiency
+    ph_frame = np.concatenate([pair_frame[survive[:, 0]],
+                               pair_frame[survive[:, 1]]])
+    ph_rho = np.concatenate([rho1[survive[:, 0]], rho2[survive[:, 1]]])
+    ph_time = np.concatenate([t_true[survive[:, 0]], t_true[survive[:, 1]]])
+    col = np.floor(ph_rho[:, 0] / cfg.pixel_pitch_um + cfg.n_x / 2.0
+                   + mapping.center_offset_px[0]).astype(np.int64)
+    row = np.floor(ph_rho[:, 1] / cfg.pixel_pitch_um + cfg.n_y / 2.0
+                   + mapping.center_offset_px[1]).astype(np.int64)
+    on = (col >= 0) & (col < cfg.n_x) & (row >= 0) & (row < cfg.n_y)
+    lin = (row[on] * cfg.n_x + col[on] + 1)
+    ph_frame = ph_frame[on]
+    ph_time = ph_time[on]
+    if cfg.pixel_offsets_ps is not None:
+        ph_time = ph_time + cfg.pixel_offsets_ps[lin - 1]
+    if cfg.jitter_sigma_ps > 0:
+        ph_time = ph_time + rng.normal(0.0, cfg.jitter_sigma_ps, lin.size)
 
     # dark counts: Poisson total over (pixels x frames), placed uniformly
     d_frame = _place_on_frames(rng, cfg.dark_rate_hz * fd * 1e-12
                                * cfg.n_pixels, lo, hi)
     n_dark = d_frame.size
-    if n_dark:
-        d_lin = rng.integers(1, cfg.n_pixels + 1, n_dark)
-        d_time = rng.uniform(0.0, fd, n_dark)
-        frames = np.concatenate([ph_frame, d_frame])
-        lins = np.concatenate([lin, d_lin])
-        times = np.concatenate([ph_time, d_time])
-    else:
-        frames, lins, times = ph_frame, lin, ph_time
+    frames = np.concatenate([ph_frame, d_frame])
+    lins = np.concatenate([lin, rng.integers(1, cfg.n_pixels + 1, n_dark)])
+    times = np.concatenate([ph_time, rng.uniform(0.0, fd, n_dark)])
 
     if not crosstalk.is_empty and lins.size:
         frames, lins, times = inject_crosstalk(frames, lins, times,

@@ -120,6 +120,35 @@ def stream_digests(seed):
     return out
 
 
+def coordinate_widths(model):
+    """(sigma+, sigma-) of the rotated coordinates per axis, by field.
+
+    Far field: the model's momentum widths sigma_q+- in 1/mm. Near field:
+    pure-state Fourier duality pairs each position coordinate with its
+    momentum partner, sigma_x+- = 1/(2 sigma_q+-), in um.
+    """
+    far = ((model.sigma_q_plus_x, model.sigma_q_minus_x),
+           (model.sigma_q_plus_y, model.sigma_q_minus_y))
+    near = tuple((1e3 / (2.0 * sp), 1e3 / (2.0 * sm)) for sp, sm in far)
+    return {"near": near, "far": far}
+
+
+def predicted_widths(model):
+    """Minimum inferred widths of a double Gaussian, keyed as the EPR report.
+
+    delta^2(a|b) = 2 s+^2 s-^2 / (s+^2 + s-^2) in each field, written out
+    here apart from epr.inferred_variance_from_widths.
+    """
+    def delta(sp, sm):
+        return math.sqrt(2.0 * sp * sp * sm * sm / (sp * sp + sm * sm))
+
+    w = coordinate_widths(model)
+    return {"delta_x_um": delta(*w["near"][0]),
+            "delta_qx_per_mm": delta(*w["far"][0]),
+            "delta_y_um": delta(*w["near"][1]),
+            "delta_qy_per_mm": delta(*w["far"][1])}
+
+
 def frame_groups(batch):
     """(frame id, pixels, tdc codes) of each frame a sorted batch stores."""
     ids, starts = np.unique(batch.frame_ids, return_index=True)

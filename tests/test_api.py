@@ -1,21 +1,25 @@
-"""The public surface: FrameBatch is the only in-memory event form, and
-helpers that no pipeline path calls stay deleted."""
+"""The public surface: FrameBatch is the only in-memory event form, the
+config's target widths are the only statement of the model, and helpers
+that no pipeline path calls stay deleted."""
 
 import pytest
 
 import spadcorr
-from spadcorr import correlator, eventfile, optics, sensor
+from spadcorr import config, correlator, epr, eventfile, optics, sensor
 from spadcorr.eventfile import EventFileReader, EventFileWriter
 
 REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
            "evaluate_delta_kz", "evaluate_joint_density", "sample_pair",
-           "_as_qvec")
+           "_as_qvec", "predict_epr", "AxisPrediction", "EprPrediction",
+           "position_widths", "position_widths_by_coordinate",
+           "_paired_variance", "_SIGMA_KEYS")
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_not_exported(name):
     assert name not in spadcorr.__all__
-    for module in (spadcorr, sensor, optics, correlator, eventfile):
+    for module in (spadcorr, sensor, optics, correlator, eventfile, config,
+                   epr):
         assert not hasattr(module, name), module.__name__
 
 
@@ -28,3 +32,5 @@ def test_event_file_has_no_per_frame_path():
 def test_unused_model_helpers_deleted():
     assert not hasattr(sensor.CrosstalkSpec, "nearest")
     assert not hasattr(optics.DoubleGaussianModel, "density")
+    assert not hasattr(epr.JointTable, "n")
+    assert not hasattr(epr.JointTable, "total")

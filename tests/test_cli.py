@@ -9,6 +9,7 @@ from spadcorr import arraystore
 from spadcorr import config as cfgmod
 from spadcorr.cli import build_parser, main
 from spadcorr.correlator import CorrelationAccumulator, CrosstalkMap
+from spadcorr.epr import v_min
 
 CFG_TEXT = """\
 run.frames = 100000
@@ -79,8 +80,13 @@ class TestStageCommands:
                      "--far", str(ws["far_g2"]), "--config", str(ws["cfg"]),
                      "--expected", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["expected"]["delta_x_um"] == pytest.approx(37.3,
-                                                                 rel=1e-3)
+        targets = cfgmod.target_widths(cfgmod.load_config(ws["cfg"]))
+        assert report["expected"] == {
+            **targets,
+            "v_x": v_min(targets["delta_x_um"] ** 2,
+                         targets["delta_qx_per_mm"] ** 2),
+            "v_y": v_min(targets["delta_y_um"] ** 2,
+                         targets["delta_qy_per_mm"] ** 2)}
 
     def test_epr_text(self, ws, capsys):
         assert main(["epr", "--near", str(ws["near_g2"]),
@@ -284,6 +290,21 @@ class TestErrorExits:
         assert main(["simulate", "--config", str(bad), "--mapping", "far",
                      "--out", str(ws["root"] / "x.evt")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["model.sigma_q_plus_x = 2.0",
+                                      "run.mapping = near"])
+    def test_removed_config_key(self, ws, capsys, line):
+        bad = ws["root"] / "removed.cfg"
+        bad.write_text(f"run.seed = 2\n{line}\n")
+        assert main(["simulate", "--config", str(bad), "--mapping", "far",
+                     "--out", str(ws["root"] / "x.evt")]) == 2
+        assert "line 2: unknown key" in capsys.readouterr().err
+
+    def test_simulate_needs_mapping(self, ws, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", str(ws["root"] / "x.evt")])
+        assert exc.value.code == 2
+        assert "--mapping" in capsys.readouterr().err
 
     def test_swapped_tensors_rejected(self, ws, capsys):
         assert main(["epr", "--near", str(ws["far_g2"]),

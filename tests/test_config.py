@@ -9,6 +9,7 @@ from spadcorr.config import (
     defaults,
     load_config,
     parse_config,
+    target_widths,
 )
 from spadcorr.errors import ConfigError
 from spadcorr.optics import DoubleGaussianModel
@@ -22,19 +23,19 @@ class TestParsing:
 
     def test_unset_optional_keys_are_absent(self):
         settings = defaults()
-        assert "model.sigma_q_plus_x" not in settings
         assert "run.pairs_per_frame_near" not in settings
-        assert settings["run.mapping"] == "far"
+        assert "run.pairs_per_frame_far" not in settings
 
     def test_values_are_converted(self):
         settings = parse_config(
             "run.frames = 500\nsensor.efficiency = 0.25\n"
-            "correct.apply_crosstalk = no\nrun.mapping = near\n")
+            "correct.apply_crosstalk = no\n"
+            "correct.accidental_method = g1_product\n")
         assert settings["run.frames"] == 500
         assert isinstance(settings["run.frames"], int)
         assert settings["sensor.efficiency"] == 0.25
         assert settings["correct.apply_crosstalk"] is False
-        assert settings["run.mapping"] == "near"
+        assert settings["correct.accidental_method"] == "g1_product"
 
     @pytest.mark.parametrize("text,want", [
         ("true", True), ("True", True), ("YES", True), ("1", True),
@@ -50,7 +51,7 @@ class TestParsing:
 
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="expected one of"):
-            parse_config("run.mapping = sideways")
+            parse_config("correct.accidental_method = sideways")
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 3: unknown key"):
@@ -94,25 +95,32 @@ class TestParsing:
 
 class TestBuilders:
     def test_model_from_targets(self):
-        model = build_model(defaults())
-        want = DoubleGaussianModel.from_inferred_targets(
-            delta_x_um=37.3, delta_qx_per_mm=4.0,
-            delta_y_um=37.3, delta_qy_per_mm=3.4)
-        assert model.sigma_q_plus_x == pytest.approx(want.sigma_q_plus_x)
-        assert model.sigma_q_minus_y == pytest.approx(want.sigma_q_minus_y)
+        targets = target_widths(defaults())
+        assert targets == {"delta_x_um": 37.3, "delta_qx_per_mm": 4.0,
+                           "delta_y_um": 37.3, "delta_qy_per_mm": 3.4}
+        assert build_model(defaults()) == \
+            DoubleGaussianModel.from_inferred_targets(**targets)
+        settings = parse_config("model.target_delta_qy_per_mm = 3.0")
+        assert target_widths(settings)["delta_qy_per_mm"] == 3.0
 
-    def test_model_width_override(self):
-        settings = parse_config(
-            "model.sigma_q_plus_x = 2.0\nmodel.sigma_q_minus_x = 20.0\n"
-            "model.sigma_q_plus_y = 3.0\nmodel.sigma_q_minus_y = 30.0\n")
-        model = build_model(settings)
-        assert model.sigma_q_plus_x == 2.0
-        assert model.sigma_q_minus_y == 30.0
+    def test_model_width_override_rejected(self):
+        # the targets are the only statement of the model
+        with pytest.raises(ConfigError,
+                           match="line 1: unknown key 'model.sigma_q_plus_x'"):
+            parse_config(
+                "model.sigma_q_plus_x = 2.0\nmodel.sigma_q_minus_x = 20.0\n"
+                "model.sigma_q_plus_y = 3.0\nmodel.sigma_q_minus_y = 30.0\n")
 
     def test_model_partial_override_rejected(self):
-        settings = parse_config("model.sigma_q_plus_x = 2.0")
-        with pytest.raises(ConfigError, match="partial width override"):
-            build_model(settings)
+        with pytest.raises(ConfigError,
+                           match="line 2: unknown key 'model.sigma_q_minus_y'"):
+            parse_config("run.seed = 1\nmodel.sigma_q_minus_y = 2.0")
+
+    def test_run_mapping_key_rejected(self):
+        # each call names its arm; simulate takes --mapping
+        with pytest.raises(ConfigError,
+                           match="line 2: unknown key 'run.mapping'"):
+            parse_config("run.seed = 1\nrun.mapping = near\n")
 
     def test_sensor_fields(self):
         settings = parse_config("sensor.dark_rate_hz = 0\n"
@@ -137,7 +145,8 @@ class TestBuilders:
 
     def test_mapping_modes(self):
         settings = defaults()
-        assert build_mapping(settings).mode == "far"
+        with pytest.raises(TypeError):
+            build_mapping(settings)
         near = build_mapping(settings, mode="near")
         assert near.mode == "near"
         assert near.magnification == 9.0

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import sum_diff_route_profiles
+from helpers import coordinate_widths, sum_diff_route_profiles
 from spadcorr import epr
-from spadcorr.config import build_sensor, parse_config
+from spadcorr.config import (
+    build_model,
+    build_sensor,
+    defaults,
+    parse_config,
+    target_widths,
+)
 from spadcorr.correlator import (
     CorrectedG2,
     linear_index,
@@ -38,11 +44,7 @@ from spadcorr.errors import (
     SpadError,
 )
 from spadcorr.fitting import fit_gaussian_1d_columns
-from spadcorr.optics import (
-    OpticalMapping,
-    position_widths_by_coordinate,
-    predict_epr,
-)
+from spadcorr.optics import OpticalMapping
 from spadcorr.pipeline import correct_chain, simulate_accumulator
 
 PITCH = 44.67
@@ -464,7 +466,7 @@ class TestPeakProfilesFromProjections:
 def synthetic_pair_tensors(model, near_mapping, far_mapping):
     """Noise-free tensors sampled from the model's joint densities."""
     n = 32
-    (sxp, sxm), (syp, sym) = position_widths_by_coordinate(model)
+    (sxp, sxm), (syp, sym) = coordinate_widths(model)["near"]
     pos = pixel_center_coords(n, 0.0, PITCH) / near_mapping.magnification
     mom = pixel_center_coords(n, 0.0, PITCH) \
         * far_mapping.far_scale_per_mm_per_um
@@ -486,13 +488,14 @@ def synthetic_pair_tensors(model, near_mapping, far_mapping):
 
 
 class TestEvaluateEpr:
-    def test_report_structure_and_consistency(self, reference_model,
-                                              near_mapping, far_mapping):
+    def test_report_structure_and_consistency(self, near_mapping,
+                                              far_mapping):
+        settings = defaults()
         corr_near, corr_far = synthetic_pair_tensors(
-            reference_model, near_mapping, far_mapping)
-        expected = predict_epr(reference_model)
+            build_model(settings), near_mapping, far_mapping)
+        targets = target_widths(settings)
         report = evaluate_epr(corr_near, corr_far, near_mapping, far_mapping,
-                              expected=expected)
+                              expected=targets)
         assert set(report.methods) == {"numerical", "gauss1d", "gauss2d",
                                        "peaks"}
         for name, m in report.methods.items():
@@ -502,7 +505,11 @@ class TestEvaluateEpr:
             assert m["violated_x"] == (m["v_x"] < 0.25)
             assert m["violated_y"] == (m["v_y"] < 0.25)
             assert m["violated_x"] and m["violated_y"], name
-        assert report.expected["v_x"] == pytest.approx(expected.x.v_min)
+        # the expected row is the targets themselves, not a round trip
+        assert report.expected == {
+            **targets,
+            "v_x": v_min(37.3 ** 2, 4.0 ** 2),
+            "v_y": v_min(37.3 ** 2, 3.4 ** 2)}
         assert report.meta["n_frames_near"] == 1_000_000
         assert report.meta["flags_far"] == ["raw"]
 
@@ -511,12 +518,10 @@ class TestEvaluateEpr:
         corr_near, corr_far = synthetic_pair_tensors(
             reference_model, near_mapping, far_mapping)
         report = evaluate_epr(corr_near, corr_far, near_mapping, far_mapping)
-        expected = predict_epr(reference_model)
         m = report.methods["gauss2d"]
-        assert m["delta_qx_per_mm"] == pytest.approx(
-            expected.x.delta_mom_per_mm, rel=0.05)
-        assert m["delta_x_um"] == pytest.approx(expected.x.delta_pos_um,
-                                                rel=0.10)
+        # reference_model is built from these targets
+        assert m["delta_qx_per_mm"] == pytest.approx(4.0, rel=0.05)
+        assert m["delta_x_um"] == pytest.approx(37.3, rel=0.10)
 
     def test_json_round_trip_and_text_marks(self, reference_model,
                                             near_mapping, far_mapping):

@@ -99,6 +99,9 @@ class TestPairStudy:
                                          "peaks"}
         c = run_pair_study(small_settings(**{"run.seed": 12}))
         assert c.report.to_json() != a.report.to_json()
+        # the expected row is the config's targets, exactly
+        targets = cfgmod.target_widths(small_settings())
+        assert {k: a.report.expected[k] for k in targets} == targets
 
     def test_arms_use_independent_streams(self):
         result = run_pair_study(small_settings())
