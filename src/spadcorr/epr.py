@@ -31,11 +31,7 @@ from .errors import (
     DegenerateInput,
     NotConverged,
 )
-from .fitting import (
-    fit_gaussian_1d,
-    fit_gaussian_1d_columns,
-    fit_gaussian_2d,
-)
+from .fitting import _fit_1d_stack, _fit_2d_stack, _fit_columns_stack
 from .optics import OpticalMapping, map_sensor_to_object
 
 VIOLATION_BOUND = 0.25
@@ -81,13 +77,21 @@ def pixel_center_coords(n: int, offset_px: float,
     return (np.arange(n) + 0.5 - n / 2.0 - offset_px) * pixel_pitch_um
 
 
+def _projection(corr: CorrectedG2, axis: str) -> np.ndarray:
+    if axis not in ("x", "y"):
+        raise ConfigError(f"axis must be x or y, got {axis!r}")
+    return project_axes(corr.values, corr.n_x, corr.n_y)["xy".index(axis)]
+
+
 def build_joint_table(corr: CorrectedG2, mapping: OpticalMapping,
                       pixel_pitch_um: float, axis: str = "x") -> JointTable:
     """Project a corrected tensor onto one axis and attach coordinates."""
-    if axis not in ("x", "y"):
-        raise ConfigError(f"axis must be x or y, got {axis!r}")
-    g2x, g2y = project_axes(corr.values, corr.n_x, corr.n_y)
-    proj = g2x if axis == "x" else g2y
+    return _joint_table(_projection(corr, axis), corr, mapping,
+                        pixel_pitch_um, axis)
+
+
+def _joint_table(proj, corr, mapping, pixel_pitch_um, axis) -> JointTable:
+    # build_joint_table on the axis projection proj
     n = corr.n_x if axis == "x" else corr.n_y
     off = mapping.center_offset_px[0 if axis == "x" else 1]
     coords = map_sensor_to_object(
@@ -134,8 +138,12 @@ def conditionals_and_marginal(table: JointTable,
 def inferred_variance_numerical(table: JointTable,
                                 min_column_fraction: float = 0.01) -> float:
     """Marginal-weighted conditional variance, no model assumed."""
-    cond, marginal, retained = conditionals_and_marginal(
-        table, min_column_fraction)
+    return _numerical(table, conditionals_and_marginal(
+        table, min_column_fraction))
+
+
+def _numerical(table, conditionals) -> float:
+    cond, marginal, retained = conditionals
     a = table.coords[:, None]
     mean = np.sum(cond * a, axis=0)
     var = np.sum(cond * (a - mean[None, :]) ** 2, axis=0)
@@ -151,27 +159,51 @@ def inferred_variance_gauss1d(table: JointTable,
     dropped and the weights renormalized; if every column fails the failure
     propagates.
     """
-    _, marginal, retained = conditionals_and_marginal(
-        table, min_column_fraction)
-    cols = np.flatnonzero(retained)
-    fits = fit_gaussian_1d_columns(table.coords, table.values[:, cols],
-                                   ~table.masked[:, cols])
-    used = [(marginal[b], fit.params["sigma"] ** 2)
-            for b, fit in zip(cols, fits) if fit is not None and fit.converged]
-    if not used:
-        raise NotConverged("no column produced a usable fit")
-    w, variances = np.array(used).T
-    return float(np.sum(w * variances) / np.sum(w))
+    return _gauss1d([table], [conditionals_and_marginal(
+        table, min_column_fraction)])[0]
+
+
+def _gauss1d(tables, conditionals) -> list:
+    # inferred_variance_gauss1d of each table, every retained column of
+    # every table in one stacked run; raises the first table's failure
+    cols = [np.flatnonzero(retained) for _, _, retained in conditionals]
+    fits = _fit_columns_stack([(t.coords, t.values[:, c], ~t.masked[:, c])
+                               for t, c in zip(tables, cols)])
+    out = []
+    for (_, marginal, _), c, table_fits in zip(conditionals, cols, fits):
+        used = [(marginal[b], fit.params["sigma"] ** 2)
+                for b, fit in zip(c, table_fits)
+                if fit is not None and fit.converged]
+        if not used:
+            raise NotConverged("no column produced a usable fit")
+        w, variances = np.array(used).T
+        out.append(float(np.sum(w * variances) / np.sum(w)))
+    return out
+
+
+def _converged(fit, what):
+    # a fit of a stack, or raise what fitting it alone raises
+    if isinstance(fit, DegenerateInput):
+        raise fit
+    if not fit.converged:
+        raise NotConverged(f"{what} did not converge")
+    return fit
 
 
 def inferred_variance_gauss2d(table: JointTable) -> float:
     """Rotated-frame 2D Gaussian fit, widths combined analytically."""
-    fit = fit_gaussian_2d(table.values, table.coords, table.coords,
-                          mask=table.masked)
-    if not fit.converged:
-        raise NotConverged("2D fit did not converge")
-    return inferred_variance_from_widths(fit.params["sigma_plus"],
-                                         fit.params["sigma_minus"])
+    return _gauss2d([table])[0]
+
+
+def _gauss2d(tables) -> list:
+    # inferred_variance_gauss2d of each table in one stacked run
+    out = []
+    for fit in _fit_2d_stack([(t.values, t.coords, t.coords, t.masked)
+                              for t in tables]):
+        fit = _converged(fit, "2D fit")
+        out.append(inferred_variance_from_widths(fit.params["sigma_plus"],
+                                                 fit.params["sigma_minus"]))
+    return out
 
 
 def inferred_variance_peaks(corr: CorrectedG2, mapping: OpticalMapping,
@@ -189,12 +221,18 @@ def inferred_variance_peaks(corr: CorrectedG2, mapping: OpticalMapping,
     is read off the axis projection (peak_profiles); it is the sum or
     difference map summed over the other axis, up to rounding.
     """
-    if axis not in ("x", "y"):
-        raise ConfigError(f"axis must be x or y, got {axis!r}")
+    proj = _projection(corr, axis)
     if mapping.mode not in ("near", "far"):
         raise ConfigError("peak widths need a near or far mapping")
-    g2x, g2y = project_axes(corr.values, corr.n_x, corr.n_y)
-    sum_profile, diff_profile = peak_profiles(g2x if axis == "x" else g2y)
+    return _peaks([_peak_profile(proj, corr, mapping, pixel_pitch_um,
+                                 axis)])[0]
+
+
+def _peak_profile(proj, corr, mapping, pixel_pitch_um, axis):
+    # (coordinate, acceptance-corrected profile) that inferred_variance_peaks
+    # fits, read off the axis projection proj; bins it leaves out are NaN,
+    # so every profile of an n-pixel axis has 2n - 1 points
+    sum_profile, diff_profile = peak_profiles(proj)
     use_sum = mapping.mode == "far"
     profile = sum_profile if use_sum else diff_profile
     n = corr.n_x if axis == "x" else corr.n_y
@@ -212,12 +250,16 @@ def inferred_variance_peaks(corr: CorrectedG2, mapping: OpticalMapping,
     if not use_sum and "neighbor_masked" in corr.flags \
             and corr.mask_radius is not None:
         keep &= np.abs(pix) > corr.mask_radius
-    fit = fit_gaussian_1d(u[keep],
-                          np.maximum(profile[keep], 0.0) / acceptance[keep])
-    if not fit.converged:
-        raise NotConverged("peak profile fit did not converge")
-    sigma = abs(fit.params["sigma"])
-    return 2.0 * sigma * sigma
+    return u, np.where(keep, np.maximum(profile, 0.0) / acceptance, np.nan)
+
+
+def _peaks(profiles) -> list:
+    # inferred_variance_peaks of each (u, profile) in one stacked run
+    out = []
+    for fit in _fit_1d_stack(profiles):
+        sigma = abs(_converged(fit, "peak profile fit").params["sigma"])
+        out.append(2.0 * sigma * sigma)
+    return out
 
 
 def v_min(d2_pos_um2: float, d2_mom_per_mm2: float) -> float:
@@ -288,38 +330,36 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
         if corr.mapping_mode not in (want, "unspecified"):
             raise ConfigError(
                 f"{want}-field slot got a {corr.mapping_mode}-field tensor")
-    tables = {}
-    for axis in ("x", "y"):
-        tables[axis] = (
-            build_joint_table(corr_near, mapping_near, pixel_pitch_um, axis),
-            build_joint_table(corr_far, mapping_far, pixel_pitch_um, axis))
-
-    def run(name, axis):
-        t_near, t_far = tables[axis]
-        if name == "numerical":
-            return (inferred_variance_numerical(t_near, min_column_fraction),
-                    inferred_variance_numerical(t_far, min_column_fraction))
-        if name == "gauss1d":
-            return (inferred_variance_gauss1d(t_near, min_column_fraction),
-                    inferred_variance_gauss1d(t_far, min_column_fraction))
-        if name == "gauss2d":
-            return (inferred_variance_gauss2d(t_near),
-                    inferred_variance_gauss2d(t_far))
-        return (inferred_variance_peaks(corr_near, mapping_near,
-                                        pixel_pitch_um, axis),
-                inferred_variance_peaks(corr_far, mapping_far,
-                                        pixel_pitch_um, axis))
+    arms = ((corr_near, mapping_near), (corr_far, mapping_far))
+    projections = [project_axes(corr.values, corr.n_x, corr.n_y)
+                   for corr, _ in arms]
+    # the four (axis, arm) problems in the order their failures are
+    # reported: x before y, near before far
+    problems = [(axis, corr, mapping, proj[i])
+                for i, axis in enumerate("xy")
+                for (corr, mapping), proj in zip(arms, projections)]
+    tables = [_joint_table(proj, corr, mapping, pixel_pitch_um, axis)
+              for axis, corr, mapping, proj in problems]
+    conditionals = [conditionals_and_marginal(t, min_column_fraction)
+                    for t in tables]
+    d2 = {"numerical": [_numerical(t, c)
+                        for t, c in zip(tables, conditionals)],
+          "gauss1d": _gauss1d(tables, conditionals),
+          "gauss2d": _gauss2d(tables),
+          "peaks": _peaks([_peak_profile(proj, corr, mapping, pixel_pitch_um,
+                                         axis)
+                           for axis, corr, mapping, proj in problems])}
 
     methods = {}
     for name in METHODS:
-        d2 = {axis: run(name, axis) for axis in ("x", "y")}
-        vx = v_min(d2["x"][0], d2["x"][1])
-        vy = v_min(d2["y"][0], d2["y"][1])
+        x_near, x_far, y_near, y_far = d2[name]
+        vx = v_min(x_near, x_far)
+        vy = v_min(y_near, y_far)
         methods[name] = {
-            "delta_x_um": math.sqrt(d2["x"][0]),
-            "delta_y_um": math.sqrt(d2["y"][0]),
-            "delta_qx_per_mm": math.sqrt(d2["x"][1]),
-            "delta_qy_per_mm": math.sqrt(d2["y"][1]),
+            "delta_x_um": math.sqrt(x_near),
+            "delta_y_um": math.sqrt(y_near),
+            "delta_qx_per_mm": math.sqrt(x_far),
+            "delta_qy_per_mm": math.sqrt(y_far),
             "v_x": vx, "v_y": vy,
             "violated_x": violates(vx), "violated_y": violates(vy)}
 
@@ -338,7 +378,7 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
         "mask_radius_near": corr_near.mask_radius,
         "mask_radius_far": corr_far.mask_radius,
         "negative_floored": {
-            axis: [tables[axis][0].negative_floored,
-                   tables[axis][1].negative_floored]
-            for axis in ("x", "y")}}
+            axis: [tables[2 * i].negative_floored,
+                   tables[2 * i + 1].negative_floored]
+            for i, axis in enumerate("xy")}}
     return EprReport(methods=methods, meta=meta, expected=expected)

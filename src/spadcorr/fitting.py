@@ -277,6 +277,22 @@ def _moment_init_1d(x, y):
     return np.array([amp, mu, sigma, base])
 
 
+def _problem_1d(x, y, weights):
+    """fit_gaussian_1d's input rules: the usable points, or DegenerateInput."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    keep = np.isfinite(x) & np.isfinite(y)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float).ravel()
+        keep &= np.isfinite(weights) & (weights > 0)
+    n_points = int(np.count_nonzero(keep))
+    if n_points < 5:
+        raise DegenerateInput(f"need at least 5 points, got {n_points}")
+    if np.ptp(y[keep]) == 0:
+        raise DegenerateInput("flat input has no peak to fit")
+    return (x,), y[None], keep[None], weights
+
+
 def fit_gaussian_1d(x, y, weights=None) -> GaussianFit:
     """Fit A exp(-(x-mu)^2/2sigma^2) + c to (x, y).
 
@@ -284,19 +300,29 @@ def fit_gaussian_1d(x, y, weights=None) -> GaussianFit:
     1/max(count, 1)); without weights the covariance is scaled by the reduced
     chi-square. Needs at least 5 points, else DegenerateInput.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    keep = np.isfinite(x) & np.isfinite(y)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float).ravel()
-        keep &= np.isfinite(weights) & (weights > 0)
-    x, y = x[keep], y[keep]
-    if x.size < 5:
-        raise DegenerateInput(f"need at least 5 points, got {x.size}")
-    if np.ptp(y) == 0:
-        raise DegenerateInput("flat input has no peak to fit")
-    sw = np.sqrt(weights[keep]) if weights is not None else np.ones(x.size)
-    return _fit_rows(x, y[None], sw[None], scale_cov=weights is None)[0]
+    return _fit_stack(_GAUSS1D, [_problem_1d(x, y, weights)])[0][0]
+
+
+def _fit_1d_stack(problems) -> list:
+    """fit_gaussian_1d over a list of unweighted (x, y) in one stacked run.
+
+    Returns one GaussianFit per problem, or the DegenerateInput that
+    fit_gaussian_1d raises for it.
+    """
+    return _fit_each(_GAUSS1D, [_rejected_or(_problem_1d, x, y, None)
+                                for x, y in problems])
+
+
+def _column_block(x, values, keep):
+    # fit_gaussian_1d_columns' problems: (number of columns, the columns
+    # it can fit, their block); a column keeps its own rows and holds the
+    # others of the table at zero weight
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(values, dtype=float).T
+    use = np.asarray(keep, dtype=bool).T & np.isfinite(x) & np.isfinite(ys)
+    rows = [k for k in range(ys.shape[0])
+            if np.count_nonzero(use[k]) >= 5 and np.ptp(ys[k, use[k]]) != 0]
+    return ys.shape[0], rows, ((x,), ys[rows], use[rows], None)
 
 
 def fit_gaussian_1d_columns(x, values, keep) -> list:
@@ -308,64 +334,55 @@ def fit_gaussian_1d_columns(x, values, keep) -> list:
     Returns one GaussianFit per column, or None where fit_gaussian_1d raises
     DegenerateInput (fewer than 5 usable points, or a flat column).
     """
-    x = np.asarray(x, dtype=float)
-    ys = np.asarray(values, dtype=float).T
-    use = np.asarray(keep, dtype=bool).T & np.isfinite(x) & np.isfinite(ys)
-    fits = [None] * ys.shape[0]
-    rows = [k for k in range(ys.shape[0])
-            if np.count_nonzero(use[k]) >= 5 and np.ptp(ys[k, use[k]]) != 0]
-    if rows:
-        use = use[rows]
-        row_fits = _fit_rows(np.where(np.isfinite(x), x, 0.0),
-                             np.where(use, ys[rows], 0.0), use.astype(float),
-                             scale_cov=True)
-        for k, fit in zip(rows, row_fits):
-            fits[k] = fit
-    return fits
+    return _fit_columns_stack([(x, values, keep)])[0]
 
 
-def _fit_rows(x, ys, sw, scale_cov) -> list:
-    # One stacked run over the rows of ys, all sampled at x; sw holds the
-    # square-root weights, zero where a point is dropped.
-    use = sw > 0
-    p0 = np.array([_moment_init_1d(x[u], y[u]) for y, u in zip(ys, use)])
+def _fit_columns_stack(tables) -> list:
+    """fit_gaussian_1d_columns over a list of (x, values, keep) tables.
 
-    def fun(p, rows):
-        return (gauss1d_model(p, x) - ys[rows]) * sw[rows]
-
-    def jac(p, rows):
-        return gauss1d_jacobian(p, x) * sw[rows][..., None]
-
-    res = damped_least_squares(fun, jac, p0)
-    return [_package_fit(res.problem(i), _NAMES_1D, sigma_slots=(2,),
-                         n_points=int(np.count_nonzero(u)),
-                         scale_cov=scale_cov)
-            for i, u in enumerate(use)]
+    Every column of every table goes into one stacked run; the tables may
+    differ in their number of rows. Returns one list of fits per table.
+    """
+    parts = [_column_block(*table) for table in tables]
+    out = []
+    for (n_cols, rows, _), fits in zip(
+            parts, _fit_stack(_GAUSS1D, [block for _, _, block in parts])):
+        table_fits = [None] * n_cols
+        for k, fit in zip(rows, fits):
+            table_fits[k] = fit
+        out.append(table_fits)
+    return out
 
 
 # --- 2D model on the rotated +- frame ---------------------------------------
 # A exp(-u+^2/2 s+^2 - u-^2/2 s-^2) + c, u+- = ((a-ca) +- (b-cb))/sqrt(2)
 
+_NAMES_2D = ("amplitude", "center_a", "center_b", "sigma_plus",
+             "sigma_minus", "offset")
+
+
 def gauss2d_model(p, a, b):
-    amp, ca, cb, sp, sm, c = p
+    """Model values at (a, b); a (K, 6) stack of p gives one row per problem."""
+    amp, ca, cb, sp, sm, c = _unstack(p)
     up = ((a - ca) + (b - cb)) / math.sqrt(2.0)
     um = ((a - ca) - (b - cb)) / math.sqrt(2.0)
     return amp * np.exp(-0.5 * (up / sp) ** 2 - 0.5 * (um / sm) ** 2) + c
 
 
 def gauss2d_jacobian(p, a, b):
-    amp, ca, cb, sp, sm, c = p
+    """d model / d p with shape a.shape + (6,), stacked as gauss2d_model."""
+    amp, ca, cb, sp, sm, c = _unstack(p)
     up = ((a - ca) + (b - cb)) / math.sqrt(2.0)
     um = ((a - ca) - (b - cb)) / math.sqrt(2.0)
     e = np.exp(-0.5 * (up / sp) ** 2 - 0.5 * (um / sm) ** 2)
     s2 = math.sqrt(2.0)
-    jac = np.empty((a.size, 6))
-    jac[:, 0] = e
-    jac[:, 1] = amp * e * (up / sp ** 2 + um / sm ** 2) / s2
-    jac[:, 2] = amp * e * (up / sp ** 2 - um / sm ** 2) / s2
-    jac[:, 3] = amp * e * up * up / sp ** 3
-    jac[:, 4] = amp * e * um * um / sm ** 3
-    jac[:, 5] = 1.0
+    jac = np.empty(e.shape + (6,))
+    jac[..., 0] = e
+    jac[..., 1] = amp * e * (up / sp ** 2 + um / sm ** 2) / s2
+    jac[..., 2] = amp * e * (up / sp ** 2 - um / sm ** 2) / s2
+    jac[..., 3] = amp * e * up * up / sp ** 3
+    jac[..., 4] = amp * e * um * um / sm ** 3
+    jac[..., 5] = 1.0
     return jac
 
 
@@ -388,15 +405,8 @@ def _moment_init_2d(a, b, v):
     return np.array([amp, ca, cb, math.sqrt(vp), math.sqrt(vm), base])
 
 
-def fit_gaussian_2d(values, coords_a, coords_b, mask=None,
-                    weights=None) -> GaussianFit:
-    """Fit the rotated-frame 2D Gaussian to a table of values.
-
-    coords_a / coords_b are the physical coordinates of rows / columns;
-    masked cells (mask True) are excluded from the residuals. Needs at least
-    12 usable cells. sigma_plus / sigma_minus are the widths along the
-    (a+b) and (a-b) diagonals (scaled by 1/sqrt(2)).
-    """
+def _problem_2d(values, coords_a, coords_b, mask, weights):
+    """fit_gaussian_2d's input rules: the usable cells, or DegenerateInput."""
     values = np.asarray(values, dtype=float)
     aa, bb = np.meshgrid(np.asarray(coords_a, dtype=float),
                          np.asarray(coords_b, dtype=float), indexing="ij")
@@ -406,26 +416,125 @@ def fit_gaussian_2d(values, coords_a, coords_b, mask=None,
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         keep &= np.isfinite(weights) & (weights > 0)
-    a, b, v = aa[keep], bb[keep], values[keep]
-    if v.size < 12:
-        raise DegenerateInput(f"need at least 12 unmasked cells, got {v.size}")
-    if np.ptp(v) == 0:
+    n_cells = int(np.count_nonzero(keep))
+    if n_cells < 12:
+        raise DegenerateInput(f"need at least 12 unmasked cells, got {n_cells}")
+    if np.ptp(values[keep]) == 0:
         raise DegenerateInput("flat table has no peak to fit")
-    sw = np.sqrt(weights[keep]) if weights is not None else None
+    return ((aa.ravel(), bb.ravel()), values.reshape(1, -1),
+            keep.reshape(1, -1), None if weights is None else weights.ravel())
 
-    def fun(p):
-        r = gauss2d_model(p, a, b) - v
-        return r * sw if sw is not None else r
 
-    def jac(p):
-        jmat = gauss2d_jacobian(p, a, b)
-        return jmat * sw[:, None] if sw is not None else jmat
+def fit_gaussian_2d(values, coords_a, coords_b, mask=None,
+                    weights=None) -> GaussianFit:
+    """Fit the rotated-frame 2D Gaussian to a table of values.
 
-    res = damped_least_squares(fun, jac, _moment_init_2d(a, b, v))
-    return _package_fit(
-        res, ("amplitude", "center_a", "center_b",
-              "sigma_plus", "sigma_minus", "offset"),
-        sigma_slots=(3, 4), n_points=v.size, scale_cov=weights is None)
+    coords_a / coords_b are the physical coordinates of rows / columns;
+    masked cells (mask True) are excluded from the residuals. Needs at least
+    12 usable cells. sigma_plus / sigma_minus are the widths along the
+    (a+b) and (a-b) diagonals (scaled by 1/sqrt(2)).
+    """
+    return _fit_stack(_GAUSS2D, [_problem_2d(values, coords_a, coords_b,
+                                             mask, weights)])[0][0]
+
+
+def _fit_2d_stack(tables) -> list:
+    """fit_gaussian_2d over a list of unweighted (values, coords_a,
+    coords_b, mask) tables in one stacked run.
+
+    Returns one GaussianFit per table, or the DegenerateInput that
+    fit_gaussian_2d raises for it.
+    """
+    return _fit_each(_GAUSS2D, [_rejected_or(_problem_2d, *table, None)
+                                for table in tables])
+
+
+# --- stacked fits -------------------------------------------------------------
+
+# (model, jacobian, start point, parameter names, slots of the widths)
+_GAUSS1D = (gauss1d_model, gauss1d_jacobian, _moment_init_1d, _NAMES_1D, (2,))
+_GAUSS2D = (gauss2d_model, gauss2d_jacobian, _moment_init_2d, _NAMES_2D,
+            (3, 4))
+
+
+def _rejected_or(make, *args):
+    # the problem make builds, or the DegenerateInput it raised
+    try:
+        return make(*args)
+    except DegenerateInput as exc:
+        return exc
+
+
+def _fit_each(model, blocks) -> list:
+    # one fit per block of one problem, or the DegenerateInput in its place
+    fits = iter(_fit_stack(model, [b for b in blocks if isinstance(b, tuple)]))
+    return [next(fits)[0] if isinstance(b, tuple) else b for b in blocks]
+
+
+def _fit_stack(model, blocks) -> list:
+    """Fit every problem of every block, one damped_least_squares run per
+    number of points.
+
+    A block is (coords, ys, keep, weights) for K problems on a common grid
+    of m points: ys and keep are (K, m); the model's coordinate arrays and
+    the inverse-variance weights (None: unweighted, covariance scaled by the
+    reduced chi-square) broadcast to that shape. All problems on m points
+    run as one stack. Problems are never padded to a common length: zeros
+    appended to a residual vector change how BLAS blocks its sums, so the
+    fit would depend on its neighbours in the stack. Returns one list of K
+    fits per block.
+    """
+    out = [[] for _ in blocks]
+    for width in sorted({block[1].shape[1] for block in blocks}):
+        members = [k for k, block in enumerate(blocks)
+                   if block[1].shape[1] == width]
+        group = [blocks[k] for k in members]
+        keep = np.concatenate([u for _, _, u, _ in group])
+        if not keep.shape[0]:
+            continue
+        coords = [np.concatenate([np.broadcast_to(cs[i], ys.shape)
+                                  for cs, ys, _, _ in group])
+                  for i in range(len(group[0][0]))]
+        ys = np.concatenate([ys for _, ys, _, _ in group])
+        sw = np.concatenate([
+            np.ones(ys.shape) if w is None
+            else np.sqrt(np.where(u, w, 0.0)) for _, ys, u, w in group])
+        scale_cov = np.concatenate([np.full(ys.shape[0], w is None)
+                                    for _, ys, _, w in group])
+        # a point a problem does not keep may hold anything: zero it
+        fits = iter(_fit_rows(
+            model, [np.where(keep | np.isfinite(c), c, 0.0) for c in coords],
+            np.where(keep, ys, 0.0), keep, np.where(keep, sw, 0.0),
+            scale_cov))
+        for k in members:
+            out[k] = [next(fits) for _ in range(blocks[k][1].shape[0])]
+    return out
+
+
+def _fit_rows(model, coords, ys, keep, sw, scale_cov) -> list:
+    # One stacked run, one problem per row of ys: coords holds one (K, m)
+    # array per model coordinate, sw the square-root weights, scale_cov a
+    # flag per problem. A row keeps its own points; a point some other row
+    # keeps enters it at zero weight; a point no row keeps is dropped, so a
+    # stack of one fits exactly its own points.
+    fn, jac, init, names, sigma_slots = model
+    live = keep.any(axis=0)
+    coords = [c[:, live] for c in coords]
+    ys, keep, sw = ys[:, live], keep[:, live], sw[:, live]
+    p0 = np.array([init(*(c[k, u] for c in coords), ys[k, u])
+                   for k, u in enumerate(keep)])
+
+    def fun(p, rows):
+        return (fn(p, *(c[rows] for c in coords)) - ys[rows]) * sw[rows]
+
+    def jacobian(p, rows):
+        return jac(p, *(c[rows] for c in coords)) * sw[rows][..., None]
+
+    res = damped_least_squares(fun, jacobian, p0)
+    return [_package_fit(res.problem(k), names, sigma_slots,
+                         n_points=int(np.count_nonzero(u)),
+                         scale_cov=bool(scale))
+            for k, (u, scale) in enumerate(zip(keep, scale_cov))]
 
 
 def _package_fit(res: LMResult, names, sigma_slots, n_points,

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import coordinate_widths, sum_diff_route_profiles
-from spadcorr import epr
+from spadcorr import correlator, epr, fitting
 from spadcorr.config import (
+    build_crosstalk,
+    build_mapping,
     build_model,
     build_sensor,
     defaults,
@@ -45,7 +49,11 @@ from spadcorr.errors import (
 )
 from spadcorr.fitting import fit_gaussian_1d_columns
 from spadcorr.optics import OpticalMapping
-from spadcorr.pipeline import correct_chain, simulate_accumulator
+from spadcorr.pipeline import (
+    characterize_crosstalk,
+    correct_chain,
+    simulate_accumulator,
+)
 
 PITCH = 44.67
 
@@ -547,3 +555,181 @@ class TestEvaluateEpr:
         far = blank_corrected(np.ones((1024, 1024)), mapping_mode="far")
         with pytest.raises(ConfigError, match="slot got a far-field tensor"):
             evaluate_epr(far, near, near_mapping, far_mapping)
+
+
+def reduced_study(seed, n_x=32, n_y=32):
+    """Both arms at 2e5 frames and a map from 2e5 characterization frames."""
+    settings = parse_config(f"""
+        sensor.n_x = {n_x}
+        sensor.n_y = {n_y}
+        crosstalk.p_1_0 = 1e-3
+        crosstalk.p_-1_0 = 1e-3
+        crosstalk.p_0_1 = 1e-3
+        crosstalk.p_0_-1 = 1e-3
+        run.seed = {seed}
+        correct.characterization_frames = 200000
+        correct.crosstalk_inner_window = {29 if n_x == n_y == 32 else 3}
+        """)
+    model, sensor_cfg = build_model(settings), build_sensor(settings)
+    mappings = {mode: build_mapping(settings, mode) for mode in ("near", "far")}
+    accs = {mode: simulate_accumulator(
+        model, mapping, sensor_cfg, n_frames=200_000, pairs_per_frame=0.2,
+        crosstalk=build_crosstalk(settings), seed=seed + (mode == "near"))
+        for mode, mapping in mappings.items()}
+    return accs, mappings, characterize_crosstalk(settings)
+
+
+def failure(fn):
+    """fn's value, or (type, message) of the SpadError it raised."""
+    try:
+        return fn()
+    except SpadError as exc:
+        return type(exc), str(exc)
+
+
+def per_table_values(corr, mappings):
+    """d2 per method from the public per-table functions, each list in
+    evaluate_epr's order (x near, x far, y near, y far); or the first
+    failure in that order, methods first."""
+    tables = [build_joint_table(corr[mode], mappings[mode], PITCH, axis)
+              for axis in "xy" for mode in ("near", "far")]
+    arms = [(corr[mode], mappings[mode], axis)
+            for axis in "xy" for mode in ("near", "far")]
+    calls = {
+        "numerical": [lambda t=t: inferred_variance_numerical(t)
+                      for t in tables],
+        "gauss1d": [lambda t=t: inferred_variance_gauss1d(t) for t in tables],
+        "gauss2d": [lambda t=t: inferred_variance_gauss2d(t) for t in tables],
+        "peaks": [lambda a=a: inferred_variance_peaks(a[0], a[1], PITCH, a[2])
+                  for a in arms]}
+    d2 = {}
+    for name in epr.METHODS:
+        d2[name] = [failure(fn) for fn in calls[name]]
+        for value in d2[name]:
+            if isinstance(value, tuple):
+                return value
+    return d2
+
+
+class TestStackedEvaluation:
+    """evaluate_epr's stacked solves against the per-table functions."""
+
+    @pytest.mark.parametrize("n_x, n_y, seed",
+                             [(32, 32, 21), (32, 32, 22), (32, 32, 23),
+                              (16, 12, 14)])
+    def test_stacked_equals_per_table(self, n_x, n_y, seed):
+        """numerical and gauss1d bit for bit, gauss2d and peaks to 1e-9.
+
+        On 16 x 12 pixels the x and y problems differ in length and run in
+        separate solves of each estimator. A near-field peak profile leaves
+        its masked bins at zero weight where the far-field one keeps them,
+        so peaks may differ by rounding.
+        """
+        accs, mappings, cmap = reduced_study(seed, n_x, n_y)
+        reports = 0
+        for method, use_map, radius in itertools.product(
+                ("shifted_window", "g1_product"), (True, False), (0, 1, 2)):
+            label = (method, use_map, radius)
+            try:
+                corr = {mode: correct_chain(
+                    acc, accidental_method=method, mask_radius=radius,
+                    crosstalk_map=cmap if use_map else None)[0]
+                    for mode, acc in accs.items()}
+            except SpadError:
+                assert n_x < 32, label     # too few pixels for g1_product
+                continue
+            want = per_table_values(corr, mappings)
+            got = failure(lambda: evaluate_epr(
+                corr["near"], corr["far"], mappings["near"],
+                mappings["far"]))
+            if isinstance(want, tuple):
+                assert got == want, label
+                continue
+            reports += 1
+            for name in epr.METHODS:
+                m = got.methods[name]
+                x_near, x_far, y_near, y_far = want[name]
+                if name in ("numerical", "gauss1d"):
+                    assert m["delta_x_um"] == math.sqrt(x_near), label
+                    assert m["delta_qx_per_mm"] == math.sqrt(x_far), label
+                    assert m["delta_y_um"] == math.sqrt(y_near), label
+                    assert m["delta_qy_per_mm"] == math.sqrt(y_far), label
+                else:
+                    assert [m["delta_x_um"] ** 2, m["delta_qx_per_mm"] ** 2,
+                            m["delta_y_um"] ** 2,
+                            m["delta_qy_per_mm"] ** 2] == pytest.approx(
+                        want[name], rel=1e-9), (label, name)
+                assert m["violated_x"] == violates(v_min(x_near, x_far))
+                assert m["violated_y"] == violates(v_min(y_near, y_far))
+        assert reports >= 4
+
+    @pytest.mark.parametrize("first, later, error", [
+        ("spike", "flat", (NotConverged, "peak profile fit did not converge")),
+        ("flat", "spike", (DegenerateInput, "flat input has no peak to fit"))])
+    def test_first_failure_in_order(self, reference_model, near_mapping,
+                                    far_mapping, monkeypatch, first, later,
+                                    error):
+        """The near-field x fit fails first, whatever fails after it.
+
+        The profiles are planted: a spike that runs to the iteration cap or
+        a flat profile, on the near x and far y projections. The type and
+        message are those the per-table functions raise one at a time.
+        """
+        corr_near, corr_far = synthetic_pair_tensors(
+            reference_model, near_mapping, far_mapping)
+        near_x = project_axes(corr_near.values, 32, 32)[0]
+        far_y = project_axes(corr_far.values, 32, 32)[1]
+        acceptance = 32 - np.abs(np.arange(63) - 31)
+        spike = 1.5 + np.random.default_rng(0).normal(0.0, 0.3, 63)
+        spike[12] = 75.0
+        planted = {"spike": (spike * acceptance,) * 2,
+                   "flat": (acceptance * 2.0,) * 2}
+        real = epr.peak_profiles
+
+        def profiles(proj):
+            if np.array_equal(proj, near_x):
+                return planted[first]
+            if np.array_equal(proj, far_y):
+                return planted[later]
+            return real(proj)
+
+        monkeypatch.setattr(epr, "peak_profiles", profiles)
+        assert failure(lambda: inferred_variance_peaks(
+            corr_near, near_mapping, PITCH, "x")) == error
+        assert isinstance(failure(lambda: inferred_variance_peaks(
+            corr_far, far_mapping, PITCH, "y")), tuple)
+        assert failure(lambda: evaluate_epr(
+            corr_near, corr_far, near_mapping, far_mapping)) == error
+
+    @pytest.mark.parametrize("radius", [None, 1])
+    def test_two_projections_and_three_solves(self, reference_model,
+                                              near_mapping, far_mapping,
+                                              monkeypatch, radius):
+        """Each tensor is projected once; each fitted estimator is one
+        damped_least_squares run over all four of its problems."""
+        corr_near, corr_far = synthetic_pair_tensors(
+            reference_model, near_mapping, far_mapping)
+        if radius is not None:
+            corr_near, corr_far = (
+                mask_neighbors(dataclasses.replace(
+                    c, flags=("raw", "accidental_subtracted")), radius)
+                for c in (corr_near, corr_far))
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # replace the function wherever spadcorr holds it
+        for name, fn in (("project_axes", correlator.project_axes),
+                         ("solve", fitting.damped_least_squares)):
+            wrapper = counted(name, fn)
+            for module in (correlator, epr, fitting):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, wrapper)
+        report = evaluate_epr(corr_near, corr_far, near_mapping, far_mapping)
+        assert all(m["violated_x"] for m in report.methods.values())
+        assert calls == {"project_axes": 2, "solve": 3}

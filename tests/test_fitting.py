@@ -7,7 +7,10 @@ from helpers import oracle_damped_least_squares
 from spadcorr.epr import build_joint_table
 from spadcorr.errors import DegenerateInput
 from spadcorr.fitting import (
+    _fit_1d_stack,
+    _fit_2d_stack,
     _moment_init_1d,
+    _moment_init_2d,
     damped_least_squares,
     fit_gaussian_1d,
     fit_gaussian_1d_columns,
@@ -94,6 +97,25 @@ class TestJacobians:
             got = gauss2d_jacobian(p, a, b)
             want = central_differences(lambda q: gauss2d_model(q, a, b), p)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
+    def test_stacked_parameters_give_the_rows(self):
+        """A (K, n_params) stack with one coordinate row per problem."""
+        rng = np.random.default_rng(23)
+        p1 = np.column_stack([rng.uniform(0.5, 5.0, 3), rng.uniform(-3, 3, 3),
+                              rng.uniform(0.5, 4.0, 3), rng.uniform(-1, 1, 3)])
+        x = rng.uniform(-8, 8, (3, 20))
+        p2 = np.column_stack([p1, rng.uniform(0.5, 3.0, 3),
+                              rng.uniform(-0.5, 0.5, 3)])
+        b = rng.uniform(-6, 6, (3, 20))
+        for k in range(3):
+            np.testing.assert_array_equal(gauss1d_model(p1, x)[k],
+                                          gauss1d_model(p1[k], x[k]))
+            np.testing.assert_array_equal(gauss1d_jacobian(p1, x)[k],
+                                          gauss1d_jacobian(p1[k], x[k]))
+            np.testing.assert_array_equal(gauss2d_model(p2, x, b)[k],
+                                          gauss2d_model(p2[k], x[k], b[k]))
+            np.testing.assert_array_equal(gauss2d_jacobian(p2, x, b)[k],
+                                          gauss2d_jacobian(p2[k], x[k], b[k]))
 
 
 class TestGaussian1d:
@@ -364,6 +386,129 @@ class TestStackedSolver:
         assert single.cost_history == stack.cost_history[0]
         assert isinstance(single.converged, bool)
         assert isinstance(single.iterations, int)
+
+
+def assert_same_fit(got, want, label):
+    assert got.params == want.params, label
+    assert (got.converged, got.iterations, got.residual_norm) \
+        == (want.converged, want.iterations, want.residual_norm), label
+    np.testing.assert_array_equal(got.covariance, want.covariance)
+
+
+def assert_fit_matches_oracle(fit, fun, jac, p0, label):
+    """A packaged fit against the unstacked oracle on the same residuals."""
+    want = oracle_damped_least_squares(fun, jac, p0)
+    assert fit.converged == want.converged, label
+    assert fit.iterations == want.iterations, label
+    got = np.array(list(fit.params.values()))
+    expect = want.params.copy()
+    expect[[i for i, name in enumerate(fit.param_names)
+            if name.startswith("sigma")]] = np.abs(
+        expect[[i for i, name in enumerate(fit.param_names)
+                if name.startswith("sigma")]])
+    np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-12,
+                               err_msg=label)
+
+
+class TestStackedFits:
+    """Stacks of Gaussian problems, each with its own coordinates.
+
+    Problems on the same number of points share one solver run. A problem
+    that keeps all its points is fitted exactly as it is alone; one that
+    drops points holds them at zero weight where another problem keeps
+    them, and matches the oracle on those residuals. A capped, singular or
+    degenerate neighbour changes neither.
+    """
+
+    def test_1d_per_row_coordinates(self):
+        rng = np.random.default_rng(31)
+        x = [np.linspace(-60.0, 60.0, 31), np.linspace(-20.0, 35.0, 31),
+             np.linspace(-60.0, 60.0, 31), np.linspace(0.0, 9.0, 31),
+             np.linspace(-5.0, 5.0, 31), np.linspace(-9.0, 9.0, 17)]
+        # the planted column of test_planted_column_hits_iteration_cap
+        spike = 1.5 + np.random.default_rng(0).normal(0.0, 0.3, 31)
+        spike[12] = 75.0
+        holes = gauss1d_model([2.0, 3.0, 7.0, 0.3], x[3]) \
+            + rng.normal(0.0, 0.02, 31)
+        holes[[4, 5, 20]] = np.nan  # dropped here, kept by the others
+        short = np.full(31, np.nan)
+        short[:4] = [1.0, 2.0, 1.0, 0.5]
+        y = [gauss1d_model([40.0, 5.0, 12.0, 1.0], x[0])
+             + rng.normal(0.0, 0.5, 31),
+             gauss1d_model([3.0, 10.0, 6.0, -0.2], x[1]),
+             spike, holes, short,
+             gauss1d_model([1.0, 0.5, 2.0, 0.0], x[5])]
+        fits = _fit_1d_stack(list(zip(x, y)))
+        assert [f.converged for f in (fits[0], fits[1], fits[3], fits[5])] \
+            == [True] * 4
+        assert not fits[2].converged and fits[2].iterations == 200
+        assert isinstance(fits[4], DegenerateInput)
+        with pytest.raises(DegenerateInput, match=str(fits[4])):
+            fit_gaussian_1d(x[4], y[4])
+        for k in (0, 1, 2, 5):
+            assert_same_fit(fits[k], fit_gaussian_1d(x[k], y[k]), k)
+        for k in (0, 1, 2, 3):
+            keep = np.isfinite(y[k])
+            w = keep.astype(float)
+            target = np.where(keep, y[k], 0.0)
+            assert_fit_matches_oracle(
+                fits[k], lambda q: (gauss1d_model(q, x[k]) - target) * w,
+                lambda q: gauss1d_jacobian(q, x[k]) * w[:, None],
+                _moment_init_1d(x[k][keep], y[k][keep]), k)
+
+    def test_2d_per_row_coordinates(self, monkeypatch):
+        n = 12
+        c = np.linspace(-5.0, 5.0, n)
+        aa, bb = np.meshgrid(c, c, indexing="ij")
+        rng = np.random.default_rng(32)
+        clean = gauss2d_model([3.0, 0.5, -0.3, 2.0, 1.0, 0.1], aa, bb)
+        good = clean + rng.normal(0.0, 0.01, (n, n))
+        wide = np.linspace(-20.0, 10.0, 9)
+        other = gauss2d_model([5.0, -4.0, 1.0, 6.0, 3.0, 0.0],
+                              *np.meshgrid(wide, np.linspace(-3, 3, 16),
+                                           indexing="ij"))
+        # noise-free cells on the diagonal only: the two centers move
+        # together, sigma_minus's column stays zero and the final steps
+        # meet an exactly singular matrix
+        diagonal = ~np.eye(n, dtype=bool)
+        flat = np.ones((n, n))
+        small = np.zeros(n + 4)     # 4 x 4 cells: too few
+        tables = [(good, c, c, None), (clean, c, c, diagonal),
+                  (other, wide, np.linspace(-3, 3, 16), None),
+                  (flat, c, c, None), (small.reshape(4, 4), c[:4], c[:4],
+                                       None),
+                  (good.T, c, c, None)]
+        real_solve = np.linalg.solve
+        singular = []
+
+        def solve(a, b):
+            try:
+                return real_solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(np.ndim(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        fits = _fit_2d_stack(tables)
+        # the stack's solve failed and the singular problem fell back alone
+        assert 3 in singular and 2 in singular
+        for k in (3, 4):
+            assert isinstance(fits[k], DegenerateInput)
+            with pytest.raises(DegenerateInput, match=str(fits[k])):
+                fit_gaussian_2d(*tables[k])
+        for k in (0, 1, 2, 5):
+            assert fits[k].converged, k
+        for k in (0, 2, 5):
+            assert_same_fit(fits[k], fit_gaussian_2d(*tables[k]), k)
+        for k in (0, 1, 5):
+            values, ca, cb, mask = tables[k]
+            w = np.ones(n * n) if mask is None else (~mask).ravel() * 1.0
+            a, b, v = aa.ravel(), bb.ravel(), values.ravel() * w
+            keep = w > 0
+            assert_fit_matches_oracle(
+                fits[k], lambda q: (gauss2d_model(q, a, b) - v) * w,
+                lambda q: gauss2d_jacobian(q, a, b) * w[:, None],
+                _moment_init_2d(a[keep], b[keep], v[keep]), k)
 
 
 class TestFitColumns:
