@@ -14,6 +14,17 @@ Four estimates of the inferred variance are provided, from least to most
 model-laden: the numerical conditional-variance chain, per-column Gaussian
 fits, a single rotated-frame 2D Gaussian fit, and widths of the summed
 correlation peaks.
+
+Every estimator reads only the two n x n axis projections of a tensor. So
+evaluate_epr projects each tensor once (two project_axes calls), builds the
+four joint tables and the four peak profiles from those projections, and
+runs each fitted estimator as one stacked solve over its four problems:
+every retained column of all four tables for gauss1d, the four tables for
+gauss2d and the four profiles for peaks (on a non-square sensor the x and
+y problems differ in length and each estimator takes one solve per axis).
+The per-table functions are stacks of one through the same code. A failure
+is reported as the per-table functions would meet it one at a time: the
+first in METHODS order, x before y, near before far.
 """
 
 from __future__ import annotations
