@@ -318,7 +318,7 @@ def fit_gaussian_1d(x, y, weights=None) -> GaussianFit:
 
 
 def _fit_1d_stack(problems) -> list:
-    """fit_gaussian_1d over a list of unweighted (x, y) in one stacked run.
+    """fit_gaussian_1d over a list of unweighted (x, y), stacked.
 
     Returns one GaussianFit per problem, or the DegenerateInput that
     fit_gaussian_1d raises for it.
@@ -354,8 +354,8 @@ def fit_gaussian_1d_columns(x, values, keep) -> list:
 def _fit_columns_stack(tables) -> list:
     """fit_gaussian_1d_columns over a list of (x, values, keep) tables.
 
-    Every column of every table goes into one stacked run; the tables may
-    differ in their number of rows. Returns one list of fits per table.
+    Every column of every table with the same number of rows goes into one
+    stacked run. Returns one list of fits per table.
     """
     parts = [_column_block(*table) for table in tables]
     out = []
@@ -454,7 +454,7 @@ def fit_gaussian_2d(values, coords_a, coords_b, mask=None,
 
 def _fit_2d_stack(tables) -> list:
     """fit_gaussian_2d over a list of unweighted (values, coords_a,
-    coords_b, mask) tables in one stacked run.
+    coords_b, mask) tables, stacked.
 
     Returns one GaussianFit per table, or the DegenerateInput that
     fit_gaussian_2d raises for it.
