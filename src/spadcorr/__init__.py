@@ -12,7 +12,6 @@ from .correlator import (
     correct_crosstalk,
     estimate_accidentals,
     estimate_crosstalk,
-    linear_index,
     linear_to_pixel,
     mask_neighbors,
     normalize,
@@ -43,7 +42,6 @@ from .eventfile import (
     EventFileWriter,
     read_batches,
     read_header,
-    write_events,
 )
 from .fitting import damped_least_squares, fit_gaussian_1d, fit_gaussian_2d
 from .optics import (

@@ -2,13 +2,15 @@
 
 One assignment per line, full-line comments with '#', no sections. Unknown
 and duplicate keys are rejected so typos fail loudly instead of silently
-running defaults. Cross-talk probabilities use one key per pixel offset:
+running defaults, and so are non-finite numbers (nan, inf) and a negative
+pixel offset range. Cross-talk probabilities use one key per pixel offset:
 
     crosstalk.p_1_0 = 1e-3      # echo at (dx, dy) = (+1, 0)
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -93,30 +95,24 @@ def parse_config(text: str) -> dict:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
+        m = _XTALK_KEY.match(key)
         if key in SCHEMA:
             convert = SCHEMA[key][0]
-            try:
-                settings[key] = convert(value)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: bad value for {key}: {value!r}"
-                ) from None
-            continue
-        m = _XTALK_KEY.match(key)
-        if m:
-            dx, dy = int(m.group(1)), int(m.group(2))
-            if (dx, dy) == (0, 0):
+        elif m:
+            if (int(m.group(1)), int(m.group(2))) == (0, 0):
                 raise ConfigError(f"line {lineno}: cross-talk at zero offset")
-            try:
-                settings[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: bad value for {key}: {value!r}"
-                ) from None
-            continue
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            convert = float
+        else:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            settings[key] = got = convert(value)
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: bad value for {key}: {value!r}") from None
+        if isinstance(got, float) and not math.isfinite(got):
+            raise ConfigError(f"line {lineno}: {key} is not finite: {value!r}")
+        if key == "sensor.pixel_offset_range_ps" and got < 0:
+            raise ConfigError(f"line {lineno}: {key} must be nonnegative")
     return settings
 
 
@@ -152,7 +148,7 @@ def build_sensor(settings: dict) -> SensorConfig:
         dark_rate_hz=settings["sensor.dark_rate_hz"],
         jitter_sigma_ps=settings["sensor.jitter_sigma_ps"])
     rng_range = settings["sensor.pixel_offset_range_ps"]
-    if rng_range > 0:
+    if rng_range:
         cfg = draw_pixel_offsets(cfg, rng_range, seed=settings["run.seed"])
     return cfg
 

@@ -60,16 +60,6 @@ def _in_range(fields: dict) -> dict:
     return fields
 
 
-def linear_index(px, py, n_x=32, n_y=32):
-    """1-based linear pixel index, row-major with x running fastest."""
-    px = np.asarray(px)
-    py = np.asarray(py)
-    if np.any(px < 1) or np.any(px > n_x) or np.any(py < 1) or np.any(py > n_y):
-        raise OutOfRange("pixel coordinates outside the array")
-    out = px + n_x * (py - 1)
-    return int(out) if out.ndim == 0 else out
-
-
 def linear_to_pixel(lin, n_x=32, n_y=32):
     lin = np.asarray(lin)
     if np.any(lin < 1) or np.any(lin > n_x * n_y):

@@ -42,7 +42,7 @@ from .errors import (
     DegenerateInput,
     NotConverged,
 )
-from .fitting import _fit_1d_stack, _fit_2d_stack, _fit_columns_stack
+from .fitting import _fit_1d_stack, _fit_2d_stack, _fitted
 from .optics import OpticalMapping, map_sensor_to_object
 
 VIOLATION_BOUND = 0.25
@@ -176,15 +176,17 @@ def inferred_variance_gauss1d(table: JointTable,
 
 def _gauss1d(tables, conditionals) -> list:
     # inferred_variance_gauss1d of each table, every retained column of
-    # every table in one stacked run; raises the first table's failure
+    # every table in one stacked run, masked cells NaN; raises the first
+    # table's failure
     cols = [np.flatnonzero(retained) for _, _, retained in conditionals]
-    fits = _fit_columns_stack([(t.coords, t.values[:, c], ~t.masked[:, c])
-                               for t, c in zip(tables, cols)])
+    fits = iter(_fit_1d_stack([
+        (t.coords, y) for t, c in zip(tables, cols)
+        for y in np.where(t.masked[:, c], np.nan, t.values[:, c]).T]))
     out = []
-    for (_, marginal, _), c, table_fits in zip(conditionals, cols, fits):
+    for (_, marginal, _), c in zip(conditionals, cols):
         used = [(marginal[b], fit.params["sigma"] ** 2)
-                for b, fit in zip(c, table_fits)
-                if fit is not None and fit.converged]
+                for b, fit in zip(c, fits)
+                if not isinstance(fit, DegenerateInput) and fit.converged]
         if not used:
             raise NotConverged("no column produced a usable fit")
         w, variances = np.array(used).T
@@ -194,9 +196,7 @@ def _gauss1d(tables, conditionals) -> list:
 
 def _converged(fit, what):
     # a fit of a stack, or raise what fitting it alone raises
-    if isinstance(fit, DegenerateInput):
-        raise fit
-    if not fit.converged:
+    if not _fitted(fit).converged:
         raise NotConverged(f"{what} did not converge")
     return fit
 

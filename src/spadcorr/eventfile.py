@@ -164,21 +164,6 @@ class EventFileWriter:
         return total
 
 
-def write_events(path, batches, *, n_x=32, n_y=32, tdc_bin_ps=205,
-                 bins_per_frame=255, mapping_mode="unspecified",
-                 total_frames=None) -> int:
-    """Write one FrameBatch or an iterable of them; returns the byte count."""
-    writer = EventFileWriter(path, n_x=n_x, n_y=n_y, tdc_bin_ps=tdc_bin_ps,
-                             bins_per_frame=bins_per_frame,
-                             mapping_mode=mapping_mode)
-    if isinstance(batches, FrameBatch):
-        batches = [batches]
-    for batch in batches:
-        writer.add_batch(batch)
-    writer.close(total_frames)
-    return writer.bytes_written
-
-
 def read_header(path) -> EventFileHeader:
     """Parse and validate the header and footer without touching frames."""
     with open(path, "rb") as fh:

@@ -3,17 +3,17 @@
 The solver is a plain Levenberg-Marquardt loop with analytic Jacobians:
 normal equations with a multiplicative damping term on the Hessian diagonal,
 damping lowered on accepted steps and raised on rejected ones. Accepted
-damped steps never increase the weighted residual norm. Convergence is
-declared when the relative parameter step drops below 1e-10; the iteration
-cap is 200, after which the best point so far is returned with
-converged=False (callers that need a hard guarantee check the flag).
+damped steps never increase the residual norm. Convergence is declared
+when the relative parameter step drops below 1e-10; the iteration cap is
+200, after which the best point so far is returned with converged=False
+(callers that need a hard guarantee check the flag).
 
 A converged problem then takes up to two undamped Gauss-Newton steps, each
 only while it is below 1e-8 relative, so it ends at its optimum rather than
 where the damping left it. These final steps are not cost-checked: so close
 to the optimum the cost changes by less than its own rounding, and a check
-would turn good steps away at random. The residual norm and covariance are
-those of the returned point.
+would turn good steps away at random. The residual norm is that of the
+returned point.
 
 The solver runs a stack of K independent problems at once. Each problem
 keeps its own state and follows exactly the path it would follow alone: its
@@ -25,20 +25,25 @@ accepted and makes one damped try for every problem still running, so a
 problem that needs many tries holds up no other. A 1-D start vector is a
 stack of one.
 
-Both Gaussian models broadcast over a (K, n_params) stack of parameters
-with one row of coordinates per problem, so the problems of a stack need
-not share their coordinates. Every fit goes through one stacking rule
-(_fit_stack): problems on the same number of points run as one stack; a
-problem keeps its own points, a point that another problem of the stack
-keeps enters it at zero weight, and a point that no problem keeps is
-dropped. A stack of one therefore fits exactly its own points, and the
-public fits (fit_gaussian_1d, fit_gaussian_1d_columns, fit_gaussian_2d)
-are such stacks. A zero-weight point changes only the rounding of the
-sums. Problems of different lengths are never padded to share a stack:
-zeros appended to a residual vector change how BLAS blocks the sums, and a
-fit on a noisy table moved by up to 1.5e-7 relative from it. The stacked
-forms _fit_1d_stack, _fit_columns_stack and _fit_2d_stack serve
-evaluate_epr, which fits each estimator's four tables together.
+Every Gaussian fit has one problem form: a row (coords, y, keep) of m
+points, one coordinate array per model coordinate, where keep drops every
+point whose value is not finite (in 1-D, whose coordinate too). NaN means
+"left out": evaluate_epr passes a masked cell or bin as NaN, and
+fit_gaussian_2d's mask drops cells the same way. _problem_1d and
+_problem_2d build the row or raise DegenerateInput. Every fit goes through one stacking rule
+(_fit_each): the rows of the same length run as one damped_least_squares
+stack, in which a row's residual is (model - y) * 1.0 on the points it
+keeps and * 0.0 on the others, and a point that no row keeps is dropped.
+A stack of one therefore fits exactly its own points; fit_gaussian_1d and
+fit_gaussian_2d are such stacks, and _fit_1d_stack and _fit_2d_stack
+serve evaluate_epr, which fits each estimator's four tables together.
+Rows of different lengths are never padded to share a stack: zeros
+appended to a residual vector change how BLAS blocks the sums, and a fit on
+a noisy table moved by up to 1.5e-7 relative from it.
+
+There are no weights and no covariance: no pipeline caller uses them, and
+the uncertainty of a variance product is to come from resampling blocks of
+frames, not from fit covariances.
 """
 
 from __future__ import annotations
@@ -62,9 +67,9 @@ FINAL_STEP_TOL = 1e-8
 class LMResult:
     """Solver outcome; stacked runs hold one entry per problem in each field.
 
-    For a stack, params is (K, n_params), covariance (K, n_params,
-    n_params), converged, iterations and residual_norm are length-K arrays
-    and cost_history is one tuple per problem.
+    For a stack, params is (K, n_params), converged, iterations and
+    residual_norm are length-K arrays and cost_history is one tuple per
+    problem.
 
     cost_history holds the starting cost and that of every accepted damped
     step, so it never increases. residual_norm is taken at the returned
@@ -73,7 +78,6 @@ class LMResult:
     """
 
     params: np.ndarray
-    covariance: np.ndarray
     converged: bool | np.ndarray
     iterations: int | np.ndarray
     residual_norm: float | np.ndarray
@@ -81,7 +85,7 @@ class LMResult:
 
     def problem(self, k: int) -> "LMResult":
         """Result of problem k of a stacked run."""
-        return LMResult(params=self.params[k], covariance=self.covariance[k],
+        return LMResult(params=self.params[k],
                         converged=bool(self.converged[k]),
                         iterations=int(self.iterations[k]),
                         residual_norm=float(self.residual_norm[k]),
@@ -114,9 +118,8 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
                          rel_step_tol: float = REL_STEP_TOL) -> LMResult:
     """Minimize 0.5 * ||fun(p)||^2 with analytic Jacobian jac(p).
 
-    fun returns the residual vector (weights already folded in by the
-    caller), jac its derivative with shape (n_residuals, n_params).
-    The returned covariance is pinv(J^T J) at the solution, unscaled.
+    fun returns the residual vector, jac its derivative with shape
+    (n_residuals, n_params).
 
     A 2-D p0 of shape (K, n_params) is a stack of K independent problems.
     fun and jac are then called as fun(p, rows) and jac(p, rows): p holds
@@ -211,13 +214,11 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
         r = np.asarray(fun(p, rows), dtype=float)
         params[rows], final_cost[rows] = p, _rowdot(r, r)
 
-    jmat = np.asarray(jac(params, np.arange(n_stack)), dtype=float)
-    cov = np.linalg.pinv(np.matmul(jmat.transpose(0, 2, 1), jmat))
     who, costs = (np.concatenate(c) for c in zip(*accepted))
     order = np.argsort(who, kind="stable")
     history = np.split(costs[order],
                        np.cumsum(np.bincount(who, minlength=n_stack))[:-1])
-    return LMResult(params=params, covariance=cov, converged=converged,
+    return LMResult(params=params, converged=converged,
                     iterations=iterations, residual_norm=np.sqrt(final_cost),
                     cost_history=tuple(tuple(h.tolist()) for h in history))
 
@@ -226,22 +227,15 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
 class GaussianFit:
     """Result of a Gaussian peak fit.
 
-    params maps parameter names to fitted values; covariance rows/columns
-    follow param_names order. converged=False means the best point reached
-    within the iteration budget is reported.
+    params maps parameter names to fitted values, in the model's parameter
+    order. converged=False means the best point reached within the
+    iteration budget is reported.
     """
 
     params: dict[str, float]
-    param_names: tuple[str, ...]
-    covariance: np.ndarray
     converged: bool
     iterations: int
     residual_norm: float
-
-    def stderr(self, name: str) -> float:
-        i = self.param_names.index(name)
-        v = self.covariance[i, i]
-        return math.sqrt(v) if v > 0 else 0.0
 
 
 # --- 1D model: A exp(-(x-mu)^2 / 2 sigma^2) + c ------------------------------
@@ -291,81 +285,35 @@ def _moment_init_1d(x, y):
     return np.array([amp, mu, sigma, base])
 
 
-def _problem_1d(x, y, weights):
-    """fit_gaussian_1d's input rules: the usable points, or DegenerateInput."""
+def _problem_1d(x, y):
+    """fit_gaussian_1d's problem row, or DegenerateInput."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     keep = np.isfinite(x) & np.isfinite(y)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float).ravel()
-        keep &= np.isfinite(weights) & (weights > 0)
     n_points = int(np.count_nonzero(keep))
     if n_points < 5:
         raise DegenerateInput(f"need at least 5 points, got {n_points}")
     if np.ptp(y[keep]) == 0:
         raise DegenerateInput("flat input has no peak to fit")
-    return (x,), y[None], keep[None], weights
+    return (x,), y, keep
 
 
-def fit_gaussian_1d(x, y, weights=None) -> GaussianFit:
+def fit_gaussian_1d(x, y) -> GaussianFit:
     """Fit A exp(-(x-mu)^2/2sigma^2) + c to (x, y).
 
-    weights are inverse variances when given (count-like data typically uses
-    1/max(count, 1)); without weights the covariance is scaled by the reduced
-    chi-square. Needs at least 5 points, else DegenerateInput.
+    Points where x or y is NaN are left out. Needs at least 5 points, else
+    DegenerateInput.
     """
-    return _fit_stack(_GAUSS1D, [_problem_1d(x, y, weights)])[0][0]
+    return _fitted(_fit_1d_stack([(x, y)])[0])
 
 
 def _fit_1d_stack(problems) -> list:
-    """fit_gaussian_1d over a list of unweighted (x, y), stacked.
+    """fit_gaussian_1d over a list of (x, y), stacked.
 
     Returns one GaussianFit per problem, or the DegenerateInput that
     fit_gaussian_1d raises for it.
     """
-    return _fit_each(_GAUSS1D, _problem_1d,
-                     [(x, y, None) for x, y in problems])
-
-
-def _column_block(x, values, keep):
-    # fit_gaussian_1d_columns' problems: (number of columns, the columns
-    # it can fit, their block); a column keeps its own rows and holds the
-    # others of the table at zero weight
-    x = np.asarray(x, dtype=float)
-    ys = np.asarray(values, dtype=float).T
-    use = np.asarray(keep, dtype=bool).T & np.isfinite(x) & np.isfinite(ys)
-    rows = [k for k in range(ys.shape[0])
-            if np.count_nonzero(use[k]) >= 5 and np.ptp(ys[k, use[k]]) != 0]
-    return ys.shape[0], rows, ((x,), ys[rows], use[rows], None)
-
-
-def fit_gaussian_1d_columns(x, values, keep) -> list:
-    """Fit the 1D model to every column of a table in one stacked run.
-
-    Column k is fitted to the rows where keep[:, k] holds, as
-    fit_gaussian_1d(x[keep[:, k]], values[keep[:, k], k]) fits it: the other
-    rows enter at zero weight, so only the rounding of the sums differs.
-    Returns one GaussianFit per column, or None where fit_gaussian_1d raises
-    DegenerateInput (fewer than 5 usable points, or a flat column).
-    """
-    return _fit_columns_stack([(x, values, keep)])[0]
-
-
-def _fit_columns_stack(tables) -> list:
-    """fit_gaussian_1d_columns over a list of (x, values, keep) tables.
-
-    Every column of every table with the same number of rows goes into one
-    stacked run. Returns one list of fits per table.
-    """
-    parts = [_column_block(*table) for table in tables]
-    out = []
-    for (n_cols, rows, _), fits in zip(
-            parts, _fit_stack(_GAUSS1D, [block for _, _, block in parts])):
-        table_fits = [None] * n_cols
-        for k, fit in zip(rows, fits):
-            table_fits[k] = fit
-        out.append(table_fits)
-    return out
+    return _fit_each(_GAUSS1D, _problem_1d, problems)
 
 
 # --- 2D model on the rotated +- frame ---------------------------------------
@@ -419,147 +367,107 @@ def _moment_init_2d(a, b, v):
     return np.array([amp, ca, cb, math.sqrt(vp), math.sqrt(vm), base])
 
 
-def _problem_2d(values, coords_a, coords_b, mask, weights):
-    """fit_gaussian_2d's input rules: the usable cells, or DegenerateInput."""
+def _problem_2d(values, coords_a, coords_b, mask=None):
+    """fit_gaussian_2d's problem row, or DegenerateInput."""
     values = np.asarray(values, dtype=float)
     aa, bb = np.meshgrid(np.asarray(coords_a, dtype=float),
                          np.asarray(coords_b, dtype=float), indexing="ij")
     keep = np.isfinite(values)
     if mask is not None:
         keep &= ~np.asarray(mask, dtype=bool)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        keep &= np.isfinite(weights) & (weights > 0)
     n_cells = int(np.count_nonzero(keep))
     if n_cells < 12:
         raise DegenerateInput(f"need at least 12 unmasked cells, got {n_cells}")
     if np.ptp(values[keep]) == 0:
         raise DegenerateInput("flat table has no peak to fit")
-    return ((aa.ravel(), bb.ravel()), values.reshape(1, -1),
-            keep.reshape(1, -1), None if weights is None else weights.ravel())
+    return (aa.ravel(), bb.ravel()), values.ravel(), keep.ravel()
 
 
-def fit_gaussian_2d(values, coords_a, coords_b, mask=None,
-                    weights=None) -> GaussianFit:
+def fit_gaussian_2d(values, coords_a, coords_b, mask=None) -> GaussianFit:
     """Fit the rotated-frame 2D Gaussian to a table of values.
 
     coords_a / coords_b are the physical coordinates of rows / columns;
-    masked cells (mask True) are excluded from the residuals. Needs at least
-    12 usable cells. sigma_plus / sigma_minus are the widths along the
-    (a+b) and (a-b) diagonals (scaled by 1/sqrt(2)).
+    masked cells (mask True) and NaN cells are left out. Needs at least 12
+    usable cells. sigma_plus / sigma_minus are the widths along the (a+b)
+    and (a-b) diagonals (scaled by 1/sqrt(2)).
     """
-    return _fit_stack(_GAUSS2D, [_problem_2d(values, coords_a, coords_b,
-                                             mask, weights)])[0][0]
+    return _fitted(_fit_2d_stack([(values, coords_a, coords_b, mask)])[0])
 
 
 def _fit_2d_stack(tables) -> list:
-    """fit_gaussian_2d over a list of unweighted (values, coords_a,
-    coords_b, mask) tables, stacked.
+    """fit_gaussian_2d over a list of (values, coords_a, coords_b, mask)
+    tables, stacked.
 
     Returns one GaussianFit per table, or the DegenerateInput that
     fit_gaussian_2d raises for it.
     """
-    return _fit_each(_GAUSS2D, _problem_2d,
-                     [(*table, None) for table in tables])
+    return _fit_each(_GAUSS2D, _problem_2d, tables)
 
 
 # --- stacked fits -------------------------------------------------------------
 
 # (model, jacobian, start point, parameter names, slots of the widths)
-_GAUSS1D = (gauss1d_model, gauss1d_jacobian, _moment_init_1d, _NAMES_1D, (2,))
+_GAUSS1D = (gauss1d_model, gauss1d_jacobian, _moment_init_1d, _NAMES_1D, [2])
 _GAUSS2D = (gauss2d_model, gauss2d_jacobian, _moment_init_2d, _NAMES_2D,
-            (3, 4))
+            [3, 4])
+
+
+def _fitted(fit):
+    # a fit of a stack, or raise the DegenerateInput that stands in for it
+    if isinstance(fit, DegenerateInput):
+        raise fit
+    return fit
 
 
 def _fit_each(model, make, problems) -> list:
-    # make(*problem) builds a block of one problem or raises DegenerateInput;
-    # one fit per problem, or that DegenerateInput in its place
-    blocks = []
+    """Fit every problem, one damped_least_squares stack per length.
+
+    make(*problem) builds the problem's row (coords, y, keep) or raises
+    DegenerateInput. Returns one GaussianFit per problem, or that
+    DegenerateInput in its place.
+    """
+    out = []
     for problem in problems:
         try:
-            blocks.append(make(*problem))
+            out.append(make(*problem))
         except DegenerateInput as exc:
-            blocks.append(exc)
-    fits = iter(_fit_stack(model, [b for b in blocks if isinstance(b, tuple)]))
-    return [next(fits)[0] if isinstance(b, tuple) else b for b in blocks]
-
-
-def _fit_stack(model, blocks) -> list:
-    """Fit every problem of every block, one damped_least_squares run per
-    number of points.
-
-    A block is (coords, ys, keep, weights) for K problems on a common grid
-    of m points: ys and keep are (K, m); the model's coordinate arrays and
-    the inverse-variance weights (None: unweighted, covariance scaled by the
-    reduced chi-square) broadcast to that shape. All problems on m points
-    run as one stack. Problems are never padded to a common length: zeros
-    appended to a residual vector change how BLAS blocks its sums, so the
-    fit would depend on its neighbours in the stack. Returns one list of K
-    fits per block.
-    """
-    out = [[] for _ in blocks]
-    for width in sorted({block[1].shape[1] for block in blocks}):
-        members = [k for k, block in enumerate(blocks)
-                   if block[1].shape[1] == width]
-        group = [blocks[k] for k in members]
-        keep = np.concatenate([u for _, _, u, _ in group])
-        if not keep.shape[0]:
-            continue
-        coords = [np.concatenate([np.broadcast_to(cs[i], ys.shape)
-                                  for cs, ys, _, _ in group])
-                  for i in range(len(group[0][0]))]
-        ys = np.concatenate([ys for _, ys, _, _ in group])
-        sw = np.concatenate([
-            np.ones(ys.shape) if w is None
-            else np.sqrt(np.where(u, w, 0.0)) for _, ys, u, w in group])
-        scale_cov = np.concatenate([np.full(ys.shape[0], w is None)
-                                    for _, ys, _, w in group])
-        # a point a problem does not keep may hold anything: zero it
-        fits = iter(_fit_rows(
-            model, [np.where(keep | np.isfinite(c), c, 0.0) for c in coords],
-            np.where(keep, ys, 0.0), keep, np.where(keep, sw, 0.0),
-            scale_cov))
-        for k in members:
-            out[k] = [next(fits) for _ in range(blocks[k][1].shape[0])]
+            out.append(exc)
+    rows = {k: row for k, row in enumerate(out) if isinstance(row, tuple)}
+    for m in sorted({row[1].size for row in rows.values()}):
+        members = [k for k, row in rows.items() if row[1].size == m]
+        for k, fit in zip(members, _fit_rows(model,
+                                             [rows[k] for k in members])):
+            out[k] = fit
     return out
 
 
-def _fit_rows(model, coords, ys, keep, sw, scale_cov) -> list:
-    # One stacked run, one problem per row of ys: coords holds one (K, m)
-    # array per model coordinate, sw the square-root weights, scale_cov a
-    # flag per problem. A row keeps its own points; a point some other row
-    # keeps enters it at zero weight; a point no row keeps is dropped, so a
-    # stack of one fits exactly its own points.
+def _fit_rows(model, stack) -> list:
+    # One stacked run over rows of a common length. A point that a row
+    # does not keep may hold anything: it is zeroed, enters that row's
+    # residual times 0.0, and is dropped when no row keeps it.
     fn, jac, init, names, sigma_slots = model
+    coords, ys, keep = zip(*stack)
+    keep = np.array(keep)
     live = keep.any(axis=0)
-    coords = [c[:, live] for c in coords]
-    ys, keep, sw = ys[:, live], keep[:, live], sw[:, live]
+    coords = [np.where(keep | np.isfinite(c), c, 0.0)[:, live]
+              for c in map(np.array, zip(*coords))]
+    ys = np.where(keep, np.array(ys), 0.0)[:, live]
+    keep = keep[:, live]
+    w = keep * 1.0
     p0 = np.array([init(*(c[k, u] for c in coords), ys[k, u])
                    for k, u in enumerate(keep)])
 
     def fun(p, rows):
-        return (fn(p, *(c[rows] for c in coords)) - ys[rows]) * sw[rows]
+        return (fn(p, *(c[rows] for c in coords)) - ys[rows]) * w[rows]
 
     def jacobian(p, rows):
-        return jac(p, *(c[rows] for c in coords)) * sw[rows][..., None]
+        return jac(p, *(c[rows] for c in coords)) * w[rows][..., None]
 
     res = damped_least_squares(fun, jacobian, p0)
-    return [_package_fit(res.problem(k), names, sigma_slots,
-                         n_points=int(np.count_nonzero(u)),
-                         scale_cov=bool(scale))
-            for k, (u, scale) in enumerate(zip(keep, scale_cov))]
-
-
-def _package_fit(res: LMResult, names, sigma_slots, n_points,
-                 scale_cov) -> GaussianFit:
-    p = res.params.copy()
-    for i in sigma_slots:
-        p[i] = abs(p[i])
-    cov = res.covariance
-    dof = n_points - p.size
-    if scale_cov and dof > 0:
-        cov = cov * (res.residual_norm ** 2 / dof)
-    return GaussianFit(params=dict(zip(names, p.tolist())),
-                       param_names=tuple(names), covariance=cov,
-                       converged=res.converged, iterations=res.iterations,
-                       residual_norm=res.residual_norm)
+    params = res.params.copy()
+    params[:, sigma_slots] = np.abs(params[:, sigma_slots])
+    return [GaussianFit(params=dict(zip(names, p.tolist())),
+                        converged=bool(c), iterations=int(i),
+                        residual_norm=float(r))
+            for p, c, i, r in zip(params, res.converged, res.iterations,
+                                  res.residual_norm)]

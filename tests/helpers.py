@@ -32,7 +32,7 @@ from spadcorr.errors import (
     TruncatedFile,
     WindowTooLarge,
 )
-from spadcorr.eventfile import read_header
+from spadcorr.eventfile import EventFileWriter, read_header
 from spadcorr.fitting import (
     FINAL_STEP_TOL,
     FINAL_STEPS,
@@ -64,6 +64,19 @@ def batch_of(*frames, n_frames=None):
         n_frames = frames[-1][0] + 1 if frames else 0
     return FrameBatch(0, n_frames, *(np.concatenate(c)
                                      for c in (fids, pixels, tdc)))
+
+
+def write_event_file(path, batches, total_frames=None, **header):
+    """Write one FrameBatch or a list of them through one EventFileWriter.
+
+    header holds the writer's keyword arguments (geometry, mapping mode).
+    Returns the number of bytes written.
+    """
+    writer = EventFileWriter(path, **header)
+    for batch in [batches] if isinstance(batches, FrameBatch) else batches:
+        writer.add_batch(batch)
+    writer.close(total_frames)
+    return writer.bytes_written
 
 
 def random_batch(rng, n_frames, n_pix, bins, max_events=8, p_empty=0.2):
@@ -462,9 +475,7 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
         r = np.asarray(fun(p), dtype=float)
         cost = float(r @ r)
 
-    jmat = np.asarray(jac(p), dtype=float)
-    cov = np.linalg.pinv(jmat.T @ jmat)
-    return LMResult(params=p, covariance=cov, converged=converged,
+    return LMResult(params=p, converged=converged,
                     iterations=it, residual_norm=math.sqrt(cost),
                     cost_history=tuple(history))
 

@@ -20,6 +20,7 @@ from helpers import (
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
+    write_event_file,
 )
 from test_fitting import central_differences
 
@@ -39,7 +40,7 @@ from spadcorr.errors import (
     RangeViolation,
     TruncatedFile,
 )
-from spadcorr.eventfile import read_batches, write_events
+from spadcorr.eventfile import read_batches
 from spadcorr.fitting import (
     fit_gaussian_1d,
     fit_gaussian_2d,
@@ -208,7 +209,7 @@ def test_criterion_5_temporal_histogram(locked_study, reference_model,
 def test_criterion_6_fitter():
     x = np.linspace(-10.0, 10.0, 41)
     fit1 = fit_gaussian_1d(x, gauss1d_model([2.0, 3.0, 2.0, 0.0], x))
-    got1 = [fit1.params[k] for k in fit1.param_names]
+    got1 = list(fit1.params.values())
     rec1 = fit1.converged and np.allclose(got1, [2.0, 3.0, 2.0, 0.0],
                                           atol=1e-6)
     grid = np.linspace(-15.0, 15.0, 31)
@@ -216,7 +217,7 @@ def test_criterion_6_fitter():
     truth2 = [5.0, 0.5, -0.3, 2.0, 6.0, 0.1]
     fit2 = fit_gaussian_2d(gauss2d_model(truth2, a, b).reshape(31, 31),
                            grid, grid)
-    got2 = [fit2.params[k] for k in fit2.param_names]
+    got2 = list(fit2.params.values())
     rec2 = fit2.converged and np.allclose(got2, truth2, atol=1e-6)
 
     rng = np.random.default_rng(42)
@@ -310,15 +311,15 @@ def test_criterion_9_io_round_trip_and_corruption(tmp_path):
     for _ in range(1000):
         batch = random_batch(rng, int(rng.integers(0, 12)), 1024, 255,
                              max_events=5, p_empty=0.3)
-        write_events(path, batch, total_frames=batch.n_frames)
+        write_event_file(path, batch, total_frames=batch.n_frames)
         same = decode_outcome(lambda: read_batches(path, 65536)) == \
             decode_outcome(lambda: [batch] if batch.n_frames else [])
         if not same:
             bad_streams += 1
 
     full = tmp_path / "full.evt"
-    write_events(full, batch_of((0, [1, 512, 1024], [0, 100, 254]),
-                                (3, [1024], [254])))
+    write_event_file(full, batch_of((0, [1, 512, 1024], [0, 100, 254]),
+                                    (3, [1024], [254])))
     good = full.read_bytes()
     protected = list(range(0, 12)) + [16, 17]
     rejected = 0

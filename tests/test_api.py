@@ -2,24 +2,30 @@
 config's target widths are the only statement of the model, and helpers
 that no pipeline path calls stay deleted."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import spadcorr
-from spadcorr import config, correlator, epr, eventfile, optics, sensor
+from spadcorr import (config, correlator, epr, eventfile, fitting, optics,
+                      sensor)
 from spadcorr.eventfile import EventFileReader, EventFileWriter
 
 REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
            "evaluate_delta_kz", "evaluate_joint_density", "sample_pair",
            "_as_qvec", "predict_epr", "AxisPrediction", "EprPrediction",
            "position_widths", "position_widths_by_coordinate",
-           "_paired_variance", "_SIGMA_KEYS")
+           "_paired_variance", "_SIGMA_KEYS", "fit_gaussian_1d_columns",
+           "_fit_columns_stack", "_column_block", "linear_index",
+           "write_events")
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_not_exported(name):
     assert name not in spadcorr.__all__
     for module in (spadcorr, sensor, optics, correlator, eventfile, config,
-                   epr):
+                   epr, fitting):
         assert not hasattr(module, name), module.__name__
 
 
@@ -34,3 +40,17 @@ def test_unused_model_helpers_deleted():
     assert not hasattr(optics.DoubleGaussianModel, "density")
     assert not hasattr(epr.JointTable, "n")
     assert not hasattr(epr.JointTable, "total")
+
+
+def test_fits_carry_no_weights_or_covariance():
+    fields = {f.name for f in dataclasses.fields(fitting.GaussianFit)}
+    assert not fields & {"covariance", "param_names", "stderr"}
+    assert not hasattr(fitting.GaussianFit, "stderr")
+    assert "covariance" not in {
+        f.name for f in dataclasses.fields(fitting.LMResult)}
+    x = np.linspace(-5.0, 5.0, 11)
+    y = fitting.gauss1d_model([2.0, 0.0, 1.5, 0.1], x)
+    with pytest.raises(TypeError, match="weights"):
+        fitting.fit_gaussian_1d(x, y, weights=np.ones_like(x))
+    with pytest.raises(TypeError, match="weights"):
+        fitting.fit_gaussian_2d(np.outer(y, y), x, x, weights=None)

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from spadcorr.cli import main
 from spadcorr.config import (
     build_crosstalk,
     build_mapping,
@@ -14,6 +17,16 @@ from spadcorr.config import (
 from spadcorr.errors import ConfigError
 from spadcorr.optics import DoubleGaussianModel
 from spadcorr.sensor import draw_pixel_offsets
+
+
+# (key, value, message): each once ran or crashed instead of exiting 2
+BAD_VALUES = [
+    ("sensor.pixel_offset_range_ps", "-5", "must be nonnegative"),
+    ("run.pairs_per_frame", "nan", "is not finite"),
+    ("sensor.dark_rate_hz", "inf", "is not finite"),
+    ("mapping.center_offset_x_px", "nan", "is not finite"),
+    ("epr.min_column_fraction", "nan", "is not finite"),
+]
 
 
 class TestParsing:
@@ -85,6 +98,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("crosstalk.p_1_0 = lots")
 
+    @pytest.mark.parametrize("key,value,message", BAD_VALUES + [
+        ("crosstalk.p_1_0", "-inf", "is not finite")])
+    def test_out_of_domain_float_rejected(self, key, value, message):
+        with pytest.raises(ConfigError,
+                           match=f"line 2: {re.escape(key)} {message}"):
+            parse_config(f"run.seed = 1\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("key,value,message", BAD_VALUES)
+    def test_out_of_domain_float_exits_2(self, tmp_path, capsys, key, value,
+                                         message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"run.frames = 70000\n{key} = {value}\n")
+        assert main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("run.seed = 42\n# note\nsensor.n_x = 16\n")
@@ -129,6 +158,11 @@ class TestBuilders:
         assert cfg.n_x == 32 and cfg.n_y == 32
         assert cfg.dark_rate_hz == 0.0
         assert cfg.pixel_offsets_ps is None
+
+    def test_negative_offset_range_rejected_by_builder(self):
+        settings = {**defaults(), "sensor.pixel_offset_range_ps": -5.0}
+        with pytest.raises(ConfigError, match="nonnegative"):
+            build_sensor(settings)
 
     def test_sensor_offsets_follow_seed(self):
         base = parse_config("run.seed = 7")

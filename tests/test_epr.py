@@ -20,7 +20,6 @@ from spadcorr.config import (
 )
 from spadcorr.correlator import (
     CorrectedG2,
-    linear_index,
     mask_neighbors,
     peak_profiles,
     project_axes,
@@ -47,7 +46,7 @@ from spadcorr.errors import (
     NotConverged,
     SpadError,
 )
-from spadcorr.fitting import fit_gaussian_1d_columns
+from spadcorr.fitting import _fit_1d_stack
 from spadcorr.optics import OpticalMapping
 from spadcorr.pipeline import (
     characterize_crosstalk,
@@ -242,8 +241,7 @@ class TestGaussianEstimators:
         rng = np.random.default_rng(0)
         vals[:, 30] = 0.05 + rng.normal(0.0, 0.01, vals.shape[0])
         vals[17, 30] = 2.5          # one hot cell: the width shrinks forever
-        fits = fit_gaussian_1d_columns(self.coords, vals,
-                                       np.ones(vals.shape, dtype=bool))
+        fits = _fit_1d_stack([(self.coords, col) for col in vals.T])
         assert not fits[30].converged
         assert all(f.converged for k, f in enumerate(fits) if k != 30)
         masked = np.zeros(vals.shape, dtype=bool)
@@ -297,8 +295,8 @@ class TestBuildJointTable:
 
     def test_projection_places_pair_mass(self, near_mapping):
         values = np.zeros((1024, 1024))
-        l1 = linear_index(3, 17) - 1
-        l2 = linear_index(9, 2) - 1
+        l1 = 3 + 32 * (17 - 1) - 1
+        l2 = 9 + 32 * (2 - 1) - 1
         values[l1, l2] = 2.5
         corr = blank_corrected(values)
         tx = build_joint_table(corr, near_mapping, PITCH, "x")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import batch_of, decode_outcome, frame_groups, \
-    oracle_read_batches
+    oracle_read_batches, write_event_file
 from spadcorr import eventfile
 from spadcorr.errors import (
     BadMagic,
@@ -20,7 +20,6 @@ from spadcorr.eventfile import (
     EventFileWriter,
     read_batches,
     read_header,
-    write_events,
 )
 from spadcorr.optics import DoubleGaussianModel, OpticalMapping
 from spadcorr.pipeline import accumulate_file
@@ -78,7 +77,7 @@ def raw_footer(total):
 class TestWireFormat:
     def test_empty_stream_is_header_plus_footer(self, tmp_path):
         path = tmp_path / "empty.evt"
-        n = write_events(path, [], total_frames=10)
+        n = write_event_file(path, [], total_frames=10)
         assert n == 36
         assert path.stat().st_size == 36
         hdr = read_header(path)
@@ -90,7 +89,7 @@ class TestWireFormat:
 
     def test_single_event_bytes_match_layout(self, tmp_path):
         path = tmp_path / "one.evt"
-        n = write_events(path, batch_of((3, [5], [7])))
+        n = write_event_file(path, batch_of((3, [5], [7])))
         expected = raw_header() + raw_frame(3, [(5, 7)]) + raw_footer(4)
         assert path.read_bytes() == expected
         assert n == len(expected) == 45
@@ -98,15 +97,15 @@ class TestWireFormat:
     def test_mode_codes_on_wire(self, tmp_path):
         for mode, code in (("far", 0), ("near", 1), ("unspecified", 2)):
             path = tmp_path / f"{mode}.evt"
-            write_events(path, batch_of((0, [1], [0])), mapping_mode=mode)
+            write_event_file(path, batch_of((0, [1], [0])), mapping_mode=mode)
             assert path.read_bytes()[18] == code
             assert read_header(path).mapping_mode == mode
 
     def test_write_is_deterministic(self, tmp_path):
         batch = random_sparse_batch(np.random.default_rng(8))
         a, b = tmp_path / "a.evt", tmp_path / "b.evt"
-        write_events(a, batch)
-        write_events(b, batch)
+        write_event_file(a, batch)
+        write_event_file(b, batch)
         assert a.read_bytes() == b.read_bytes()
 
     def test_batch_writer_matches_frame_writer(self, tmp_path):
@@ -117,14 +116,14 @@ class TestWireFormat:
                            for fid, pix, tdc in frame_groups(batch))
                 + raw_footer(200))
         path = tmp_path / "a.evt"
-        write_events(path, batch, total_frames=200)
+        write_event_file(path, batch, total_frames=200)
         assert path.read_bytes() == want
         # splitting the stream into batches at frame boundaries changes nothing
         cut = np.searchsorted(batch.frame_ids, [50, 51, 120])
         pieces = [np.split(c, cut)
                   for c in (batch.frame_ids, batch.pixels, batch.tdc)]
         parts = [FrameBatch(0, 0, *cols) for cols in zip(*pieces)]
-        write_events(path, parts, total_frames=200)
+        write_event_file(path, parts, total_frames=200)
         assert path.read_bytes() == want
 
 
@@ -134,7 +133,7 @@ class TestRoundTrip:
             rng = np.random.default_rng(1000 + seed)
             batch = random_sparse_batch(rng)
             path = tmp_path / f"s{seed}.evt"
-            write_events(path, batch, total_frames=200)
+            write_event_file(path, batch, total_frames=200)
             back = list(read_batches(path))
             assert [(b.start_frame, b.n_frames) for b in back] == [(0, 200)]
             assert_same_events(back, [batch])
@@ -143,7 +142,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(55)
         batch = random_sparse_batch(rng, id_span=90, max_frames=30)
         path = tmp_path / "tile.evt"
-        write_events(path, batch, total_frames=100)
+        write_event_file(path, batch, total_frames=100)
         batches = list(read_batches(path, frames_per_batch=16))
         assert [b.start_frame for b in batches] == list(range(0, 100, 16))
         assert sum(b.n_frames for b in batches) == 100
@@ -368,8 +367,8 @@ class TestHeaderFuzz:
         # a stream exercising the top pixel and tdc codes, so shrunken
         # dimensions or bin counts are caught by range checks
         path = tmp_path / "full.evt"
-        write_events(path, batch_of((0, [1, 512, 1024], [0, 100, 254]),
-                                    (3, [1024], [254])))
+        write_event_file(path, batch_of((0, [1, 512, 1024], [0, 100, 254]),
+                                        (3, [1024], [254])))
         good = path.read_bytes()
         protected = list(range(0, 12)) + [16, 17]
         bad = tmp_path / "bad.evt"
@@ -434,7 +433,7 @@ class TestDifferentialDecode:
             rng = np.random.default_rng(3000 + seed)
             batch = random_sparse_batch(rng, n_pix=1024, bins=255,
                                         id_span=60, max_frames=40)
-            write_events(path, batch, total_frames=60 + seed)
+            write_event_file(path, batch, total_frames=60 + seed)
             want = decode_outcome(
                 lambda: oracle_read_batches(path, frames_per_batch))
             got = decode_outcome(lambda: read_batches(path, frames_per_batch))

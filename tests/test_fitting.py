@@ -13,7 +13,6 @@ from spadcorr.fitting import (
     _moment_init_2d,
     damped_least_squares,
     fit_gaussian_1d,
-    fit_gaussian_1d_columns,
     fit_gaussian_2d,
     gauss1d_jacobian,
     gauss1d_model,
@@ -46,8 +45,6 @@ class TestSolver:
         want = np.linalg.lstsq(a, b, rcond=None)[0]
         np.testing.assert_allclose(res.params, want, rtol=1e-8)
         assert res.converged
-        np.testing.assert_allclose(res.covariance, np.linalg.pinv(a.T @ a),
-                                   rtol=1e-9)
 
     def test_cost_history_never_increases(self):
         rng = np.random.default_rng(5)
@@ -136,36 +133,18 @@ class TestGaussian1d:
         assert fit.params["center"] == pytest.approx(25.0, abs=1e-6)
         assert fit.params["offset"] == pytest.approx(-0.2, abs=1e-6)
 
-    def test_zero_weight_points_are_ignored(self):
+    def test_nan_points_are_ignored(self):
         x = np.linspace(-10, 10, 50)
         y = gauss1d_model([2.0, 0.0, 3.0, 0.1], x)
-        w = np.ones_like(y)
         y_bad = y.copy()
-        y_bad[7] = 1e9
-        w[7] = 0.0
-        fit = fit_gaussian_1d(x, y_bad, weights=w)
+        y_bad[7] = np.nan
+        x_bad = x.copy()
+        x_bad[20] = np.nan
+        fit = fit_gaussian_1d(x_bad, y_bad)
         assert fit.params["sigma"] == pytest.approx(3.0, abs=1e-6)
-
-    def test_poisson_errorbars_are_calibrated(self):
-        x = np.arange(-20, 21, dtype=float)
-        truth = gauss1d_model([1e4, 0.0, 3.0, 50.0], x)
-        hits = 0
-        for trial in range(100):
-            rng = np.random.default_rng(9000 + trial)
-            y = rng.poisson(truth).astype(float)
-            fit = fit_gaussian_1d(x, y, weights=1.0 / np.maximum(y, 1.0))
-            err = abs(fit.params["sigma"] - 3.0)
-            hits += err <= 3.0 * fit.stderr("sigma")
-        assert hits >= 98
-
-    def test_stderr_reads_covariance_diagonal(self):
-        x = np.linspace(-10, 10, 60)
-        rng = np.random.default_rng(17)
-        y = gauss1d_model([5.0, 0.0, 2.0, 1.0], x) + rng.normal(0, 0.1, x.size)
-        fit = fit_gaussian_1d(x, y)
-        i = fit.param_names.index("sigma")
-        assert fit.stderr("sigma") == pytest.approx(
-            math.sqrt(fit.covariance[i, i]))
+        # a point left out of a stack of one is dropped, not held at zero
+        left = [7, 20]
+        assert fit == fit_gaussian_1d(np.delete(x, left), np.delete(y, left))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -215,8 +194,7 @@ class TestGaussian2d:
         rng = np.random.default_rng(77)
         counts = rng.poisson(truth).astype(float)
         mask = np.abs(aa - bb) <= 1.0
-        fit = fit_gaussian_2d(counts, coords, coords, mask=mask,
-                              weights=1.0 / np.maximum(counts, 1.0))
+        fit = fit_gaussian_2d(counts, coords, coords, mask=mask)
         assert fit.converged
         assert fit.params["sigma_minus"] == pytest.approx(3.0, rel=0.05)
         assert fit.params["sigma_plus"] == pytest.approx(12.0, rel=0.05)
@@ -240,10 +218,10 @@ class TestGaussian2d:
 def column_problems(x, values, keep):
     """Stacked and one-at-a-time residuals of the columns of a table.
 
-    Each column becomes the zero-weight problem fit_gaussian_1d_columns
-    builds: dropped rows stay in the residual vector at weight 0. Returns
-    (fun, jac, p0, alone) where alone(k) gives column k's (fun, jac) for the
-    unstacked oracle.
+    Each column becomes the problem _fit_1d_stack builds for it in a stack
+    of the table's columns: its dropped rows stay in the residual vector at
+    weight 0. Returns (fun, jac, p0, alone) where alone(k) gives column k's
+    (fun, jac) for the unstacked oracle.
     """
     x = np.asarray(x, dtype=float)
     ys = np.asarray(values, dtype=float).T
@@ -323,8 +301,10 @@ class TestStackedSolver:
                            gauss1d_model([2.0, -2.0, 3.0, 0.1], x)], axis=1)
         keep = np.ones(values.shape, dtype=bool)
         keep[4:, 2] = False         # 4 usable points
-        fits = fit_gaussian_1d_columns(x, values, keep)
-        assert fits[1] is None and fits[2] is None
+        fits = _fit_1d_stack([(x, np.where(keep[:, k], values[:, k], np.nan))
+                              for k in range(3)])
+        assert isinstance(fits[1], DegenerateInput)
+        assert isinstance(fits[2], DegenerateInput)
         for k in (1, 2):
             with pytest.raises(DegenerateInput):
                 fit_gaussian_1d(x[keep[:, k]], values[keep[:, k], k])
@@ -392,7 +372,6 @@ def assert_same_fit(got, want, label):
     assert got.params == want.params, label
     assert (got.converged, got.iterations, got.residual_norm) \
         == (want.converged, want.iterations, want.residual_norm), label
-    np.testing.assert_array_equal(got.covariance, want.covariance)
 
 
 def assert_fit_matches_oracle(fit, fun, jac, p0, label):
@@ -402,10 +381,9 @@ def assert_fit_matches_oracle(fit, fun, jac, p0, label):
     assert fit.iterations == want.iterations, label
     got = np.array(list(fit.params.values()))
     expect = want.params.copy()
-    expect[[i for i, name in enumerate(fit.param_names)
-            if name.startswith("sigma")]] = np.abs(
-        expect[[i for i, name in enumerate(fit.param_names)
-                if name.startswith("sigma")]])
+    widths = [i for i, name in enumerate(fit.params)
+              if name.startswith("sigma")]
+    expect[widths] = np.abs(expect[widths])
     np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-12,
                                err_msg=label)
 
@@ -516,14 +494,16 @@ class TestFitColumns:
                                                 near_mapping, far_mapping):
         """Zero weights change the rounding of the sums, not the fits.
 
-        The unstacked per-column fit drops masked rows; the stacked one
-        keeps them at weight 0. Converged flags agree and converged widths
-        agree to 1e-6.
+        The unstacked per-column fit drops masked rows; the stacked fit of
+        the NaN-masked columns keeps them at weight 0 where another column
+        keeps them. Converged flags agree and converged widths agree to
+        1e-6.
         """
         for label, table in simulated_tables(reduced_arms, near_mapping,
                                              far_mapping):
-            fits = fit_gaussian_1d_columns(table.coords, table.values,
-                                           ~table.masked)
+            fits = _fit_1d_stack(
+                [(table.coords, col) for col in
+                 np.where(table.masked, np.nan, table.values).T])
             for b, fit in enumerate(fits):
                 keep = ~table.masked[:, b]
                 x, y = table.coords[keep], table.values[keep, b]

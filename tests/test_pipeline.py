@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import REFERENCE_CFG
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
@@ -144,3 +145,49 @@ class TestPairStudy:
         assert "crosstalk_corrected" in result.corr_near.flags
         assert "crosstalk_corrected" in result.corr_far.flags
         assert result.report.meta["flags_near"][-1] == "neighbor_masked"
+
+
+# The reference loop (default.cfg, seed 103) at 2e6 frames per arm and a
+# 4e5-frame characterization: (delta_x_um, delta_y_um, delta_qx_per_mm,
+# delta_qy_per_mm, v_x, v_y) per method.
+PINNED_WIDTHS = {
+    "numerical": (31.547988254517655, 32.4423102667412, 10.4642241538112,
+                  10.97077490575131, 0.10898266134029293,
+                  0.12667711259362402),
+    "gauss1d": (34.396217512336335, 38.837138723639384, 4.050911676681939,
+                4.33419214460813, 0.01941453180724068, 0.02833418818511459),
+    "gauss2d": (34.63983094517323, 35.69938399342247, 3.9849339555778647,
+                3.2873222360200702, 0.0190543344411407,
+                0.013772284936529712),
+    "peaks": (35.356741197876275, 35.2700056109964, 4.044684941127471,
+              3.218875737621912, 0.02045096735276833, 0.012889007615209367),
+}
+PINNED_KEYS = ("delta_x_um", "delta_y_um", "delta_qx_per_mm",
+               "delta_qy_per_mm", "v_x", "v_y")
+
+
+def test_reference_loop_report_is_pinned():
+    """The report's values, not only their run-to-run equality.
+
+    Stacked fits move by up to 1.5e-7 relative with how BLAS blocks their
+    sums, so the widths are compared at 1e-6; the rest exactly.
+    """
+    settings = cfgmod.load_config(REFERENCE_CFG)
+    settings["run.frames"] = 2000000
+    settings["correct.characterization_frames"] = 400000
+    report = run_pair_study(settings).report
+    for name, want in PINNED_WIDTHS.items():
+        row = report.methods[name]
+        np.testing.assert_allclose([row[k] for k in PINNED_KEYS], want,
+                                   rtol=1e-6, atol=0, err_msg=name)
+        assert (row["violated_x"], row["violated_y"]) == (True, True), name
+    assert set(report.methods) == set(PINNED_WIDTHS)
+    assert report.meta == {
+        "pixel_pitch_um": 44.67, "min_column_fraction": 0.01,
+        "n_frames_near": 2000000, "n_frames_far": 2000000,
+        "flags_near": ["raw", "accidental_subtracted", "crosstalk_corrected",
+                       "neighbor_masked"],
+        "flags_far": ["raw", "accidental_subtracted", "crosstalk_corrected",
+                      "neighbor_masked"],
+        "mask_radius_near": 1, "mask_radius_far": 1,
+        "negative_floored": {"x": [160, 642], "y": [157, 685]}}
