@@ -113,6 +113,9 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: {key} is not finite: {value!r}")
         if key == "sensor.pixel_offset_range_ps" and got < 0:
             raise ConfigError(f"line {lineno}: {key} must be nonnegative")
+        if key == "epr.min_column_fraction" and not 0.0 < got <= 1.0:
+            raise ConfigError(
+                f"line {lineno}: {key} must be above 0 and at most 1")
     return settings
 
 

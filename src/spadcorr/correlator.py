@@ -198,6 +198,12 @@ class CorrelationAccumulator:
         hist = np.bincount(dt + self.bins_per_frame - 1,
                            minlength=self.dt_hist.size)
         self.dt_hist += hist + hist[::-1]
+        # the tensors count pairs with |dt| <= shift + window only; their
+        # scatters add integers, so dropping the other pairs first changes
+        # no count. Masks select through index arrays, which numpy gathers
+        # faster than it applies a mixed boolean mask.
+        near = np.flatnonzero(np.abs(dt) <= self.shift + self.window)
+        i, j, dt = i[near], j[near], dt[near]
         adt = np.abs(dt)
         win = adt <= self.window
         sw = np.abs(adt - self.shift) <= self.window
@@ -211,7 +217,8 @@ class CorrelationAccumulator:
                                   win & (dt > 0)),
                                  (self.g2_shifted, sw, sw)):
             np.add.at(tensor.reshape(-1),
-                      np.concatenate((ij[fwd], ji[rev])), 1)
+                      np.concatenate((ij[np.flatnonzero(fwd)],
+                                      ji[np.flatnonzero(rev)])), 1)
 
     def save(self, path) -> None:
         arraystore.save_arrays(

@@ -18,10 +18,14 @@ per neighbour offset, a Binomial(N, p) hit count and a uniform subset of
 that many of the N detections: the law of N independent Bernoulli(p)
 trials.
 
-The stream is produced in fixed 65536-frame chunks, each driven by its own
-counter-based RNG substream keyed on (seed, chunk index). Chunk boundaries do
-not depend on the worker count, so a run is byte-identical no matter how the
-chunks are scheduled.
+The chunk is the unit of randomness: the stream is cut into fixed
+65536-frame chunks, each drawing on its own counter-based RNG substream keyed
+on (seed, chunk index). The group is the unit of array work: the arithmetic
+between the draws runs once over a group of consecutive chunks, as many as
+fit in an expected 2^16 events by the configured pair and dark means, and at
+least one. Neither boundary depends on the worker count, so a run is
+byte-identical no matter how the groups are scheduled, and grouping does not
+change the stream.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ CHUNK_FRAMES = 65536
 # RNG domain-separation tags (arbitrary fixed integers)
 _SIM_TAG = 0x51D
 _OFFSET_TAG = 0x0FF
+# expected events a chunk group is sized to hold. A chunk expecting more is
+# a group on its own, as a dense characterization chunk (about 105k) is; a
+# group twice this size had temporaries above such a chunk's and raised the
+# closed loop's peak RSS.
+_GROUP_EVENTS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -209,8 +218,8 @@ def _draw_pair_coordinates(model, mapping, count, rng):
 
 def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
                      times_ps: np.ndarray, spec: CrosstalkSpec,
-                     cfg: SensorConfig, rng: np.random.Generator):
-    """Append cross-talk secondaries to a detection list.
+                     cfg: SensorConfig, rngs, counts):
+    """Append cross-talk secondaries to the detection lists of chunks.
 
     Every input detection independently fires each configured neighbour
     offset with its probability; the secondary lands in the source's frame
@@ -222,25 +231,49 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     Per offset the draw is a Binomial(N, p) hit count and a uniform subset
     of that many of the N sources: the law of N independent Bernoulli(p)
     trials, with random draws that scale with the hits, not the sources.
+    Each chunk b draws on rngs[b] over its own list, so what one chunk
+    fires does not depend on the others. The lists are stored by run as
+    _stored_at describes, with counts[r][b] detections of chunk b in run r;
+    a single list of N detections is counts [[N]].
     """
     pixels_lin = np.asarray(pixels_lin)
     times_ps = np.asarray(times_ps, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
     add_f, add_pix, add_t = [frame_ids], [pixels_lin], [times_ps]
-    base0 = pixels_lin.astype(np.int64) - 1
-    col = base0 % cfg.n_x
-    row = base0 // cfg.n_x
     for dx, dy, p in spec.entries:
-        n_hit = rng.binomial(pixels_lin.size, p)
-        hit = np.sort(rng.choice(pixels_lin.size, n_hit, replace=False,
-                                 shuffle=False))
-        ncol = col[hit] + dx
-        nrow = row[hit] + dy
+        picks, delays = [], []
+        for rng, n in zip(rngs, counts.sum(axis=0)):
+            n_hit = rng.binomial(n, p)
+            picks.append(np.sort(rng.choice(n, n_hit, replace=False,
+                                            shuffle=False)))
+            delays.append(rng.uniform(0.0, cfg.tdc_bin_ps, n_hit))
+        hit = _stored_at(counts, picks)
+        delay = np.concatenate(delays)
+        base0 = pixels_lin[hit].astype(np.int64) - 1
+        ncol = base0 % cfg.n_x + dx
+        nrow = base0 // cfg.n_x + dy
         ok = (ncol >= 0) & (ncol < cfg.n_x) & (nrow >= 0) & (nrow < cfg.n_y)
-        delay = rng.uniform(0.0, cfg.tdc_bin_ps, n_hit)
         add_f.append(frame_ids[hit][ok])
         add_pix.append((nrow[ok] * cfg.n_x + ncol[ok] + 1).astype(pixels_lin.dtype))
         add_t.append(times_ps[hit][ok] + delay[ok])
     return tuple(np.concatenate(c) for c in (add_f, add_pix, add_t))
+
+
+def _stored_at(counts: np.ndarray, picks) -> np.ndarray:
+    """Array positions of the items picks[b] of each chunk b's list.
+
+    The lists of consecutive chunks are stored by run: counts[r, b] items
+    of chunk b belong to run r, the arrays hold run 0, then run 1, and so
+    on, and each run holds its chunks' items in chunk order. Chunk b's list
+    is its items of run 0, then of run 1, and so on, each in stored order.
+    """
+    chunk = np.repeat(np.arange(counts.shape[1]), [k.size for k in picks])
+    k = np.concatenate(picks)
+    within = np.cumsum(counts, axis=0) - counts   # run starts in each list
+    flat = counts.ravel()
+    stored = (np.cumsum(flat) - flat).reshape(counts.shape)
+    run = np.sum(k >= within[1:, chunk], axis=0)
+    return k + (stored - within)[run, chunk]
 
 
 def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
@@ -249,11 +282,16 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
                     crosstalk: CrosstalkSpec | None = None,
                     seed: int = 0, workers: int = 1
                     ) -> Iterator[FrameBatch]:
-    """Generate the frame stream as a sequence of FrameBatch chunks.
+    """Generate the frame stream as one FrameBatch per chunk group.
 
-    Deterministic for a given seed: each 65536-frame chunk uses its own
-    counter-keyed substream and chunk boundaries are fixed, so worker count
-    and scheduling cannot change the output.
+    The 65536-frame chunk is the unit of randomness: each chunk makes its
+    draws on its own counter-keyed substream, so chunk boundaries fix the
+    stream. The group is the unit of array work: a batch covers
+    max(1, 2^16 // E) consecutive chunks, where E is a chunk's expected
+    detections, 65536 * (2 * pair mean * efficiency + dark counts per
+    frame) * (1 + summed cross-talk probability). Both boundaries follow
+    from the configuration alone, so worker count and scheduling cannot
+    change the output.
     """
     if n_frames < 0:
         raise ConfigError("n_frames must be nonnegative")
@@ -264,18 +302,28 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
     crosstalk = crosstalk or CrosstalkSpec.none()
     spans = [(ci, lo, min(lo + CHUNK_FRAMES, n_frames))
              for ci, lo in enumerate(range(0, n_frames, CHUNK_FRAMES))]
+    chunk_events = (CHUNK_FRAMES
+                    * (2.0 * pairs_per_frame_mean * cfg.efficiency
+                       + _dark_mean(cfg))
+                    * (1.0 + sum(p for _, _, p in crosstalk.entries)))
+    size = max(1, int(_GROUP_EVENTS // max(chunk_events, 1.0)))
+    groups = [spans[k:k + size] for k in range(0, len(spans), size)]
 
-    def run(span):
-        ci, lo, hi = span
-        return _simulate_chunk(model, mapping, cfg, crosstalk,
-                               pairs_per_frame_mean, seed, ci, lo, hi)
+    def run(group):
+        return _simulate_group(model, mapping, cfg, crosstalk,
+                               pairs_per_frame_mean, seed, group)
 
-    if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            yield run(span)
+    if workers <= 1 or len(groups) <= 1:
+        for group in groups:
+            yield run(group)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, spans)
+            yield from pool.map(run, groups)
+
+
+def _dark_mean(cfg: SensorConfig) -> float:
+    # expected dark counts per frame over the whole array
+    return cfg.dark_rate_hz * cfg.frame_duration_ps * 1e-12 * cfg.n_pixels
 
 
 def _place_on_frames(rng, mean, lo, hi) -> np.ndarray:
@@ -288,58 +336,108 @@ def _place_on_frames(rng, mean, lo, hi) -> np.ndarray:
     return rng.integers(lo, hi, total)
 
 
-def _simulate_chunk(model, mapping, cfg, crosstalk, pairs_mean,
-                    seed, chunk_index, lo, hi) -> FrameBatch:
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, _SIM_TAG, chunk_index])))
-    n = hi - lo
-    fd = cfg.frame_duration_ps
+def _simulate_group(model, mapping, cfg, crosstalk, pairs_mean,
+                    seed, spans) -> FrameBatch:
+    # Each chunk (index, lo, hi) of spans makes the draws it would make
+    # alone, in the same order on its own substream; the arithmetic between
+    # the draws runs once over the group. A chunk's detection list is its
+    # on-sensor photons of the first pair member, then of the second, then
+    # its dark counts, and its jitter and cross-talk draws index that list.
+    # Each stage is its own function, so its temporaries die before the
+    # next one's are made.
+    rngs = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed, _SIM_TAG, ci]))) for ci, _, _ in spans]
+    # counts[r, c]: detections of chunk c that are photons of the first
+    # pair member (run 0), of the second (run 1) and dark counts (run 2);
+    # the group stores them run by run, as _stored_at describes
+    counts = np.zeros((3, len(spans)), dtype=np.int64)
+    photons = _detect_photons(model, mapping, cfg, pairs_mean, rngs, spans,
+                              counts)
+    frames, lins, times = (np.concatenate(c) for c in zip(
+        photons, _dark_counts(cfg, rngs, spans, counts)))
+    if not crosstalk.is_empty and lins.size:
+        frames, lins, times = inject_crosstalk(frames, lins, times, crosstalk,
+                                               cfg, rngs, counts)
+    return _first_hits(frames, lins, times, cfg, spans[0][1], spans[-1][2])
 
-    # photon pairs, in no frame order: the final code sort orders them
-    pair_frame = _place_on_frames(rng, pairs_mean, lo, hi)
-    total = pair_frame.size
-    rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
-    t_true = rng.uniform(0.0, fd, total)
-    survive = rng.random((total, 2)) < cfg.efficiency
-    ph_frame = np.concatenate([pair_frame[survive[:, 0]],
-                               pair_frame[survive[:, 1]]])
-    ph_rho = np.concatenate([rho1[survive[:, 0]], rho2[survive[:, 1]]])
-    ph_time = np.concatenate([t_true[survive[:, 0]], t_true[survive[:, 1]]])
-    col = np.floor(ph_rho[:, 0] / cfg.pixel_pitch_um + cfg.n_x / 2.0
+
+def _draw_pairs(model, mapping, cfg, pairs_mean, rngs, spans):
+    # every chunk's photon pairs, in no frame order, joined over the group:
+    # frames, both members' coordinates, times, survival uniforms, chunks
+    drawn = []
+    for rng, (_, a, b) in zip(rngs, spans):
+        pair_frame = _place_on_frames(rng, pairs_mean, a, b)
+        total = pair_frame.size
+        rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
+        drawn.append((pair_frame, rho1, rho2,
+                      rng.uniform(0.0, cfg.frame_duration_ps, total),
+                      rng.random((total, 2))))
+    chunk = np.repeat(np.arange(len(spans)), [d[0].size for d in drawn])
+    return [np.concatenate(c) for c in zip(*drawn)] + [chunk]
+
+
+def _detect_photons(model, mapping, cfg, pairs_mean, rngs, spans, counts):
+    # (frames, pixels, times) of the detected pair photons, first members
+    # then second members, each in pair order; fills counts[:2]
+    pair_frame, rho1, rho2, t_true, u, pair_chunk = _draw_pairs(
+        model, mapping, cfg, pairs_mean, rngs, spans)
+    # pixels of both members of every pair; the detected photons are the
+    # surviving on-sensor members, index m * n_pairs + pair for member m
+    rho = np.stack([rho1, rho2])
+    col = np.floor(rho[..., 0] / cfg.pixel_pitch_um + cfg.n_x / 2.0
                    + mapping.center_offset_px[0]).astype(np.int64)
-    row = np.floor(ph_rho[:, 1] / cfg.pixel_pitch_um + cfg.n_y / 2.0
+    row = np.floor(rho[..., 1] / cfg.pixel_pitch_um + cfg.n_y / 2.0
                    + mapping.center_offset_px[1]).astype(np.int64)
-    on = (col >= 0) & (col < cfg.n_x) & (row >= 0) & (row < cfg.n_y)
-    lin = (row[on] * cfg.n_x + col[on] + 1)
-    ph_frame = ph_frame[on]
-    ph_time = ph_time[on]
+    detected = np.flatnonzero((u.T < cfg.efficiency) & (col >= 0)
+                              & (col < cfg.n_x) & (row >= 0)
+                              & (row < cfg.n_y))
+    split = int(np.searchsorted(detected, pair_frame.size))
+    pair = detected - pair_frame.size * (detected >= pair_frame.size)
+    lin = row.ravel()[detected] * cfg.n_x + col.ravel()[detected] + 1
+    ph_time = t_true[pair]
+    ph_chunk = pair_chunk[pair]
+    counts[0] = np.bincount(ph_chunk[:split], minlength=len(spans))
+    counts[1] = np.bincount(ph_chunk[split:], minlength=len(spans))
     if cfg.pixel_offsets_ps is not None:
         ph_time = ph_time + cfg.pixel_offsets_ps[lin - 1]
     if cfg.jitter_sigma_ps > 0:
-        ph_time = ph_time + rng.normal(0.0, cfg.jitter_sigma_ps, lin.size)
+        n_ph = counts[0] + counts[1]
+        jitter = np.empty_like(ph_time)
+        jitter[_stored_at(counts[:2], [np.arange(n) for n in n_ph])] = (
+            np.concatenate([rng.normal(0.0, cfg.jitter_sigma_ps, n)
+                            for rng, n in zip(rngs, n_ph)]))
+        ph_time = ph_time + jitter
+    return pair_frame[pair], lin, ph_time
 
-    # dark counts: Poisson total over (pixels x frames), placed uniformly
-    d_frame = _place_on_frames(rng, cfg.dark_rate_hz * fd * 1e-12
-                               * cfg.n_pixels, lo, hi)
-    n_dark = d_frame.size
-    frames = np.concatenate([ph_frame, d_frame])
-    lins = np.concatenate([lin, rng.integers(1, cfg.n_pixels + 1, n_dark)])
-    times = np.concatenate([ph_time, rng.uniform(0.0, fd, n_dark)])
 
-    if not crosstalk.is_empty and lins.size:
-        frames, lins, times = inject_crosstalk(frames, lins, times,
-                                               crosstalk, cfg, rng)
+def _dark_counts(cfg, rngs, spans, counts):
+    # (frames, pixels, times) of every chunk's dark counts, a Poisson total
+    # over (pixels x frames) placed uniformly; fills counts[2]
+    drawn = []
+    for rng, (_, a, b) in zip(rngs, spans):
+        d_frame = _place_on_frames(rng, _dark_mean(cfg), a, b)
+        n_dark = d_frame.size
+        drawn.append((d_frame, rng.integers(1, cfg.n_pixels + 1, n_dark),
+                      rng.uniform(0.0, cfg.frame_duration_ps, n_dark)))
+    counts[2] = [d[0].size for d in drawn]
+    return [np.concatenate(c) for c in zip(*drawn)]
 
+
+def _first_hits(frames, lins, times, cfg, lo, hi) -> FrameBatch:
     # Frame gate, then the first hit per (frame, pixel) slot from one sort
     # of one code per event. The TDC bin never decreases as the time grows,
     # so the lowest code in a slot is the earliest hit's.
     bins, inside = quantize_tdc(times, cfg)
-    code = (((frames[inside] - lo) * cfg.n_pixels + lins[inside] - 1)
-            * cfg.bins_per_frame + bins[inside])
+    code = (((frames - lo) * cfg.n_pixels + lins - 1) * cfg.bins_per_frame
+            + bins)[inside]
     code.sort()
-    slot, tdc = np.divmod(code, cfg.bins_per_frame)
-    first = np.diff(slot, prepend=-1) > 0
-    frame, pixel = np.divmod(slot[first], cfg.n_pixels)
-    return FrameBatch(start_frame=lo, n_frames=n, frame_ids=frame + lo,
+    slot = code // cfg.bins_per_frame
+    first = np.empty(slot.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(slot[1:], slot[:-1], out=first[1:])
+    slot = slot[first]
+    tdc = code[first] - slot * cfg.bins_per_frame
+    frame, pixel = np.divmod(slot, cfg.n_pixels)
+    return FrameBatch(start_frame=lo, n_frames=hi - lo, frame_ids=frame + lo,
                       pixels=(pixel + 1).astype(np.uint16),
-                      tdc=tdc[first].astype(np.uint8))
+                      tdc=tdc.astype(np.uint8))

@@ -97,14 +97,15 @@ def random_batch(rng, n_frames, n_pix, bins, max_events=8, p_empty=0.2):
     return batch_of(*frames, n_frames=n_frames)
 
 
-def stream_digests(seed):
+def stream_digests(seed, n_frames=PINNED_FRAMES,
+                   streams=("far", "near", "characterization")):
     """{stream: {field: first 16 hex digits of its sha256}} at one seed.
 
-    The streams are the default.cfg far arm, near arm and 30 kHz cross-talk
-    characterization sensor (zero pairs, far mapping), cross-talk on,
-    PINNED_FRAMES frames each, all simulated on seed. The fields are each
-    FrameBatch event column over the whole stream and the five arrays of
-    the stream's accumulator at the default.cfg window and shift.
+    The streams are any of the default.cfg far arm, near arm and 30 kHz
+    cross-talk characterization sensor (zero pairs, far mapping),
+    cross-talk on, n_frames frames each, all simulated on seed. The fields
+    are each FrameBatch event column over the whole stream and the five
+    arrays of the stream's accumulator at the default.cfg window and shift.
     """
     def digest(arrays):
         h = hashlib.sha256()
@@ -123,8 +124,10 @@ def stream_digests(seed):
             ("near", "near", sensor, settings["run.pairs_per_frame_near"]),
             ("characterization", "far",
              dataclasses.replace(sensor, dark_rate_hz=dark), 0.0)):
+        if name not in streams:
+            continue
         batches = list(simulate_frames(
-            model, build_mapping(settings, mode), cfg, PINNED_FRAMES, pairs,
+            model, build_mapping(settings, mode), cfg, n_frames, pairs,
             crosstalk=build_crosstalk(settings), seed=seed))
         acc = accumulate(batches, window=10, shift=20, mapping_mode=mode)
         out[name] = {f: digest(getattr(b, f) for b in batches)

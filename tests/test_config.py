@@ -26,6 +26,8 @@ BAD_VALUES = [
     ("sensor.dark_rate_hz", "inf", "is not finite"),
     ("mapping.center_offset_x_px", "nan", "is not finite"),
     ("epr.min_column_fraction", "nan", "is not finite"),
+    ("epr.min_column_fraction", "-1", "must be above 0 and at most 1"),
+    ("epr.min_column_fraction", "2", "must be above 0 and at most 1"),
 ]
 
 

@@ -195,21 +195,45 @@ class TestAccumulate:
         assert acc.dt_hist.sum() == n_frames * per * (per - 1)
 
     @staticmethod
-    def _check_against_quadratic(batch, n_x, n_y, bins):
-        acc = accumulate(batch, window=10, shift=20, n_x=n_x, n_y=n_y,
-                         bins_per_frame=bins)
-        ref = quadratic_accumulate(batch, n_x, n_y, bins, 10, 20)
+    def _check_against_quadratic(batch, n_x, n_y, bins, window=10,
+                                 shift=20):
+        acc = accumulate(batch, window=window, shift=shift, n_x=n_x,
+                         n_y=n_y, bins_per_frame=bins)
+        ref = quadratic_accumulate(batch, n_x, n_y, bins, window, shift)
         assert acc.n_frames == ref.n_frames
         np.testing.assert_array_equal(acc.g2, ref.g2)
         np.testing.assert_array_equal(acc.g2_shifted, ref.g2_shifted)
         np.testing.assert_array_equal(acc.g2_later, ref.g2_later)
         np.testing.assert_array_equal(acc.g1, ref.g1)
         np.testing.assert_array_equal(acc.dt_hist, ref.dt_hist)
+        return ref
+
+    @pytest.mark.parametrize("bins,window,shift", [
+        (255, 3, 40), (64, 5, 20),
+        # shift + window reaches the largest |dt|: nothing is pruned
+        (64, 3, 60), (64, 10, 60)])
+    def test_pruned_pairs_match_quadratic_reference(self, bins, window,
+                                                    shift):
+        rng = np.random.default_rng(37)
+        batch = random_batch(rng, 40, 1024, bins, max_events=40, p_empty=0)
+        ref = self._check_against_quadratic(batch, 32, 32, bins, window,
+                                            shift)
+        reach = shift + window
+        if reach < bins - 1:
+            # pairs on both sides of the pruning edge
+            assert ref.dt_hist[bins - 1 + reach] > 0
+            assert ref.dt_hist[bins + reach] > 0
+        else:
+            # pairs at the largest |dt|, which the shifted window keeps
+            assert ref.dt_hist[-1] > 0
+        assert np.count_nonzero(ref.g2_shifted) > 0
 
     def test_worker_count_invisible(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=10000.0)
         batches = list(simulate_frames(reference_model, far_mapping, cfg,
                                        3 * 65536, 0.3, seed=34))
+        # the workers must have more than one batch to share
+        assert len(batches) >= 2
         a = accumulate(batches, workers=1, mapping_mode="far")
         b = accumulate(batches, workers=4, mapping_mode="far")
         assert a.n_frames == b.n_frames

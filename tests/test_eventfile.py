@@ -164,11 +164,13 @@ class TestRoundTrip:
             writer.add_batch(batch)
         writer.close(total_frames=2 * 65536)
         back = list(read_batches(path, frames_per_batch=65536))
-        assert len(back) == len(src)
-        for a, b in zip(src, back):
-            np.testing.assert_array_equal(a.frame_ids, b.frame_ids)
-            np.testing.assert_array_equal(a.pixels, b.pixels)
-            np.testing.assert_array_equal(a.tdc, b.tdc)
+        # the simulator's batches span chunk groups, the reader's 65536
+        # frames each: compare the streams, not the batch boundaries
+        assert [b.n_frames for b in back] == [65536, 65536]
+        for field in ("frame_ids", "pixels", "tdc"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(b, field) for b in src]),
+                np.concatenate([getattr(b, field) for b in back]))
 
 
 class TestWriterErrors:

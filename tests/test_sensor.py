@@ -5,12 +5,20 @@ import pytest
 
 from helpers import (
     ACC_FIELDS,
+    REFERENCE_CFG,
     chi2_critical,
     goodness_of_fit,
     stream_digests,
     two_sample_chi2,
 )
 from spadcorr import sensor
+from spadcorr.config import (
+    build_crosstalk,
+    build_mapping,
+    build_model,
+    build_sensor,
+    load_config,
+)
 from spadcorr.errors import ConfigError
 from spadcorr.optics import map_sensor_to_object
 from spadcorr.sensor import (
@@ -58,6 +66,21 @@ PINNED_DIGESTS = {
     (103, "characterization"):
         "4488f8f3660ba7c0 c7ce89731c7e0c65 b58d8564ff31c316 b3263624a4938469 "
         "a30acdb584be2362 5c2ec09c08b0b093 17f9504873930825 53c55aa2c7dd1cee",
+}
+
+
+# The same digests for streams of LONG_FRAMES frames, recorded on the
+# simulator that built and yielded every 65536-frame chunk on its own.
+# Several full chunk groups and a short last chunk: a stream that fits in
+# one group cannot show a fault at a group boundary.
+LONG_FRAMES = 40 * sensor.CHUNK_FRAMES + 1234
+LONG_DIGESTS = {
+    (103, "far"):
+        "28deb87552cc5f22 8c1741cfdd940907 f765b081d1837326 9604691e68a8a240 "
+        "c26e0d8843eecb9b e5075ae66ce72b25 d2f3fa8d27a3143e 52af728cdca7fe29",
+    (103, "near"):
+        "6198d5d63e974661 c77a8e860c979838 ad134b311754ea14 84c0e446c3e6120f "
+        "03097f64b063ac94 49a885da7722bb48 e2557e2b332cf33a c2099195e52ff4f8",
 }
 
 
@@ -139,7 +162,7 @@ class TestCrosstalkSpec:
 
 
 class TestSamplePair:
-    """The pair draw that _simulate_chunk runs."""
+    """The pair draw that every simulated chunk makes."""
 
     def test_shapes(self, reference_model, far_mapping, rng):
         r1, r2 = _draw_pair_coordinates(reference_model, far_mapping, 1, rng)
@@ -195,7 +218,7 @@ class TestInjectCrosstalk:
         pix = np.array([10, 20, 30], dtype=np.int64)
         t = np.array([1.0, 2.0, 3.0])
         out_f, out_pix, out_t = inject_crosstalk(
-            fids, pix, t, CrosstalkSpec.none(), cfg, rng)
+            fids, pix, t, CrosstalkSpec.none(), cfg, [rng], [[3]])
         np.testing.assert_array_equal(out_f, fids)
         np.testing.assert_array_equal(out_pix, pix)
         np.testing.assert_array_equal(out_t, t)
@@ -205,7 +228,8 @@ class TestInjectCrosstalk:
         # pixel (5, 5) 1-based is linear 133; (6, 5) is 134
         spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
         fids, pix, t = inject_crosstalk(np.array([3]), np.array([133]),
-                                        np.array([1000.0]), spec, cfg, rng)
+                                        np.array([1000.0]), spec, cfg,
+                                        [rng], [[1]])
         np.testing.assert_array_equal(fids, [3, 3])
         np.testing.assert_array_equal(pix, [133, 134])
         delay = t[1] - 1000.0
@@ -216,7 +240,8 @@ class TestInjectCrosstalk:
         spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
         # pixel 32 sits on the rightmost column
         fids, pix, t = inject_crosstalk(np.array([0]), np.array([32]),
-                                        np.array([0.0]), spec, cfg, rng)
+                                        np.array([0.0]), spec, cfg,
+                                        [rng], [[1]])
         np.testing.assert_array_equal(fids, [0])
         np.testing.assert_array_equal(pix, [32])
 
@@ -226,7 +251,7 @@ class TestInjectCrosstalk:
         n = 10_000_000
         spec = CrosstalkSpec.from_dict({(1, 0): 1e-3})
         fids, pix, t = inject_crosstalk(np.arange(n), np.full(n, 500),
-                                        np.zeros(n), spec, cfg, rng)
+                                        np.zeros(n), spec, cfg, [rng], [[n]])
         echoes = pix.size - n
         assert abs(echoes - 1e4) < 4 * np.sqrt(1e4)
         assert np.all(t[n:] >= 0.0)
@@ -236,10 +261,46 @@ class TestInjectCrosstalk:
         cfg = SensorConfig()
         spec = CrosstalkSpec.from_dict({(0, 1): 1.0})
         fids, pix, t = inject_crosstalk(np.array([7, 9]), np.array([1, 33]),
-                                        np.array([0.0, 5.0]), spec, cfg, rng)
+                                        np.array([0.0, 5.0]), spec, cfg,
+                                        [rng], [[2]])
         assert pix.size == 4
         np.testing.assert_array_equal(fids, [7, 9, 7, 9])
         np.testing.assert_array_equal(pix[2:], [33, 65])
+
+
+    def test_chunks_fire_as_if_alone(self):
+        cfg = SensorConfig()
+        spec = CrosstalkSpec.from_dict({(1, 0): 1.0, (0, -1): 0.2})
+        src = np.random.default_rng(45)
+        fids = np.arange(65)
+        pix = src.integers(1, cfg.n_pixels + 1, 65)
+        t = src.uniform(0.0, 1e4, 65)
+        # three chunk lists of 40, 0 and 25 detections; each list's first
+        # 15, 0 and 25 detections are stored in run 0, the rest in run 1
+        lists = [np.arange(0, 40), np.arange(40, 40), np.arange(40, 65)]
+        counts = [[15, 0, 25], [25, 0, 0]]
+        stored = np.concatenate([lists[0][:15], lists[2],
+                                 lists[0][15:]])
+        seeds = (1, 2, 3)
+
+        def in_one_order(f, p, tt):
+            order = np.lexsort((tt, p, f))
+            return f[order], p[order], tt[order]
+
+        together = inject_crosstalk(
+            fids[stored], pix[stored], t[stored], spec, cfg,
+            [np.random.default_rng(s) for s in seeds], counts)
+        alone = [inject_crosstalk(fids[i], pix[i], t[i], spec, cfg,
+                                  [np.random.default_rng(s)], [[i.size]])
+                 for s, i in zip(seeds, lists)]
+        # the secondaries follow the sources
+        got = in_one_order(*(x[65:] for x in together))
+        want = in_one_order(*(
+            np.concatenate([out[k][i.size:] for out, i in zip(alone, lists)])
+            for k in range(3)))
+        assert got[0].size > 10
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestSimulateFrames:
@@ -285,14 +346,19 @@ class TestSimulateFrames:
             np.testing.assert_array_equal(x, y)
 
     def test_worker_count_invisible(self, reference_model, far_mapping):
-        cfg = SensorConfig(dark_rate_hz=5000.0)
-        kw = dict(pairs_per_frame_mean=0.3, seed=10)
-        a = concat_batches(simulate_frames(reference_model, far_mapping, cfg,
-                                           3 * 65536, workers=1, **kw))
-        b = concat_batches(simulate_frames(reference_model, far_mapping, cfg,
-                                           3 * 65536, workers=4, **kw))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        # one chunk per group, then 9 chunks per group
+        for dark, pairs, chunks in ((5000.0, 0.3, 3), (1000.0, 0.05, 20)):
+            cfg = SensorConfig(dark_rate_hz=dark)
+            kw = dict(pairs_per_frame_mean=pairs, seed=10)
+            a, b = (list(simulate_frames(reference_model, far_mapping, cfg,
+                                         chunks * 65536, workers=workers,
+                                         **kw))
+                    for workers in (1, 4))
+            # the workers must have more than one chunk group to share
+            assert len(a) >= 2
+            for x, y in zip(concat_batches(a), concat_batches(b)):
+                np.testing.assert_array_equal(x, y)
+        assert a[0].n_frames > 65536
 
     def test_stream_invariants(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=30000.0)
@@ -441,7 +507,8 @@ class TestSameLaw:
         for r in range(reps):
             fids, pix, _ = inject_crosstalk(np.arange(n_src),
                                             np.full(n_src, 500),
-                                            np.zeros(n_src), spec, cfg, rng)
+                                            np.zeros(n_src), spec, cfg,
+                                            [rng], [[n_src]])
             src, pix = fids[n_src:], pix[n_src:]
             for lin, off in landing.items():
                 mine = src[pix == lin]
@@ -468,6 +535,31 @@ class TestPinnedStreams:
         for name in ("far", "near", "characterization"):
             want = dict(zip(fields, PINNED_DIGESTS[seed, name].split()))
             assert got[name] == want, name
+
+
+    @pytest.mark.parametrize("name", ["far", "near"])
+    def test_long_streams_match_pinned_digests(self, name):
+        fields = ("frame_ids", "pixels", "tdc") + ACC_FIELDS
+        got = stream_digests(103, n_frames=LONG_FRAMES, streams=(name,))
+        want = dict(zip(fields, LONG_DIGESTS[103, name].split()))
+        assert got[name] == want
+
+    @pytest.mark.parametrize("mode", ["far", "near"])
+    def test_batches_tile_the_stream_on_chunk_edges(self, mode):
+        settings = load_config(REFERENCE_CFG)
+        batches = list(simulate_frames(
+            build_model(settings), build_mapping(settings, mode),
+            build_sensor(settings), LONG_FRAMES,
+            settings[f"run.pairs_per_frame_{mode}"],
+            crosstalk=build_crosstalk(settings), seed=103))
+        starts = [b.start_frame for b in batches]
+        ends = [b.start_frame + b.n_frames for b in batches]
+        assert starts[0] == 0 and ends[-1] == LONG_FRAMES
+        assert starts[1:] == ends[:-1]
+        assert all(start % sensor.CHUNK_FRAMES == 0 for start in starts)
+        for b in batches:
+            assert np.all((b.frame_ids >= b.start_frame)
+                          & (b.frame_ids < b.start_frame + b.n_frames))
 
 
 class TestPixelOffsets:
