@@ -52,8 +52,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_correlate(args):
-    acc = accumulate_file(args.infile, window=args.window, shift=args.shift,
-                          workers=args.workers)
+    acc = accumulate_file(args.infile, window=args.window, shift=args.shift)
     acc.save(args.out)
     print(f"wrote {args.out}: {acc.n_frames} frames, "
           f"{int(acc.g2.sum())} windowed pair counts")
@@ -218,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="accumulator container")
     p.add_argument("--window", type=int, default=schema["correlate.window"])
     p.add_argument("--shift", type=int, default=schema["correlate.shift"])
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("correct", help="run the correction chain")

@@ -17,8 +17,6 @@ Skipping a stage is allowed where noted; revisiting one is not.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,8 +43,6 @@ _TENSOR_META = dict(n_x=int, n_y=int, bins_per_frame=int, window=int,
                     shift=int, n_frames=int, mapping_mode=str)
 
 MFRAMES = 1.0e6
-# most same-frame pairs add_batch gathers at once (about 62 B each)
-PAIR_SLICE = 1 << 18
 
 
 def _in_range(fields: dict) -> dict:
@@ -82,13 +78,20 @@ def _window_mass(bins_per_frame, lo, hi):
 
 @dataclass(eq=False)
 class CorrelationAccumulator:
-    """Mergeable raw-count store for one correlation pass.
+    """Raw-count store for one correlation pass.
 
     g2 and g2_shifted hold ordered pixel-pair counts inside the prompt
     window |dt| <= window and the displaced window ||dt| - shift| <= window.
     g2_later[l1, l2] counts the prompt pairs where l2 fired strictly after
     l1; the tdc-equal remainder is direction-blind. dt_hist covers every
     same-frame pair regardless of window, both signs.
+
+    shift > window keeps the displaced window off dt = 0, but the two
+    windows still share |dt| = shift - window whenever shift <= 2 * window,
+    as at the reference window 10 and shift 20: a pair there counts in both
+    g2 and g2_shifted. The displaced window keeps that definition, overlap
+    included; the benchmark's independent pair loop (spadbench/checks.py)
+    checks accumulators against it.
     """
 
     n_x: int
@@ -111,6 +114,8 @@ class CorrelationAccumulator:
         if self.shift <= self.window:
             raise DisjointnessViolation(
                 "shifted window overlaps the prompt window")
+        if self.shift - self.window > self.bins_per_frame - 1:
+            raise WindowTooLarge("shifted window lies beyond the frame")
         if self.g2 is None:
             self.g2 = np.zeros((n_pix, n_pix), dtype=np.int64)
         if self.g2_shifted is None:
@@ -126,27 +131,6 @@ class CorrelationAccumulator:
     @property
     def n_pixels(self) -> int:
         return self.n_x * self.n_y
-
-    def _compatible(self, other: "CorrelationAccumulator") -> None:
-        for name in ("n_x", "n_y", "bins_per_frame", "window", "shift",
-                     "mapping_mode"):
-            if getattr(self, name) != getattr(other, name):
-                raise ConfigError(f"accumulators differ in {name}")
-
-    def merge(self, other: "CorrelationAccumulator") -> "CorrelationAccumulator":
-        """Elementwise integer sum; exact, so merge order never matters."""
-        self._compatible(other)
-        out = CorrelationAccumulator(
-            n_x=self.n_x, n_y=self.n_y, bins_per_frame=self.bins_per_frame,
-            window=self.window, shift=self.shift,
-            mapping_mode=self.mapping_mode,
-            n_frames=self.n_frames + other.n_frames,
-            g2=self.g2 + other.g2,
-            g2_shifted=self.g2_shifted + other.g2_shifted,
-            g2_later=self.g2_later + other.g2_later,
-            g1=self.g1 + other.g1,
-            dt_hist=self.dt_hist + other.dt_hist)
-        return out
 
     def add_batch(self, batch: FrameBatch) -> None:
         if not isinstance(batch, FrameBatch):
@@ -170,55 +154,47 @@ class CorrelationAccumulator:
                                  "events out of (frame, pixel) order")
         self.g1 += np.bincount(p - 1, minlength=self.n_pixels)
 
-        # later[i]: events after i in its frame; before[i]: pairs of the
-        # events ahead of i
-        head = np.flatnonzero(np.diff(f, prepend=f[0] - 1))
-        size = np.diff(head, append=f.size)
-        later = np.repeat(head + size, size) - np.arange(f.size) - 1
-        before = np.cumsum(later) - later
-        # slices of whole frames holding at most PAIR_SLICE pairs (or one
-        # frame's, if it has more) bound the temporaries
-        starts = np.append(before[head], before[-1] + later[-1])
-        edges = np.append(head, f.size)
-        k = 0
-        while k < head.size:
-            stop = max(k + 1, int(np.searchsorted(
-                starts, starts[k] + PAIR_SLICE, side="right")) - 1)
-            a, b = edges[k], edges[stop]
-            self._add_pairs(p[a:b], t[a:b], later[a:b],
-                            before[a:b] - before[a])
-            k = stop
-
-    def _add_pairs(self, p, t, later, before):
-        # every same-frame pair (i, j) with i < j, hence p[i] < p[j], of a
-        # run of whole frames
-        i = np.repeat(np.arange(later.size), later)
-        j = i + 1 + np.arange(i.size) - np.repeat(before, later)
-        dt = t[i] - t[j]
-        hist = np.bincount(dt + self.bins_per_frame - 1,
-                           minlength=self.dt_hist.size)
-        self.dt_hist += hist + hist[::-1]
-        # the tensors count pairs with |dt| <= shift + window only; their
-        # scatters add integers, so dropping the other pairs first changes
-        # no count. Masks select through index arrays, which numpy gathers
-        # faster than it applies a mixed boolean mask.
-        near = np.flatnonzero(np.abs(dt) <= self.shift + self.window)
-        i, j, dt = i[near], j[near], dt[near]
-        adt = np.abs(dt)
-        win = adt <= self.window
-        sw = np.abs(adt - self.shift) <= self.window
-        # flat cells of both orders; a pair adds to [p_i, p_j] where fwd
-        # holds and to [p_j, p_i] where rev holds, one scatter per tensor
-        # into its C-contiguous storage
-        ij = (p[i] - 1) * self.n_pixels + p[j] - 1
-        ji = (p[j] - 1) * self.n_pixels + p[i] - 1
-        for tensor, fwd, rev in ((self.g2, win, win),
-                                 (self.g2_later, win & (dt < 0),
-                                  win & (dt > 0)),
-                                 (self.g2_shifted, sw, sw)):
-            np.add.at(tensor.reshape(-1),
-                      np.concatenate((ij[np.flatnonzero(fwd)],
-                                      ji[np.flatnonzero(rev)])), 1)
+        # event i pairs with event i + lag while both lie in one frame, so
+        # p[i] < p[i + lag]. The events still paired at lag + 1 are a
+        # subset of those at lag, so each lag works on O(events) entries
+        # and the loop ends after the largest frame's size.
+        # same[k]: events k and k + 1 share a frame
+        same = np.append(f[1:] == f[:-1], False)
+        i = np.flatnonzero(same)
+        lag = 1
+        while i.size:
+            # x[lag:][i] gathers x[i + lag] without an index temporary
+            dt = t[i]
+            dt -= t[lag:][i]
+            hist = np.bincount(dt + self.bins_per_frame - 1,
+                               minlength=self.dt_hist.size)
+            self.dt_hist += hist + hist[::-1]
+            # the tensors count pairs with |dt| <= shift + window only;
+            # their scatters add integers, so dropping the other pairs
+            # first changes no count. Masks select through index arrays,
+            # which numpy gathers faster than it applies a mixed boolean
+            # mask.
+            near = np.flatnonzero(np.abs(dt) <= self.shift + self.window)
+            dt, k = dt[near], i[near]
+            pi, pj = p[k], p[lag:][k]
+            adt = np.abs(dt)
+            win = adt <= self.window
+            sw = np.abs(adt - self.shift) <= self.window
+            # flat cells of both orders; a pair adds to [p_i, p_j] where
+            # fwd holds and to [p_j, p_i] where rev holds, one scatter per
+            # tensor into its C-contiguous storage
+            ij = (pi - 1) * self.n_pixels + pj - 1
+            ji = (pj - 1) * self.n_pixels + pi - 1
+            for tensor, fwd, rev in ((self.g2, win, win),
+                                     (self.g2_later, win & (dt < 0),
+                                      win & (dt > 0)),
+                                     (self.g2_shifted, sw, sw)):
+                np.add.at(tensor.reshape(-1),
+                          np.concatenate((ij[np.flatnonzero(fwd)],
+                                          ji[np.flatnonzero(rev)])), 1)
+            # i keeps a partner at lag + 1 where event i + lag has one at 1
+            i = i[same[lag:][i]]
+            lag += 1
 
     def save(self, path) -> None:
         arraystore.save_arrays(
@@ -246,44 +222,18 @@ class CorrelationAccumulator:
 
 
 def accumulate(batches, *, window=10, shift=20, n_x=32, n_y=32,
-               bins_per_frame=255, mapping_mode="unspecified",
-               workers=1) -> CorrelationAccumulator:
+               bins_per_frame=255, mapping_mode="unspecified"
+               ) -> CorrelationAccumulator:
     """Build a CorrelationAccumulator from one FrameBatch or an iterable.
 
-    The result is independent of the worker count: each worker fills its own
-    accumulator and the final merge is an integer sum.
+    Counts are integer sums over frames, so how the frames are split into
+    batches never changes the result.
     """
-    def fresh():
-        return CorrelationAccumulator(
-            n_x=n_x, n_y=n_y, bins_per_frame=bins_per_frame, window=window,
-            shift=shift, mapping_mode=mapping_mode)
-
-    if isinstance(batches, FrameBatch):
-        batches = [batches]
-    if workers <= 1:
-        acc = fresh()
-        for batch in batches:
-            acc.add_batch(batch)
-        return acc
-
-    accs = [fresh() for _ in range(workers)]
-    lock = threading.Lock()
-    it = iter(batches)
-    done = object()
-
-    def drain(acc):
-        while True:
-            with lock:
-                batch = next(it, done)
-            if batch is done:
-                return
-            acc.add_batch(batch)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(drain, accs))
-    acc = accs[0]
-    for other in accs[1:]:
-        acc = acc.merge(other)
+    acc = CorrelationAccumulator(
+        n_x=n_x, n_y=n_y, bins_per_frame=bins_per_frame, window=window,
+        shift=shift, mapping_mode=mapping_mode)
+    for batch in [batches] if isinstance(batches, FrameBatch) else batches:
+        acc.add_batch(batch)
     return acc
 
 
@@ -432,9 +382,6 @@ def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
         raise EmptyAccumulator("no frames accumulated")
     scale = MFRAMES / acc.n_frames
     if method == "shifted_window":
-        if acc.shift <= acc.window:
-            raise DisjointnessViolation(
-                "shifted window overlaps the prompt window")
         prompt = _window_mass(acc.bins_per_frame, -acc.window, acc.window)
         displaced = (
             _window_mass(acc.bins_per_frame, acc.shift - acc.window,
@@ -442,9 +389,8 @@ def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
             + _window_mass(acc.bins_per_frame, -acc.shift - acc.window,
                            -acc.shift + acc.window))
         # add_batch tests |dt|, so the displaced tensor carries both sign
-        # intervals; the denominator above counts both as well.
-        if displaced <= 0:
-            raise DisjointnessViolation("shifted window has no occupancy")
+        # intervals; the denominator above counts both as well. It is
+        # positive: the accumulator keeps shift - window inside the frame.
         est = acc.g2_shifted.astype(np.float64)
         est *= (prompt / displaced) * scale
         return est

@@ -60,7 +60,7 @@ class FlagOrderViolation(DataError):
 
 
 class WindowTooLarge(DataError):
-    """Requested inner window does not fit on the sensor."""
+    """A window does not fit in the frame or on the sensor."""
 
 
 class OutOfRange(DataError):

@@ -28,21 +28,14 @@ from .sensor import simulate_frames
 
 def simulate_accumulator(model, mapping, sensor_cfg, *, n_frames,
                          pairs_per_frame, crosstalk=None, seed=0, workers=1,
-                         window=10, shift=20,
-                         event_writer: EventFileWriter = None
-                         ) -> CorrelationAccumulator:
-    """Stream simulated frames into an accumulator, optionally teeing to disk."""
-    acc = CorrelationAccumulator(
-        n_x=sensor_cfg.n_x, n_y=sensor_cfg.n_y,
-        bins_per_frame=sensor_cfg.bins_per_frame,
-        window=window, shift=shift, mapping_mode=mapping.mode)
-    for batch in simulate_frames(model, mapping, sensor_cfg, n_frames,
-                                 pairs_per_frame, crosstalk=crosstalk,
-                                 seed=seed, workers=workers):
-        if event_writer is not None:
-            event_writer.add_batch(batch)
-        acc.add_batch(batch)
-    return acc
+                         window=10, shift=20) -> CorrelationAccumulator:
+    """Stream simulated frames into an accumulator."""
+    return accumulate(
+        simulate_frames(model, mapping, sensor_cfg, n_frames,
+                        pairs_per_frame, crosstalk=crosstalk, seed=seed,
+                        workers=workers),
+        window=window, shift=shift, n_x=sensor_cfg.n_x, n_y=sensor_cfg.n_y,
+        bins_per_frame=sensor_cfg.bins_per_frame, mapping_mode=mapping.mode)
 
 
 def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
@@ -67,14 +60,14 @@ def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
     return writer.close(total_frames=n_frames)
 
 
-def accumulate_file(path, *, window=10, shift=20, workers=1,
+def accumulate_file(path, *, window=10, shift=20,
                     frames_per_batch=65536) -> CorrelationAccumulator:
     """Accumulate an event file; geometry and mapping come from its header."""
     header = read_header(path)
     return accumulate(read_batches(path, frames_per_batch),
                       window=window, shift=shift, n_x=header.n_x,
                       n_y=header.n_y, bins_per_frame=header.bins_per_frame,
-                      mapping_mode=header.mapping_mode, workers=workers)
+                      mapping_mode=header.mapping_mode)
 
 
 def correct_chain(acc: CorrelationAccumulator, *,

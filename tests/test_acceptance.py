@@ -289,18 +289,17 @@ def test_criterion_8_parallel_determinism(tmp_path):
     simulate_to_file(settings, "far", eight, workers=8)
     files_equal = one.read_bytes() == eight.read_bytes()
 
-    acc1 = accumulate_file(one, workers=1)
-    acc8 = accumulate_file(one, workers=8)
-    s1, s8 = tmp_path / "a1.blk", tmp_path / "a8.blk"
-    acc1.save(s1)
-    acc8.save(s8)
-    snaps_equal = s1.read_bytes() == s8.read_bytes()
+    # accumulation has one path; its cut into batches must not show
+    s1, s2 = tmp_path / "a1.blk", tmp_path / "a2.blk"
+    accumulate_file(one, frames_per_batch=65536).save(s1)
+    accumulate_file(one, frames_per_batch=1000).save(s2)
+    snaps_equal = s1.read_bytes() == s2.read_bytes()
     ok = files_equal and snaps_equal
     record_criterion(
         8, ok,
         f"event files byte-identical: {files_equal} "
-        f"({one.stat().st_size} bytes), accumulator snapshots "
-        f"byte-identical: {snaps_equal}")
+        f"({one.stat().st_size} bytes), accumulator snapshots at 65536 "
+        f"and 1000 frames per batch byte-identical: {snaps_equal}")
     assert ok
 
 

@@ -3,13 +3,14 @@ config's target widths are the only statement of the model, and helpers
 that no pipeline path calls stay deleted."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import spadcorr
-from spadcorr import (config, correlator, epr, eventfile, fitting, optics,
-                      sensor)
+from spadcorr import (cli, config, correlator, epr, eventfile, fitting, optics,
+                      pipeline, sensor)
 from spadcorr.eventfile import EventFileReader, EventFileWriter
 
 REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
@@ -18,7 +19,7 @@ REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
            "position_widths", "position_widths_by_coordinate",
            "_paired_variance", "_SIGMA_KEYS", "fit_gaussian_1d_columns",
            "_fit_columns_stack", "_column_block", "linear_index",
-           "write_events")
+           "write_events", "PAIR_SLICE")
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -54,3 +55,16 @@ def test_fits_carry_no_weights_or_covariance():
         fitting.fit_gaussian_1d(x, y, weights=np.ones_like(x))
     with pytest.raises(TypeError, match="weights"):
         fitting.fit_gaussian_2d(np.outer(y, y), x, x, weights=None)
+
+
+def test_accumulation_has_one_path(capsys):
+    assert not hasattr(correlator.CorrelationAccumulator, "merge")
+    assert not hasattr(correlator.CorrelationAccumulator, "_add_pairs")
+    for fn in (correlator.accumulate, pipeline.accumulate_file):
+        assert "workers" not in inspect.signature(fn).parameters
+    assert "event_writer" not in inspect.signature(
+        pipeline.simulate_accumulator).parameters
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(
+            ["correlate", "--in", "a", "--out", "b", "--workers", "2"])
+    assert "--workers" in capsys.readouterr().err

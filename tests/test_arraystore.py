@@ -18,6 +18,7 @@ from spadcorr.errors import (
     InvariantViolation,
     SpadError,
     TruncatedFile,
+    WindowTooLarge,
 )
 
 
@@ -163,6 +164,18 @@ def test_meta_values_are_checked(tmp_path, kind, field, value):
     save_arrays(path, arrays, {**meta, field: value})
     with pytest.raises(InvariantViolation):
         cls.load(path)
+
+
+def test_displaced_window_beyond_frame_rejected(tmp_path):
+    # the 2x2 accumulator has 8 bins, window 2 and shift 5; a shift of 10
+    # puts its displaced window wholly past the largest |dt| of 7
+    obj, _ = tiny_containers()["accumulator"]
+    path = tmp_path / "x.blk"
+    obj.save(path)
+    arrays, meta = load_arrays(path)
+    save_arrays(path, arrays, {**meta, "shift": 10})
+    with pytest.raises(WindowTooLarge, match="beyond the frame"):
+        CorrelationAccumulator.load(path)
 
 
 def test_undecodable_bytes_rejected(tmp_path):

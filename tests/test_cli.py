@@ -284,6 +284,14 @@ class TestErrorExits:
                      "--out", str(ws["root"] / "nope.blk")]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_displaced_window_beyond_frame(self, ws, capsys):
+        # shift 300 - window 10 lies past the 255-bin frame's largest |dt|
+        assert main(["correlate", "--in", str(ws["far_evt"]),
+                     "--shift", "300",
+                     "--out", str(ws["root"] / "late.blk")]) == 3
+        assert "beyond the frame" in capsys.readouterr().err
+        assert not (ws["root"] / "late.blk").exists()
+
     def test_bad_config_key(self, ws, capsys):
         bad = ws["root"] / "bad.cfg"
         bad.write_text("run.seeed = 2\n")

@@ -155,24 +155,32 @@ class TestAccumulate:
                           batch_of(n_frames=5)):
                 self._check_against_quadratic(batch, n_x, n_y, bins)
 
-    @pytest.mark.parametrize("pair_slice", [1, 50])
-    def test_pair_slices_match_quadratic_reference(self, pair_slice,
-                                                   monkeypatch):
-        # a slice of 1 pair gathers one frame at a time; 50 packs several
-        monkeypatch.setattr(correlator, "PAIR_SLICE", pair_slice)
-        rng = np.random.default_rng(36)
-        for batch in (random_batch(rng, 60, 1024, 255),
-                      random_batch(rng, 60, 1024, 255, max_events=40,
-                                   p_empty=0.3)):
-            self._check_against_quadratic(batch, 32, 32, 255)
+    @pytest.mark.parametrize("n_x,n_y,batch", [
+        # the densest frame is the batch's last, so its pairs reach the
+        # batch end at every lag
+        (32, 32, batch_of((0, [5, 9], [3, 40]), (2, [1, 2, 3], [0, 9, 30]),
+                          (3, [7], [2]),
+                          (6, list(range(100, 1100, 100)),
+                           [0, 4, 9, 15, 20, 22, 29, 31, 100, 254]))),
+        # one frame holding every pixel of a 4x4 sensor
+        (4, 4, batch_of((0, list(range(1, 17)),
+                         [(37 * k) % 255 for k in range(16)]))),
+        # at most one event in every frame: no pair at any lag
+        (32, 32, batch_of((0, [4], [10]), (1, [4], [12]), (3, [1024], [0]),
+                          n_frames=6)),
+    ], ids=["densest-last", "full-frame", "singles"])
+    def test_lag_edges_match_quadratic_reference(self, n_x, n_y, batch):
+        ref = self._check_against_quadratic(batch, n_x, n_y, 255)
+        assert ref.dt_hist.sum() == sum(len(pix) * (len(pix) - 1)
+                                        for _, pix, _ in frame_groups(batch))
 
     def test_dense_batch_memory_is_bounded(self):
         """A dense 65536-frame batch: bounded pair temporaries.
 
         16 events in every frame make 7.9M same-frame pairs; gathered at
-        once they would peak near 490 MB (about 62 B per pair). In slices
-        the peak is the O(events) columns (about 48 B per event) plus one
-        slice of pairs.
+        once they would peak near 490 MB (about 62 B per pair). Lag by lag
+        the peak is the O(events) columns plus one lag's pairs, at most
+        one per event.
         """
         n_frames, per = 65536, 16
         rng = np.random.default_rng(37)
@@ -228,34 +236,39 @@ class TestAccumulate:
             assert ref.dt_hist[-1] > 0
         assert np.count_nonzero(ref.g2_shifted) > 0
 
-    def test_worker_count_invisible(self, reference_model, far_mapping):
+    def test_batch_split_invisible(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=10000.0)
         batches = list(simulate_frames(reference_model, far_mapping, cfg,
                                        3 * 65536, 0.3, seed=34))
-        # the workers must have more than one batch to share
+        # the split must cut the stream somewhere
         assert len(batches) >= 2
-        a = accumulate(batches, workers=1, mapping_mode="far")
-        b = accumulate(batches, workers=4, mapping_mode="far")
-        assert a.n_frames == b.n_frames
+        whole = FrameBatch(
+            start_frame=batches[0].start_frame,
+            n_frames=sum(b.n_frames for b in batches),
+            **{name: np.concatenate([getattr(b, name) for b in batches])
+               for name in ("frame_ids", "pixels", "tdc")})
+        a = accumulate(batches, mapping_mode="far")
+        b = accumulate(whole, mapping_mode="far")
+        assert a.n_frames == b.n_frames == 3 * 65536
+        assert a.g2.sum() > 0
         np.testing.assert_array_equal(a.g2, b.g2)
         np.testing.assert_array_equal(a.g2_shifted, b.g2_shifted)
         np.testing.assert_array_equal(a.g2_later, b.g2_later)
         np.testing.assert_array_equal(a.g1, b.g1)
         np.testing.assert_array_equal(a.dt_hist, b.dt_hist)
 
-    def test_merge_requires_identical_geometry(self):
-        a = CorrelationAccumulator(n_x=4, n_y=4, bins_per_frame=255,
-                                   window=10, shift=20)
-        b = CorrelationAccumulator(n_x=8, n_y=4, bins_per_frame=255,
-                                   window=10, shift=20)
-        with pytest.raises(ConfigError):
-            a.merge(b)
-
     def test_window_and_shift_validation(self):
         with pytest.raises(WindowTooLarge):
             accumulate([], window=255, shift=300)
         with pytest.raises(DisjointnessViolation):
             accumulate([], window=10, shift=10)
+        # a displaced window wholly beyond the frame would stay empty
+        with pytest.raises(WindowTooLarge, match="beyond the frame"):
+            accumulate(batch_of((0, [1, 2], [0, 5])), window=10, shift=300)
+        # its near edge on the frame's largest |dt| is still inside
+        acc = accumulate(batch_of((0, [1, 2], [0, 254])), window=10,
+                         shift=264)
+        assert acc.g2_shifted[0, 1] == acc.g2_shifted[1, 0] == 1
 
     def test_malformed_frames_rejected(self):
         with pytest.raises(MalformedFrame, match="outside the array"):
@@ -272,7 +285,7 @@ class TestAccumulate:
             accumulate(["not a frame"])
         good = batch_of((0, [1], [0]))
         with pytest.raises(MalformedFrame, match="cannot accumulate None"):
-            accumulate([good, None, good], workers=2)
+            accumulate([good, None, good])
         bad = batch_of((0, [1], [0]))
         object.__setattr__(bad, "tdc", np.zeros(2, dtype=np.uint8))
         with pytest.raises(MalformedFrame, match="columns"):

@@ -443,11 +443,11 @@ class TestDifferentialDecode:
             assert got == want
             assert_same_events(read_batches(path, frames_per_batch), [batch])
 
-    def test_accumulate_file_worker_count(self, tmp_path):
+    def test_accumulate_file_batch_size_invisible(self, tmp_path):
         path = tmp_path / "sim.evt"
         simulated_file(path, 3 * 65536 + 100, 0.3, seed=9)
-        one = accumulate_file(path, workers=1, frames_per_batch=65536)
-        two = accumulate_file(path, workers=2, frames_per_batch=65536)
+        one = accumulate_file(path, frames_per_batch=65536)
+        two = accumulate_file(path, frames_per_batch=1000)
         assert one.n_frames == two.n_frames == 3 * 65536 + 100
         for name in ("g1", "g2", "g2_shifted", "g2_later", "dt_hist"):
             np.testing.assert_array_equal(getattr(one, name),

@@ -5,13 +5,13 @@ from helpers import REFERENCE_CFG
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
-from spadcorr.eventfile import EventFileWriter
 from spadcorr.pipeline import (
     accumulate_file,
     characterize_crosstalk,
     correct_chain,
     run_pair_study,
     simulate_accumulator,
+    simulate_to_file,
 )
 
 
@@ -28,24 +28,23 @@ def small_settings(**overrides):
 
 
 class TestSimulateAccumulator:
-    def test_event_file_tee_matches_memory(self, tmp_path, reference_model,
-                                           far_mapping):
-        from spadcorr.config import build_sensor
-        settings = small_settings()
-        sensor_cfg = build_sensor(settings)
-        path = tmp_path / "tee.evt"
-        writer = EventFileWriter(path, n_x=32, n_y=32, tdc_bin_ps=205.0,
-                                 bins_per_frame=255, mapping_mode="far")
-        acc = simulate_accumulator(reference_model, far_mapping, sensor_cfg,
-                                   n_frames=5000, pairs_per_frame=0.2,
-                                   seed=3, event_writer=writer)
-        writer.close(total_frames=5000)
+    def test_event_file_tee_matches_memory(self, tmp_path):
+        settings = small_settings(**{"crosstalk.p_1_0": "1e-3"})
+        path = tmp_path / "far.evt"
+        simulate_to_file(settings, "far", path, frames=5000, seed=3)
         replay = accumulate_file(path)
+        acc = simulate_accumulator(
+            cfgmod.build_model(settings),
+            cfgmod.build_mapping(settings, "far"),
+            cfgmod.build_sensor(settings), n_frames=5000,
+            pairs_per_frame=settings["run.pairs_per_frame"],
+            crosstalk=cfgmod.build_crosstalk(settings), seed=3)
         assert replay.n_frames == acc.n_frames == 5000
-        np.testing.assert_array_equal(replay.g2, acc.g2)
-        np.testing.assert_array_equal(replay.g1, acc.g1)
-        np.testing.assert_array_equal(replay.dt_hist, acc.dt_hist)
-        assert replay.mapping_mode == "far"
+        assert replay.mapping_mode == acc.mapping_mode == "far"
+        assert acc.g2.sum() > 0
+        for name in ("g2", "g2_shifted", "g2_later", "g1", "dt_hist"):
+            np.testing.assert_array_equal(getattr(replay, name),
+                                          getattr(acc, name))
 
 
 class TestCorrectChain:
