@@ -18,6 +18,8 @@ zip-based containers with timestamps. Layout, all little-endian:
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -31,68 +33,72 @@ _CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    chunks = [MAGIC, struct.pack("<H", len(arrays))]
+    # Every record is checked and packed before the file is opened, so an
+    # unsupported array writes nothing and leaves an existing file intact.
+    records = []
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr)
         code = _CODES.get(arr.dtype.newbyteorder("<") if arr.dtype.byteorder == ">"
                           else arr.dtype)
         if code is None:
             raise InvariantViolation(f"unsupported dtype {arr.dtype} for {name!r}")
+        # little-endian C order; a 0-d array is stored with shape (1,)
+        arr = np.ascontiguousarray(arr, dtype=_DTYPES[code])
         nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<BB", code, arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype(_DTYPES[code], copy=False).tobytes())
+        records.append((struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb,
+                                    code, arr.ndim, *arr.shape), arr))
     mb = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    chunks.append(struct.pack("<I", len(mb)))
-    chunks.append(mb)
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(MAGIC + struct.pack("<H", len(arrays)))
+        for header, arr in records:
+            fh.write(header)
+            fh.write(arr)    # the array's own buffer, not a copy of it
+        fh.write(struct.pack("<I", len(mb)) + mb)
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < len(MAGIC) + 2 or buf[:8] != MAGIC:
-        raise BadMagic("not an array container")
-    pos = 8
-    (count,) = struct.unpack_from("<H", buf, pos)
-    pos += 2
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", buf, pos)
-            pos += 2
-            name = buf[pos:pos + nlen].decode("utf-8")
-            pos += nlen
-            if name in arrays:
-                raise InvariantViolation(f"array {name!r} stored twice")
-            code, ndim = struct.unpack_from("<BB", buf, pos)
-            pos += 2
-            if code not in _DTYPES:
-                raise InvariantViolation(f"unknown dtype code {code}")
-            shape = struct.unpack_from(f"<{ndim}I", buf, pos)
-            pos += 4 * ndim
-            dt = np.dtype(_DTYPES[code])
-            nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64))
-            if pos + nbytes > len(buf):
-                raise TruncatedFile("array payload extends past end of file")
-            arrays[name] = np.frombuffer(
-                buf, dtype=dt, count=nbytes // dt.itemsize,
-                offset=pos).reshape(shape).copy()
-            pos += nbytes
-        (mlen,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        if pos + mlen > len(buf):
-            raise TruncatedFile("meta block extends past end of file")
-        meta = json.loads(buf[pos:pos + mlen].decode("utf-8"))
-    except struct.error as exc:
-        raise TruncatedFile("container ended mid-record") from exc
-    except ValueError as exc:   # bad utf-8 or JSON
-        raise InvariantViolation(f"undecodable container: {exc}") from exc
-    if pos + mlen != len(buf):
-        raise InvariantViolation("bytes after the meta block")
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MAGIC) + 2 or fh.read(len(MAGIC)) != MAGIC:
+            raise BadMagic("not an array container")
+
+        def unpack(fmt):
+            # a short read makes struct.error, caught below
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        arrays: dict[str, np.ndarray] = {}
+        try:
+            (count,) = unpack("<H")
+            for _ in range(count):
+                (nlen,) = unpack("<H")
+                name = fh.read(nlen).decode("utf-8")
+                if name in arrays:
+                    raise InvariantViolation(f"array {name!r} stored twice")
+                code, ndim = unpack("<BB")
+                if code not in _DTYPES:
+                    raise InvariantViolation(f"unknown dtype code {code}")
+                shape = unpack(f"<{ndim}I")
+                dt = np.dtype(_DTYPES[code])
+                # checked against the file before anything is allocated,
+                # so a corrupted dimension cannot ask for gigabytes
+                nbytes = dt.itemsize * math.prod(shape)
+                if fh.tell() + nbytes > size:
+                    raise TruncatedFile("array payload extends past end of file")
+                # the payload's one copy, straight into an aligned array
+                arr = np.empty(shape, dtype=dt)
+                if fh.readinto(arr) != nbytes:
+                    raise TruncatedFile("array payload extends past end of file")
+                arrays[name] = arr
+            (mlen,) = unpack("<I")
+            if fh.tell() + mlen > size:
+                raise TruncatedFile("meta block extends past end of file")
+            meta = json.loads(fh.read(mlen).decode("utf-8"))
+        except struct.error as exc:
+            raise TruncatedFile("container ended mid-record") from exc
+        except ValueError as exc:   # bad utf-8 or JSON
+            raise InvariantViolation(f"undecodable container: {exc}") from exc
+        if fh.tell() != size:
+            raise InvariantViolation("bytes after the meta block")
     if not isinstance(meta, dict):
         raise InvariantViolation("meta block is not a JSON object")
     return arrays, meta

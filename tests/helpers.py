@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import statistics
 import struct
@@ -545,3 +546,26 @@ def two_sample_chi2(a, b, alpha):
         e = h.sum() * (ha + hb) / (ha.sum() + hb.sum())
         stat += float(np.sum((h - e) ** 2 / e))
     return stat, chi2_critical(ha.size - 1, alpha)
+
+
+def oracle_blk_bytes(arrays, meta):
+    """Reference .blk container bytes, packed field by field with struct.
+
+    Every payload element goes through struct in C order, little-endian,
+    so no numpy buffer is involved. A 0-d array is stored with shape (1,).
+    """
+    formats = {"<i8": (0, "q"), "<f8": (1, "d"), "|u1": (2, "B"),
+               "|b1": (3, "?"), "<u4": (4, "I"), "<u2": (5, "H")}
+    out = [b"SPADBLK1", struct.pack("<H", len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        code, fmt = formats[arr.dtype.newbyteorder("<").str]
+        shape = arr.shape or (1,)
+        nb = name.encode("utf-8")
+        out.append(struct.pack("<H", len(nb)) + nb)
+        out.append(struct.pack("<BB", code, len(shape)))
+        out.append(struct.pack(f"<{len(shape)}I", *shape))
+        out.append(struct.pack(f"<{arr.size}{fmt}",
+                               *arr.ravel(order="C").tolist()))
+    mb = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return b"".join(out) + struct.pack("<I", len(mb)) + mb

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import batch_of
+from helpers import batch_of, oracle_blk_bytes
 from spadcorr.arraystore import load_arrays, save_arrays
 from spadcorr.correlator import (
     CorrectedG2,
@@ -85,10 +87,58 @@ def test_truncation_rejected(tmp_path):
             load_arrays(path)
 
 
+def test_saved_bytes_match_struct_oracle(tmp_path):
+    rng = np.random.default_rng(4)
+    arrays = {
+        "big_endian": np.arange(6, dtype=">i8").reshape(2, 3),
+        "big_endian_f8": rng.normal(size=5).astype(">f8"),
+        "fortran": np.asfortranarray(rng.normal(size=(3, 4))),
+        "sliced": rng.integers(0, 1000, (6, 8))[::2, 1::3],
+        "sliced_u4": np.arange(40, dtype=">u4").reshape(5, 8)[1:, ::-3],
+        "scalar": np.array(2.5),
+        "empty": np.zeros((0, 3), dtype=np.uint16),
+        "flags": rng.integers(0, 2, (2, 3)).astype(bool).T,
+        "codes": rng.integers(0, 255, 7).astype(np.uint8)[::2],
+    }
+    meta = {"kind": "test", "n": 3}
+    path = tmp_path / "x.blk"
+    save_arrays(path, arrays, meta)
+    assert path.read_bytes() == oracle_blk_bytes(arrays, meta)
+    back, _ = load_arrays(path)
+    for name, arr in arrays.items():
+        assert back[name].flags.c_contiguous and back[name].flags.aligned
+        assert back[name].dtype == arr.dtype.newbyteorder("<")
+        np.testing.assert_array_equal(back[name],
+                                      arr.reshape(arr.shape or (1,)))
+
+
 def test_unsupported_dtype_rejected(tmp_path):
+    path = tmp_path / "x.blk"
+    save_arrays(path, {"x": np.arange(3)}, {"k": 1})
+    before = path.read_bytes()
     with pytest.raises(InvariantViolation):
-        save_arrays(tmp_path / "x.blk",
-                    {"c": np.arange(3, dtype=np.complex128)}, {})
+        save_arrays(path, {"x": np.arange(4),
+                           "c": np.arange(3, dtype=np.complex128)}, {})
+    # checked before the file is opened: the old container is intact
+    assert path.read_bytes() == before
+
+
+def test_oversized_dimension_rejected_before_allocation(tmp_path):
+    path = tmp_path / "x.blk"
+    save_arrays(path, {"x": np.zeros(300_000)}, {})
+    blob = bytearray(path.read_bytes())
+    # magic 8, count 2, name length 2, name 1, code 1, ndim 1: dims at 15
+    blob[15:19] = (0xFFFFFFF0).to_bytes(4, "little")    # a 34-GB payload
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFile, match="payload"):
+            load_arrays(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # far below both the declared payload and the 2.4-MB file
+    assert peak < 1e6
 
 
 def tiny_containers():

@@ -292,6 +292,37 @@ class TestAccumulate:
             accumulate(bad)
 
     @pytest.mark.parametrize("batch", [
+        FrameBatch(0, 1, np.array([5, 5]), np.array([1, 2]),
+                   np.array([0, 3])),                       # id past span
+        FrameBatch(10, 4, np.array([9, 9]), np.array([1, 2]),
+                   np.array([0, 3])),                       # id before it
+        FrameBatch(0, 1, np.array([0, 1]), np.array([1, 2]),
+                   np.array([0, 3])),                       # last id past
+        FrameBatch(0, -3, np.array([0, 0]), np.array([1, 2]),
+                   np.array([0, 3])),                       # negative count
+        FrameBatch(0, -3, np.zeros(0, np.int64), np.zeros(0, np.uint16),
+                   np.zeros(0, np.uint8)),
+    ], ids=["id-past-span", "id-before-span", "last-id-past-span",
+            "negative-count", "negative-count-empty"])
+    def test_batch_span_checked(self, batch):
+        with pytest.raises(MalformedFrame, match="frame"):
+            accumulate(batch)
+        acc = accumulate(batch_of((0, [1, 2], [0, 3])))
+        before = (acc.n_frames, acc.g1.copy(), acc.g2.copy())
+        with pytest.raises(MalformedFrame, match="frame"):
+            acc.add_batch(batch)
+        # a rejected batch leaves no count behind
+        assert acc.n_frames == before[0]
+        np.testing.assert_array_equal(acc.g1, before[1])
+        np.testing.assert_array_equal(acc.g2, before[2])
+
+    def test_batch_span_edges_accepted(self):
+        batch = FrameBatch(10, 4, np.array([10, 10, 13]),
+                           np.array([1, 2, 1]), np.array([0, 3, 0]))
+        acc = accumulate(batch)
+        assert acc.n_frames == 4 and acc.g2[0, 1] == acc.g2[1, 0] == 1
+
+    @pytest.mark.parametrize("batch", [
         batch_of((1, [3], [0]), (0, [2], [0])),             # ids decrease
         batch_of((0, [1], [0]), (1, [2], [0]), (0, [3], [0])),
         batch_of((0, [5, 2], [1, 2])),                      # pixels descend
@@ -711,7 +742,7 @@ class TestLocusDistance:
 
 
 class TestOffsetKeyedCrosstalk:
-    """Offset-keyed lookup and estimator against the per-offset loops."""
+    """Offset-keyed correction and estimator against the per-offset loops."""
 
     GEOMETRIES = [(32, 32), (5, 4), (3, 7)]
     # the estimator sums each offset in another order than the oracle;
@@ -727,17 +758,43 @@ class TestOffsetKeyedCrosstalk:
         np.testing.assert_allclose(got.probabilities, want.probabilities,
                                    rtol=0, atol=self.REL_TO_PEAK * peak)
 
-    @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
-    @pytest.mark.parametrize("radius", [0, 1, 4, 28])
-    def test_lookup_bit_identical(self, n_x, n_y, radius):
+    @staticmethod
+    def random_case(n_x, n_y, radius):
         rng = np.random.default_rng(radius + 10 * n_x + n_y)
         side = 2 * radius + 1
         cmap = CrosstalkMap(probabilities=rng.normal(size=(side, side)),
                             radius=radius)
-        got = correlator._offset_lookup(cmap, n_x, n_y)
-        want = oracle_offset_lookup(cmap, n_x, n_y)
+        n_pix = n_x * n_y
+        corr = blank_corrected(n_x, n_y,
+                               flags=("raw", "accidental_subtracted"),
+                               values=rng.normal(size=(n_pix, n_pix)),
+                               g1=rng.random(n_pix) + 0.1)
+        return corr, cmap
+
+    @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
+    @pytest.mark.parametrize("radius", [0, 1, 4, 28])
+    def test_lookup_bit_identical(self, n_x, n_y, radius):
+        corr, cmap = self.random_case(n_x, n_y, radius)
+        got = correct_crosstalk(corr, cmap).values
+        # the echo of each pair and its transpose, added in that order
+        echo = oracle_offset_lookup(cmap, n_x, n_y) * corr.g1[:, None]
+        want = corr.values - (echo + echo.T)
         assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    def test_correction_memory_is_bounded(self):
+        corr, cmap = self.random_case(32, 32, 28)
+        correct_crosstalk(corr, cmap)
+        tracemalloc.start()
+        try:
+            correct_crosstalk(corr, cmap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two (n_pix, n_pix) float tensors live at once, the echo and the
+        # corrected values (16 MiB), plus at most 1.1 MiB of tables
+        assert peak < 17.1 * 2**20
 
     @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
     @pytest.mark.parametrize("which", ["one", "two", "full"])
