@@ -17,9 +17,11 @@ zip-based containers with timestamps. Layout, all little-endian:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -32,6 +34,29 @@ _DTYPES = {0: "<i8", 1: "<f8", 2: "|u1", 3: "|b1", 4: "<u4", 5: "<u2"}
 _CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
+def create(path):
+    """Open ``path`` for writing as a new file.
+
+    An existing regular file is unlinked first, not truncated: on ext4,
+    truncating a file that was rewritten before waits for that writeback.
+    The new file takes the old one's mode bits, and another hard link
+    keeps the old bytes. A missing path, a symlink (written through) and
+    a file that cannot be written or unlinked are opened with "wb", so
+    they give the errors they gave before.
+    """
+    mode = None
+    with contextlib.suppress(OSError):
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and os.access(path, os.W_OK):
+            os.unlink(path)
+            mode = stat.S_IMODE(st.st_mode)
+    fh = open(path, "wb")
+    if mode is not None:
+        with contextlib.suppress(OSError):   # a filesystem without modes
+            os.fchmod(fh.fileno(), mode)
+    return fh
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     # Every record is checked and packed before the file is opened, so an
     # unsupported array writes nothing and leaves an existing file intact.
@@ -42,13 +67,12 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
                           else arr.dtype)
         if code is None:
             raise InvariantViolation(f"unsupported dtype {arr.dtype} for {name!r}")
-        # little-endian C order; a 0-d array is stored with shape (1,)
-        arr = np.ascontiguousarray(arr, dtype=_DTYPES[code])
+        arr = np.asarray(arr, dtype=_DTYPES[code], order="C")
         nb = name.encode("utf-8")
         records.append((struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb,
                                     code, arr.ndim, *arr.shape), arr))
     mb = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write(MAGIC + struct.pack("<H", len(arrays)))
         for header, arr in records:
             fh.write(header)

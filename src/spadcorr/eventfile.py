@@ -23,12 +23,14 @@ and tdc codes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arraystore import create
 from .errors import (
     BadMagic,
     ConfigError,
@@ -81,7 +83,10 @@ def _validate_geometry(n_x, n_y, bins_per_frame):
 
 
 class EventFileWriter:
-    """Streaming batch writer; frame ids must increase across batches."""
+    """Streaming batch writer; frame ids must increase across batches.
+
+    ``close`` writes the footer; ``discard`` abandons the file instead.
+    """
 
     def __init__(self, path, n_x=32, n_y=32, tdc_bin_ps=205,
                  bins_per_frame=255, mapping_mode="unspecified"):
@@ -93,7 +98,8 @@ class EventFileWriter:
         self.bins_per_frame = bins_per_frame
         self._last_id = -1
         self.bytes_written = 0
-        self._fh = open(path, "wb")
+        self.path = path
+        self._fh = create(path)
         self._put(_HEADER.pack(MAGIC, n_x, n_y, int(round(tdc_bin_ps)),
                                bins_per_frame,
                                _MODE_CODES[mapping_mode], b"\0\0\0"))
@@ -162,6 +168,14 @@ class EventFileWriter:
         self._fh.close()
         self._fh = None
         return total
+
+    def discard(self) -> None:
+        """Close the handle and remove the partial file; no-op once closed."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.path)
 
 
 def read_header(path) -> EventFileHeader:

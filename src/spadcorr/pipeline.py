@@ -52,12 +52,16 @@ def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
         out_path, n_x=sensor_cfg.n_x, n_y=sensor_cfg.n_y,
         tdc_bin_ps=sensor_cfg.tdc_bin_ps,
         bins_per_frame=sensor_cfg.bins_per_frame, mapping_mode=mapping.mode)
-    for batch in simulate_frames(model, mapping, sensor_cfg, n_frames,
-                                 settings["run.pairs_per_frame"],
-                                 crosstalk=crosstalk, seed=seed,
-                                 workers=workers):
-        writer.add_batch(batch)
-    return writer.close(total_frames=n_frames)
+    try:
+        for batch in simulate_frames(model, mapping, sensor_cfg, n_frames,
+                                     settings["run.pairs_per_frame"],
+                                     crosstalk=crosstalk, seed=seed,
+                                     workers=workers):
+            writer.add_batch(batch)
+        return writer.close(total_frames=n_frames)
+    except BaseException:
+        writer.discard()   # no handle and no partial file left behind
+        raise
 
 
 def accumulate_file(path, *, window=10, shift=20,

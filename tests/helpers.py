@@ -552,7 +552,7 @@ def oracle_blk_bytes(arrays, meta):
     """Reference .blk container bytes, packed field by field with struct.
 
     Every payload element goes through struct in C order, little-endian,
-    so no numpy buffer is involved. A 0-d array is stored with shape (1,).
+    so no numpy buffer is involved. A 0-d array is stored with ndim 0.
     """
     formats = {"<i8": (0, "q"), "<f8": (1, "d"), "|u1": (2, "B"),
                "|b1": (3, "?"), "<u4": (4, "I"), "<u2": (5, "H")}
@@ -560,11 +560,10 @@ def oracle_blk_bytes(arrays, meta):
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         code, fmt = formats[arr.dtype.newbyteorder("<").str]
-        shape = arr.shape or (1,)
         nb = name.encode("utf-8")
         out.append(struct.pack("<H", len(nb)) + nb)
-        out.append(struct.pack("<BB", code, len(shape)))
-        out.append(struct.pack(f"<{len(shape)}I", *shape))
+        out.append(struct.pack("<BB", code, arr.ndim))
+        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         out.append(struct.pack(f"<{arr.size}{fmt}",
                                *arr.ravel(order="C").tolist()))
     mb = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()

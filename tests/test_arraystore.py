@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from spadcorr.errors import (
     TruncatedFile,
     WindowTooLarge,
 )
+from spadcorr.eventfile import EventFileWriter
 
 
 def sample_payload(rng):
@@ -108,8 +111,17 @@ def test_saved_bytes_match_struct_oracle(tmp_path):
     for name, arr in arrays.items():
         assert back[name].flags.c_contiguous and back[name].flags.aligned
         assert back[name].dtype == arr.dtype.newbyteorder("<")
-        np.testing.assert_array_equal(back[name],
-                                      arr.reshape(arr.shape or (1,)))
+        assert back[name].shape == arr.shape
+        np.testing.assert_array_equal(back[name], arr)
+
+
+def test_zero_dimensional_array_keeps_its_shape(tmp_path):
+    path = tmp_path / "x.blk"
+    save_arrays(path, {"s": np.array(2.5)}, {})
+    back, _ = load_arrays(path)
+    assert back["s"].shape == ()
+    assert back["s"].dtype == np.float64
+    assert back["s"][()] == 2.5
 
 
 def test_unsupported_dtype_rejected(tmp_path):
@@ -139,6 +151,75 @@ def test_oversized_dimension_rejected_before_allocation(tmp_path):
         tracemalloc.stop()
     # far below both the declared payload and the 2.4-MB file
     assert peak < 1e6
+
+
+def write_blk(path, n):
+    save_arrays(path, {"x": np.arange(n)}, {"n": n})
+
+
+def write_evt(path, n):
+    w = EventFileWriter(path)
+    w.add_batch(batch_of((0, [1], [0])))
+    w.close(total_frames=n)
+
+
+SAVERS = pytest.mark.parametrize("write", [write_blk, write_evt])
+
+
+def fresh_bytes(tmp_path, write, n):
+    write(tmp_path / "fresh", n)
+    return (tmp_path / "fresh").read_bytes()
+
+
+@SAVERS
+def test_save_replaces_the_file_not_its_hard_links(tmp_path, write):
+    path, link = tmp_path / "out", tmp_path / "link"
+    write(path, 3)
+    old = path.read_bytes()
+    os.link(path, link)
+    path.chmod(0o640)
+    write(path, 4)
+    assert link.read_bytes() == old
+    assert path.read_bytes() == fresh_bytes(tmp_path, write, 4) != old
+    assert not os.path.samefile(path, link)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@SAVERS
+def test_save_writes_through_a_symlink(tmp_path, write):
+    target, link = tmp_path / "target", tmp_path / "link"
+    write(target, 3)
+    link.symlink_to(target)
+    write(link, 4)
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh_bytes(tmp_path, write, 4)
+
+
+@SAVERS
+@pytest.mark.parametrize("refuse", ["access", "unlink"])
+def test_file_that_cannot_be_replaced_is_truncated(tmp_path, monkeypatch,
+                                                   write, refuse):
+    path, link = tmp_path / "out", tmp_path / "link"
+    write(path, 3)
+    os.link(path, link)
+
+    def refused(*args, **kwargs):
+        if refuse == "access":
+            return False
+        raise PermissionError(1, "refused")
+
+    monkeypatch.setattr(os, refuse, refused)
+    write(path, 4)
+    monkeypatch.undo()
+    # opened "wb" as before: the one inode, seen through both names
+    assert os.path.samefile(path, link)
+    assert link.read_bytes() == fresh_bytes(tmp_path, write, 4)
+
+
+@SAVERS
+def test_directory_path_raises_os_error(tmp_path, write):
+    with pytest.raises(IsADirectoryError):
+        write(tmp_path, 3)
 
 
 def tiny_containers():

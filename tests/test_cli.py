@@ -292,6 +292,13 @@ class TestErrorExits:
         assert "beyond the frame" in capsys.readouterr().err
         assert not (ws["root"] / "late.blk").exists()
 
+    def test_directory_output_is_io_error(self, ws, capsys):
+        assert main(["simulate", "--config", str(ws["cfg"]), "--mapping",
+                     "far", "--out", str(ws["root"])]) == 3
+        assert main(["correlate", "--in", str(ws["far_evt"]),
+                     "--out", str(ws["root"])]) == 3
+        assert capsys.readouterr().err.count("io error") == 2
+
     def test_bad_config_key(self, ws, capsys):
         bad = ws["root"] / "bad.cfg"
         bad.write_text("run.seeed = 2\n")

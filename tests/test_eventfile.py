@@ -181,6 +181,7 @@ class TestWriterErrors:
             w.add_batch(batch_of((5, [2], [0])))
         with pytest.raises(OrderViolation):
             w.add_batch(batch_of((3, [2], [0])))
+        w.discard()
 
     def test_ids_decreasing_within_batch_rejected(self, tmp_path):
         path = tmp_path / "x.evt"
@@ -212,6 +213,7 @@ class TestWriterErrors:
             w.add_batch(batch_of((0, [5, 3], [0, 0])))
         with pytest.raises(OrderViolation):
             w.add_batch(batch_of((0, [5, 5], [0, 1])))
+        w.discard()
 
     def test_ranges_enforced(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
@@ -223,6 +225,7 @@ class TestWriterErrors:
             w.add_batch(batch_of((0, [1], [255])))
         with pytest.raises(RangeViolation):
             w.add_batch(batch_of((SENTINEL, [1], [0])))
+        w.discard()
 
     def test_geometry_limits(self, tmp_path):
         with pytest.raises(RangeViolation):
@@ -237,6 +240,7 @@ class TestWriterErrors:
         w.add_batch(batch_of((5, [1], [0])))
         with pytest.raises(RangeViolation):
             w.close(total_frames=2)
+        w.discard()
 
     def test_close_refuses_total_beyond_frame_ids(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
@@ -248,6 +252,16 @@ class TestWriterErrors:
     def test_double_close_rejected(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
         w.close()
+        with pytest.raises(InvariantViolation):
+            w.close()
+
+    def test_discard_removes_the_partial_file(self, tmp_path):
+        path = tmp_path / "x.evt"
+        w = EventFileWriter(path)
+        w.add_batch(batch_of((5, [1], [0])))
+        w.discard()
+        assert not path.exists()
+        w.discard()     # a no-op once the handle is gone
         with pytest.raises(InvariantViolation):
             w.close()
 

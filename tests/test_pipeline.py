@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from helpers import REFERENCE_CFG
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
+from spadcorr.errors import ConfigError, OrderViolation
 from spadcorr.pipeline import (
     accumulate_file,
     characterize_crosstalk,
@@ -45,6 +49,30 @@ class TestSimulateAccumulator:
         for name in ("g2", "g2_shifted", "g2_later", "g1", "dt_hist"):
             np.testing.assert_array_equal(getattr(replay, name),
                                           getattr(acc, name))
+
+    @pytest.mark.parametrize("fault", ["negative_frames", "bad_batch"])
+    def test_failed_stream_leaves_no_file(self, tmp_path, monkeypatch,
+                                          fault):
+        settings = small_settings()
+        path = tmp_path / "far.evt"
+        frames, error = -5, ConfigError
+        if fault == "bad_batch":
+            frames, error = 5000, OrderViolation
+            stream = pipeline.simulate_frames
+
+            def twice(*args, **kwargs):   # the same frames written twice
+                batches = list(stream(*args, **kwargs))
+                return batches + batches
+
+            monkeypatch.setattr(pipeline, "simulate_frames", twice)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(error):
+                simulate_to_file(settings, "far", path, frames=frames)
+            gc.collect()
+        assert not path.exists()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestCorrectChain:
