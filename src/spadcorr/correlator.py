@@ -12,7 +12,9 @@ advance in one direction only:
 
     raw -> accidental_subtracted -> crosstalk_corrected -> neighbor_masked
 
-Skipping a stage is allowed where noted; revisiting one is not.
+Skipping a stage is allowed where noted; revisiting one is not. The
+cross-talk map is estimated beside the chain, from the accumulator and its
+accidental estimate (estimate_crosstalk), not from a corrected tensor.
 """
 
 from __future__ import annotations
@@ -249,10 +251,10 @@ def accumulate(batches, *, window=10, shift=20, n_x=32, n_y=32,
 class CorrectedG2:
     """Pixel-pair rates per 1e6 frames, with correction provenance.
 
-    values_later keeps the strictly-ordered share of each pair rate
-    (second pixel fired after the first); the cross-talk estimator reads
-    it to attribute echo direction. It is maintained through accidental
-    subtraction only, later stages do not need it.
+    values holds the corrected rates, masked the cells the neighbour mask
+    zeroed and g1 the singles rates. The cross-talk estimator reads the
+    accumulator's ordered counts instead, so no ordered share is kept here;
+    load still accepts a container that holds one and ignores it.
     """
 
     values: np.ndarray
@@ -267,13 +269,10 @@ class CorrectedG2:
     mapping_mode: str
     masked: np.ndarray = None
     mask_radius: int = None
-    values_later: np.ndarray = None
 
     def __post_init__(self):
         if self.masked is None:
             self.masked = np.zeros_like(self.values, dtype=bool)
-        if self.values_later is None:
-            self.values_later = np.zeros_like(self.values)
 
     @property
     def n_pixels(self) -> int:
@@ -282,8 +281,7 @@ class CorrectedG2:
     def save(self, path) -> None:
         arraystore.save_arrays(
             path,
-            {"values": self.values, "g1": self.g1, "masked": self.masked,
-             "values_later": self.values_later},
+            {"values": self.values, "g1": self.g1, "masked": self.masked},
             {"kind": "corrected_g2", "flags": list(self.flags),
              "n_x": self.n_x, "n_y": self.n_y,
              "bins_per_frame": self.bins_per_frame, "window": self.window,
@@ -304,8 +302,8 @@ class CorrectedG2:
         n_pix = fields["n_x"] * fields["n_y"]
         pairs = ((n_pix, n_pix), np.float64)
         return cls(**fields, **arraystore.check_arrays(
-            arrays, values=pairs, values_later=pairs,
-            masked=((n_pix, n_pix), np.bool_), g1=((n_pix,), np.float64)))
+            arrays, values=pairs, masked=((n_pix, n_pix), np.bool_),
+            g1=((n_pix,), np.float64)))
 
 
 def _require_stage(corr: CorrectedG2, adding: str, needs: tuple) -> None:
@@ -321,15 +319,18 @@ def _require_stage(corr: CorrectedG2, adding: str, needs: tuple) -> None:
             raise FlagOrderViolation(f"{adding} requires {flag} first")
 
 
-def normalize(acc: CorrelationAccumulator) -> CorrectedG2:
-    """Convert raw counts to rates per 1e6 frames."""
+def _rate_scale(acc: CorrelationAccumulator) -> float:
+    # Factor from an accumulator's counts to rates per 1e6 frames.
     if acc.n_frames <= 0:
         raise EmptyAccumulator("no frames accumulated")
-    scale = MFRAMES / acc.n_frames
+    return MFRAMES / acc.n_frames
+
+
+def normalize(acc: CorrelationAccumulator) -> CorrectedG2:
+    """Convert raw counts to rates per 1e6 frames."""
+    scale = _rate_scale(acc)
     return CorrectedG2(
-        values=acc.g2.astype(np.float64) * scale,
-        values_later=acc.g2_later.astype(np.float64) * scale,
-        g1=acc.g1.astype(np.float64) * scale,
+        values=acc.g2 * scale, g1=acc.g1 * scale,
         flags=("raw",), n_x=acc.n_x, n_y=acc.n_y,
         bins_per_frame=acc.bins_per_frame, window=acc.window,
         shift=acc.shift, n_frames=acc.n_frames,
@@ -386,9 +387,7 @@ def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
     near the frame edge. g1_product fits a single constant on pairs far from
     every correlated locus and extrapolates c*g1(p1)*g1(p2).
     """
-    if acc.n_frames <= 0:
-        raise EmptyAccumulator("no frames accumulated")
-    scale = MFRAMES / acc.n_frames
+    scale = _rate_scale(acc)
     if method == "shifted_window":
         prompt = _window_mass(acc.bins_per_frame, -acc.window, acc.window)
         displaced = (
@@ -399,9 +398,7 @@ def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
         # add_batch tests |dt|, so the displaced tensor carries both sign
         # intervals; the denominator above counts both as well. It is
         # positive: the accumulator keeps shift - window inside the frame.
-        est = acc.g2_shifted.astype(np.float64)
-        est *= (prompt / displaced) * scale
-        return est
+        return acc.g2_shifted * ((prompt / displaced) * scale)
     if method == "g1_product":
         dist = _locus_distance(acc.n_x, acc.n_y, acc.mapping_mode)
         sel = dist >= mask_distance
@@ -409,34 +406,27 @@ def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
             raise InsufficientMask(
                 f"only {int(np.count_nonzero(sel))} uncorrelated pairs")
         outer = acc.g1.astype(np.float64)[:, None] * acc.g1[None, :]
-        g2 = acc.g2.astype(np.float64)
-        denom = float(np.sum(outer[sel] ** 2))
+        # no whole-tensor copy: the fit reads the selected cells only
+        far, g2_far = outer[sel], acc.g2[sel]
+        denom = float(np.sum(far ** 2))
         if denom <= 0:
-            if np.any(g2[sel]):
+            if np.any(g2_far):
                 raise InsufficientMask("mask region has no singles")
-            return np.zeros_like(g2)
-        c = float(np.sum(g2[sel] * outer[sel])) / denom
-        est = c * outer
-        np.fill_diagonal(est, 0.0)
-        return est * scale
+            return np.zeros_like(outer)
+        outer *= float(np.sum(g2_far * far)) / denom
+        np.fill_diagonal(outer, 0.0)
+        outer *= scale
+        return outer
     raise ConfigError(f"unknown accidental estimator {method!r}")
 
 
 def subtract_accidentals(corr: CorrectedG2, estimate: np.ndarray) -> CorrectedG2:
-    """Subtract an accidental estimate; negative residuals are kept.
-
-    Uncorrelated pairs have a sign-symmetric dt distribution with the
-    triangular bin occupancy, so the strictly-ordered share receives the
-    matching fraction of the estimate.
-    """
+    """Subtract an accidental estimate; negative residuals are kept."""
     _require_stage(corr, "accidental_subtracted", ("raw",))
     estimate = np.asarray(estimate, float)
     if estimate.shape != corr.values.shape:
         raise ConfigError("estimate shape does not match the tensor")
-    pos = _window_mass(corr.bins_per_frame, 1, corr.window)
-    both = _window_mass(corr.bins_per_frame, -corr.window, corr.window)
     return replace(corr, values=corr.values - estimate,
-                   values_later=corr.values_later - estimate * (pos / both),
                    flags=corr.flags + ("accidental_subtracted",))
 
 
@@ -472,41 +462,53 @@ class CrosstalkMap:
             arrays, probabilities=((side, side), np.float64)))
 
 
-def estimate_crosstalk(corr: CorrectedG2, inner_window=29) -> CrosstalkMap:
-    """Estimate cross-talk probabilities from an accidental-subtracted tensor.
+def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
+                       inner_window=29) -> CrosstalkMap:
+    """Estimate cross-talk probabilities from an uncorrelated run.
 
-    For uncorrelated illumination the only prompt pairs left after accidental
-    subtraction are detection/echo pairs, so summing g2 over an inner block
-    of source pixels at fixed offset and dividing by the singles in that
-    block yields the combined echo rate of the +offset and -offset
-    directions. Echoes always fire after their source, so the
-    strictly-ordered share splits that total between the two directions;
-    pairs in the same tdc bin carry no direction and follow the ordered
-    ratio (an even split when no ordered pairs survive subtraction, which
-    reproduces the plain half-total rule). Negative cells clamp to zero and
-    are counted.
+    acc holds the run's counts and estimate its accidental rates per 1e6
+    frames. For uncorrelated illumination the only prompt pairs left after
+    accidental subtraction are detection/echo pairs, so summing g2 - estimate
+    over an inner block of source pixels at fixed offset and dividing by the
+    singles in that block yields the combined echo rate of the +offset and
+    -offset directions. Echoes always fire after their source, so the
+    strictly-ordered share g2_later, less the estimate's share of it under
+    the triangular bin occupancy, splits that total between the two
+    directions; pairs in the same tdc bin carry no direction and follow the
+    ordered ratio (an even split when no ordered pairs survive subtraction,
+    which reproduces the plain half-total rule). Negative cells clamp to
+    zero and are counted.
 
-    The sums are offset-keyed bincounts, one source row at a time; against
-    one sum per offset this order of summation moves a probability by at
-    most 1e-12 of the map's largest (about 1e-15 measured), and could only
-    clamp a sum that cancels to zero within rounding differently.
+    The rates are formed one source row's block at a time and summed as
+    offset-keyed bincounts; against one sum per offset this order of
+    summation moves a probability by at most 1e-12 of the map's largest
+    (about 1e-15 measured), and could only clamp a sum that cancels to zero
+    within rounding differently.
     """
-    _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
-    n_x, n_y = corr.n_x, corr.n_y
+    scale = _rate_scale(acc)
+    estimate = np.asarray(estimate, float)
+    if estimate.shape != acc.g2.shape:
+        raise ConfigError("estimate shape does not match the tensor")
+    n_x, n_y = acc.n_x, acc.n_y
     if inner_window < 1 or inner_window > min(n_x, n_y):
         raise WindowTooLarge("inner window does not fit on the sensor")
     radius = inner_window - 1
     grid = 2 * radius + 2    # offsets -r..r, then one bin beyond the radius
     xs = np.arange((n_x - inner_window) // 2, (n_x + inner_window) // 2)
     ys = np.arange((n_y - inner_window) // 2, (n_y + inner_window) // 2)
-    norm = float(np.sum(corr.g1.reshape(n_y, n_x)[np.ix_(ys, xs)]))
+    norm = float(np.sum((acc.g1 * scale).reshape(n_y, n_x)[np.ix_(ys, xs)]))
     if norm <= 0:
         raise EmptyAccumulator("inner window saw no singles")
-    later = corr.values_later.reshape(n_y, n_x, n_y, n_x)
-    # pair rates at (source, target), and their ordered shares with the
-    # target fired later and with the source fired later
-    tensors = (corr.values.reshape(n_y, n_x, n_y, n_x), later,
-               later.transpose(2, 3, 0, 1))
+    ordered = (_window_mass(acc.bins_per_frame, 1, acc.window)
+               / _window_mass(acc.bins_per_frame, -acc.window, acc.window))
+    g2, later, est = (a.reshape(n_y, n_x, n_y, n_x)
+                      for a in (acc.g2, acc.g2_later, estimate))
+    swap = (2, 3, 0, 1)
+    # pair counts at (source, target), their ordered shares with the target
+    # and with the source fired later, and the share of the estimate each
+    # loses: uncorrelated pairs have a sign-symmetric dt (x * 1.0 is x)
+    terms = ((g2, est, 1.0), (later, est, ordered),
+             (later.transpose(swap), est.transpose(swap), ordered))
     # key[0, sx, ty, tx] of the offset from (sy, sx) to (ty, tx) on a
     # grid x grid table whose last row and column collect what lies beyond
     # the radius
@@ -516,8 +518,9 @@ def estimate_crosstalk(corr: CorrectedG2, inner_window=29) -> CrosstalkMap:
     for row, sy in enumerate(ys):
         key = (kx * grid + ky[row:row + 1]).ravel()
         block = np.s_[sy:sy + 1, xs[0]:xs[-1] + 1]
-        for out, tensor in zip(sums, tensors):
-            out += np.bincount(key, tensor[block].ravel(), out.size)
+        for out, (counts, accidental, share) in zip(sums, terms):
+            rate = counts[block] * scale - accidental[block] * share
+            out += np.bincount(key, rate.ravel(), out.size)
     total, fwd, rev = sums.reshape(3, grid, grid)[:, :-1, :-1]
     total[radius, radius] = 0.0    # a pixel never pairs with itself
     fwd, rev = np.maximum((fwd, rev), 0.0)
@@ -570,12 +573,6 @@ def correct_crosstalk(corr: CorrectedG2, cmap: CrosstalkMap) -> CorrectedG2:
                    flags=corr.flags + ("crosstalk_corrected",))
 
 
-def neighbor_mask_pairs(n_x: int, n_y: int, radius: int) -> np.ndarray:
-    """Boolean (n_pix, n_pix) matrix of pairs within Chebyshev radius."""
-    dist = _locus_distance(n_x, n_y, "unspecified")
-    return (dist <= radius) & (dist > 0)
-
-
 def mask_neighbors(corr: CorrectedG2, radius=1) -> CorrectedG2:
     """Zero and flag pairs of distinct pixels within Chebyshev radius.
 
@@ -586,11 +583,17 @@ def mask_neighbors(corr: CorrectedG2, radius=1) -> CorrectedG2:
     if radius < 0:
         raise ConfigError("mask radius must be non-negative")
     _require_stage(corr, "neighbor_masked", ("accidental_subtracted",))
-    masked = neighbor_mask_pairs(corr.n_x, corr.n_y, radius)
-    values = corr.values.copy()
-    values[masked] = 0.0
-    return replace(corr, values=values, masked=masked | corr.masked,
-                   mask_radius=radius,
+    # flat cells of the band, at most n_pix * ((2r + 1)^2 - 1): the per-axis
+    # (a1, a2) pairs within the radius, combined except where both are equal
+    n_x, n_pix = corr.n_x, corr.n_pixels
+    x1, x2 = np.nonzero(np.abs(_axis_offsets(n_x)) <= radius)
+    y1, y2 = np.nonzero(np.abs(_axis_offsets(corr.n_y)) <= radius)
+    band = np.add.outer((y1 * n_pix + y2) * n_x, x1 * n_pix + x2)[
+        ~np.logical_and.outer(y1 == y2, x1 == x2)]
+    values, masked = corr.values.copy(), corr.masked.copy()
+    np.put(values, band, 0.0)
+    np.put(masked, band, True)
+    return replace(corr, values=values, masked=masked, mask_radius=radius,
                    flags=corr.flags + ("neighbor_masked",))
 
 

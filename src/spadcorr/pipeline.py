@@ -80,17 +80,16 @@ def correct_chain(acc: CorrelationAccumulator, *,
                   mask_radius=1, inner_window=29):
     """Normalize and run the correction chain on one accumulator.
 
-    With estimate_map the cross-talk map is measured from this tensor after
-    accidental subtraction; otherwise a map may be supplied (a sensor
+    With estimate_map the cross-talk map is measured from this accumulator
+    and its accidental estimate; otherwise a map may be supplied (a sensor
     property, so one characterization serves every arm). Returns the
     corrected tensor and whichever map was used, None when skipped.
     """
-    corr = normalize(acc)
-    corr = subtract_accidentals(
-        corr, estimate_accidentals(acc, accidental_method))
+    estimate = estimate_accidentals(acc, accidental_method)
     cmap = crosstalk_map
     if estimate_map:
-        cmap = estimate_crosstalk(corr, inner_window=inner_window)
+        cmap = estimate_crosstalk(acc, estimate, inner_window=inner_window)
+    corr = subtract_accidentals(normalize(acc), estimate)
     if cmap is not None:
         corr = correct_crosstalk(corr, cmap)
     if mask_radius is not None:
@@ -129,12 +128,9 @@ def characterize_crosstalk(settings: dict) -> CrosstalkMap:
         seed=settings["run.seed"] + 2, workers=settings["run.workers"],
         window=settings["correlate.window"],
         shift=settings["correlate.shift"])
-    corr, _ = correct_chain(
-        acc, accidental_method=settings["correct.accidental_method"],
-        mask_radius=None,
-        inner_window=settings["correct.crosstalk_inner_window"])
     return estimate_crosstalk(
-        corr, inner_window=settings["correct.crosstalk_inner_window"])
+        acc, estimate_accidentals(acc, settings["correct.accidental_method"]),
+        inner_window=settings["correct.crosstalk_inner_window"])
 
 
 def run_pair_study(settings: dict) -> PairStudyResult:

@@ -7,9 +7,11 @@ import math
 import statistics
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from spadcorr import arraystore
 from spadcorr.config import (
     build_crosstalk,
     build_mapping,
@@ -18,14 +20,20 @@ from spadcorr.config import (
     load_config,
 )
 from spadcorr.correlator import (
+    MFRAMES,
     CorrelationAccumulator,
     CrosstalkMap,
+    _axis_offsets,
+    _offset_index,
+    _over_pairs,
     _require_stage,
+    _window_mass,
     accumulate,
     project_sum_diff,
 )
 from spadcorr.errors import (
     EmptyAccumulator,
+    InsufficientMask,
     InvariantViolation,
     SpadError,
     OrderViolation,
@@ -240,6 +248,13 @@ def oracle_locus_distance(n_x, n_y, mapping_mode):
     return np.minimum(ddiag, dmirr)
 
 
+def neighbor_mask_pairs(n_x, n_y, radius):
+    """Reference neighbour mask: boolean (n_pix, n_pix) of distinct pixel
+    pairs within Chebyshev radius, from the full-pair distance table."""
+    dist = oracle_locus_distance(n_x, n_y, "unspecified")
+    return (dist <= radius) & (dist > 0)
+
+
 def oracle_offset_lookup(cmap, n_x, n_y):
     """Reference XT[l1, l2] = p(pixel(l2) - pixel(l1)), as (n_pix, n_pix).
 
@@ -309,6 +324,139 @@ def oracle_estimate_crosstalk(corr, inner_window=29):
             prob[dx + radius, dy + radius] = p
     return CrosstalkMap(probabilities=prob, radius=radius,
                         clamped_negative=clamped)
+
+
+def keyed_estimate_crosstalk(corr, inner_window=29):
+    """The library's estimator as it read a corrected tensor: offset-keyed
+    bincounts over values and the ordered share values_later, one source
+    row at a time. It sums in the library's order, so its maps match the
+    library's bit for bit; oracle_estimate_crosstalk checks the arithmetic.
+    """
+    _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
+    n_x, n_y = corr.n_x, corr.n_y
+    if inner_window < 1 or inner_window > min(n_x, n_y):
+        raise WindowTooLarge("inner window does not fit on the sensor")
+    radius = inner_window - 1
+    grid = 2 * radius + 2
+    xs = np.arange((n_x - inner_window) // 2, (n_x + inner_window) // 2)
+    ys = np.arange((n_y - inner_window) // 2, (n_y + inner_window) // 2)
+    norm = float(np.sum(corr.g1.reshape(n_y, n_x)[np.ix_(ys, xs)]))
+    if norm <= 0:
+        raise EmptyAccumulator("inner window saw no singles")
+    later = corr.values_later.reshape(n_y, n_x, n_y, n_x)
+    tensors = (corr.values.reshape(n_y, n_x, n_y, n_x), later,
+               later.transpose(2, 3, 0, 1))
+    kx, ky = _over_pairs(_offset_index(_axis_offsets(n_x, xs), radius),
+                         _offset_index(_axis_offsets(n_y, ys), radius))
+    sums = np.zeros((3, grid * grid))
+    for row, sy in enumerate(ys):
+        key = (kx * grid + ky[row:row + 1]).ravel()
+        block = np.s_[sy:sy + 1, xs[0]:xs[-1] + 1]
+        for out, tensor in zip(sums, tensors):
+            out += np.bincount(key, tensor[block].ravel(), out.size)
+    total, fwd, rev = sums.reshape(3, grid, grid)[:, :-1, :-1]
+    total[radius, radius] = 0.0
+    fwd, rev = np.maximum((fwd, rev), 0.0)
+    share = np.divide(fwd, fwd + rev, out=np.full_like(fwd, 0.5),
+                      where=fwd + rev > 0)
+    prob = share * total / norm
+    negative = prob < 0
+    prob[negative] = 0.0
+    return CrosstalkMap(probabilities=prob, radius=radius,
+                        clamped_negative=int(np.count_nonzero(negative)))
+
+
+def oracle_normalize(acc):
+    """Rates per 1e6 frames as the chain built them with the ordered share:
+    float copies of g2, g2_later and g1, each then scaled."""
+    scale = MFRAMES / acc.n_frames
+    return SimpleNamespace(
+        values=acc.g2.astype(np.float64) * scale,
+        values_later=acc.g2_later.astype(np.float64) * scale,
+        g1=acc.g1.astype(np.float64) * scale, flags=("raw",),
+        n_x=acc.n_x, n_y=acc.n_y, bins_per_frame=acc.bins_per_frame,
+        window=acc.window)
+
+
+def oracle_subtract_accidentals(corr, estimate):
+    """Accidental subtraction with the ordered share: values_later loses
+    the estimate's fraction of strictly-ordered bin pairs, pos / both."""
+    bins, window = corr.bins_per_frame, corr.window
+    pos = sum(bins - d for d in range(1, window + 1))
+    both = bins + 2 * pos
+    return SimpleNamespace(**dict(
+        vars(corr), values=corr.values - estimate,
+        values_later=corr.values_later - estimate * (pos / both),
+        flags=corr.flags + ("accidental_subtracted",)))
+
+
+def oracle_estimate_accidentals(acc, method, mask_distance=10,
+                                min_mask_pairs=100):
+    """Accidental estimate as the chain built it: whole float copies of
+    the tensors, and the full-pair locus distance for g1_product."""
+    scale = MFRAMES / acc.n_frames
+    if method == "shifted_window":
+        b, w, sh = acc.bins_per_frame, acc.window, acc.shift
+        displaced = (_window_mass(b, sh - w, sh + w)
+                     + _window_mass(b, -sh - w, -sh + w))
+        est = acc.g2_shifted.astype(np.float64)
+        est *= (_window_mass(b, -w, w) / displaced) * scale
+        return est
+    sel = oracle_locus_distance(acc.n_x, acc.n_y,
+                                acc.mapping_mode) >= mask_distance
+    if int(np.count_nonzero(sel)) < min_mask_pairs:
+        raise InsufficientMask("too few uncorrelated pairs")
+    outer = acc.g1.astype(np.float64)[:, None] * acc.g1[None, :]
+    g2 = acc.g2.astype(np.float64)
+    denom = float(np.sum(outer[sel] ** 2))
+    if denom <= 0:
+        if np.any(g2[sel]):
+            raise InsufficientMask("mask region has no singles")
+        return np.zeros_like(g2)
+    c = float(np.sum(g2[sel] * outer[sel])) / denom
+    est = c * outer
+    np.fill_diagonal(est, 0.0)
+    return est * scale
+
+
+def oracle_characterize(acc, method, inner_window):
+    """The cross-talk map as characterize_crosstalk built it: the chain's
+    accidental-subtracted tensor with its ordered share, then the estimator
+    on that tensor."""
+    corr = oracle_subtract_accidentals(
+        oracle_normalize(acc), oracle_estimate_accidentals(acc, method))
+    return keyed_estimate_crosstalk(corr, inner_window)
+
+
+def oracle_correct_chain(acc, *, accidental_method="shifted_window",
+                         crosstalk_map=None, estimate_map=False,
+                         mask_radius=1, inner_window=29):
+    """The whole-tensor correction chain the library ran while it kept the
+    ordered share: returns (values, masked, map used)."""
+    corr = oracle_subtract_accidentals(
+        oracle_normalize(acc),
+        oracle_estimate_accidentals(acc, accidental_method))
+    cmap = (keyed_estimate_crosstalk(corr, inner_window) if estimate_map
+            else crosstalk_map)
+    values = corr.values
+    if cmap is not None:
+        # the echo of each pair and its transpose, added in that order
+        echo = oracle_offset_lookup(cmap, acc.n_x, acc.n_y) * corr.g1[:, None]
+        values = values - (echo + echo.T)
+    masked = np.zeros(values.shape, dtype=bool)
+    if mask_radius is not None:
+        masked = neighbor_mask_pairs(acc.n_x, acc.n_y, mask_radius)
+        values = np.where(masked, 0.0, values)
+    return values, masked, cmap
+
+
+def save_with_ordered_share(corr, path, values_later):
+    """Write corr as CorrectedG2.save did while the class kept values_later:
+    the same meta, and values_later stored after values, g1 and masked."""
+    corr.save(path)
+    arrays, meta = arraystore.load_arrays(path)
+    arraystore.save_arrays(path, dict(arrays, values_later=values_later),
+                           meta)
 
 
 def sum_diff_route_profiles(values, n_x, n_y, axis):

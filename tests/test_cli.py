@@ -4,11 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from helpers import sum_diff_route_profiles
+from helpers import (
+    oracle_estimate_accidentals,
+    oracle_normalize,
+    oracle_subtract_accidentals,
+    save_with_ordered_share,
+    sum_diff_route_profiles,
+)
 from spadcorr import arraystore
 from spadcorr import config as cfgmod
 from spadcorr.cli import build_parser, main
-from spadcorr.correlator import CorrelationAccumulator, CrosstalkMap
+from spadcorr.correlator import (
+    CorrectedG2,
+    CorrelationAccumulator,
+    CrosstalkMap,
+)
 from spadcorr.epr import v_min
 
 CFG_TEXT = """\
@@ -87,6 +97,28 @@ class TestStageCommands:
                          targets["delta_qx_per_mm"] ** 2),
             "v_y": v_min(targets["delta_y_um"] ** 2,
                          targets["delta_qy_per_mm"] ** 2)}
+
+    def test_epr_reads_containers_with_ordered_share(self, ws, tmp_path,
+                                                     capsys):
+        # what correct wrote while CorrectedG2 kept values_later: the same
+        # arrays and meta, plus the accidental-subtracted ordered share
+        old = {}
+        for arm in ("near", "far"):
+            acc = CorrelationAccumulator.load(ws[f"{arm}_acc"])
+            later = oracle_subtract_accidentals(
+                oracle_normalize(acc),
+                oracle_estimate_accidentals(acc, "shifted_window"))
+            old[arm] = tmp_path / f"{arm}.g2.blk"
+            save_with_ordered_share(CorrectedG2.load(ws[f"{arm}_g2"]),
+                                    old[arm], later.values_later)
+            assert "values_later" in arraystore.load_arrays(old[arm])[0]
+        reports = []
+        for near, far in ((ws["near_g2"], ws["far_g2"]),
+                          (old["near"], old["far"])):
+            assert main(["epr", "--near", str(near), "--far", str(far),
+                         "--json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     def test_epr_text(self, ws, capsys):
         assert main(["epr", "--near", str(ws["near_g2"]),

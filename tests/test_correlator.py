@@ -6,12 +6,17 @@ import pytest
 from helpers import (
     batch_of,
     frame_groups,
+    keyed_estimate_crosstalk,
+    neighbor_mask_pairs,
     oracle_estimate_crosstalk,
     oracle_locus_distance,
+    oracle_normalize,
     oracle_offset_lookup,
+    oracle_subtract_accidentals,
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
+    save_with_ordered_share,
 )
 from spadcorr import correlator
 from spadcorr.correlator import (
@@ -24,7 +29,6 @@ from spadcorr.correlator import (
     estimate_crosstalk,
     linear_to_pixel,
     mask_neighbors,
-    neighbor_mask_pairs,
     normalize,
     project_axes,
     project_sum_diff,
@@ -60,6 +64,11 @@ def blank_corrected(n_x=32, n_y=32, flags=("raw",), **kw):
                   mapping_mode="unspecified")
     fields.update(kw)
     return CorrectedG2(**fields)
+
+
+def blank_acc(n_x=32, n_y=32, n_frames=1_000_000):
+    return CorrelationAccumulator(n_x=n_x, n_y=n_y, bins_per_frame=255,
+                                  window=10, shift=20, n_frames=n_frames)
 
 
 def block_offset_rate(corr, dx, dy, inner=29):
@@ -359,7 +368,7 @@ class TestNormalize:
         acc.g1[3] = 1000
         corr = normalize(acc)
         assert corr.values[3, 5] == 250.0
-        assert corr.values_later[3, 5] == 100.0
+        assert corr.values.dtype == np.float64 and acc.g2[3, 5] == 500
         assert corr.g1[3] == 500.0
         assert corr.flags == ("raw",)
         assert corr.n_frames == 2_000_000
@@ -440,13 +449,12 @@ class TestSubtract:
     def test_arithmetic_and_flags(self):
         corr = blank_corrected()
         corr.values[3, 5] = 5.0
-        corr.values_later[3, 5] = 2.0
+        corr.g1[3] = 2.0
         est = np.zeros_like(corr.values)
         est[3, 5] = 1.25
         out = subtract_accidentals(corr, est)
         assert out.values[3, 5] == 3.75
-        assert out.values_later[3, 5] == pytest.approx(
-            2.0 - 1.25 * POS_MASS / BOTH_MASS)
+        assert out.g1[3] == 2.0     # only the values are subtracted
         assert out.flags == ("raw", "accidental_subtracted")
         # original untouched
         assert corr.flags == ("raw",)
@@ -482,9 +490,9 @@ class TestSubtract:
 
 class TestEstimateCrosstalk:
     def test_zero_tensor_yields_zero_map(self):
-        corr = blank_corrected(flags=("raw", "accidental_subtracted"))
-        corr.g1[:] = 100.0
-        cmap = estimate_crosstalk(corr)
+        acc = blank_acc()
+        acc.g1[:] = 100
+        cmap = estimate_crosstalk(acc, np.zeros(acc.g2.shape))
         assert np.all(cmap.probabilities == 0.0)
         assert cmap.clamped_negative == 0
         assert cmap.probability(1, 0) == 0.0
@@ -493,55 +501,66 @@ class TestEstimateCrosstalk:
     def test_even_split_fallback_arithmetic(self):
         # 841 inner sources, one million singles, 200 echo pairs per Mframe
         # at offset (1, 0): without ordering evidence both directions get
-        # half, so p(1,0) = 0.5 * 200 / 1e6
-        corr = blank_corrected(flags=("raw", "accidental_subtracted"))
-        g1 = corr.g1.reshape(32, 32)
-        g1[1:30, 1:30] = 1e6 / 841.0
-        vals = corr.values.reshape(32, 32, 32, 32)
+        # half, so p(1,0) = 0.5 * 200 / 1e6. Over 841e6 frames a source's
+        # 1e6 singles and 200 pairs read 1e6 / 841 and 200 / 841 per Mframe.
+        acc = blank_acc(n_frames=841_000_000)
+        g1 = acc.g1.reshape(32, 32)
+        g1[1:30, 1:30] = 1_000_000
+        g2 = acc.g2.reshape(32, 32, 32, 32)
         for y in range(1, 30):
             for x in range(1, 30):
-                vals[y, x, y, x + 1] += 200.0 / 841.0
-                vals[y, x + 1, y, x] += 200.0 / 841.0
-        cmap = estimate_crosstalk(corr, inner_window=29)
+                g2[y, x, y, x + 1] += 200
+                g2[y, x + 1, y, x] += 200
+        cmap = estimate_crosstalk(acc, np.zeros(acc.g2.shape),
+                                  inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(1e-4, rel=1e-9)
 
     def test_ordered_share_resolves_direction(self):
-        corr = blank_corrected(flags=("raw", "accidental_subtracted"))
-        g1 = corr.g1.reshape(32, 32)
-        g1[:] = 1000.0
-        vals = corr.values.reshape(32, 32, 32, 32)
-        later = corr.values_later.reshape(32, 32, 32, 32)
+        acc = blank_acc(n_frames=2_000_000)     # a count is 0.5 per Mframe
+        acc.g1[:] = 2000
+        g2 = acc.g2.reshape(32, 32, 32, 32)
+        later = acc.g2_later.reshape(32, 32, 32, 32)
         for y in range(1, 30):
             for x in range(1, 30):
-                vals[y, x, y, x + 1] += 0.5
-                vals[y, x + 1, y, x] += 0.5
-                later[y, x, y, x + 1] += 0.5    # echoes fired after sources
-        cmap = estimate_crosstalk(corr, inner_window=29)
+                g2[y, x, y, x + 1] += 1
+                g2[y, x + 1, y, x] += 1
+                later[y, x, y, x + 1] += 1    # echoes fired after sources
+        cmap = estimate_crosstalk(acc, np.zeros(acc.g2.shape),
+                                  inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(5e-4, rel=1e-9)
         assert cmap.probability(-1, 0) == 0.0
 
     def test_negative_cells_clamp_and_count(self):
-        corr = blank_corrected(flags=("raw", "accidental_subtracted"))
-        corr.g1[:] = 1000.0
-        vals = corr.values.reshape(32, 32, 32, 32)
+        acc = blank_acc()
+        acc.g1[:] = 1000
+        # an estimate above the counts leaves negative subtracted rates
+        estimate = np.zeros(acc.g2.shape)
+        est = estimate.reshape(32, 32, 32, 32)
         for y in range(1, 30):
             for x in range(1, 30):
-                vals[y, x, y + 1, x] -= 0.1
-                vals[y + 1, x, y, x] -= 0.1
-        cmap = estimate_crosstalk(corr, inner_window=29)
+                est[y, x, y + 1, x] += 0.1
+                est[y + 1, x, y, x] += 0.1
+        cmap = estimate_crosstalk(acc, estimate, inner_window=29)
         assert cmap.probability(0, 1) == 0.0
         assert cmap.clamped_negative >= 1
 
-    def test_requires_accidental_stage(self):
-        with pytest.raises(FlagOrderViolation):
-            estimate_crosstalk(blank_corrected())
+    def test_estimate_shape_must_match(self):
+        acc = blank_acc()
+        acc.g1[:] = 100
+        with pytest.raises(ConfigError):
+            estimate_crosstalk(acc, np.zeros((4, 4)))
+        with pytest.raises(ConfigError):
+            estimate_crosstalk(acc, np.zeros(acc.g1.shape))
+        with pytest.raises(EmptyAccumulator):
+            estimate_crosstalk(blank_acc(n_frames=0), np.zeros(acc.g2.shape))
 
     def test_inner_window_limits(self):
-        corr = blank_corrected(flags=("raw", "accidental_subtracted"))
+        acc = blank_acc()
+        estimate = np.zeros(acc.g2.shape)
         with pytest.raises(WindowTooLarge):
-            estimate_crosstalk(corr, inner_window=33)
+            estimate_crosstalk(acc, estimate, inner_window=33)
         with pytest.raises(WindowTooLarge):
-            estimate_crosstalk(corr, inner_window=0)
+            estimate_crosstalk(acc, estimate, inner_window=0)
 
     def test_map_round_trip(self, tmp_path):
         prob = np.zeros((3, 3))
@@ -563,16 +582,16 @@ class TestEstimateCrosstalk:
         batches = simulate_frames(reference_model, far_mapping, cfg,
                                   1_000_000, 0.0, crosstalk=xt, seed=37)
         acc = accumulate(batches, mapping_mode="far")
-        corr = subtract_accidentals(normalize(acc),
-                                    estimate_accidentals(acc))
-        cmap = estimate_crosstalk(corr, inner_window=29)
+        estimate = estimate_accidentals(acc)
+        cmap = estimate_crosstalk(acc, estimate, inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(1e-3, rel=0.2)
         assert cmap.probability(0, 1) == pytest.approx(1e-3, rel=0.2)
         assert cmap.probability(-1, 0) < 1e-4
         assert cmap.probability(0, -1) < 1e-4
         assert cmap.probability(1, 1) < 1e-4
 
-        fixed = correct_crosstalk(corr, cmap)
+        fixed = correct_crosstalk(
+            subtract_accidentals(normalize(acc), estimate), cmap)
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             assert abs(block_offset_rate(fixed, dx, dy)) < 1e-4, (dx, dy)
 
@@ -632,7 +651,8 @@ class TestMaskNeighbors:
         assert np.all(out.values[~out.masked] == 1.0)
 
     def test_matches_brute_force_pairs(self):
-        got = neighbor_mask_pairs(6, 5, 2)
+        corr = blank_corrected(6, 5, flags=("raw", "accidental_subtracted"))
+        got = mask_neighbors(corr, 2).masked
         want = np.zeros((30, 30), dtype=bool)
         for l1 in range(30):
             x1, y1 = l1 % 6, l1 // 6
@@ -641,6 +661,7 @@ class TestMaskNeighbors:
                 d = max(abs(x1 - x2), abs(y1 - y2))
                 want[l1, l2] = 0 < d <= 2
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(neighbor_mask_pairs(6, 5, 2), want)
 
     def test_stage_rules(self):
         with pytest.raises(FlagOrderViolation):
@@ -706,7 +727,7 @@ class TestProjections:
 class TestLocusDistance:
     """Broadcast per-axis construction against the full-pair construction."""
 
-    GEOMETRIES = [(32, 32), (6, 5), (5, 4), (1, 7), (7, 1)]
+    GEOMETRIES = [(32, 32), (6, 5), (5, 4), (2, 5), (1, 7), (7, 1)]
 
     @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
     @pytest.mark.parametrize("mode", ["near", "far", "unspecified"])
@@ -721,11 +742,23 @@ class TestLocusDistance:
 
     @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
     def test_neighbor_masks_identical(self, n_x, n_y):
-        want = oracle_locus_distance(n_x, n_y, "unspecified")
-        for radius in range(4):
-            np.testing.assert_array_equal(
-                neighbor_mask_pairs(n_x, n_y, radius),
-                (want <= radius) & (want > 0))
+        # mask_neighbors' band cells against the full-pair oracle, up to a
+        # radius beyond the sensor; a mask already set is kept
+        rng = np.random.default_rng(n_x * n_y)
+        n_pix = n_x * n_y
+        corr = blank_corrected(n_x, n_y,
+                               flags=("raw", "accidental_subtracted"),
+                               values=rng.normal(size=(n_pix, n_pix)),
+                               masked=rng.random((n_pix, n_pix)) < 0.1)
+        before = corr.values.copy(), corr.masked.copy()
+        for radius in (0, 1, 2, 3, max(n_x, n_y) + 1):
+            want = neighbor_mask_pairs(n_x, n_y, radius)
+            out = mask_neighbors(corr, radius)
+            np.testing.assert_array_equal(out.masked, want | corr.masked)
+            assert out.values.tobytes() == np.where(
+                want, 0.0, corr.values).tobytes()
+            np.testing.assert_array_equal(corr.values, before[0])
+            np.testing.assert_array_equal(corr.masked, before[1])
 
     @pytest.mark.parametrize("mode", ["near", "far"])
     def test_g1_product_estimate_bit_identical(self, mode, monkeypatch):
@@ -804,14 +837,22 @@ class TestOffsetKeyedCrosstalk:
         rng = np.random.default_rng(n_x * n_y + inner)
         n_pix = n_x * n_y
         for negative_share in (0.3, 0.5):
-            # values and ordered shares both carry negative cells
-            corr = blank_corrected(
-                n_x, n_y, flags=("raw", "accidental_subtracted"),
-                values=rng.random((n_pix, n_pix)) - negative_share,
-                values_later=rng.random((n_pix, n_pix)) - negative_share,
-                g1=rng.random(n_pix) + 0.1)
-            self.assert_maps_agree(estimate_crosstalk(corr, inner),
-                                   oracle_estimate_crosstalk(corr, inner))
+            # an estimate that exceeds about that share of the rates, so
+            # rates and ordered shares both carry negative cells; 3e6
+            # frames give a scale of 1/3, which rounds where it is applied
+            acc = blank_acc(n_x, n_y, n_frames=3_000_000)
+            acc.g2[:] = rng.integers(0, 1000, (n_pix, n_pix))
+            acc.g2_later[:] = rng.integers(0, 476, (n_pix, n_pix))
+            acc.g1[:] = rng.integers(1, 1000, n_pix)
+            estimate = rng.random((n_pix, n_pix)) * (2000 * negative_share / 3)
+            corr = oracle_subtract_accidentals(oracle_normalize(acc),
+                                               estimate)
+            assert (corr.values < 0).any() and (corr.values_later < 0).any()
+            got = estimate_crosstalk(acc, estimate, inner)
+            self.assert_maps_agree(got, oracle_estimate_crosstalk(corr, inner))
+            keyed = keyed_estimate_crosstalk(corr, inner)
+            assert got.probabilities.tobytes() == keyed.probabilities.tobytes()
+            assert got.clamped_negative == keyed.clamped_negative
 
     @pytest.mark.parametrize("seed", [105, 7])
     def test_estimate_matches_oracle_on_characterization(
@@ -822,9 +863,9 @@ class TestOffsetKeyedCrosstalk:
         acc = accumulate(simulate_frames(reference_model, far_mapping, cfg,
                                          4 * 65536, 0.0, crosstalk=xt,
                                          seed=seed), mapping_mode="far")
-        corr = subtract_accidentals(normalize(acc),
-                                    estimate_accidentals(acc))
-        got = estimate_crosstalk(corr, inner_window=29)
+        estimate = estimate_accidentals(acc)
+        got = estimate_crosstalk(acc, estimate, inner_window=29)
+        corr = oracle_subtract_accidentals(oracle_normalize(acc), estimate)
         self.assert_maps_agree(got, oracle_estimate_crosstalk(corr, 29))
         assert got.clamped_negative > 0
 
@@ -840,9 +881,9 @@ class TestSymmetryThroughStages:
         acc = accumulate(batches, mapping_mode="near")
         np.testing.assert_array_equal(acc.g2, acc.g2.T)
         assert np.all(np.diag(acc.g2) == 0)
-        corr = normalize(acc)
-        corr = subtract_accidentals(corr, estimate_accidentals(acc))
-        cmap = estimate_crosstalk(corr)
+        estimate = estimate_accidentals(acc)
+        corr = subtract_accidentals(normalize(acc), estimate)
+        cmap = estimate_crosstalk(acc, estimate)
         corr = correct_crosstalk(corr, cmap)
         corr = mask_neighbors(corr, 1)
         np.testing.assert_allclose(corr.values, corr.values.T, atol=1e-9)
@@ -851,7 +892,7 @@ class TestSymmetryThroughStages:
     def test_corrected_save_load_round_trip(self, tmp_path):
         corr = blank_corrected(flags=("raw", "accidental_subtracted"))
         corr.values[3, 7] = 1.5
-        corr.values_later[3, 7] = 0.5
+        corr.g1[3] = 0.5
         corr = mask_neighbors(corr, 1)
         path = tmp_path / "corr.blk"
         corr.save(path)
@@ -859,8 +900,24 @@ class TestSymmetryThroughStages:
         assert back.flags == corr.flags
         assert back.mask_radius == 1
         np.testing.assert_array_equal(back.values, corr.values)
-        np.testing.assert_array_equal(back.values_later, corr.values_later)
+        np.testing.assert_array_equal(back.g1, corr.g1)
         np.testing.assert_array_equal(back.masked, corr.masked)
+
+    def test_container_with_ordered_share_loads(self, tmp_path):
+        # containers written while CorrectedG2 kept values_later hold it as
+        # a fourth array; load reads the other three unchanged
+        rng = np.random.default_rng(8)
+        corr = mask_neighbors(blank_corrected(
+            flags=("raw", "accidental_subtracted"),
+            values=rng.normal(size=(1024, 1024)), g1=rng.random(1024)), 1)
+        path = tmp_path / "old.blk"
+        save_with_ordered_share(corr, path, rng.normal(size=(1024, 1024)))
+        back = CorrectedG2.load(path)
+        assert back.flags == corr.flags and back.mask_radius == 1
+        for name in ("values", "masked", "g1"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(corr, name))
+        assert not hasattr(back, "values_later")
 
     def test_kind_tag_checked_on_load(self, tmp_path):
         acc = CorrelationAccumulator(n_x=4, n_y=4, bins_per_frame=255,

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import REFERENCE_CFG
+from helpers import REFERENCE_CFG, oracle_characterize, oracle_correct_chain
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
@@ -110,6 +110,82 @@ class TestCharacterization:
         assert cmap.probability(0, 1) == pytest.approx(5e-4, rel=0.2)
         assert abs(cmap.probability(-1, 0)) < 1e-4
         assert abs(cmap.probability(0, -1)) < 1e-4
+
+
+# sensor -> (n_x, n_y, cross-talk inner window)
+ORACLE_SENSORS = {"32x32": (32, 32, 29), "24x16": (24, 16, 15)}
+
+
+def oracle_settings(sensor, method="shifted_window"):
+    n_x, n_y, inner = ORACLE_SENSORS[sensor]
+    return small_settings(**{
+        "sensor.n_x": n_x, "sensor.n_y": n_y, "run.frames": 20000,
+        "crosstalk.p_1_0": "1e-3", "crosstalk.p_0_1": "1e-3",
+        "correct.accidental_method": method,
+        "correct.crosstalk_inner_window": inner,
+        "correct.characterization_frames": 20000})
+
+
+def characterize_with_acc(settings):
+    """characterize_crosstalk's map and the accumulator it measured."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "simulate_accumulator",
+                   lambda *a, **k: seen.append(simulate_accumulator(*a, **k))
+                   or seen[-1])
+        cmap = characterize_crosstalk(settings)
+    return cmap, seen[0]
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """Per sensor: both arms' accumulators and a characterized map."""
+    runs = {}
+    for sensor in ORACLE_SENSORS:
+        s = oracle_settings(sensor)
+        accs = {mode: simulate_accumulator(
+            cfgmod.build_model(s), cfgmod.build_mapping(s, mode),
+            cfgmod.build_sensor(s), n_frames=s["run.frames"],
+            pairs_per_frame=s["run.pairs_per_frame"],
+            crosstalk=cfgmod.build_crosstalk(s), seed=seed)
+            for mode, seed in (("near", 3), ("far", 4))}
+        runs[sensor] = accs, characterize_with_acc(s)[0]
+    return runs
+
+
+class TestChainOracle:
+    """The chain against the whole-tensor chain that kept values_later."""
+
+    @pytest.mark.parametrize("sensor", list(ORACLE_SENSORS))
+    @pytest.mark.parametrize("method", ["shifted_window", "g1_product"])
+    def test_characterization_map_identical(self, sensor, method):
+        cmap, acc = characterize_with_acc(oracle_settings(sensor, method))
+        want = oracle_characterize(acc, method, ORACLE_SENSORS[sensor][2])
+        assert cmap.probabilities.tobytes() == want.probabilities.tobytes()
+        assert cmap.clamped_negative == want.clamped_negative > 0
+
+    @pytest.mark.parametrize("sensor", list(ORACLE_SENSORS))
+    @pytest.mark.parametrize("arm", ["near", "far"])
+    @pytest.mark.parametrize("method", ["shifted_window", "g1_product"])
+    @pytest.mark.parametrize("use_map", ["none", "given", "estimated"])
+    @pytest.mark.parametrize("radius", [None, 0, 1, 2])
+    def test_values_masks_and_map_identical(self, oracle_runs, sensor, arm,
+                                            method, use_map, radius):
+        accs, given = oracle_runs[sensor]
+        chain = dict(accidental_method=method,
+                     crosstalk_map=given if use_map == "given" else None,
+                     estimate_map=use_map == "estimated", mask_radius=radius,
+                     inner_window=ORACLE_SENSORS[sensor][2])
+        corr, cmap = correct_chain(accs[arm], **chain)
+        values, masked, want_map = oracle_correct_chain(accs[arm], **chain)
+        assert corr.values.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(corr.masked, masked)
+        if use_map == "none":
+            assert cmap is None and want_map is None
+        else:
+            assert (cmap.probabilities.tobytes()
+                    == want_map.probabilities.tobytes())
+            assert cmap.clamped_negative == want_map.clamped_negative
 
 
 class TestPairStudy:
