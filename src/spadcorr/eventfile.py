@@ -12,8 +12,11 @@ Frames with no events are omitted; the footer carries the true exposure
 count so rates stay normalizable. Frame ids must increase strictly and stay
 below the sentinel, so the total is at most 2**32 - 1. Within a frame,
 events are sorted by pixel and each pixel appears at most once (the sensor
-is single-hit per exposure). Readers decode span by span and raise the
-error of the first faulty frame, checked in the order _decode_span lists.
+is single-hit per exposure). Readers decode a file in 1-MB blocks with
+no per-frame Python: one vectorized walk (_walk_heads) finds every frame
+head in a block by pointer doubling, and one pass (_decode_span) gathers
+and checks its frames. A faulty file raises the error of its first faulty
+frame, checked in the order _decode_span lists.
 
 Version 1 caps the geometry at 32x32 pixels and 256 bins. Together with the
 ordering rules this makes every single-byte corruption of the magic, the
@@ -152,7 +155,7 @@ class EventFileWriter:
         head_at = _UNIT * (starts + 2 * np.arange(starts.size))
         units.view(np.uint8)[head_at[:, None] + np.arange(_FRAME_HEAD.size)] \
             = head.view(np.uint8).reshape(-1, _FRAME_HEAD.size)
-        self._put(units.tobytes())
+        self._put(units.view(np.uint8))   # the array's own buffer
         self._last_id = int(f[-1])
 
     def close(self, total_frames=None) -> int:
@@ -248,7 +251,6 @@ class EventFileReader:
     def _decode_blocks(self):
         """Yield validated (frame id, pixel, tdc) event columns per block."""
         last_id = -1
-        unpack = _FRAME_HEAD.unpack_from
         with open(self.path, "rb") as fh:
             left = os.fstat(fh.fileno()).st_size - _HEADER.size - _FOOTER.size
             fh.seek(_HEADER.size)
@@ -257,14 +259,12 @@ class EventFileReader:
                 block = fh.read(min(_READ_BYTES, left))
                 left = left - len(block) if block else 0   # file shrank
                 buf += block
-                starts, u, size = [], 0, len(buf)
-                while _UNIT * u + _FRAME_HEAD.size <= size:
-                    starts.append(u)
-                    u += 2 + unpack(buf, _UNIT * u)[1]
+                starts, u = _walk_heads(_head_fields(buf)[1])
+                size = len(buf)
                 if _UNIT * u > size and left:   # the last frame continues
-                    u = starts.pop()
+                    starts, u = starts[:-1], int(starts[-1])
                 head_cut = not left and _UNIT * u < size
-                if starts or head_cut:
+                if starts.size or head_cut:
                     cols = _decode_span(buf, starts, head_cut, self.header,
                                         last_id)
                     last_id = int(cols[0][-1])
@@ -274,17 +274,53 @@ class EventFileReader:
                 buf = buf[_UNIT * u:]
 
 
-def _decode_span(buf, starts, head_cut, hdr, last_id):
+def _head_fields(buf):
+    """Strided (frame id, event count) views of the head at every unit.
+
+    Unit u reads as the 6-byte head its bytes would form; only the units a
+    whole head fits behind are viewed.
+    """
+    n = max(0, (len(buf) - _FRAME_HEAD.size) // _UNIT + 1)
+    return tuple(np.ndarray(n, dtype, buf, offset, (_UNIT,)) if n
+                 else np.empty(0, dtype)
+                 for dtype, offset in _HEAD_DTYPE.fields.values())
+
+
+def _walk_heads(count):
+    """Units where frames start, walking from unit 0, and the unit after.
+
+    Each unit u would be followed by the head at u + 2 + count[u]; the
+    chain from unit 0 runs while a head fits. Instead of stepping it frame
+    by frame, the jump table is squared (2, 4, 8, ... frames per jump) and
+    every pass appends the heads one jump past those already found, so a
+    block of F frames costs about log2(F) whole-table gathers. Every unit
+    beyond the last viewed one collapses into a sink that ends the chain.
+    """
+    n = count.size
+    if not n:
+        return np.empty(0, np.int64), 0
+    jump = np.arange(2, n + 3, dtype=np.int64)
+    jump[:n] += count
+    np.minimum(jump, n, out=jump)   # jump[n] = n: the sink
+    starts = np.zeros(1, np.int64)
+    while True:   # starts holds the first 2**k heads, jump spans 2**k
+        starts = np.concatenate((starts, jump.take(starts)))
+        if starts[-1] == n:
+            break
+        jump = jump.take(jump)
+    starts = starts[:np.searchsorted(starts, n)]
+    last = int(starts[-1])
+    return starts, last + 2 + int(count[last])
+
+
+def _decode_span(buf, at, head_cut, hdr, last_id):
     """Gather and validate the frames starting at the given 3-byte units.
 
     Raises the error of the first faulty frame, its checks taken in the
     order listed here; ``head_cut`` marks one more head cut by the footer.
     """
     units = np.frombuffer(buf, dtype=_EVENT_DTYPE, count=len(buf) // _UNIT)
-    at = np.array(starts, dtype=np.int64)
-    heads = np.frombuffer(buf, dtype=np.uint8)[
-        _UNIT * at[:, None] + np.arange(_FRAME_HEAD.size)].view(_HEAD_DTYPE)
-    fid, count = (heads[f][:, 0].astype(np.int64) for f in ("fid", "n"))
+    fid, count = (f[at].astype(np.int64) for f in _head_fields(buf))
     whole = np.where(at + 2 + count <= units.size, count, 0)
     offs = np.cumsum(whole) - whole
     ev = units[np.repeat(at + 2 - offs, whole) + np.arange(whole.sum())]

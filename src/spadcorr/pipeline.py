@@ -22,7 +22,7 @@ from .correlator import (
     subtract_accidentals,
 )
 from .epr import EprReport, evaluate_epr
-from .eventfile import EventFileWriter, read_batches, read_header
+from .eventfile import EventFileReader, EventFileWriter
 from .sensor import simulate_frames
 
 
@@ -67,8 +67,9 @@ def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
 def accumulate_file(path, *, window=10, shift=20,
                     frames_per_batch=65536) -> CorrelationAccumulator:
     """Accumulate an event file; geometry and mapping come from its header."""
-    header = read_header(path)
-    return accumulate(read_batches(path, frames_per_batch),
+    reader = EventFileReader(path)
+    header = reader.header
+    return accumulate(reader.iter_batches(frames_per_batch),
                       window=window, shift=shift, n_x=header.n_x,
                       n_y=header.n_y, bins_per_frame=header.bins_per_frame,
                       mapping_mode=header.mapping_mode)
@@ -90,6 +91,7 @@ def correct_chain(acc: CorrelationAccumulator, *,
     if estimate_map:
         cmap = estimate_crosstalk(acc, estimate, inner_window=inner_window)
     corr = subtract_accidentals(normalize(acc), estimate)
+    del estimate   # one tensor less while the later stages allocate theirs
     if cmap is not None:
         corr = correct_crosstalk(corr, cmap)
     if mask_radius is not None:

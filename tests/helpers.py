@@ -541,6 +541,19 @@ def oracle_read_batches(path, frames_per_batch=65536):
         span += 1
 
 
+def sequential_head_walk(buf):
+    """Frame starts in a block of 3-byte units, stepped head by head.
+
+    Returns the units where frames start, walking from unit 0 while a
+    6-byte head fits (``u += 2 + count``), and the unit after the last.
+    """
+    starts, u = [], 0
+    while 3 * u + 6 <= len(buf):
+        starts.append(u)
+        u += 2 + struct.unpack_from("<H", buf, 3 * u + 4)[0]
+    return starts, u
+
+
 def decode_outcome(make_batches):
     """(batch count, digest of every batch's fields, error) of a stream.
 

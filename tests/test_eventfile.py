@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import batch_of, decode_outcome, frame_groups, \
-    oracle_read_batches, write_event_file
+    oracle_read_batches, sequential_head_walk, write_event_file
 from spadcorr import eventfile
 from spadcorr.errors import (
     BadMagic,
@@ -466,3 +466,81 @@ class TestDifferentialDecode:
         for name in ("g1", "g2", "g2_shifted", "g2_later", "dt_hist"):
             np.testing.assert_array_equal(getattr(one, name),
                                           getattr(two, name))
+
+
+def head_walk(buf):
+    starts, end = eventfile._walk_heads(eventfile._head_fields(buf)[1])
+    assert starts.dtype == np.int64
+    return starts.tolist(), end
+
+
+def frame_body(path):
+    return path.read_bytes()[len(raw_header()):-len(raw_footer(0))]
+
+
+class TestHeadWalk:
+    """The vectorized head walk against a walk stepped head by head."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_simulated_blocks_and_every_cut(self, tmp_path, seed):
+        path = tmp_path / "sim.evt"
+        simulated_file(path, 400, 0.5, seed=seed)
+        body = frame_body(path)
+        starts, end = head_walk(body)
+        assert 3 * end == len(body) and len(starts) > 100
+        # every cut ends the block inside a head, inside events or on a
+        # frame boundary
+        for cut in range(len(body) + 1):
+            assert head_walk(body[:cut]) == sequential_head_walk(body[:cut])
+
+    def test_random_bytes(self):
+        rng = np.random.default_rng(17)
+        for size in (6, 7, 8, 100, 3000, 65537):
+            for _ in range(5):
+                blob = rng.bytes(size)
+                assert head_walk(blob) == sequential_head_walk(blob), size
+
+    def test_random_bytes_with_small_counts(self):
+        # a unit's count is its bytes 4 and 5, which are 1 and 2 mod 3, so
+        # these fix every unit's count to 0..3: chains of many frames
+        rng = np.random.default_rng(18)
+        for size in (9, 1000, 3 * 65536 + 2):
+            blob = bytearray(rng.bytes(size))
+            blob[1::3] = rng.integers(0, 4, len(blob[1::3]),
+                                      dtype=np.uint8).tobytes()
+            blob[2::3] = bytes(len(blob[2::3]))
+            walk = head_walk(bytes(blob))
+            assert walk == sequential_head_walk(bytes(blob))
+            assert len(walk[0]) > size // 18
+
+    @pytest.mark.parametrize("units", [2, 3, 10, 101])
+    @pytest.mark.parametrize("extra_bytes", [0, 1, 2])
+    def test_counts_around_the_block_end(self, units, extra_bytes):
+        # a head at unit 0 whose next head lands anywhere from the last
+        # unit a head fits in to far past the block; every later unit
+        # counts 0xFFFF events, so the chain ends one head after that
+        size = 3 * units + extra_bytes
+        last_fit = (size - 6) // 3
+        for count in [*range(max(0, last_fit - 4), units + 2), 0xFFFF]:
+            blob = bytearray(b"\xff" * size)
+            blob[4:6] = struct.pack("<H", count)
+            walk = head_walk(bytes(blob))
+            assert walk == sequential_head_walk(bytes(blob))
+            assert walk[0] == [0, 2 + count][:1 + (2 + count <= last_fit)]
+        # a chain of empty heads that lands on the last unit exactly
+        blob = bytes(3 * (2 * units + 2))
+        assert head_walk(blob) == (list(range(0, 2 * units + 1, 2)),
+                                   2 * units + 2)
+
+    def test_buffers_shorter_than_a_head(self):
+        for size in range(6):
+            assert head_walk(bytes(size)) == ([], 0)
+            assert sequential_head_walk(bytes(size)) == ([], 0)
+        assert head_walk(struct.pack("<IH", 9, 4)) == ([0], 6)
+
+    def test_block_with_its_last_frame_cut(self):
+        body = b"".join(raw_frame(fid, [(fid + 1, 7)] * 3) for fid in range(5))
+        cut = body[:-4]
+        assert head_walk(cut) == sequential_head_walk(cut) == (
+            [0, 5, 10, 15, 20], 25)
+        assert 3 * 25 > len(cut)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import REFERENCE_CFG, oracle_characterize, oracle_correct_chain
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
+from spadcorr.correlator import CrosstalkMap
 from spadcorr.errors import ConfigError, OrderViolation
 from spadcorr.pipeline import (
     accumulate_file,
@@ -95,6 +97,25 @@ class TestCorrectChain:
         corr, cmap = correct_chain(acc, mask_radius=None)
         assert corr.flags == ("raw", "accidental_subtracted")
         assert cmap is None
+
+    @pytest.mark.parametrize("use_map", ["none", "given", "estimated"])
+    def test_chain_memory_is_bounded(self, reference_model, far_mapping,
+                                     use_map):
+        acc = self._acc(reference_model, far_mapping)
+        chain = dict(estimate_map=use_map == "estimated", crosstalk_map=(
+            CrosstalkMap(np.full((3, 3), 1e-4), 1)
+            if use_map == "given" else None))
+        correct_chain(acc, **chain)
+        tracemalloc.start()
+        try:
+            correct_chain(acc, **chain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most three (n_pix, n_pix) float tensors live at once (24 MiB
+        # on 32x32), plus under 1.75 MiB of masks and tables: the
+        # accidental estimate is freed once it has been subtracted
+        assert peak < 3 * acc.g2.size * 8 + 1.75 * 2**20
 
 
 class TestCharacterization:
