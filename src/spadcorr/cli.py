@@ -111,25 +111,26 @@ def _cmd_pipeline(args):
     return 0
 
 
-def _export_rows(kind, arrays, meta, what):
+def _export_rows(kind, obj, what):
+    acc = kind == "accumulator"
     if what == "dt-hist":
-        if "dt_hist" not in arrays:
+        if not acc:
             raise ConfigError("container has no dt histogram")
-        half = meta["bins_per_frame"] - 1
-        per_mframe = MFRAMES / max(meta["n_frames"], 1)
-        hist = arrays["dt_hist"]
+        half = obj.bins_per_frame - 1
+        per_mframe = MFRAMES / max(obj.n_frames, 1)
+        hist = obj.dt_hist
         return (["dt_bins", "coincidences_per_mframe"],
                 [(int(d - half), c * per_mframe) for d, c in enumerate(hist)])
     if what == "g1":
-        g1 = arrays["g1"]
-        n_x, n_y = meta["n_x"], meta["n_y"]
+        g1 = obj.g1
+        n_x, n_y = obj.n_x, obj.n_y
         rows = []
         for lin in range(1, g1.size + 1):
             px, py = linear_to_pixel(lin, n_x, n_y)
             rows.append((lin, px, py, g1[lin - 1].item()))
         return ["pixel", "px", "py", "value"], rows
-    values = arrays["g2"] if kind == "accumulator" else arrays["values"]
-    n_x, n_y = meta["n_x"], meta["n_y"]
+    values = obj.g2 if acc else obj.values
+    n_x, n_y = obj.n_x, obj.n_y
     if what == "g2":
         p1, p2 = np.nonzero(values)
         return (["p1", "p2", "value"],
@@ -170,23 +171,22 @@ _CONTAINERS = {"accumulator": CorrelationAccumulator,
 
 
 def _cmd_export(args):
-    arrays, meta = arraystore.load_arrays(args.infile)
-    kind = meta.get("kind")
+    kind = arraystore.load_arrays(args.infile)[1].get("kind")
     if kind not in _CONTAINERS:
         raise ConfigError(f"unknown container kind {kind!r}")
-    _CONTAINERS[kind].load(args.infile)   # checks every field used below
+    obj = _CONTAINERS[kind].load(args.infile)   # checked, tensors dense
     if kind == "crosstalk_map":
         if args.what != "crosstalk":
             raise ConfigError("cross-talk maps only export 'crosstalk'")
-        prob = arrays["probabilities"]
-        r = meta["radius"]
+        prob = obj.probabilities
+        r = obj.radius
         header = ["dx", "dy", "probability"]
         rows = [(dx - r, dy - r, prob[dx, dy].item())
                 for dx in range(prob.shape[0]) for dy in range(prob.shape[1])]
     else:
         if args.what == "crosstalk":
             raise ConfigError("only cross-talk maps export 'crosstalk'")
-        header, rows = _export_rows(kind, arrays, meta, args.what)
+        header, rows = _export_rows(kind, obj, args.what)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -45,6 +45,8 @@ _TENSOR_META = dict(n_x=int, n_y=int, bins_per_frame=int, window=int,
                     shift=int, n_frames=int, mapping_mode=str)
 
 MFRAMES = 1.0e6
+# accumulator tensors that a container stores as their nonzero cells
+_CELL_TENSORS = ("g2", "g2_shifted", "g2_later")
 
 
 def _in_range(fields: dict) -> dict:
@@ -207,11 +209,15 @@ class CorrelationAccumulator:
             lag += 1
 
     def save(self, path) -> None:
+        # the pair tensors are mostly zeros, so each is stored as the
+        # sorted flat keys of its nonzero cells and their counts
+        cells = {}
+        for name in _CELL_TENSORS:
+            flat = getattr(self, name).reshape(-1)
+            keys = np.flatnonzero(flat != 0)   # faster than flatnonzero(flat)
+            cells[f"{name}_keys"], cells[f"{name}_counts"] = keys, flat[keys]
         arraystore.save_arrays(
-            path,
-            {"g2": self.g2, "g2_shifted": self.g2_shifted,
-             "g2_later": self.g2_later, "g1": self.g1,
-             "dt_hist": self.dt_hist},
+            path, {**cells, "g1": self.g1, "dt_hist": self.dt_hist},
             {"kind": "accumulator", "n_x": self.n_x, "n_y": self.n_y,
              "bins_per_frame": self.bins_per_frame, "window": self.window,
              "shift": self.shift, "mapping_mode": self.mapping_mode,
@@ -223,12 +229,44 @@ class CorrelationAccumulator:
         if meta.get("kind") != "accumulator":
             raise ConfigError("container does not hold an accumulator")
         fields = _in_range(arraystore.check_meta(meta, **_TENSOR_META))
+        if "g2" in arrays:
+            raise InvariantViolation(
+                "dense accumulator container from an older spadcorr; "
+                "re-run `spadcorr correlate` on its event file")
         n_pix = fields["n_x"] * fields["n_y"]
-        pairs = ((n_pix, n_pix), np.int64)
-        return cls(**fields, **arraystore.check_arrays(
-            arrays, g2=pairs, g2_shifted=pairs, g2_later=pairs,
-            g1=((n_pix,), np.int64),
-            dt_hist=((2 * fields["bins_per_frame"] - 1,), np.int64)))
+        # g1's stored length bounds n_pix before any tensor is allocated
+        singles = arraystore.check_arrays(
+            arrays, g1=((n_pix,), np.int64),
+            dt_hist=((2 * fields["bins_per_frame"] - 1,), np.int64))
+        if any(np.any(arr < 0) for arr in singles.values()):
+            raise InvariantViolation("negative count in g1 or dt_hist")
+        cells = {name: _checked_cells(arrays, name, n_pix * n_pix)
+                 for name in _CELL_TENSORS}
+        tensors = {}
+        for name, (keys, counts) in cells.items():
+            tensors[name] = np.zeros((n_pix, n_pix), dtype=np.int64)
+            tensors[name].reshape(-1)[keys] = counts
+        return cls(**fields, **tensors, **singles)
+
+
+def _checked_cells(arrays, name, n_cells):
+    # The (keys, counts) of one stored tensor, refused unless the keys are
+    # strictly increasing flat cells and every count is positive: a saver
+    # stores no zero, and no unchecked key reaches numpy indexing.
+    keys, counts = arrays.get(f"{name}_keys"), arrays.get(f"{name}_counts")
+    if keys is None or keys.ndim != 1 or keys.dtype != np.int64:
+        raise InvariantViolation(f"{name} keys missing or not 1-D int64")
+    if counts is None or counts.shape != keys.shape \
+            or counts.dtype != keys.dtype:
+        raise InvariantViolation(f"{name} counts do not match its keys")
+    # strictly increasing keys are bounded by the first and the last
+    if keys.size and (keys[0] < 0 or keys[-1] >= n_cells
+                      or np.any(keys[1:] <= keys[:-1])):
+        raise InvariantViolation(
+            f"{name} keys not strictly increasing cells of the tensor")
+    if np.any(counts <= 0):
+        raise InvariantViolation(f"{name} holds a count <= 0")
+    return keys, counts
 
 
 def accumulate(batches, *, window=10, shift=20, n_x=32, n_y=32,

@@ -459,6 +459,16 @@ def save_with_ordered_share(corr, path, values_later):
                            meta)
 
 
+def save_dense_accumulator(acc, path):
+    """Write acc as CorrelationAccumulator.save did before it stored its
+    pair tensors as nonzero cells: the same meta, every array dense."""
+    acc.save(path)
+    _, meta = arraystore.load_arrays(path)
+    arraystore.save_arrays(path, {"g2": acc.g2, "g2_shifted": acc.g2_shifted,
+                                  "g2_later": acc.g2_later, "g1": acc.g1,
+                                  "dt_hist": acc.dt_hist}, meta)
+
+
 def sum_diff_route_profiles(values, n_x, n_y, axis):
     """Sum and difference peak profiles through the full sum/diff maps.
 

@@ -1,12 +1,17 @@
 import os
 import stat
+import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import batch_of, oracle_blk_bytes
+from helpers import batch_of, oracle_blk_bytes, save_dense_accumulator
 from spadcorr.arraystore import load_arrays, save_arrays
+from spadcorr.cli import main
 from spadcorr.correlator import (
     CorrectedG2,
     CorrelationAccumulator,
@@ -323,3 +328,152 @@ def test_undecodable_bytes_rejected(tmp_path):
     save_arrays(path, {"x": np.arange(3)}, [1])
     with pytest.raises(InvariantViolation, match="JSON object"):
         load_arrays(path)
+
+
+# the accumulator's pair tensors, stored as nonzero cells, then its singles
+CELL_TENSORS = ("g2", "g2_shifted", "g2_later")
+SINGLES = ("g1", "dt_hist")
+
+
+def random_accumulator(rng, n_x, n_y, fill):
+    """An accumulator on 8 bins whose pair tensors are empty, sparse or
+    full of counts beyond 32 bits."""
+    n_pix = n_x * n_y
+
+    def tensor():
+        counts = rng.integers(1, 2**40, (n_pix, n_pix))
+        if fill == "sparse":
+            counts *= rng.random((n_pix, n_pix)) < 0.05
+        return counts * (fill != "empty")
+
+    return CorrelationAccumulator(
+        n_x=n_x, n_y=n_y, bins_per_frame=8, window=2, shift=5,
+        mapping_mode="far", n_frames=int(rng.integers(0, 2**40)),
+        g2=tensor(), g2_shifted=tensor(), g2_later=tensor(),
+        g1=rng.integers(0, 2**40, n_pix), dt_hist=rng.integers(0, 2**40, 15))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sensor=st.sampled_from([(1, 1), (2, 3), (32, 32)]),
+       fill=st.sampled_from(["empty", "sparse", "full"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_accumulator_cells_round_trip(sensor, fill, seed):
+    acc = random_accumulator(np.random.default_rng(seed), *sensor, fill)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "acc.blk"
+        acc.save(path)
+        saved = path.read_bytes()
+        back = CorrelationAccumulator.load(path)
+        for name in CELL_TENSORS + SINGLES:
+            assert getattr(back, name).dtype == np.int64
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(acc, name))
+        for name in ("n_x", "n_y", "bins_per_frame", "window", "shift",
+                     "mapping_mode", "n_frames"):
+            assert getattr(back, name) == getattr(acc, name)
+        back.save(path)
+        assert path.read_bytes() == saved
+
+
+@pytest.mark.parametrize("n_x,n_y", [(2, 3), (32, 32)])
+def test_accumulator_container_grows_16_bytes_per_nonzero_cell(
+        tmp_path, n_x, n_y):
+    acc = random_accumulator(np.random.default_rng(n_x), n_x, n_y, "sparse")
+    empty = CorrelationAccumulator(
+        n_x=n_x, n_y=n_y, bins_per_frame=8, window=2, shift=5,
+        mapping_mode="far", n_frames=acc.n_frames, g1=acc.g1,
+        dt_hist=acc.dt_hist)
+    acc.save(tmp_path / "acc.blk")
+    empty.save(tmp_path / "empty.blk")
+    nonzero = sum(np.count_nonzero(getattr(acc, name))
+                  for name in CELL_TENSORS)
+    assert nonzero > 0
+    assert (tmp_path / "acc.blk").stat().st_size \
+        == (tmp_path / "empty.blk").stat().st_size + 16 * nonzero
+    # the layout: row-major (row, column) cells as flat keys, then counts
+    cells = {}
+    for name in CELL_TENSORS:
+        rows, cols = np.nonzero(getattr(acc, name))
+        cells[f"{name}_keys"] = rows * (n_x * n_y) + cols
+        cells[f"{name}_counts"] = getattr(acc, name)[rows, cols]
+    _, meta = load_arrays(tmp_path / "acc.blk")
+    assert (tmp_path / "acc.blk").read_bytes() == oracle_blk_bytes(
+        {**cells, "g1": acc.g1, "dt_hist": acc.dt_hist}, meta)
+
+
+KEYS, COUNTS = "g2_shifted_keys", "g2_shifted_counts"
+
+
+def change(fn, *names):
+    return lambda cells: cells.update((name, fn(cells[name]))
+                                      for name in names)
+
+
+def set_at(name, index, value):
+    def edit(cells):
+        cells[name] = cells[name].copy()
+        cells[name][index] = value
+    return edit
+
+
+MALFORMED_CELLS = {
+    "keys-missing": lambda cells: cells.pop(KEYS),
+    "counts-missing": lambda cells: cells.pop(COUNTS),
+    "keys-2d": change(lambda a: a.reshape(2, 2), KEYS, COUNTS),
+    # counts of the keys' dtype, so only the keys' own check refuses them
+    "keys-float": change(lambda a: a.astype(np.float64), KEYS, COUNTS),
+    "keys-u4": change(lambda a: a.astype(np.uint32), KEYS, COUNTS),
+    "keys-descending": change(lambda a: a[::-1], KEYS, COUNTS),
+    "keys-duplicate": set_at(KEYS, 1, 3),
+    "key-negative": set_at(KEYS, 0, -1),
+    "key-past-end": set_at(KEYS, -1, 16),
+    "counts-float": change(lambda a: a.astype(np.float64), COUNTS),
+    "counts-short": change(lambda a: a[:-1], COUNTS),
+    "count-zero": set_at(COUNTS, 2, 0),
+    "count-negative": set_at(COUNTS, 2, -3),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CELLS.values(),
+                         ids=MALFORMED_CELLS.keys())
+def test_malformed_cells_refused(tmp_path, edit):
+    acc, _ = tiny_containers()["accumulator"]
+    path = tmp_path / "acc.blk"
+    acc.save(path)
+    arrays, meta = load_arrays(path)
+    # the 2x2 accumulator's displaced window holds 4 of its 16 cells
+    assert arrays[KEYS].tolist() == [3, 7, 12, 13]
+    edit(arrays)
+    save_arrays(path, arrays, meta)
+    with pytest.raises(InvariantViolation):
+        CorrelationAccumulator.load(path)
+
+
+@pytest.mark.parametrize("name", SINGLES)
+def test_negative_singles_refused(tmp_path, name):
+    acc, _ = tiny_containers()["accumulator"]
+    path = tmp_path / "acc.blk"
+    acc.save(path)
+    blob = bytearray(path.read_bytes())
+    # past the record's name: dtype code, ndim and its one u32 dimension
+    head = struct.pack("<H", len(name)) + name.encode()
+    payload = blob.index(head) + len(head) + 6
+    blob[payload + 8 + 7] ^= 0x80     # the top byte of entry 1
+    path.write_bytes(bytes(blob))
+    assert load_arrays(path)[0][name][1] < 0
+    with pytest.raises(InvariantViolation, match="negative"):
+        CorrelationAccumulator.load(path)
+
+
+def test_dense_accumulator_container_refused(tmp_path, capsys):
+    acc, _ = tiny_containers()["accumulator"]
+    path = tmp_path / "old.blk"
+    save_dense_accumulator(acc, path)
+    assert load_arrays(path)[0]["g2"].shape == (4, 4)
+    with pytest.raises(InvariantViolation,
+                       match="re-run `spadcorr correlate`"):
+        CorrelationAccumulator.load(path)
+    assert main(["correct", "--in", str(path),
+                 "--out", str(tmp_path / "g2.blk")]) == 3
+    assert "re-run `spadcorr correlate`" in capsys.readouterr().err
+    assert not (tmp_path / "g2.blk").exists()
