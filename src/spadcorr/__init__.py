@@ -40,7 +40,6 @@ from .errors import (
 from .eventfile import (
     EventFileReader,
     EventFileWriter,
-    read_batches,
     read_header,
 )
 from .fitting import damped_least_squares, fit_gaussian_1d, fit_gaussian_2d

@@ -171,10 +171,11 @@ _CONTAINERS = {"accumulator": CorrelationAccumulator,
 
 
 def _cmd_export(args):
-    kind = arraystore.load_arrays(args.infile)[1].get("kind")
+    arrays, meta = arraystore.load_arrays(args.infile)
+    kind = meta.get("kind")
     if kind not in _CONTAINERS:
         raise ConfigError(f"unknown container kind {kind!r}")
-    obj = _CONTAINERS[kind].load(args.infile)   # checked, tensors dense
+    obj = _CONTAINERS[kind]._from_arrays(arrays, meta)  # checked, dense
     if kind == "crosstalk_map":
         if args.what != "crosstalk":
             raise ConfigError("cross-talk maps only export 'crosstalk'")

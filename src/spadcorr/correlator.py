@@ -36,7 +36,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .optics import MAPPING_MODES
-from .sensor import FrameBatch
+from .sensor import MAX_PIXELS, FrameBatch
 
 FLAG_ORDER = ("raw", "accidental_subtracted", "crosstalk_corrected",
               "neighbor_masked")
@@ -55,6 +55,10 @@ def _in_range(fields: dict) -> dict:
            if (fields.get(name) or 0) < 0]
     if fields.get("mapping_mode", "far") not in MAPPING_MODES:
         bad.append("mapping_mode")
+    # the grid of a sensor: a larger one's tensors would not fit in memory
+    n_x, n_y = fields.get("n_x", 1), fields.get("n_y", 1)
+    if not (n_x >= 1 and n_y >= 1 and n_x * n_y <= MAX_PIXELS):
+        bad += ["n_x", "n_y"]
     if bad:
         raise InvariantViolation(f"meta fields {bad} out of range")
     return fields
@@ -113,6 +117,8 @@ class CorrelationAccumulator:
 
     def __post_init__(self):
         n_pix = self.n_x * self.n_y
+        if n_pix > MAX_PIXELS:
+            raise ConfigError(f"{n_pix} pixels exceed {MAX_PIXELS}")
         if self.window < 0 or self.window > self.bins_per_frame - 1:
             raise WindowTooLarge("coincidence window exceeds the frame")
         if self.shift <= self.window:
@@ -225,7 +231,10 @@ class CorrelationAccumulator:
 
     @classmethod
     def load(cls, path) -> "CorrelationAccumulator":
-        arrays, meta = arraystore.load_arrays(path)
+        return cls._from_arrays(*arraystore.load_arrays(path))
+
+    @classmethod
+    def _from_arrays(cls, arrays, meta) -> "CorrelationAccumulator":
         if meta.get("kind") != "accumulator":
             raise ConfigError("container does not hold an accumulator")
         fields = _in_range(arraystore.check_meta(meta, **_TENSOR_META))
@@ -234,7 +243,8 @@ class CorrelationAccumulator:
                 "dense accumulator container from an older spadcorr; "
                 "re-run `spadcorr correlate` on its event file")
         n_pix = fields["n_x"] * fields["n_y"]
-        # g1's stored length bounds n_pix before any tensor is allocated
+        # n_pix is within MAX_PIXELS (_in_range) and g1's stored length
+        # before any tensor is allocated
         singles = arraystore.check_arrays(
             arrays, g1=((n_pix,), np.int64),
             dt_hist=((2 * fields["bins_per_frame"] - 1,), np.int64))
@@ -329,7 +339,10 @@ class CorrectedG2:
 
     @classmethod
     def load(cls, path) -> "CorrectedG2":
-        arrays, meta = arraystore.load_arrays(path)
+        return cls._from_arrays(*arraystore.load_arrays(path))
+
+    @classmethod
+    def _from_arrays(cls, arrays, meta) -> "CorrectedG2":
         if meta.get("kind") != "corrected_g2":
             raise ConfigError("container does not hold a corrected tensor")
         fields = _in_range(arraystore.check_meta(
@@ -490,7 +503,10 @@ class CrosstalkMap:
 
     @classmethod
     def load(cls, path) -> "CrosstalkMap":
-        arrays, meta = arraystore.load_arrays(path)
+        return cls._from_arrays(*arraystore.load_arrays(path))
+
+    @classmethod
+    def _from_arrays(cls, arrays, meta) -> "CrosstalkMap":
         if meta.get("kind") != "crosstalk_map":
             raise ConfigError("container does not hold a cross-talk map")
         fields = _in_range(arraystore.check_meta(meta, radius=int,

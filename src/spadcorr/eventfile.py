@@ -363,7 +363,3 @@ def _decode_span(buf, at, head_cut, hdr, last_id):
     return (np.repeat(fid, whole), pixels.astype(np.uint16),
             ev["tdc"].astype(np.uint8))
 
-
-def read_batches(path, frames_per_batch: int = 65536):
-    """Convenience generator over validated FrameBatch spans."""
-    return EventFileReader(path).iter_batches(frames_per_batch)

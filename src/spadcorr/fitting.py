@@ -22,8 +22,7 @@ give-up once its damping passes 1e14, its own iteration count and cap, and
 its own step test. The stack only shares the numpy calls: every round
 starts a new iteration (one Jacobian) for the problems whose last try was
 accepted and makes one damped try for every problem still running, so a
-problem that needs many tries holds up no other. A 1-D start vector is a
-stack of one.
+problem that needs many tries holds up no other.
 
 Every Gaussian fit has one problem form: a row (coords, y, keep) of m
 points, one coordinate array per model coordinate, where keep drops every
@@ -65,31 +64,17 @@ FINAL_STEP_TOL = 1e-8
 
 @dataclasses.dataclass
 class LMResult:
-    """Solver outcome; stacked runs hold one entry per problem in each field.
+    """Outcome of a stacked solve: one entry per problem in each field.
 
-    For a stack, params is (K, n_params), converged, iterations and
-    residual_norm are length-K arrays and cost_history is one tuple per
-    problem.
-
-    cost_history holds the starting cost and that of every accepted damped
-    step, so it never increases. residual_norm is taken at the returned
-    point, after the final Gauss-Newton steps, which are not cost-checked;
-    it can differ from sqrt(cost_history[-1]) by rounding.
+    params is (K, n_params); converged, iterations and residual_norm are
+    length-K arrays. residual_norm is taken at the returned point, after the
+    final Gauss-Newton steps.
     """
 
     params: np.ndarray
-    converged: bool | np.ndarray
-    iterations: int | np.ndarray
-    residual_norm: float | np.ndarray
-    cost_history: tuple
-
-    def problem(self, k: int) -> "LMResult":
-        """Result of problem k of a stacked run."""
-        return LMResult(params=self.params[k],
-                        converged=bool(self.converged[k]),
-                        iterations=int(self.iterations[k]),
-                        residual_norm=float(self.residual_norm[k]),
-                        cost_history=self.cost_history[k])
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual_norm: np.ndarray
 
 
 def _rowdot(a, b):
@@ -114,30 +99,20 @@ def _solve(a, b):
         return out
 
 
-def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
-                         rel_step_tol: float = REL_STEP_TOL) -> LMResult:
-    """Minimize 0.5 * ||fun(p)||^2 with analytic Jacobian jac(p).
+def damped_least_squares(fun, jac, p0) -> LMResult:
+    """Minimize 0.5 * ||fun(p)||^2 for a stack of K independent problems.
 
-    fun returns the residual vector, jac its derivative with shape
-    (n_residuals, n_params).
-
-    A 2-D p0 of shape (K, n_params) is a stack of K independent problems.
-    fun and jac are then called as fun(p, rows) and jac(p, rows): p holds
-    the parameter rows of the problems whose stack indices are in rows, and
-    the results are stacked the same way, (len(rows), n_residuals) and
-    (len(rows), n_residuals, n_params).
+    p0 of shape (K, n_params) holds one start point per problem. fun and jac
+    are called as fun(p, rows) and jac(p, rows): p holds the parameter rows
+    of the problems whose stack indices are in rows, and the results are
+    stacked the same way, the residuals (len(rows), n_residuals) and their
+    analytic Jacobian (len(rows), n_residuals, n_params).
     """
     p = np.array(p0, dtype=float)
-    if p.ndim == 1:
-        return damped_least_squares(
-            lambda q, rows: np.asarray(fun(q[0]), dtype=float)[None],
-            lambda q, rows: np.asarray(jac(q[0]), dtype=float)[None],
-            p[None], max_iter, rel_step_tol).problem(0)
     n_stack, n_par = p.shape
     rows = np.arange(n_stack)
     r = np.asarray(fun(p, rows), dtype=float)
     cost = _rowdot(r, r)
-    accepted = [(rows, cost)]       # (problems, cost) of each accepted try
     # final state per problem, written as each one stops
     params, final_cost = p.copy(), cost.copy()
     converged = np.zeros(n_stack, dtype=bool)
@@ -151,7 +126,7 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
     grad = np.zeros((n_stack, n_par))
     diag = np.zeros((n_stack, n_par))
     on_diag = np.arange(n_par)
-    while max_iter >= 1 and rows.size:
+    while rows.size:
         new = np.flatnonzero(fresh)
         if new.size:
             jmat = np.asarray(jac(p[new], rows[new]), dtype=float)
@@ -171,15 +146,14 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
         cost_new = _rowdot(r_new, r_new)
         ok = np.isfinite(cost_new) & (cost_new <= cost)
         rel = np.sqrt(_rowdot(step, step)) / (np.sqrt(_rowdot(p, p)) + 1e-300)
-        done = ok & (rel < rel_step_tol)
+        done = ok & (rel < REL_STEP_TOL)
         p = np.where(ok[:, None], trial, p)
         r = np.where(ok[:, None], r_new, r)
         cost = np.where(ok, cost_new, cost)
-        accepted.append((rows[ok], cost_new[ok]))
         lam = np.where(ok, np.maximum(lam / 3.0, 1e-12), lam * 10.0)
         tries += ~ok
         fresh = ok
-        stop = np.where(ok, done | (it >= max_iter),
+        stop = np.where(ok, done | (it >= MAX_ITERATIONS),
                         (lam > MAX_DAMPING) | (tries >= MAX_TRIES))
         if stop.any():
             idx = rows[stop]
@@ -214,13 +188,8 @@ def damped_least_squares(fun, jac, p0, max_iter: int = MAX_ITERATIONS,
         r = np.asarray(fun(p, rows), dtype=float)
         params[rows], final_cost[rows] = p, _rowdot(r, r)
 
-    who, costs = (np.concatenate(c) for c in zip(*accepted))
-    order = np.argsort(who, kind="stable")
-    history = np.split(costs[order],
-                       np.cumsum(np.bincount(who, minlength=n_stack))[:-1])
     return LMResult(params=params, converged=converged,
-                    iterations=iterations, residual_norm=np.sqrt(final_cost),
-                    cost_history=tuple(tuple(h.tolist()) for h in history))
+                    iterations=iterations, residual_norm=np.sqrt(final_cost))
 
 
 @dataclasses.dataclass

@@ -41,6 +41,8 @@ from .errors import ConfigError
 from .optics import DoubleGaussianModel, OpticalMapping
 
 CHUNK_FRAMES = 65536
+# FrameBatch.pixels holds the 1-based linear index as uint16
+MAX_PIXELS = 65535
 # RNG domain-separation tags (arbitrary fixed integers)
 _SIM_TAG = 0x51D
 _OFFSET_TAG = 0x0FF
@@ -75,6 +77,9 @@ class SensorConfig:
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ConfigError("sensor dimensions must be positive")
+        if self.n_x * self.n_y > MAX_PIXELS:
+            raise ConfigError(f"{self.n_x}x{self.n_y} sensor exceeds "
+                              f"{MAX_PIXELS} pixels")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ConfigError("efficiency must be in [0, 1]")
         if self.dark_rate_hz < 0 or self.jitter_sigma_ps < 0:
@@ -426,7 +431,9 @@ def _dark_counts(cfg, rngs, spans, counts):
 def _first_hits(frames, lins, times, cfg, lo, hi) -> FrameBatch:
     # Frame gate, then the first hit per (frame, pixel) slot from one sort
     # of one code per event. The TDC bin never decreases as the time grows,
-    # so the lowest code in a slot is the earliest hit's.
+    # so the lowest code in a slot is the earliest hit's. A group spans at
+    # most 2^32 frames of at most MAX_PIXELS pixels and 256 bins, so the
+    # int64 code stays below 2^56.
     bins, inside = quantize_tdc(times, cfg)
     code = (((frames - lo) * cfg.n_pixels + lins - 1) * cfg.bins_per_frame
             + bins)[inside]

@@ -590,22 +590,21 @@ def decode_outcome(make_batches):
     return n, digest.hexdigest(), None
 
 
-def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
-                                rel_step_tol=REL_STEP_TOL) -> LMResult:
+def oracle_damped_least_squares(fun, jac, p0) -> LMResult:
     """Reference Levenberg-Marquardt loop for one problem at a time.
 
     This is the unstacked solver the stacked one replaced: one damped try
     after another, np.linalg.solve with an lstsq fallback, then the same
-    undamped final steps on a converged problem.
+    undamped final steps on a converged problem. The result's fields hold
+    that one problem's values.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = np.asarray(fun(p), dtype=float)
     cost = float(r @ r)
     lam = 1e-3
-    history = [cost]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         jmat = np.asarray(jac(p), dtype=float)
         grad = jmat.T @ r
         hess = jmat.T @ jmat
@@ -625,10 +624,9 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
             if math.isfinite(cost_new) and cost_new <= cost:
                 rel = np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300)
                 p, r, cost = p_new, r_new, cost_new
-                history.append(cost)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                if rel < rel_step_tol:
+                if rel < REL_STEP_TOL:
                     converged = True
                 break
             lam *= 10.0
@@ -651,8 +649,7 @@ def oracle_damped_least_squares(fun, jac, p0, max_iter=MAX_ITERATIONS,
         cost = float(r @ r)
 
     return LMResult(params=p, converged=converged,
-                    iterations=it, residual_norm=math.sqrt(cost),
-                    cost_history=tuple(history))
+                    iterations=it, residual_norm=math.sqrt(cost))
 
 
 def chi2_critical(dof, alpha):

@@ -40,7 +40,7 @@ from spadcorr.errors import (
     RangeViolation,
     TruncatedFile,
 )
-from spadcorr.eventfile import read_batches
+from spadcorr.eventfile import EventFileReader
 from spadcorr.fitting import (
     fit_gaussian_1d,
     fit_gaussian_2d,
@@ -311,7 +311,8 @@ def test_criterion_9_io_round_trip_and_corruption(tmp_path):
         batch = random_batch(rng, int(rng.integers(0, 12)), 1024, 255,
                              max_events=5, p_empty=0.3)
         write_event_file(path, batch, total_frames=batch.n_frames)
-        same = decode_outcome(lambda: read_batches(path, 65536)) == \
+        same = decode_outcome(
+            lambda: EventFileReader(path).iter_batches(65536)) == \
             decode_outcome(lambda: [batch] if batch.n_frames else [])
         if not same:
             bad_streams += 1
@@ -329,7 +330,7 @@ def test_criterion_9_io_round_trip_and_corruption(tmp_path):
             blob[pos] ^= delta
             bad.write_bytes(bytes(blob))
             try:
-                for _ in read_batches(bad):
+                for _ in EventFileReader(bad).iter_batches():
                     pass
             except (BadMagic, RangeViolation, InvariantViolation,
                     TruncatedFile, OrderViolation):

@@ -19,7 +19,7 @@ REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
            "position_widths", "position_widths_by_coordinate",
            "_paired_variance", "_SIGMA_KEYS", "fit_gaussian_1d_columns",
            "_fit_columns_stack", "_column_block", "linear_index",
-           "write_events", "PAIR_SLICE")
+           "write_events", "PAIR_SLICE", "read_batches")
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -68,3 +68,11 @@ def test_accumulation_has_one_path(capsys):
         cli.build_parser().parse_args(
             ["correlate", "--in", "a", "--out", "b", "--workers", "2"])
     assert "--workers" in capsys.readouterr().err
+
+
+def test_solver_has_one_form():
+    assert list(inspect.signature(
+        fitting.damped_least_squares).parameters) == ["fun", "jac", "p0"]
+    assert [f.name for f in dataclasses.fields(fitting.LMResult)] == [
+        "params", "converged", "iterations", "residual_norm"]
+    assert not hasattr(fitting.LMResult, "problem")

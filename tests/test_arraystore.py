@@ -302,6 +302,18 @@ def test_meta_values_are_checked(tmp_path, kind, field, value):
         cls.load(path)
 
 
+@pytest.mark.parametrize("kind", ["accumulator", "corrected"])
+def test_negative_grid_refused(tmp_path, kind):
+    # -2 x -2 keeps the 4 pixels that the stored arrays hold
+    obj, cls = tiny_containers()[kind]
+    path = tmp_path / "x.blk"
+    obj.save(path)
+    arrays, meta = load_arrays(path)
+    save_arrays(path, arrays, {**meta, "n_x": -2, "n_y": -2})
+    with pytest.raises(InvariantViolation, match=r"\['n_x', 'n_y'\]"):
+        cls.load(path)
+
+
 def test_displaced_window_beyond_frame_rejected(tmp_path):
     # the 2x2 accumulator has 8 bins, window 2 and shift 5; a shift of 10
     # puts its displaced window wholly past the largest |dt| of 7
@@ -477,3 +489,28 @@ def test_dense_accumulator_container_refused(tmp_path, capsys):
                  "--out", str(tmp_path / "g2.blk")]) == 3
     assert "re-run `spadcorr correlate`" in capsys.readouterr().err
     assert not (tmp_path / "g2.blk").exists()
+
+
+def test_accumulator_beyond_the_pixel_index_refused_before_allocation(
+        tmp_path, capsys):
+    # a 1-MB g1 of 2^17 pixels: loaded densely, each of the three pair
+    # tensors would ask for 128 GiB
+    acc, _ = tiny_containers()["accumulator"]
+    path = tmp_path / "big.blk"
+    acc.save(path)
+    arrays, meta = load_arrays(path)
+    arrays["g1"] = np.zeros(1 << 17, dtype=np.int64)
+    arrays.update({name: np.empty(0, dtype=np.int64) for name in arrays
+                   if name.endswith(("_keys", "_counts"))})
+    save_arrays(path, arrays, {**meta, "n_x": 512, "n_y": 256})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantViolation, match=r"\['n_x', 'n_y'\]"):
+            CorrelationAccumulator.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert main(["correct", "--in", str(path),
+                 "--out", str(tmp_path / "g2.blk")]) == 3
+    assert "data error" in capsys.readouterr().err

@@ -287,6 +287,23 @@ class TestExport:
         capsys.readouterr()
         assert codes == {0, 2, 3}
 
+    def test_each_container_is_read_once(self, ws, monkeypatch):
+        xt = ws["root"] / "xt-once.blk"
+        CrosstalkMap(probabilities=np.full((3, 3), 1e-3), radius=1).save(xt)
+        calls = []
+        real = arraystore.load_arrays
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(arraystore, "load_arrays", counting)
+        for src, what in ((ws["far_acc"], "g1"), (ws["far_g2"], "g1"),
+                          (xt, "crosstalk")):
+            calls.clear()
+            assert self.export(ws, src, what, "once")[0] == 0
+            assert calls == [str(src)]
+
     @pytest.mark.parametrize("field,value", [("mapping_mode", "fas"),
                                              ("n_frames", -1)])
     def test_meta_value_out_of_range_exits_3(self, ws, capsys, field, value):
@@ -346,6 +363,13 @@ class TestErrorExits:
         assert main(["simulate", "--config", str(bad), "--mapping", "far",
                      "--out", str(ws["root"] / "x.evt")]) == 2
         assert "line 2: unknown key" in capsys.readouterr().err
+
+    def test_sensor_beyond_the_pixel_index_is_config_error(self, ws, capsys):
+        big = ws["root"] / "big.cfg"
+        big.write_text("sensor.n_x = 300\nsensor.n_y = 300\n"
+                       "run.frames = 1000\n")
+        assert main(["pipeline", "--config", str(big)]) == 2
+        assert "65535 pixels" in capsys.readouterr().err
 
     def test_simulate_needs_mapping(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -343,6 +343,12 @@ class TestAccumulate:
         with pytest.raises(MalformedFrame, match=r"out of \(frame, pixel\)"):
             accumulate(batch)
 
+    def test_pixels_beyond_the_uint16_index_refused(self):
+        # checked before the (n_pix, n_pix) tensors are allocated
+        with pytest.raises(ConfigError, match="65535"):
+            CorrelationAccumulator(n_x=256, n_y=257, bins_per_frame=255,
+                                   window=10, shift=20)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(35)
         acc = accumulate(random_batch(rng, 40, 1024, 255),

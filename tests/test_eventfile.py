@@ -17,8 +17,8 @@ from spadcorr.errors import (
 )
 from spadcorr.eventfile import (
     MAGIC,
+    EventFileReader,
     EventFileWriter,
-    read_batches,
     read_header,
 )
 from spadcorr.optics import DoubleGaussianModel, OpticalMapping
@@ -85,7 +85,7 @@ class TestWireFormat:
         assert hdr.n_x == hdr.n_y == 32
         assert hdr.bins_per_frame == 255
         assert [(b.start_frame, b.n_frames, b.n_events)
-                for b in read_batches(path)] == [(0, 10, 0)]
+                for b in EventFileReader(path).iter_batches()] == [(0, 10, 0)]
 
     def test_single_event_bytes_match_layout(self, tmp_path):
         path = tmp_path / "one.evt"
@@ -134,7 +134,7 @@ class TestRoundTrip:
             batch = random_sparse_batch(rng)
             path = tmp_path / f"s{seed}.evt"
             write_event_file(path, batch, total_frames=200)
-            back = list(read_batches(path))
+            back = list(EventFileReader(path).iter_batches())
             assert [(b.start_frame, b.n_frames) for b in back] == [(0, 200)]
             assert_same_events(back, [batch])
 
@@ -143,7 +143,7 @@ class TestRoundTrip:
         batch = random_sparse_batch(rng, id_span=90, max_frames=30)
         path = tmp_path / "tile.evt"
         write_event_file(path, batch, total_frames=100)
-        batches = list(read_batches(path, frames_per_batch=16))
+        batches = list(EventFileReader(path).iter_batches(frames_per_batch=16))
         assert [b.start_frame for b in batches] == list(range(0, 100, 16))
         assert sum(b.n_frames for b in batches) == 100
         for b in batches:
@@ -163,7 +163,7 @@ class TestRoundTrip:
         for batch in src:
             writer.add_batch(batch)
         writer.close(total_frames=2 * 65536)
-        back = list(read_batches(path, frames_per_batch=65536))
+        back = list(EventFileReader(path).iter_batches(frames_per_batch=65536))
         # the simulator's batches span chunk groups, the reader's 65536
         # frames each: compare the streams, not the batch boundaries
         assert [b.n_frames for b in back] == [65536, 65536]
@@ -195,7 +195,8 @@ class TestWriterErrors:
             w.add_batch(batch_of((4, [1], [0]), (3, [1], [0]),
                                  (5, [1], [0])))
         w.close(total_frames=6)
-        assert_same_events(read_batches(path), [batch_of((0, [2], [0]))])
+        assert_same_events(EventFileReader(path).iter_batches(),
+                           [batch_of((0, [2], [0]))])
 
     def test_ragged_columns_rejected(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
@@ -273,7 +274,7 @@ class TestReaderErrors:
         return path
 
     def read_all(self, path):
-        return list(read_batches(path))
+        return list(EventFileReader(path).iter_batches())
 
     def test_corrupt_magic(self, tmp_path):
         blob = bytearray(raw_header() + raw_footer(1))
@@ -373,7 +374,7 @@ class TestReaderErrors:
         path = self.write(tmp_path, raw_header() + raw_frame(0, [(1, 0)])
                           + raw_footer(1))
         with pytest.raises(ConfigError, match="frames_per_batch"):
-            next(read_batches(path, frames_per_batch))
+            next(EventFileReader(path).iter_batches(frames_per_batch))
         with pytest.raises(ConfigError, match="frames_per_batch"):
             accumulate_file(path, frames_per_batch=frames_per_batch)
 
@@ -397,7 +398,7 @@ class TestHeaderFuzz:
                 with pytest.raises((BadMagic, RangeViolation,
                                     InvariantViolation, TruncatedFile,
                                     OrderViolation)):
-                    for _ in read_batches(bad):
+                    for _ in EventFileReader(bad).iter_batches():
                         pass
                 checked += 1
         assert checked == 56
@@ -432,7 +433,8 @@ class TestDifferentialDecode:
                 # 64-byte reads put block boundaries inside heads and events
                 for read_bytes in (1 << 20, 64):
                     monkeypatch.setattr(eventfile, "_READ_BYTES", read_bytes)
-                    got = decode_outcome(lambda: read_batches(bad))
+                    got = decode_outcome(
+                        lambda: EventFileReader(bad).iter_batches())
                     assert got[2] == want[2], (pos, delta, read_bytes)
                     if want[2] is None:
                         assert got == want, (pos, delta, read_bytes)
@@ -452,10 +454,12 @@ class TestDifferentialDecode:
             write_event_file(path, batch, total_frames=60 + seed)
             want = decode_outcome(
                 lambda: oracle_read_batches(path, frames_per_batch))
-            got = decode_outcome(lambda: read_batches(path, frames_per_batch))
+            got = decode_outcome(lambda: EventFileReader(path).iter_batches(
+                frames_per_batch))
             assert want[2] is None
             assert got == want
-            assert_same_events(read_batches(path, frames_per_batch), [batch])
+            assert_same_events(
+                EventFileReader(path).iter_batches(frames_per_batch), [batch])
 
     def test_accumulate_file_batch_size_invisible(self, tmp_path):
         path = tmp_path / "sim.evt"

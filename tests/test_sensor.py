@@ -127,6 +127,12 @@ class TestSensorConfig:
         with pytest.raises(ConfigError):
             SensorConfig(pixel_offsets_ps=np.zeros(5))
 
+    def test_pixel_count_fits_the_uint16_index(self):
+        # FrameBatch.pixels is uint16: 65535 pixels at most
+        with pytest.raises(ConfigError, match="65535 pixels"):
+            SensorConfig(n_x=256, n_y=257)
+        assert SensorConfig(n_x=255, n_y=257).n_pixels == 65535
+
     def test_frame_duration(self):
         cfg = SensorConfig()
         assert cfg.frame_duration_ps == pytest.approx(52275.0)
