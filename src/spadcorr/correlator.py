@@ -45,6 +45,10 @@ _TENSOR_META = dict(n_x=int, n_y=int, bins_per_frame=int, window=int,
                     shift=int, n_frames=int, mapping_mode=str)
 
 MFRAMES = 1.0e6
+# g1_product fits its constant on pixel pairs at least MASK_DISTANCE pixels
+# from every correlated locus, and needs MIN_MASK_PAIRS of them
+MASK_DISTANCE = 10
+MIN_MASK_PAIRS = 100
 # accumulator tensors that a container stores as their nonzero cells
 _CELL_TENSORS = ("g2", "g2_shifted", "g2_later")
 
@@ -429,8 +433,8 @@ def _locus_distance(n_x, n_y, mapping_mode):
     return out.reshape(n_pix, n_pix)
 
 
-def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
-                         *, mask_distance=10, min_mask_pairs=100) -> np.ndarray:
+def estimate_accidentals(acc: CorrelationAccumulator,
+                         method="shifted_window") -> np.ndarray:
     """Accidental-coincidence estimate per 1e6 frames, diagonal zero.
 
     shifted_window rescales the displaced-window counts by the ratio of
@@ -452,8 +456,8 @@ def estimate_accidentals(acc: CorrelationAccumulator, method="shifted_window",
         return acc.g2_shifted * ((prompt / displaced) * scale)
     if method == "g1_product":
         dist = _locus_distance(acc.n_x, acc.n_y, acc.mapping_mode)
-        sel = dist >= mask_distance
-        if int(np.count_nonzero(sel)) < min_mask_pairs:
+        sel = dist >= MASK_DISTANCE
+        if int(np.count_nonzero(sel)) < MIN_MASK_PAIRS:
             raise InsufficientMask(
                 f"only {int(np.count_nonzero(sel))} uncorrelated pairs")
         outer = acc.g1.astype(np.float64)[:, None] * acc.g1[None, :]

@@ -22,9 +22,9 @@ runs each fitted estimator as one stacked solve over its four problems:
 every retained column of all four tables for gauss1d, the four tables for
 gauss2d and the four profiles for peaks (on a non-square sensor the x and
 y problems differ in length and each estimator takes one solve per axis).
-The per-table functions are stacks of one through the same code. A failure
-is reported as the per-table functions would meet it one at a time: the
-first in METHODS order, x before y, near before far.
+Each estimator takes the list of its problems and returns one variance per
+problem, in order. A failure is the first in METHODS order, x before y,
+near before far.
 """
 
 from __future__ import annotations
@@ -88,21 +88,9 @@ def pixel_center_coords(n: int, offset_px: float,
     return (np.arange(n) + 0.5 - n / 2.0 - offset_px) * pixel_pitch_um
 
 
-def _projection(corr: CorrectedG2, axis: str) -> np.ndarray:
-    if axis not in ("x", "y"):
-        raise ConfigError(f"axis must be x or y, got {axis!r}")
-    return project_axes(corr.values, corr.n_x, corr.n_y)["xy".index(axis)]
-
-
-def build_joint_table(corr: CorrectedG2, mapping: OpticalMapping,
-                      pixel_pitch_um: float, axis: str = "x") -> JointTable:
-    """Project a corrected tensor onto one axis and attach coordinates."""
-    return _joint_table(_projection(corr, axis), corr, mapping,
-                        pixel_pitch_um, axis)
-
-
-def _joint_table(proj, corr, mapping, pixel_pitch_um, axis) -> JointTable:
-    # build_joint_table on the axis projection proj
+def build_joint_table(proj, corr: CorrectedG2, mapping: OpticalMapping,
+                      pixel_pitch_um: float, axis: str) -> JointTable:
+    """Attach coordinates and the mask band to corr's axis projection proj."""
     n = corr.n_x if axis == "x" else corr.n_y
     off = mapping.center_offset_px[0 if axis == "x" else 1]
     coords = map_sensor_to_object(
@@ -146,38 +134,27 @@ def conditionals_and_marginal(table: JointTable,
     return cond, marginal, retained
 
 
-def inferred_variance_numerical(table: JointTable,
-                                min_column_fraction: float = 0.01) -> float:
-    """Marginal-weighted conditional variance, no model assumed."""
-    return _numerical(table, conditionals_and_marginal(
-        table, min_column_fraction))
+def inferred_variance_numerical(tables, conditionals) -> list:
+    """Marginal-weighted conditional variance of each table, no model
+    assumed; conditionals are the tables' conditionals_and_marginal."""
+    out = []
+    for table, (cond, marginal, retained) in zip(tables, conditionals):
+        a = table.coords[:, None]
+        mean = np.sum(cond * a, axis=0)
+        var = np.sum(cond * (a - mean[None, :]) ** 2, axis=0)
+        out.append(float(np.sum(marginal[retained] * var[retained])))
+    return out
 
 
-def _numerical(table, conditionals) -> float:
-    cond, marginal, retained = conditionals
-    a = table.coords[:, None]
-    mean = np.sum(cond * a, axis=0)
-    var = np.sum(cond * (a - mean[None, :]) ** 2, axis=0)
-    return float(np.sum(marginal[retained] * var[retained]))
+def inferred_variance_gauss1d(tables, conditionals) -> list:
+    """Marginal-weighted variance of per-column Gaussian fits of each table.
 
-
-def inferred_variance_gauss1d(table: JointTable,
-                              min_column_fraction: float = 0.01) -> float:
-    """Marginal-weighted variance of per-column Gaussian fits.
-
-    All retained columns are fitted in one stacked run. Columns with fewer
-    than 5 unmasked points, flat columns and fits that do not converge are
-    dropped and the weights renormalized; if every column fails the failure
-    propagates.
+    Every retained column of every table is fitted in one stacked run,
+    masked cells NaN. Columns with fewer than 5 unmasked points, flat
+    columns and fits that do not converge are dropped and the weights
+    renormalized; if every column of a table fails, the first such table
+    raises.
     """
-    return _gauss1d([table], [conditionals_and_marginal(
-        table, min_column_fraction)])[0]
-
-
-def _gauss1d(tables, conditionals) -> list:
-    # inferred_variance_gauss1d of each table, every retained column of
-    # every table in one stacked run, masked cells NaN; raises the first
-    # table's failure
     cols = [np.flatnonzero(retained) for _, _, retained in conditionals]
     fits = iter(_fit_1d_stack([
         (t.coords, y) for t, c in zip(tables, cols)
@@ -201,13 +178,9 @@ def _converged(fit, what):
     return fit
 
 
-def inferred_variance_gauss2d(table: JointTable) -> float:
-    """Rotated-frame 2D Gaussian fit, widths combined analytically."""
-    return _gauss2d([table])[0]
-
-
-def _gauss2d(tables) -> list:
-    # inferred_variance_gauss2d of each table in one stacked run
+def inferred_variance_gauss2d(tables) -> list:
+    """Rotated-frame 2D Gaussian fit of each table, in one stacked run,
+    widths combined analytically."""
     out = []
     for fit in _fit_2d_stack([(t.values, t.coords, t.coords, t.masked)
                               for t in tables]):
@@ -215,28 +188,6 @@ def _gauss2d(tables) -> list:
         out.append(inferred_variance_from_widths(fit.params["sigma_plus"],
                                                  fit.params["sigma_minus"]))
     return out
-
-
-def inferred_variance_peaks(corr: CorrectedG2, mapping: OpticalMapping,
-                            pixel_pitch_um: float, axis: str = "x") -> float:
-    """Width of the summed correlation peak, times sqrt(2).
-
-    Near-field pairs pile up in the difference coordinate and far-field
-    pairs in the sum coordinate; the profile is expressed in the rotated
-    coordinate (a1 -/+ a2)/sqrt(2) so the inferred width is sqrt(2) times
-    the fitted sigma. Each sum or difference bin collects a different
-    number of pixel pairs on a finite array (n - |centered index|), which
-    shapes the profile independently of the physics, so the profile is
-    divided by that pair acceptance before fitting. Near-field difference
-    bins inside the neighbour mask are excluded from the fit. The profile
-    is read off the axis projection (peak_profiles); it is the sum or
-    difference map summed over the other axis, up to rounding.
-    """
-    proj = _projection(corr, axis)
-    if mapping.mode not in ("near", "far"):
-        raise ConfigError("peak widths need a near or far mapping")
-    return _peaks([_peak_profile(proj, corr, mapping, pixel_pitch_um,
-                                 axis)])[0]
 
 
 def _peak_profile(proj, corr, mapping, pixel_pitch_um, axis):
@@ -264,8 +215,22 @@ def _peak_profile(proj, corr, mapping, pixel_pitch_um, axis):
     return u, np.where(keep, np.maximum(profile, 0.0) / acceptance, np.nan)
 
 
-def _peaks(profiles) -> list:
-    # inferred_variance_peaks of each (u, profile) in one stacked run
+def inferred_variance_peaks(profiles) -> list:
+    """Width of each summed correlation peak, times sqrt(2).
+
+    Near-field pairs pile up in the difference coordinate and far-field
+    pairs in the sum coordinate; the profile is expressed in the rotated
+    coordinate (a1 -/+ a2)/sqrt(2) so the inferred width is sqrt(2) times
+    the fitted sigma. Each sum or difference bin collects a different
+    number of pixel pairs on a finite array (n - |centered index|), which
+    shapes the profile independently of the physics, so the profile is
+    divided by that pair acceptance before fitting. Near-field difference
+    bins inside the neighbour mask are excluded from the fit. The profile
+    is read off the axis projection (peak_profiles); it is the sum or
+    difference map summed over the other axis, up to rounding. Each of
+    profiles is one such (coordinate, profile) pair, all fitted in one
+    stacked run.
+    """
     out = []
     for fit in _fit_1d_stack(profiles):
         sigma = abs(_converged(fit, "peak profile fit").params["sigma"])
@@ -349,17 +314,16 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
     problems = [(axis, corr, mapping, proj[i])
                 for i, axis in enumerate("xy")
                 for (corr, mapping), proj in zip(arms, projections)]
-    tables = [_joint_table(proj, corr, mapping, pixel_pitch_um, axis)
+    tables = [build_joint_table(proj, corr, mapping, pixel_pitch_um, axis)
               for axis, corr, mapping, proj in problems]
     conditionals = [conditionals_and_marginal(t, min_column_fraction)
                     for t in tables]
-    d2 = {"numerical": [_numerical(t, c)
-                        for t, c in zip(tables, conditionals)],
-          "gauss1d": _gauss1d(tables, conditionals),
-          "gauss2d": _gauss2d(tables),
-          "peaks": _peaks([_peak_profile(proj, corr, mapping, pixel_pitch_um,
-                                         axis)
-                           for axis, corr, mapping, proj in problems])}
+    d2 = {"numerical": inferred_variance_numerical(tables, conditionals),
+          "gauss1d": inferred_variance_gauss1d(tables, conditionals),
+          "gauss2d": inferred_variance_gauss2d(tables),
+          "peaks": inferred_variance_peaks([
+              _peak_profile(proj, corr, mapping, pixel_pitch_um, axis)
+              for axis, corr, mapping, proj in problems])}
 
     methods = {}
     for name in METHODS:

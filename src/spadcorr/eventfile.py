@@ -78,11 +78,11 @@ class EventFileHeader:
         return self.n_x * self.n_y
 
 
-def _validate_geometry(n_x, n_y, bins_per_frame):
+def _validate_geometry(n_x, n_y, bins_per_frame, error):
     if not (1 <= n_x <= MAX_DIM and 1 <= n_y <= MAX_DIM):
-        raise RangeViolation(f"array {n_x}x{n_y} outside format v1 limits")
+        raise error(f"array {n_x}x{n_y} outside format v1 limits")
     if not (1 <= bins_per_frame <= MAX_BINS):
-        raise RangeViolation(f"{bins_per_frame} bins outside format v1 limits")
+        raise error(f"{bins_per_frame} bins outside format v1 limits")
 
 
 class EventFileWriter:
@@ -93,9 +93,9 @@ class EventFileWriter:
 
     def __init__(self, path, n_x=32, n_y=32, tdc_bin_ps=205,
                  bins_per_frame=255, mapping_mode="unspecified"):
-        _validate_geometry(n_x, n_y, bins_per_frame)
+        _validate_geometry(n_x, n_y, bins_per_frame, ConfigError)
         if mapping_mode not in _MODE_CODES:
-            raise RangeViolation(f"unknown mapping mode {mapping_mode!r}")
+            raise ConfigError(f"unknown mapping mode {mapping_mode!r}")
         self.n_x = n_x
         self.n_y = n_y
         self.bins_per_frame = bins_per_frame
@@ -193,7 +193,7 @@ def read_header(path) -> EventFileHeader:
             raise BadMagic(f"bad magic {magic!r}")
         if reserved != b"\0\0\0":
             raise InvariantViolation("reserved header bytes are not zero")
-        _validate_geometry(n_x, n_y, bins)
+        _validate_geometry(n_x, n_y, bins, RangeViolation)
         if mode_code not in _CODE_MODES:
             raise InvariantViolation(f"unknown mapping code {mode_code}")
         if tdc_ps == 0:

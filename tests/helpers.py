@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spadcorr import arraystore
+from spadcorr import arraystore, correlator, epr
 from spadcorr.config import (
     build_crosstalk,
     build_mapping,
@@ -29,6 +29,7 @@ from spadcorr.correlator import (
     _require_stage,
     _window_mass,
     accumulate,
+    project_axes,
     project_sum_diff,
 )
 from spadcorr.errors import (
@@ -390,10 +391,11 @@ def oracle_subtract_accidentals(corr, estimate):
         flags=corr.flags + ("accidental_subtracted",)))
 
 
-def oracle_estimate_accidentals(acc, method, mask_distance=10,
-                                min_mask_pairs=100):
+def oracle_estimate_accidentals(acc, method):
     """Accidental estimate as the chain built it: whole float copies of
-    the tensors, and the full-pair locus distance for g1_product."""
+    the tensors, and the full-pair locus distance for g1_product. The
+    mask limits are read from correlator when called, as
+    estimate_accidentals reads them."""
     scale = MFRAMES / acc.n_frames
     if method == "shifted_window":
         b, w, sh = acc.bins_per_frame, acc.window, acc.shift
@@ -403,8 +405,8 @@ def oracle_estimate_accidentals(acc, method, mask_distance=10,
         est *= (_window_mass(b, -w, w) / displaced) * scale
         return est
     sel = oracle_locus_distance(acc.n_x, acc.n_y,
-                                acc.mapping_mode) >= mask_distance
-    if int(np.count_nonzero(sel)) < min_mask_pairs:
+                                acc.mapping_mode) >= correlator.MASK_DISTANCE
+    if int(np.count_nonzero(sel)) < correlator.MIN_MASK_PAIRS:
         raise InsufficientMask("too few uncorrelated pairs")
     outer = acc.g1.astype(np.float64)[:, None] * acc.g1[None, :]
     g2 = acc.g2.astype(np.float64)
@@ -479,6 +481,33 @@ def sum_diff_route_profiles(values, n_x, n_y, axis):
     sum_map, diff_map = project_sum_diff(values, n_x, n_y)
     other = 1 if axis == "x" else 0
     return sum_map.sum(axis=other), diff_map.sum(axis=other)
+
+
+def _axis_projection(corr, axis):
+    return project_axes(corr.values, corr.n_x, corr.n_y)["xy".index(axis)]
+
+
+def axis_table(corr, mapping, axis, pixel_pitch_um=44.67):
+    """The joint table evaluate_epr builds from corr's axis projection."""
+    return epr.build_joint_table(_axis_projection(corr, axis), corr, mapping,
+                                 pixel_pitch_um, axis)
+
+
+def table_variance(method, table, min_column_fraction=0.01):
+    """One table's inferred variance by method, run as a stack of one."""
+    if method == "gauss2d":
+        return epr.inferred_variance_gauss2d([table])[0]
+    estimate = getattr(epr, f"inferred_variance_{method}")
+    return estimate([table], [epr.conditionals_and_marginal(
+        table, min_column_fraction)])[0]
+
+
+def peak_variance(corr, mapping, axis, pixel_pitch_um=44.67):
+    """inferred_variance_peaks of corr's axis profile, a stack of one."""
+    profile = epr._peak_profile(_axis_projection(corr, axis), corr, mapping,
+                                pixel_pitch_um, axis)
+    return epr.inferred_variance_peaks([profile])[0]
+
 
 def oracle_iter_frames(path):
     """Reference event-file decoder: one Python iteration per stored frame.

@@ -19,7 +19,8 @@ REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
            "position_widths", "position_widths_by_coordinate",
            "_paired_variance", "_SIGMA_KEYS", "fit_gaussian_1d_columns",
            "_fit_columns_stack", "_column_block", "linear_index",
-           "write_events", "PAIR_SLICE", "read_batches")
+           "write_events", "PAIR_SLICE", "read_batches", "_projection",
+           "_numerical", "_gauss1d", "_gauss2d", "_peaks")
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -76,3 +77,21 @@ def test_solver_has_one_form():
     assert [f.name for f in dataclasses.fields(fitting.LMResult)] == [
         "params", "converged", "iterations", "residual_norm"]
     assert not hasattr(fitting.LMResult, "problem")
+
+
+def test_each_estimator_has_one_form():
+    """The traced estimator names take the stacks evaluate_epr solves."""
+    params = {name: list(inspect.signature(
+        getattr(epr, f"inferred_variance_{name}")).parameters)
+        for name in epr.METHODS}
+    assert params == {"numerical": ["tables", "conditionals"],
+                      "gauss1d": ["tables", "conditionals"],
+                      "gauss2d": ["tables"],
+                      "peaks": ["profiles"]}
+    assert list(inspect.signature(epr.build_joint_table).parameters) == [
+        "proj", "corr", "mapping", "pixel_pitch_um", "axis"]
+
+
+def test_accidental_estimate_takes_no_mask_options():
+    assert list(inspect.signature(
+        correlator.estimate_accidentals).parameters) == ["acc", "method"]

@@ -371,6 +371,19 @@ class TestErrorExits:
         assert main(["pipeline", "--config", str(big)]) == 2
         assert "65535 pixels" in capsys.readouterr().err
 
+    def test_sensor_beyond_the_event_format_is_config_error(self, ws, capsys):
+        """pipeline runs a 64 x 64 sensor; simulate cannot store it."""
+        big = ws["root"] / "wide.cfg"
+        big.write_text("sensor.n_x = 64\nsensor.n_y = 64\n"
+                       "run.frames = 1000\n")
+        out = ws["root"] / "wide.evt"
+        assert main(["simulate", "--config", str(big), "--mapping", "far",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "64x64 outside format v1 limits" in err
+        assert not out.exists()
+
     def test_simulate_needs_mapping(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--out", str(ws["root"] / "x.evt")])

@@ -423,11 +423,13 @@ class TestAccidentals:
                                    0.01 * outer[off_diag], rtol=1e-9)
         assert np.all(np.diag(est) == 0.0)
 
-    def test_g1_product_mask_guards(self):
+    def test_g1_product_mask_guards(self, monkeypatch):
         acc = CorrelationAccumulator(n_x=32, n_y=32, bins_per_frame=255,
                                      window=10, shift=20, n_frames=1000)
-        with pytest.raises(InsufficientMask):
-            estimate_accidentals(acc, "g1_product", mask_distance=40)
+        with monkeypatch.context() as m:
+            m.setattr(correlator, "MASK_DISTANCE", 40)
+            with pytest.raises(InsufficientMask):
+                estimate_accidentals(acc, "g1_product")
         acc.g2[0, 1023] = 5     # coincidences without any singles
         with pytest.raises(InsufficientMask):
             estimate_accidentals(acc, "g1_product")
@@ -771,12 +773,12 @@ class TestLocusDistance:
         rng = np.random.default_rng(44)
         acc = accumulate(random_batch(rng, 400, 30, 255), n_x=6, n_y=5,
                          mapping_mode=mode)
-        got = estimate_accidentals(acc, "g1_product", mask_distance=2,
-                                   min_mask_pairs=10)
+        monkeypatch.setattr(correlator, "MASK_DISTANCE", 2)
+        monkeypatch.setattr(correlator, "MIN_MASK_PAIRS", 10)
+        got = estimate_accidentals(acc, "g1_product")
         monkeypatch.setattr(correlator, "_locus_distance",
                             oracle_locus_distance)
-        want = estimate_accidentals(acc, "g1_product", mask_distance=2,
-                                    min_mask_pairs=10)
+        want = estimate_accidentals(acc, "g1_product")
         np.testing.assert_array_equal(got, want)
 
 

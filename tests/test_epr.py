@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import coordinate_widths, sum_diff_route_profiles
+from helpers import (
+    axis_table,
+    coordinate_widths,
+    peak_variance,
+    sum_diff_route_profiles,
+    table_variance,
+)
 from spadcorr import correlator, epr, fitting
 from spadcorr.config import (
     build_crosstalk,
@@ -27,14 +33,9 @@ from spadcorr.correlator import (
 from spadcorr.epr import (
     EprReport,
     JointTable,
-    build_joint_table,
     conditionals_and_marginal,
     evaluate_epr,
     inferred_variance_from_widths,
-    inferred_variance_gauss1d,
-    inferred_variance_gauss2d,
-    inferred_variance_numerical,
-    inferred_variance_peaks,
     pixel_center_coords,
     v_min,
     violates,
@@ -152,20 +153,20 @@ class TestConditionals:
         assert np.all(retained)
         np.testing.assert_allclose(cond, np.eye(5))
         np.testing.assert_allclose(marginal, np.full(5, 0.2))
-        assert inferred_variance_numerical(
-            table_from(vals, np.arange(5))) == 0.0
+        assert table_variance("numerical",
+                              table_from(vals, np.arange(5))) == 0.0
 
     def test_two_point_variance(self):
         vals = np.ones((2, 2))
         table = table_from(vals, [4.0, 6.0])
-        assert inferred_variance_numerical(table) == pytest.approx(1.0)
+        assert table_variance("numerical", table) == pytest.approx(1.0)
 
     def test_three_by_three_oracle(self):
         vals = np.array([[2.0, 0.0, 1.0],
                          [1.0, 3.0, 0.0],
                          [0.0, 1.0, 4.0]])
         table = table_from(vals, [-1.0, 0.0, 1.0])
-        assert inferred_variance_numerical(table) == pytest.approx(
+        assert table_variance("numerical", table) == pytest.approx(
             277.0 / 720.0, rel=1e-12)
 
     def test_retention_threshold(self):
@@ -203,16 +204,16 @@ class TestNumericalEstimator:
         rng = np.random.default_rng(61)
         vals = rng.random((9, 9))
         coords = np.linspace(-4, 4, 9)
-        a = inferred_variance_numerical(table_from(vals, coords))
-        b = inferred_variance_numerical(table_from(7.0 * vals, coords))
+        a = table_variance("numerical", table_from(vals, coords))
+        b = table_variance("numerical", table_from(7.0 * vals, coords))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_coordinate_rescale(self):
         rng = np.random.default_rng(62)
         vals = rng.random((9, 9))
         coords = np.linspace(-4, 4, 9)
-        a = inferred_variance_numerical(table_from(vals, coords))
-        b = inferred_variance_numerical(table_from(vals, 3.0 * coords))
+        a = table_variance("numerical", table_from(vals, coords))
+        b = table_variance("numerical", table_from(vals, 3.0 * coords))
         assert b == pytest.approx(9.0 * a, rel=1e-12)
 
 
@@ -225,15 +226,15 @@ class TestGaussianEstimators:
         self.truth = inferred_variance_from_widths(self.sp, self.sm)
 
     def test_gauss2d_recovers_analytic_value(self):
-        got = inferred_variance_gauss2d(table_from(self.vals, self.coords))
+        got = table_variance("gauss2d", table_from(self.vals, self.coords))
         assert got == pytest.approx(self.truth, rel=1e-6)
 
     def test_gauss1d_recovers_analytic_value(self):
-        got = inferred_variance_gauss1d(table_from(self.vals, self.coords))
+        got = table_variance("gauss1d", table_from(self.vals, self.coords))
         assert got == pytest.approx(self.truth, rel=1e-4)
 
     def test_numerical_close_on_wide_grid(self):
-        got = inferred_variance_numerical(table_from(self.vals, self.coords))
+        got = table_variance("numerical", table_from(self.vals, self.coords))
         assert got == pytest.approx(self.truth, rel=0.05)
 
     def test_gauss1d_drops_columns_that_do_not_converge(self):
@@ -246,14 +247,14 @@ class TestGaussianEstimators:
         assert all(f.converged for k, f in enumerate(fits) if k != 30)
         masked = np.zeros(vals.shape, dtype=bool)
         masked[:, 30] = True
-        got = inferred_variance_gauss1d(table_from(vals, self.coords))
-        want = inferred_variance_gauss1d(
-            table_from(vals, self.coords, masked=masked))
+        got = table_variance("gauss1d", table_from(vals, self.coords))
+        want = table_variance(
+            "gauss1d", table_from(vals, self.coords, masked=masked))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_gauss1d_requires_a_fittable_column(self):
         with pytest.raises(NotConverged):
-            inferred_variance_gauss1d(table_from(np.ones((8, 8)),
+            table_variance("gauss1d", table_from(np.ones((8, 8)),
                                                  np.arange(8)))
 
 
@@ -263,18 +264,18 @@ class TestBuildJointTable:
         values[3, 5] = -2.0
         values[5, 3] = 4.0
         corr = blank_corrected(values, mapping_mode="near")
-        table = build_joint_table(corr, near_mapping, PITCH, "x")
+        table = axis_table(corr, near_mapping, "x")
         assert table.domain == "position_um"
         assert table.negative_floored == 1
         assert np.all(table.values >= 0.0)
-        table_far = build_joint_table(
-            blank_corrected(values.copy(), mapping_mode="far"),
-            far_mapping, PITCH, "x")
+        table_far = axis_table(
+            blank_corrected(values.copy(), mapping_mode="far"), far_mapping,
+            "x")
         assert table_far.domain == "momentum_per_mm"
 
     def test_coordinates_follow_mapping(self, near_mapping):
         corr = blank_corrected(np.zeros((1024, 1024)))
-        table = build_joint_table(corr, near_mapping, PITCH, "x")
+        table = axis_table(corr, near_mapping, "x")
         np.testing.assert_allclose(
             table.coords, pixel_center_coords(32, 0.0, PITCH) / 9.0)
 
@@ -282,16 +283,11 @@ class TestBuildJointTable:
         values = np.ones((1024, 1024))
         corr = blank_corrected(values, flags=("raw", "accidental_subtracted"))
         corr = mask_neighbors(corr, radius=1)
-        table = build_joint_table(corr, near_mapping, PITCH, "x")
+        table = axis_table(corr, near_mapping, "x")
         idx = np.arange(32)
         want = (np.abs(idx[:, None] - idx[None, :]) <= 1) \
             & (idx[:, None] != idx[None, :])
         np.testing.assert_array_equal(table.masked, want)
-
-    def test_axis_validation(self, near_mapping):
-        corr = blank_corrected(np.zeros((1024, 1024)))
-        with pytest.raises(ConfigError):
-            build_joint_table(corr, near_mapping, PITCH, "z")
 
     def test_projection_places_pair_mass(self, near_mapping):
         values = np.zeros((1024, 1024))
@@ -299,8 +295,8 @@ class TestBuildJointTable:
         l2 = 9 + 32 * (2 - 1) - 1
         values[l1, l2] = 2.5
         corr = blank_corrected(values)
-        tx = build_joint_table(corr, near_mapping, PITCH, "x")
-        ty = build_joint_table(corr, near_mapping, PITCH, "y")
+        tx = axis_table(corr, near_mapping, "x")
+        ty = axis_table(corr, near_mapping, "y")
         assert tx.values[2, 8] == 2.5
         assert tx.values.sum() == 2.5
         assert ty.values[16, 1] == 2.5
@@ -314,7 +310,7 @@ class TestPeakWidths:
         tensor = np.einsum("ac,bd->abcd", gx, gx).reshape(1024, 1024)
         # tensor indexed (y1 x1 y2 x2) after the einsum ordering below
         corr = blank_corrected(tensor, mapping_mode="near")
-        got = inferred_variance_peaks(corr, near_mapping, PITCH, "x")
+        got = peak_variance(corr, near_mapping, "x")
         want = (wd * PITCH / 9.0) ** 2
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -324,7 +320,7 @@ class TestPeakWidths:
         gx = gaussian_tensor(n, ws / math.sqrt(2.0), 1e6)
         tensor = np.einsum("ac,bd->abcd", gx, gx).reshape(1024, 1024)
         corr = blank_corrected(tensor, mapping_mode="far")
-        got = inferred_variance_peaks(corr, far_mapping, PITCH, "x")
+        got = peak_variance(corr, far_mapping, "x")
         scale = far_mapping.far_scale_per_mm_per_um
         want = (ws * PITCH * scale) ** 2
         assert got == pytest.approx(want, rel=1e-6)
@@ -337,23 +333,25 @@ class TestPeakWidths:
         corr = blank_corrected(tensor, flags=("raw", "accidental_subtracted"),
                                mapping_mode="near")
         corr = mask_neighbors(corr, radius=1)
-        clean = inferred_variance_peaks(corr, near_mapping, PITCH, "x")
+        clean = peak_variance(corr, near_mapping, "x")
         # corrupt exactly the masked central diagonals; result must not move
         vals = corr.values.reshape(n, n, n, n)
         for y in range(n):
             for x in range(n - 1):
                 vals[y, x, y, x + 1] += 50.0
                 vals[y, x + 1, y, x] += 50.0
-        poisoned = inferred_variance_peaks(corr, near_mapping, PITCH, "x")
+        poisoned = peak_variance(corr, near_mapping, "x")
         assert poisoned == pytest.approx(clean, rel=1e-9)
 
-    def test_validation(self, near_mapping):
+    def test_validation(self, near_mapping, far_mapping):
+        """Peak widths need a near and a far mapping; evaluate_epr refuses
+        an unspecified one in either slot."""
         corr = blank_corrected(np.zeros((1024, 1024)))
+        unspecified = OpticalMapping(mode="unspecified")
         with pytest.raises(ConfigError):
-            inferred_variance_peaks(corr, near_mapping, PITCH, "z")
+            evaluate_epr(corr, corr, unspecified, far_mapping)
         with pytest.raises(ConfigError):
-            inferred_variance_peaks(corr, OpticalMapping(mode="unspecified"),
-                                    PITCH, "x")
+            evaluate_epr(corr, corr, near_mapping, unspecified)
 
 
 def outcome(fn):
@@ -368,8 +366,7 @@ def peaks_with_profiles(corr, mapping, axis, profiles, monkeypatch):
     """inferred_variance_peaks fed the given (sum, diff) profiles."""
     with monkeypatch.context() as m:
         m.setattr(epr, "peak_profiles", lambda proj: profiles)
-        return outcome(
-            lambda: inferred_variance_peaks(corr, mapping, PITCH, axis))
+        return outcome(lambda: peak_variance(corr, mapping, axis))
 
 
 def rounding_spread(corr, mapping, axis, profiles, monkeypatch):
@@ -397,7 +394,7 @@ def both_routes(corr, mapping, axis, monkeypatch):
     for got, want in zip(peak_profiles(g2x if axis == "x" else g2y), route):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
-    new = outcome(lambda: inferred_variance_peaks(corr, mapping, PITCH, axis))
+    new = outcome(lambda: peak_variance(corr, mapping, axis))
     old = peaks_with_profiles(corr, mapping, axis, route, monkeypatch)
     return new, old, route
 
@@ -586,21 +583,21 @@ def failure(fn):
 
 
 def per_table_values(corr, mappings):
-    """d2 per method from the public per-table functions, each list in
-    evaluate_epr's order (x near, x far, y near, y far); or the first
-    failure in that order, methods first."""
+    """d2 per method from each estimator run on one problem at a time,
+    each list in evaluate_epr's order (x near, x far, y near, y far); or
+    the first failure in that order, methods first."""
     d2 = {name: [] for name in epr.METHODS}
     for axis in "xy":
         for mode in ("near", "far"):
-            table = build_joint_table(corr[mode], mappings[mode], PITCH, axis)
+            table = axis_table(corr[mode], mappings[mode], axis)
             d2["numerical"].append(
-                failure(lambda: inferred_variance_numerical(table)))
+                failure(lambda: table_variance("numerical", table)))
             d2["gauss1d"].append(
-                failure(lambda: inferred_variance_gauss1d(table)))
+                failure(lambda: table_variance("gauss1d", table)))
             d2["gauss2d"].append(
-                failure(lambda: inferred_variance_gauss2d(table)))
-            d2["peaks"].append(failure(lambda: inferred_variance_peaks(
-                corr[mode], mappings[mode], PITCH, axis)))
+                failure(lambda: table_variance("gauss2d", table)))
+            d2["peaks"].append(failure(
+                lambda: peak_variance(corr[mode], mappings[mode], axis)))
     for name in epr.METHODS:
         for value in d2[name]:
             if isinstance(value, tuple):
@@ -609,7 +606,7 @@ def per_table_values(corr, mappings):
 
 
 class TestStackedEvaluation:
-    """evaluate_epr's stacked solves against the per-table functions."""
+    """evaluate_epr's stacked solves against stacks of one."""
 
     @pytest.mark.parametrize("n_x, n_y, seed",
                              [(32, 32, 21), (32, 32, 22), (32, 32, 23),
@@ -666,7 +663,7 @@ class TestStackedEvaluation:
 
         The profiles are planted: a spike that runs to the iteration cap or
         a flat profile, on the near x and far y projections. The type and
-        message are those the per-table functions raise one at a time.
+        message are those a stack of one raises.
         """
         corr_near, corr_far = synthetic_pair_tensors(
             reference_model, near_mapping, far_mapping)
@@ -687,10 +684,10 @@ class TestStackedEvaluation:
             return real(proj)
 
         monkeypatch.setattr(epr, "peak_profiles", profiles)
-        assert failure(lambda: inferred_variance_peaks(
-            corr_near, near_mapping, PITCH, "x")) == error
-        assert isinstance(failure(lambda: inferred_variance_peaks(
-            corr_far, far_mapping, PITCH, "y")), tuple)
+        assert failure(lambda: peak_variance(
+            corr_near, near_mapping, "x")) == error
+        assert isinstance(failure(lambda: peak_variance(
+            corr_far, far_mapping, "y")), tuple)
         assert failure(lambda: evaluate_epr(
             corr_near, corr_far, near_mapping, far_mapping)) == error
 

@@ -229,12 +229,15 @@ class TestWriterErrors:
         w.discard()
 
     def test_geometry_limits(self, tmp_path):
-        with pytest.raises(RangeViolation):
+        """A writer's arguments are configuration, refused before the file
+        is created."""
+        with pytest.raises(ConfigError):
             EventFileWriter(tmp_path / "a.evt", n_x=33)
-        with pytest.raises(RangeViolation):
+        with pytest.raises(ConfigError):
             EventFileWriter(tmp_path / "b.evt", bins_per_frame=257)
-        with pytest.raises(RangeViolation):
+        with pytest.raises(ConfigError):
             EventFileWriter(tmp_path / "c.evt", mapping_mode="sideways")
+        assert not list(tmp_path.iterdir())
 
     def test_close_must_cover_last_frame(self, tmp_path):
         w = EventFileWriter(tmp_path / "x.evt")
@@ -319,6 +322,14 @@ class TestReaderErrors:
     def test_zero_tdc_bin(self, tmp_path):
         blob = raw_header(tdc=0) + raw_footer(1)
         with pytest.raises(InvariantViolation):
+            read_header(self.write(tmp_path, blob))
+
+    @pytest.mark.parametrize("field", [dict(n_x=33), dict(n_y=64),
+                                       dict(bins=257)])
+    def test_geometry_beyond_format_is_data(self, tmp_path, field):
+        # the values an EventFileWriter refuses as ConfigError
+        blob = raw_header(**field) + raw_footer(1)
+        with pytest.raises(RangeViolation, match="format v1 limits"):
             read_header(self.write(tmp_path, blob))
 
     def test_duplicate_pixel_names_frame(self, tmp_path):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_damped_least_squares
+from helpers import axis_table, oracle_damped_least_squares
 from spadcorr import fitting
-from spadcorr.epr import build_joint_table
 from spadcorr.errors import DegenerateInput
 from spadcorr.fitting import (
     _fit_1d_stack,
@@ -271,8 +270,7 @@ def simulated_tables(arms, near_mapping, far_mapping):
     for mode, mapping in (("near", near_mapping), ("far", far_mapping)):
         corr, _ = correct_chain(arms[mode], mask_radius=1)
         for axis in ("x", "y"):
-            yield (f"{mode}-{axis}",
-                   build_joint_table(corr, mapping, 44.67, axis))
+            yield f"{mode}-{axis}", axis_table(corr, mapping, axis)
 
 
 class TestStackedSolver:
