@@ -122,13 +122,11 @@ def _export_rows(kind, obj, what):
         return (["dt_bins", "coincidences_per_mframe"],
                 [(int(d - half), c * per_mframe) for d, c in enumerate(hist)])
     if what == "g1":
-        g1 = obj.g1
-        n_x, n_y = obj.n_x, obj.n_y
-        rows = []
-        for lin in range(1, g1.size + 1):
-            px, py = linear_to_pixel(lin, n_x, n_y)
-            rows.append((lin, px, py, g1[lin - 1].item()))
-        return ["pixel", "px", "py", "value"], rows
+        lin = np.arange(1, obj.g1.size + 1)
+        px, py = linear_to_pixel(lin, obj.n_x, obj.n_y)
+        return (["pixel", "px", "py", "value"],
+                list(zip(lin.tolist(), px.tolist(), py.tolist(),
+                         obj.g1.tolist())))
     values = obj.g2 if acc else obj.values
     n_x, n_y = obj.n_x, obj.n_y
     if what == "g2":

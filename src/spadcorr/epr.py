@@ -42,7 +42,7 @@ from .errors import (
     DegenerateInput,
     NotConverged,
 )
-from .fitting import _fit_1d_stack, _fit_2d_stack, _fitted
+from .fitting import _GAUSS1D, _GAUSS2D, _fit_stack
 from .optics import OpticalMapping, map_sensor_to_object
 
 VIOLATION_BOUND = 0.25
@@ -156,38 +156,33 @@ def inferred_variance_gauss1d(tables, conditionals) -> list:
     raises.
     """
     cols = [np.flatnonzero(retained) for _, _, retained in conditionals]
-    fits = iter(_fit_1d_stack([
-        (t.coords, y) for t, c in zip(tables, cols)
-        for y in np.where(t.masked[:, c], np.nan, t.values[:, c]).T]))
+    fits = _fit_stack(_GAUSS1D, [
+        ((t.coords,), np.where(t.masked[:, c], np.nan, t.values[:, c]).T)
+        for t, c in zip(tables, cols)])
+    ends = np.cumsum([c.size for c in cols])[:-1]
     out = []
-    for (_, marginal, _), c in zip(conditionals, cols):
-        used = [(marginal[b], fit.params["sigma"] ** 2)
-                for b, fit in zip(c, fits)
-                if not isinstance(fit, DegenerateInput) and fit.converged]
-        if not used:
+    for (_, marginal, _), c, ok, sigma in zip(
+            conditionals, cols, np.split(fits.converged, ends),
+            np.split(fits.params[:, 2], ends)):
+        if not ok.any():
             raise NotConverged("no column produced a usable fit")
-        w, variances = np.array(used).T
+        w = marginal[c[ok]]
+        # libm's pow (np.float_power), whose rounding the pinned reports
+        # carry: sigma * sigma differs in the last bit for ~1 width in 1200
+        variances = np.float_power(sigma[ok], 2.0)
         out.append(float(np.sum(w * variances) / np.sum(w)))
     return out
-
-
-def _converged(fit, what):
-    # a fit of a stack, or raise what fitting it alone raises
-    if not _fitted(fit).converged:
-        raise NotConverged(f"{what} did not converge")
-    return fit
 
 
 def inferred_variance_gauss2d(tables) -> list:
     """Rotated-frame 2D Gaussian fit of each table, in one stacked run,
     widths combined analytically."""
-    out = []
-    for fit in _fit_2d_stack([(t.values, t.coords, t.coords, t.masked)
-                              for t in tables]):
-        fit = _converged(fit, "2D fit")
-        out.append(inferred_variance_from_widths(fit.params["sigma_plus"],
-                                                 fit.params["sigma_minus"]))
-    return out
+    fits = _fit_stack(_GAUSS2D, [
+        ((t.coords[:, None], t.coords),
+         np.where(t.masked, np.nan, t.values)[None]) for t in tables])
+    fits.raise_first_failure("2D fit")
+    return [inferred_variance_from_widths(sp, sm)
+            for sp, sm in fits.params[:, 3:5].tolist()]
 
 
 def _peak_profile(proj, corr, mapping, pixel_pitch_um, axis):
@@ -231,11 +226,11 @@ def inferred_variance_peaks(profiles) -> list:
     profiles is one such (coordinate, profile) pair, all fitted in one
     stacked run.
     """
-    out = []
-    for fit in _fit_1d_stack(profiles):
-        sigma = abs(_converged(fit, "peak profile fit").params["sigma"])
-        out.append(2.0 * sigma * sigma)
-    return out
+    fits = _fit_stack(_GAUSS1D, [((u,), profile[None])
+                                 for u, profile in profiles])
+    fits.raise_first_failure("peak profile fit")
+    sigma = fits.params[:, 2]
+    return (2.0 * sigma * sigma).tolist()
 
 
 def v_min(d2_pos_um2: float, d2_mom_per_mm2: float) -> float:

@@ -24,21 +24,20 @@ starts a new iteration (one Jacobian) for the problems whose last try was
 accepted and makes one damped try for every problem still running, so a
 problem that needs many tries holds up no other.
 
-Every Gaussian fit has one problem form: a row (coords, y, keep) of m
-points, one coordinate array per model coordinate, where keep drops every
-point whose value is not finite (in 1-D, whose coordinate too). NaN means
-"left out": evaluate_epr passes a masked cell or bin as NaN, and
-fit_gaussian_2d's mask drops cells the same way. _problem_1d and
-_problem_2d build the row or raise DegenerateInput. Every fit goes through one stacking rule
-(_fit_each): the rows of the same length run as one damped_least_squares
-stack, in which a row's residual is (model - y) * 1.0 on the points it
-keeps and * 0.0 on the others, and a point that no row keeps is dropped.
-A stack of one therefore fits exactly its own points; fit_gaussian_1d and
-fit_gaussian_2d are such stacks, and _fit_1d_stack and _fit_2d_stack
-serve evaluate_epr, which fits each estimator's four tables together.
-Rows of different lengths are never padded to share a stack: zeros
-appended to a residual vector change how BLAS blocks the sums, and a fit on
-a noisy table moved by up to 1.5e-7 relative from it.
+Every Gaussian fit is a row of points, one coordinate array per model
+coordinate and one of values; a point whose value or coordinate is NaN is
+left out (evaluate_epr passes masked cells and bins as NaN). _fit_stack
+fits blocks of rows and returns one entry per row, in input order. Rows of
+one length run as one damped_least_squares stack, in which a row's
+residual is (model - y) * 1.0 on the points it keeps and * 0.0 on the
+others, and a point that no row keeps is dropped; so a stack of one, as
+fit_gaussian_1d/2d run, fits exactly its own points. Rows of different
+lengths are never padded to share a stack: zeros appended to a residual
+vector change how BLAS blocks the sums, and a fit on a noisy table moved by
+up to 1.5e-7 relative from it. For the same reason each start point is a
+moment of its row's kept points only: the rows that keep the same number
+of points are compacted into one stack, whose row reductions round
+exactly as one row's do.
 
 There are no weights and no covariance: no pipeline caller uses them, and
 the uncertainty of a variance product is to come from resampling blocks of
@@ -47,12 +46,13 @@ frames, not from fit covariances.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NotConverged
 
 REL_STEP_TOL = 1e-10
 MAX_ITERATIONS = 200
@@ -238,33 +238,22 @@ def gauss1d_jacobian(p, x):
     return jac
 
 
-def _moment_init_1d(x, y):
-    base = float(np.min(y))
-    amp = float(np.max(y) - base)
-    w = np.clip(y - base, 0.0, None)
-    tot = w.sum()
-    if tot <= 0 or amp <= 0:
-        return np.array([max(amp, 1.0), float(np.mean(x)),
-                         (x.max() - x.min()) / 4.0 or 1.0, base])
-    mu = float((w * x).sum() / tot)
-    var = float((w * (x - mu) ** 2).sum() / tot)
-    sigma = math.sqrt(var) if var > 0 else (x.max() - x.min()) / 4.0
-    if sigma <= 0:
-        sigma = 1.0
-    return np.array([amp, mu, sigma, base])
-
-
-def _problem_1d(x, y):
-    """fit_gaussian_1d's problem row, or DegenerateInput."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    keep = np.isfinite(x) & np.isfinite(y)
-    n_points = int(np.count_nonzero(keep))
-    if n_points < 5:
-        raise DegenerateInput(f"need at least 5 points, got {n_points}")
-    if np.ptp(y[keep]) == 0:
-        raise DegenerateInput("flat input has no peak to fit")
-    return (x,), y, keep
+def _start_1d(x, y):
+    # (K, 4) moment start points of K rows of kept points; a row with
+    # nothing above its minimum starts at its mean and a quarter span
+    base = y.min(axis=1)
+    amp = y.max(axis=1) - base
+    w = np.clip(y - base[:, None], 0.0, None)
+    tot = w.sum(axis=1)
+    quarter = (x.max(axis=1) - x.min(axis=1)) / 4.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = (w * x).sum(axis=1) / tot
+        var = (w * (x - mu[:, None]) ** 2).sum(axis=1) / tot
+        sigma = np.where(var > 0, np.sqrt(var), quarter)
+    peaked = np.column_stack([amp, mu, np.where(sigma <= 0, 1.0, sigma), base])
+    flat = np.column_stack([np.maximum(amp, 1.0), x.mean(axis=1),
+                            np.where(quarter == 0, 1.0, quarter), base])
+    return np.where(((tot <= 0) | (amp <= 0))[:, None], flat, peaked)
 
 
 def fit_gaussian_1d(x, y) -> GaussianFit:
@@ -273,16 +262,7 @@ def fit_gaussian_1d(x, y) -> GaussianFit:
     Points where x or y is NaN are left out. Needs at least 5 points, else
     DegenerateInput.
     """
-    return _fitted(_fit_1d_stack([(x, y)])[0])
-
-
-def _fit_1d_stack(problems) -> list:
-    """fit_gaussian_1d over a list of (x, y), stacked.
-
-    Returns one GaussianFit per problem, or the DegenerateInput that
-    fit_gaussian_1d raises for it.
-    """
-    return _fit_each(_GAUSS1D, _problem_1d, problems)
+    return _gaussian_fit(_GAUSS1D, (np.ravel(x),), np.ravel(y)[None])
 
 
 # --- 2D model on the rotated +- frame ---------------------------------------
@@ -317,39 +297,27 @@ def gauss2d_jacobian(p, a, b):
     return jac
 
 
-def _moment_init_2d(a, b, v):
-    base = float(np.percentile(v, 5.0))
-    w = np.clip(v - base, 0.0, None)
-    tot = w.sum()
-    amp = float(v.max() - base)
-    if tot <= 0 or amp <= 0:
-        span = max(np.ptp(a), np.ptp(b), 1.0)
-        return np.array([max(amp, 1.0), a.mean(), b.mean(),
-                         span / 4, span / 4, base])
-    ca = float((w * a).sum() / tot)
-    cb = float((w * b).sum() / tot)
-    va = float((w * (a - ca) ** 2).sum() / tot)
-    vb = float((w * (b - cb) ** 2).sum() / tot)
-    cab = float((w * (a - ca) * (b - cb)).sum() / tot)
-    vp = max((va + vb) / 2 + cab, 1e-6)
-    vm = max((va + vb) / 2 - cab, 1e-6)
-    return np.array([amp, ca, cb, math.sqrt(vp), math.sqrt(vm), base])
-
-
-def _problem_2d(values, coords_a, coords_b, mask=None):
-    """fit_gaussian_2d's problem row, or DegenerateInput."""
-    values = np.asarray(values, dtype=float)
-    aa, bb = np.meshgrid(np.asarray(coords_a, dtype=float),
-                         np.asarray(coords_b, dtype=float), indexing="ij")
-    keep = np.isfinite(values)
-    if mask is not None:
-        keep &= ~np.asarray(mask, dtype=bool)
-    n_cells = int(np.count_nonzero(keep))
-    if n_cells < 12:
-        raise DegenerateInput(f"need at least 12 unmasked cells, got {n_cells}")
-    if np.ptp(values[keep]) == 0:
-        raise DegenerateInput("flat table has no peak to fit")
-    return (aa.ravel(), bb.ravel()), values.ravel(), keep.ravel()
+def _start_2d(a, b, v):
+    # (K, 6) moment start points above each row's 5th percentile; a row
+    # with nothing above it starts at its means, widths a quarter span
+    base = np.percentile(v, 5.0, axis=1)
+    w = np.clip(v - base[:, None], 0.0, None)
+    tot = w.sum(axis=1)
+    amp = v.max(axis=1) - base
+    span = np.maximum(np.maximum(np.ptp(a, axis=1), np.ptp(b, axis=1)), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ca = (w * a).sum(axis=1) / tot
+        cb = (w * b).sum(axis=1) / tot
+        da, db = a - ca[:, None], b - cb[:, None]
+        half = ((w * da ** 2).sum(axis=1) / tot
+                + (w * db ** 2).sum(axis=1) / tot) / 2
+        cab = (w * da * db).sum(axis=1) / tot
+        peaked = np.column_stack([
+            amp, ca, cb, np.sqrt(np.maximum(half + cab, 1e-6)),
+            np.sqrt(np.maximum(half - cab, 1e-6)), base])
+    flat = np.column_stack([np.maximum(amp, 1.0), a.mean(axis=1),
+                            b.mean(axis=1), span / 4, span / 4, base])
+    return np.where(((tot <= 0) | (amp <= 0))[:, None], flat, peaked)
 
 
 def fit_gaussian_2d(values, coords_a, coords_b, mask=None) -> GaussianFit:
@@ -360,83 +328,119 @@ def fit_gaussian_2d(values, coords_a, coords_b, mask=None) -> GaussianFit:
     usable cells. sigma_plus / sigma_minus are the widths along the (a+b)
     and (a-b) diagonals (scaled by 1/sqrt(2)).
     """
-    return _fitted(_fit_2d_stack([(values, coords_a, coords_b, mask)])[0])
-
-
-def _fit_2d_stack(tables) -> list:
-    """fit_gaussian_2d over a list of (values, coords_a, coords_b, mask)
-    tables, stacked.
-
-    Returns one GaussianFit per table, or the DegenerateInput that
-    fit_gaussian_2d raises for it.
-    """
-    return _fit_each(_GAUSS2D, _problem_2d, tables)
+    if mask is not None:
+        values = np.where(mask, np.nan, values)
+    return _gaussian_fit(_GAUSS2D, (np.asarray(coords_a)[:, None], coords_b),
+                         np.asarray(values)[None])
 
 
 # --- stacked fits -------------------------------------------------------------
 
-# (model, jacobian, start point, parameter names, slots of the widths)
-_GAUSS1D = (gauss1d_model, gauss1d_jacobian, _moment_init_1d, _NAMES_1D, [2])
-_GAUSS2D = (gauss2d_model, gauss2d_jacobian, _moment_init_2d, _NAMES_2D,
-            [3, 4])
+# a model as _fit_stack runs it: the slots of its widths (reported as
+# |sigma|) and the DegenerateInput messages of a row with too few points
+# or a flat one
+_Model = collections.namedtuple(
+    "_Model", "fn jac start names widths min_points too_few flat")
+_GAUSS1D = _Model(gauss1d_model, gauss1d_jacobian, _start_1d, _NAMES_1D, [2],
+                  5, "need at least 5 points, got {}",
+                  "flat input has no peak to fit")
+_GAUSS2D = _Model(gauss2d_model, gauss2d_jacobian, _start_2d, _NAMES_2D,
+                  [3, 4], 12, "need at least 12 unmasked cells, got {}",
+                  "flat table has no peak to fit")
 
 
-def _fitted(fit):
-    # a fit of a stack, or raise the DegenerateInput that stands in for it
-    if isinstance(fit, DegenerateInput):
-        raise fit
-    return fit
+@dataclasses.dataclass
+class _Fits(LMResult):
+    """LMResult of stacked rows, in input order, with the widths as |sigma|.
 
-
-def _fit_each(model, make, problems) -> list:
-    """Fit every problem, one damped_least_squares stack per length.
-
-    make(*problem) builds the problem's row (coords, y, keep) or raises
-    DegenerateInput. Returns one GaussianFit per problem, or that
-    DegenerateInput in its place.
+    degenerate holds a row's DegenerateInput message, or "" if it was
+    fitted; a degenerate row has NaN params and converged False.
     """
-    out = []
-    for problem in problems:
-        try:
-            out.append(make(*problem))
-        except DegenerateInput as exc:
-            out.append(exc)
-    rows = {k: row for k, row in enumerate(out) if isinstance(row, tuple)}
-    for m in sorted({row[1].size for row in rows.values()}):
-        members = [k for k, row in rows.items() if row[1].size == m]
-        for k, fit in zip(members, _fit_rows(model,
-                                             [rows[k] for k in members])):
-            out[k] = fit
-    return out
+
+    degenerate: np.ndarray
+
+    def raise_first_failure(self, what):
+        """Raise the first failed row's DegenerateInput, or NotConverged."""
+        failed = np.flatnonzero(~self.converged)
+        if failed.size:
+            reason = self.degenerate[failed[0]]
+            if reason:
+                raise DegenerateInput(reason)
+            raise NotConverged(f"{what} did not converge")
 
 
-def _fit_rows(model, stack) -> list:
-    # One stacked run over rows of a common length. A point that a row
-    # does not keep may hold anything: it is zeroed, enters that row's
-    # residual times 0.0, and is dropped when no row keeps it.
-    fn, jac, init, names, sigma_slots = model
-    coords, ys, keep = zip(*stack)
-    keep = np.array(keep)
+def _fit_stack(model, blocks) -> _Fits:
+    """Fit every row of every block, one damped_least_squares run per length.
+
+    A block is (coords, values): values holds one row per entry of its
+    leading axis and coords one array per model coordinate, broadcast
+    against values; the rest of a row's shape is flattened into points.
+    """
+    rows = [[v.reshape(len(v), -1) for v in np.broadcast_arrays(
+        *(np.asarray(u, dtype=float) for u in (*coords, values)))]
+        for coords, values in blocks]
+    sizes = [len(r[-1]) for r in rows]
+    n = sum(sizes)
+    at = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+    fits = _Fits(np.full((n, len(model.names)), np.nan),
+                 np.zeros(n, dtype=bool), np.zeros(n, dtype=int),
+                 np.full(n, np.nan), np.full(n, "", dtype=object))
+    for m in sorted({r[-1].shape[1] for r in rows}):
+        group = [i for i, r in enumerate(rows) if r[-1].shape[1] == m]
+        *coords, y = map(np.concatenate, zip(*(rows[i] for i in group)))
+        _fit_length(model, coords, y, fits,
+                    np.concatenate([at[i] for i in group]))
+    return fits
+
+
+def _fit_length(model, coords, y, fits, at):
+    # Fits the rows of one length into fits' rows at. A point that a row
+    # leaves out is zeroed, enters that row's residual times 0.0, and is
+    # dropped when no row keeps it.
+    keep = np.isfinite(y)
+    for c in coords:
+        keep &= np.isfinite(c)
+    n_kept = np.count_nonzero(keep, axis=1)
+    few = n_kept < model.min_points
+    top = np.max(np.where(keep, y, -np.inf), axis=1, initial=-np.inf)
+    flat = ~few & (top == np.min(np.where(keep, y, np.inf), axis=1,
+                                 initial=np.inf))
+    fits.degenerate[at[few]] = [model.too_few.format(k) for k in n_kept[few]]
+    fits.degenerate[at[flat]] = model.flat
+    ok = ~(few | flat)
+    if not ok.any():
+        return
+    at, keep, n_kept = at[ok], keep[ok], n_kept[ok]
     live = keep.any(axis=0)
-    coords = [np.where(keep | np.isfinite(c), c, 0.0)[:, live]
-              for c in map(np.array, zip(*coords))]
-    ys = np.where(keep, np.array(ys), 0.0)[:, live]
+    coords = [np.where(np.isfinite(c), c, 0.0)[ok][:, live] for c in coords]
+    y = np.where(keep, y[ok], 0.0)[:, live]
     keep = keep[:, live]
     w = keep * 1.0
-    p0 = np.array([init(*(c[k, u] for c in coords), ys[k, u])
-                   for k, u in enumerate(keep)])
+    p0 = np.empty((at.size, len(model.names)))
+    for k in np.unique(n_kept):
+        same = n_kept == k
+        p0[same] = model.start(*(v[same][keep[same]].reshape(-1, k)
+                                 for v in (*coords, y)))
 
     def fun(p, rows):
-        return (fn(p, *(c[rows] for c in coords)) - ys[rows]) * w[rows]
+        return (model.fn(p, *(c[rows] for c in coords)) - y[rows]) * w[rows]
 
-    def jacobian(p, rows):
-        return jac(p, *(c[rows] for c in coords)) * w[rows][..., None]
+    def jac(p, rows):
+        return model.jac(p, *(c[rows] for c in coords)) * w[rows][..., None]
 
-    res = damped_least_squares(fun, jacobian, p0)
-    params = res.params.copy()
-    params[:, sigma_slots] = np.abs(params[:, sigma_slots])
-    return [GaussianFit(params=dict(zip(names, p.tolist())),
-                        converged=bool(c), iterations=int(i),
-                        residual_norm=float(r))
-            for p, c, i, r in zip(params, res.converged, res.iterations,
-                                  res.residual_norm)]
+    res = damped_least_squares(fun, jac, p0)
+    res.params[:, model.widths] = np.abs(res.params[:, model.widths])
+    fits.params[at], fits.converged[at] = res.params, res.converged
+    fits.iterations[at], fits.residual_norm[at] = (res.iterations,
+                                                   res.residual_norm)
+
+
+def _gaussian_fit(model, coords, values) -> GaussianFit:
+    # fit_gaussian_1d/2d: one row, fitted alone and named
+    fits = _fit_stack(model, [(coords, values)])
+    if fits.degenerate[0]:
+        raise DegenerateInput(fits.degenerate[0])
+    return GaussianFit(params=dict(zip(model.names, fits.params[0].tolist())),
+                       converged=bool(fits.converged[0]),
+                       iterations=int(fits.iterations[0]),
+                       residual_norm=float(fits.residual_norm[0]))

@@ -1,7 +1,9 @@
 """End-to-end orchestration: simulate, accumulate, correct, evaluate.
 
 The CLI subcommands and the in-memory closed-loop study share these
-functions so file-based and direct runs execute identical arithmetic.
+functions, but the file path does not reproduce run_pair_study:
+simulate_to_file runs either arm on run.pairs_per_frame and run.seed, not
+on the per-arm rates and the near arm's run.seed + 1.
 """
 
 from __future__ import annotations

@@ -681,6 +681,43 @@ def oracle_damped_least_squares(fun, jac, p0) -> LMResult:
                     iterations=it, residual_norm=math.sqrt(cost))
 
 
+def oracle_moment_init_1d(x, y):
+    """Reference 1-D start point: moments of one row's kept points."""
+    base = float(np.min(y))
+    amp = float(np.max(y) - base)
+    w = np.clip(y - base, 0.0, None)
+    tot = w.sum()
+    if tot <= 0 or amp <= 0:
+        return np.array([max(amp, 1.0), float(np.mean(x)),
+                         (x.max() - x.min()) / 4.0 or 1.0, base])
+    mu = float((w * x).sum() / tot)
+    var = float((w * (x - mu) ** 2).sum() / tot)
+    sigma = math.sqrt(var) if var > 0 else (x.max() - x.min()) / 4.0
+    if sigma <= 0:
+        sigma = 1.0
+    return np.array([amp, mu, sigma, base])
+
+
+def oracle_moment_init_2d(a, b, v):
+    """Reference 2-D start point: moments of one row's kept cells."""
+    base = float(np.percentile(v, 5.0))
+    w = np.clip(v - base, 0.0, None)
+    tot = w.sum()
+    amp = float(v.max() - base)
+    if tot <= 0 or amp <= 0:
+        span = max(np.ptp(a), np.ptp(b), 1.0)
+        return np.array([max(amp, 1.0), a.mean(), b.mean(),
+                         span / 4, span / 4, base])
+    ca = float((w * a).sum() / tot)
+    cb = float((w * b).sum() / tot)
+    va = float((w * (a - ca) ** 2).sum() / tot)
+    vb = float((w * (b - cb) ** 2).sum() / tot)
+    cab = float((w * (a - ca) * (b - cb)).sum() / tot)
+    vp = max((va + vb) / 2 + cab, 1e-6)
+    vm = max((va + vb) / 2 - cab, 1e-6)
+    return np.array([amp, ca, cb, math.sqrt(vp), math.sqrt(vm), base])
+
+
 def chi2_critical(dof, alpha):
     """Upper alpha point of the chi-square law with dof degrees of freedom.
 

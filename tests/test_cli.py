@@ -197,13 +197,22 @@ class TestExport:
         assert max(got, key=got.get) == 0
 
     def test_g1_rows(self, ws):
-        code, out = self.export(ws, ws["far_acc"], "g1", "g1")
-        assert code == 0
-        header, rows = read_csv(out)
-        assert header == ["pixel", "px", "py", "value"]
-        assert len(rows) == 1024
-        assert rows[0][:3] == ["1", "1", "1"]
-        assert rows[-1][:3] == ["1024", "32", "32"]
+        """Every row, values included, of an accumulator's integer counts
+        and a corrected container's float rates."""
+        for src, cls in (("far_acc", CorrelationAccumulator),
+                         ("far_g2", CorrectedG2)):
+            code, out = self.export(ws, ws[src], "g1", f"g1-{src}")
+            assert code == 0
+            header, rows = read_csv(out)
+            assert header == ["pixel", "px", "py", "value"]
+            g1 = cls.load(ws[src]).g1
+            assert rows == [[str(lin), str((lin - 1) % 32 + 1),
+                             str((lin - 1) // 32 + 1), str(g1[lin - 1].item())]
+                            for lin in range(1, 1025)]
+            assert rows[0][:3] == ["1", "1", "1"]
+            assert rows[-1][:3] == ["1024", "32", "32"]
+            assert {type(v.item()) for v in g1} == {
+                "far_acc": {int}, "far_g2": {float}}[src]
 
     def test_g2_lists_nonzero_cells(self, ws):
         code, out = self.export(ws, ws["far_g2"], "g2", "g2")

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import axis_table, oracle_damped_least_squares
-from spadcorr import fitting
+from helpers import (
+    REFERENCE_CFG,
+    axis_table,
+    oracle_damped_least_squares,
+    oracle_moment_init_1d,
+    oracle_moment_init_2d,
+)
+from spadcorr import epr, fitting
+from spadcorr.config import build_mapping, load_config
+from spadcorr.correlator import project_axes
 from spadcorr.errors import DegenerateInput
 from spadcorr.fitting import (
-    _fit_1d_stack,
-    _fit_2d_stack,
-    _moment_init_1d,
-    _moment_init_2d,
+    _GAUSS1D,
+    _GAUSS2D,
+    _fit_stack,
     damped_least_squares,
     fit_gaussian_1d,
     fit_gaussian_2d,
@@ -17,7 +24,7 @@ from spadcorr.fitting import (
     gauss2d_jacobian,
     gauss2d_model,
 )
-from spadcorr.pipeline import correct_chain
+from spadcorr.pipeline import correct_chain, run_pair_study
 
 
 def central_differences(fun, p, scale=1e-6):
@@ -229,7 +236,7 @@ class TestGaussian2d:
 def column_problems(x, values, keep):
     """Stacked and one-at-a-time residuals of the columns of a table.
 
-    Each column becomes the problem _fit_1d_stack builds for it in a stack
+    Each column becomes the problem _fit_stack builds for it in a stack
     of the table's columns: its dropped rows stay in the residual vector at
     weight 0. Returns (fun, jac, p0, alone) where alone(k) gives column k's
     (fun, jac) for the unstacked oracle.
@@ -238,7 +245,7 @@ def column_problems(x, values, keep):
     ys = np.asarray(values, dtype=float).T
     w = np.asarray(keep, dtype=bool).T.astype(float)
     target = ys * w
-    p0 = np.array([_moment_init_1d(x[u > 0], y[u > 0])
+    p0 = np.array([oracle_moment_init_1d(x[u > 0], y[u > 0])
                    for y, u in zip(ys, w)])
 
     def fun(p, rows):
@@ -310,16 +317,17 @@ class TestStackedSolver:
                            gauss1d_model([2.0, -2.0, 3.0, 0.1], x)], axis=1)
         keep = np.ones(values.shape, dtype=bool)
         keep[4:, 2] = False         # 4 usable points
-        fits = _fit_1d_stack([(x, np.where(keep[:, k], values[:, k], np.nan))
-                              for k in range(3)])
-        assert isinstance(fits[1], DegenerateInput)
-        assert isinstance(fits[2], DegenerateInput)
+        fits = _fit_stack(_GAUSS1D, [((x,), np.where(keep, values, np.nan).T)])
+        assert list(fits.degenerate) == ["", "flat input has no peak to fit",
+                                         "need at least 5 points, got 4"]
+        assert list(fits.converged) == [True, False, False]
         for k in (1, 2):
-            with pytest.raises(DegenerateInput):
+            with pytest.raises(DegenerateInput, match=fits.degenerate[k]):
                 fit_gaussian_1d(x[keep[:, k]], values[keep[:, k], k])
         single = fit_gaussian_1d(x, values[:, 0])
-        assert fits[0].converged and single.converged
-        assert fits[0].params == pytest.approx(single.params, rel=1e-9)
+        assert single.converged
+        assert fits.params[0] == pytest.approx(list(single.params.values()),
+                                               rel=1e-9)
 
     def test_singular_element_falls_back_alone(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -362,24 +370,28 @@ class TestStackedSolver:
         assert_matches_oracle(res, alone, p0)
 
 
-def assert_same_fit(got, want, label):
-    assert got.params == want.params, label
-    assert (got.converged, got.iterations, got.residual_norm) \
-        == (want.converged, want.iterations, want.residual_norm), label
+def assert_same_fit(fits, k, want):
+    """Row k of a stack equals want, the GaussianFit of that row alone."""
+    assert fits.params[k].tolist() == list(want.params.values()), k
+    assert (fits.converged[k], fits.iterations[k], fits.residual_norm[k]) \
+        == (want.converged, want.iterations, want.residual_norm), k
 
 
-def assert_fit_matches_oracle(fit, fun, jac, p0, label):
-    """A packaged fit against the unstacked oracle on the same residuals."""
+def assert_fit_matches_oracle(fits, k, model, fun, jac, p0):
+    """Row k of a stack against the unstacked oracle on the same residuals."""
     want = oracle_damped_least_squares(fun, jac, p0)
-    assert fit.converged == want.converged, label
-    assert fit.iterations == want.iterations, label
-    got = np.array(list(fit.params.values()))
+    assert fits.converged[k] == want.converged, k
+    assert fits.iterations[k] == want.iterations, k
     expect = want.params.copy()
-    widths = [i for i, name in enumerate(fit.params)
-              if name.startswith("sigma")]
-    expect[widths] = np.abs(expect[widths])
-    np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-12,
-                               err_msg=label)
+    expect[model.widths] = np.abs(expect[model.widths])
+    np.testing.assert_allclose(fits.params[k], expect, rtol=1e-6, atol=1e-12,
+                               err_msg=f"row {k}")
+
+
+def table_block(values, coords_a, coords_b, mask):
+    """The block fit_gaussian_2d fits for one table: a stack of one row."""
+    values = values if mask is None else np.where(mask, np.nan, values)
+    return (np.asarray(coords_a)[:, None], coords_b), values[None]
 
 
 class TestStackedFits:
@@ -410,23 +422,27 @@ class TestStackedFits:
              gauss1d_model([3.0, 10.0, 6.0, -0.2], x[1]),
              spike, holes, short,
              gauss1d_model([1.0, 0.5, 2.0, 0.0], x[5])]
-        fits = _fit_1d_stack(list(zip(x, y)))
-        assert [f.converged for f in (fits[0], fits[1], fits[3], fits[5])] \
-            == [True] * 4
-        assert not fits[2].converged and fits[2].iterations == 200
-        assert isinstance(fits[4], DegenerateInput)
-        with pytest.raises(DegenerateInput, match=str(fits[4])):
+        # one block of five 31-point rows, each with its own coordinates,
+        # and one of a 17-point row, which runs in a stack of its own
+        fits = _fit_stack(_GAUSS1D, [((np.array(x[:5]),), np.array(y[:5])),
+                                     ((x[5],), y[5][None])])
+        assert fits.converged[[0, 1, 3, 5]].all()
+        assert not fits.converged[2] and fits.iterations[2] == 200
+        assert fits.degenerate[4] == "need at least 5 points, got 4"
+        assert not fits.converged[4] and np.isnan(fits.params[4]).all()
+        with pytest.raises(DegenerateInput, match=fits.degenerate[4]):
             fit_gaussian_1d(x[4], y[4])
         for k in (0, 1, 2, 5):
-            assert_same_fit(fits[k], fit_gaussian_1d(x[k], y[k]), k)
+            assert_same_fit(fits, k, fit_gaussian_1d(x[k], y[k]))
         for k in (0, 1, 2, 3):
             keep = np.isfinite(y[k])
             w = keep.astype(float)
             target = np.where(keep, y[k], 0.0)
             assert_fit_matches_oracle(
-                fits[k], lambda q: (gauss1d_model(q, x[k]) - target) * w,
+                fits, k, _GAUSS1D,
+                lambda q: (gauss1d_model(q, x[k]) - target) * w,
                 lambda q: gauss1d_jacobian(q, x[k]) * w[:, None],
-                _moment_init_1d(x[k][keep], y[k][keep]), k)
+                oracle_moment_init_1d(x[k][keep], y[k][keep]))
 
     def test_2d_per_row_coordinates(self, monkeypatch):
         n = 12
@@ -444,12 +460,13 @@ class TestStackedFits:
         # meet an exactly singular matrix
         diagonal = ~np.eye(n, dtype=bool)
         flat = np.ones((n, n))
-        small = np.zeros(n + 4)     # 4 x 4 cells: too few
+        small = np.zeros(n + 4)     # 4 x 4 zero cells: flat
         tables = [(good, c, c, None), (clean, c, c, diagonal),
                   (other, wide, np.linspace(-3, 3, 16), None),
                   (flat, c, c, None), (small.reshape(4, 4), c[:4], c[:4],
                                        None),
-                  (good.T, c, c, None)]
+                  (good.T, c, c, None),
+                  (np.arange(9.0).reshape(3, 3), c[:3], c[:3], None)]
         real_solve = np.linalg.solve
         singular = []
 
@@ -461,26 +478,30 @@ class TestStackedFits:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        fits = _fit_2d_stack(tables)
+        fits = _fit_stack(_GAUSS2D, [table_block(*t) for t in tables])
         # the stack's solve failed and the singular problem fell back alone
         assert 3 in singular and 2 in singular
-        for k in (3, 4):
-            assert isinstance(fits[k], DegenerateInput)
-            with pytest.raises(DegenerateInput, match=str(fits[k])):
+        assert list(fits.degenerate) == [
+            "", "", "", "flat table has no peak to fit",
+            "flat table has no peak to fit", "",
+            "need at least 12 unmasked cells, got 9"]
+        for k in (3, 4, 6):
+            with pytest.raises(DegenerateInput, match=fits.degenerate[k]):
                 fit_gaussian_2d(*tables[k])
         for k in (0, 1, 2, 5):
-            assert fits[k].converged, k
+            assert fits.converged[k], k
         for k in (0, 2, 5):
-            assert_same_fit(fits[k], fit_gaussian_2d(*tables[k]), k)
+            assert_same_fit(fits, k, fit_gaussian_2d(*tables[k]))
         for k in (0, 1, 5):
             values, ca, cb, mask = tables[k]
             w = np.ones(n * n) if mask is None else (~mask).ravel() * 1.0
             a, b, v = aa.ravel(), bb.ravel(), values.ravel() * w
             keep = w > 0
             assert_fit_matches_oracle(
-                fits[k], lambda q: (gauss2d_model(q, a, b) - v) * w,
+                fits, k, _GAUSS2D,
+                lambda q: (gauss2d_model(q, a, b) - v) * w,
                 lambda q: gauss2d_jacobian(q, a, b) * w[:, None],
-                _moment_init_2d(a[keep], b[keep], v[keep]), k)
+                oracle_moment_init_2d(a[keep], b[keep], v[keep]))
 
 
 class TestFitColumns:
@@ -495,16 +516,163 @@ class TestFitColumns:
         """
         for label, table in simulated_tables(reduced_arms, near_mapping,
                                              far_mapping):
-            fits = _fit_1d_stack(
-                [(table.coords, col) for col in
-                 np.where(table.masked, np.nan, table.values).T])
-            for b, fit in enumerate(fits):
+            fits = _fit_stack(_GAUSS1D, [(
+                (table.coords,),
+                np.where(table.masked, np.nan, table.values).T)])
+            assert (fits.degenerate == "").all(), label
+            for b in range(table.values.shape[1]):
                 keep = ~table.masked[:, b]
                 x, y = table.coords[keep], table.values[keep, b]
                 want = oracle_damped_least_squares(
                     lambda p: gauss1d_model(p, x) - y,
-                    lambda p: gauss1d_jacobian(p, x), _moment_init_1d(x, y))
-                assert fit.converged == want.converged, (label, b)
+                    lambda p: gauss1d_jacobian(p, x),
+                    oracle_moment_init_1d(x, y))
+                assert fits.converged[b] == want.converged, (label, b)
                 if want.converged:
-                    assert fit.params["sigma"] == pytest.approx(
+                    assert fits.params[b, 2] == pytest.approx(
                         abs(want.params[2]), rel=1e-6), (label, b)
+
+
+def record_starts(monkeypatch):
+    """Patch the solver so that every run records its start stack."""
+    starts = []
+    real = fitting.damped_least_squares
+
+    def solve(fun, jac, p0):
+        starts.append(np.array(p0))
+        return real(fun, jac, p0)
+
+    monkeypatch.setattr(fitting, "damped_least_squares", solve)
+    return starts
+
+
+def with_gaps(rng, arrays, kept):
+    """NaN gaps at random points, spread over the arrays, so that row r
+    keeps kept[r] points."""
+    m = arrays[0].shape[1]
+    for r, k in enumerate(kept):
+        gaps = rng.permutation(m)[:m - k]
+        for i, a in enumerate(arrays):
+            a[r, gaps[i::len(arrays)]] = np.nan
+
+
+class TestStartPoints:
+    """The stacked moment start points against the one-row oracles, bit
+    for bit: every statistic is taken over each row's kept points only."""
+
+    def test_1d_rows_at_every_kept_count(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        m = 16
+        kept = np.arange(2 * (m + 1)) % (m + 1)
+        x = np.sort(rng.uniform(-20.0, 20.0, (kept.size, m)), axis=1)
+        y = gauss1d_model(np.column_stack([
+            rng.uniform(0.5, 5.0, kept.size), rng.uniform(-10, 10, kept.size),
+            rng.uniform(1.0, 8.0, kept.size), rng.uniform(-1, 1, kept.size)]),
+            x) + rng.normal(0.0, 0.05, x.shape)
+        with_gaps(rng, [x, y], kept)
+        x[5][np.isfinite(x[5])] = 0.0               # no coordinate span
+        y[7][np.isfinite(y[7])] = 0.0               # one point above the rest
+        y[7, np.flatnonzero(np.isfinite(x[7]) & np.isfinite(y[7]))[2]] = 1.0
+        starts = record_starts(monkeypatch)
+        fits = _fit_stack(_GAUSS1D, [((x,), y)])
+        keep = np.isfinite(x) & np.isfinite(y)
+        fitted = np.flatnonzero(kept >= 5)
+        assert list(np.flatnonzero(fits.degenerate == "")) == list(fitted)
+        np.testing.assert_array_equal(starts[0], [
+            oracle_moment_init_1d(x[r][keep[r]], y[r][keep[r]])
+            for r in fitted])
+        assert starts[0][list(fitted).index(5), 2] == 1.0
+        assert starts[0][list(fitted).index(7), 2] == np.ptp(
+            x[7][keep[7]]) / 4.0
+
+    def test_2d_rows_at_every_kept_count(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        n = 5
+        kept = np.arange(n * n + 1)
+        grid = np.linspace(-4.0, 4.0, n)
+        aa, bb = (np.tile(g.ravel(), (kept.size, 1)) + rng.normal(
+            0.0, 0.1, (kept.size, n * n)) for g in np.meshgrid(
+                grid, grid, indexing="ij"))
+        v = gauss2d_model(np.column_stack([
+            rng.uniform(0.5, 5.0, kept.size), rng.uniform(-2, 2, kept.size),
+            rng.uniform(-2, 2, kept.size), rng.uniform(1.0, 4.0, kept.size),
+            rng.uniform(0.5, 2.0, kept.size),
+            rng.uniform(-1, 1, kept.size)]), aa, bb)
+        v = v + rng.normal(0.0, 0.01, v.shape)
+        aa[20], bb[20] = 2.0, -1.0                  # no coordinate span
+        bb[22] = aa[22]                             # cells on one diagonal
+        v[25] = 1.0                                 # nothing above the 5 %
+        v[25, 3] = 0.0                              # percentile: the
+        with_gaps(rng, [aa, bb, v], kept)           # fallback start
+        starts = record_starts(monkeypatch)
+        fits = _fit_stack(_GAUSS2D, [((aa, bb), v)])
+        keep = np.isfinite(aa) & np.isfinite(bb) & np.isfinite(v)
+        fitted = np.flatnonzero(kept >= 12)
+        assert list(np.flatnonzero(fits.degenerate == "")) == list(fitted)
+        want = np.array([oracle_moment_init_2d(aa[r][keep[r]], bb[r][keep[r]],
+                                               v[r][keep[r]])
+                         for r in fitted])
+        np.testing.assert_array_equal(starts[0], want)
+        # the fallback start and the clamped widths are among them
+        assert want[list(fitted).index(25), 0] == 1.0
+        assert want[list(fitted).index(20), 3] == 1e-3
+        assert want[list(fitted).index(22), 4] == 1e-3
+
+    def test_fallback_rows(self):
+        """Rows the fits never start from (flat ones) follow the oracle too,
+        and the zero totals they divide by raise no warning."""
+        x = np.array([[0.0, 1, 2, 3, 4], [2, 2, 2, 2, 2], [-3, -1, 0, 4, 9],
+                      [1, 1, 1, 1, 1]])
+        y = np.array([[1.0, 1, 1, 1, 1],            # flat
+                      [0, 0, 5, 0, 0],              # no coordinate span
+                      [-5, -4, -9, -7, -6],         # all negative
+                      [2, 2, 2, 2, 2]])             # flat, no span
+        np.testing.assert_array_equal(
+            fitting._start_1d(x, y),
+            [oracle_moment_init_1d(a, b) for a, b in zip(x, y)])
+        a = np.tile(np.arange(16.0) % 4, (4, 1))
+        b = np.tile(np.arange(16.0) // 4, (4, 1))
+        a[2], b[2] = 0.5, 0.5
+        v = np.stack([np.full(16, 3.0), np.where(np.arange(16) == 5, 0.0, 1.0),
+                      np.arange(16.0) - 20.0, np.full(16, 3.0)])
+        v[3, 15] = 4.0                              # one hot cell
+        np.testing.assert_array_equal(
+            fitting._start_2d(a, b, v),
+            [oracle_moment_init_2d(*row) for row in zip(a, b, v)])
+
+    def test_reference_loop_stacks(self, monkeypatch):
+        """The seed-103 loop at 2e6 frames: the 128 columns of the gauss1d
+        stack, the 4 tables of gauss2d and the 4 profiles of peaks."""
+        settings = load_config(REFERENCE_CFG)
+        settings.update({"run.seed": 103, "run.frames": 2_000_000,
+                         "correct.characterization_frames": 400_000})
+        starts = record_starts(monkeypatch)
+        study = run_pair_study(settings)
+        want = {"gauss1d": [], "gauss2d": [], "peaks": []}
+        arms = [(corr, build_mapping(settings, corr.mapping_mode))
+                for corr in (study.corr_near, study.corr_far)]
+        for i, axis in enumerate("xy"):
+            for corr, mapping in arms:
+                proj = project_axes(corr.values, corr.n_x, corr.n_y)[i]
+                table = axis_table(corr, mapping, axis)
+                retained = epr.conditionals_and_marginal(
+                    table, settings["epr.min_column_fraction"])[2]
+                for col in np.flatnonzero(retained):
+                    keep = ~table.masked[:, col]
+                    want["gauss1d"].append(oracle_moment_init_1d(
+                        table.coords[keep], table.values[keep, col]))
+                aa, bb = np.meshgrid(table.coords, table.coords,
+                                     indexing="ij")
+                keep = ~table.masked
+                want["gauss2d"].append(oracle_moment_init_2d(
+                    aa[keep], bb[keep], table.values[keep]))
+                u, profile = epr._peak_profile(
+                    proj, corr, mapping, settings["sensor.pixel_pitch_um"],
+                    axis)
+                keep = np.isfinite(profile)
+                want["peaks"].append(oracle_moment_init_1d(u[keep],
+                                                           profile[keep]))
+        assert len(starts) == 3
+        for got, (name, rows) in zip(starts, want.items()):
+            np.testing.assert_array_equal(got, rows, err_msg=name)
+        assert [len(rows) for rows in want.values()] == [128, 4, 4]
