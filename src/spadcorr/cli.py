@@ -4,7 +4,9 @@ Subcommands mirror the processing stages: simulate event files, correlate
 them into accumulators, run the correction chain, evaluate inferred
 variances, or do the whole closed loop in memory. Exit codes: 0 success,
 2 configuration or argument problems, 3 malformed or inconsistent data,
-4 numerical failures.
+4 numerical failures. An estimator that fails does not stop epr or
+pipeline: they print the whole report, which names each failed method and
+axis with its reason, and then exit 4.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ def _cmd_epr(args):
         pixel_pitch_um=settings["sensor.pixel_pitch_um"],
         min_column_fraction=settings["epr.min_column_fraction"],
         expected=expected)
-    print(report.to_json(indent=2) if args.json else report.to_text())
-    return 0
+    return _print_report(report, args.json)
 
 
 def _cmd_pipeline(args):
@@ -106,8 +107,18 @@ def _cmd_pipeline(args):
         with open(args.report_out, "w", encoding="utf-8") as fh:
             fh.write(result.report.to_json(indent=2))
             fh.write("\n")
-    print(result.report.to_json(indent=2) if args.json
-          else result.report.to_text())
+    return _print_report(result.report, args.json)
+
+
+def _print_report(report, as_json):
+    # the report, then exit 4 if any (method, axis) result failed
+    print(report.to_json(indent=2) if as_json else report.to_text())
+    failed = report.failures()
+    if failed:
+        print(f"numerical error: {len(failed)} estimator results failed, "
+              f"first {failed[0][0]} {failed[0][1]}: {failed[0][2]}",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -323,6 +323,18 @@ class CorrectedG2:
     mask_radius: int = None
 
     def __post_init__(self):
+        # the flags name the stages applied: raw, then known stages in
+        # FLAG_ORDER without repeats, neighbor_masked iff a radius is set
+        flags = tuple(self.flags)
+        if flags[:1] != ("raw",) or flags != tuple(
+                flag for flag in FLAG_ORDER if flag in flags):
+            raise InvariantViolation(
+                f"correction flags {list(flags)} are not raw followed by "
+                f"stages in the order {list(FLAG_ORDER)}")
+        if ("neighbor_masked" in flags) != (self.mask_radius is not None):
+            raise InvariantViolation(
+                f"correction flags {list(flags)} disagree with mask radius "
+                f"{self.mask_radius}")
         if self.masked is None:
             self.masked = np.zeros_like(self.values, dtype=bool)
 
@@ -351,8 +363,6 @@ class CorrectedG2:
             raise ConfigError("container does not hold a corrected tensor")
         fields = _in_range(arraystore.check_meta(
             meta, **_TENSOR_META, flags=list, mask_radius=(int, type(None))))
-        if any(flag not in FLAG_ORDER for flag in fields["flags"]):
-            raise InvariantViolation("unknown correction flag")
         fields["flags"] = tuple(fields["flags"])
         n_pix = fields["n_x"] * fields["n_y"]
         pairs = ((n_pix, n_pix), np.float64)

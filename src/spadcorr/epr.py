@@ -23,8 +23,12 @@ every retained column of all four tables for gauss1d, the four tables for
 gauss2d and the four profiles for peaks (on a non-square sensor the x and
 y problems differ in length and each estimator takes one solve per axis).
 Each estimator takes the list of its problems and returns one variance per
-problem, in order. A failure is the first in METHODS order, x before y,
-near before far.
+problem, in order, and one error per problem: None, or the DegenerateInput
+or NotConverged that names why the problem failed. A failed problem's
+variance is NaN. The report keeps every result; per method and axis it
+records a status, "ok" or the type and message of the axis' first failure,
+near before far. Data errors (AllColumnsEmpty) and configuration errors
+still raise.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ def build_joint_table(proj, corr: CorrectedG2, mapping: OpticalMapping,
     floored = np.maximum(proj, 0.0)
     n_floored = int(np.count_nonzero(proj < 0))
     idx = np.arange(n)
-    if "neighbor_masked" in corr.flags and corr.mask_radius is not None:
+    if corr.mask_radius is not None:
         masked = np.abs(idx[:, None] - idx[None, :]) <= corr.mask_radius
         masked &= idx[:, None] != idx[None, :]
     else:
@@ -134,55 +138,60 @@ def conditionals_and_marginal(table: JointTable,
     return cond, marginal, retained
 
 
-def inferred_variance_numerical(tables, conditionals) -> list:
+def inferred_variance_numerical(tables, conditionals) -> tuple:
     """Marginal-weighted conditional variance of each table, no model
-    assumed; conditionals are the tables' conditionals_and_marginal."""
+    assumed; conditionals are the tables' conditionals_and_marginal. It
+    never fails, so every error is None."""
     out = []
     for table, (cond, marginal, retained) in zip(tables, conditionals):
         a = table.coords[:, None]
         mean = np.sum(cond * a, axis=0)
         var = np.sum(cond * (a - mean[None, :]) ** 2, axis=0)
         out.append(float(np.sum(marginal[retained] * var[retained])))
-    return out
+    return out, [None] * len(out)
 
 
-def inferred_variance_gauss1d(tables, conditionals) -> list:
+def inferred_variance_gauss1d(tables, conditionals) -> tuple:
     """Marginal-weighted variance of per-column Gaussian fits of each table.
 
     Every retained column of every table is fitted in one stacked run,
     masked cells NaN. Columns with fewer than 5 unmasked points, flat
     columns and fits that do not converge are dropped and the weights
-    renormalized; if every column of a table fails, the first such table
-    raises.
+    renormalized; a table whose every column fails gets NaN and a
+    NotConverged error.
     """
     cols = [np.flatnonzero(retained) for _, _, retained in conditionals]
     fits = _fit_stack(_GAUSS1D, [
         ((t.coords,), np.where(t.masked[:, c], np.nan, t.values[:, c]).T)
         for t, c in zip(tables, cols)])
     ends = np.cumsum([c.size for c in cols])[:-1]
-    out = []
+    out, errors = [], []
     for (_, marginal, _), c, ok, sigma in zip(
             conditionals, cols, np.split(fits.converged, ends),
             np.split(fits.params[:, 2], ends)):
         if not ok.any():
-            raise NotConverged("no column produced a usable fit")
+            out.append(math.nan)
+            errors.append(NotConverged("no column produced a usable fit"))
+            continue
         w = marginal[c[ok]]
         # libm's pow (np.float_power), whose rounding the pinned reports
         # carry: sigma * sigma differs in the last bit for ~1 width in 1200
         variances = np.float_power(sigma[ok], 2.0)
         out.append(float(np.sum(w * variances) / np.sum(w)))
-    return out
+        errors.append(None)
+    return out, errors
 
 
-def inferred_variance_gauss2d(tables) -> list:
+def inferred_variance_gauss2d(tables) -> tuple:
     """Rotated-frame 2D Gaussian fit of each table, in one stacked run,
-    widths combined analytically."""
+    widths combined analytically; a failed fit gets NaN."""
     fits = _fit_stack(_GAUSS2D, [
         ((t.coords[:, None], t.coords),
          np.where(t.masked, np.nan, t.values)[None]) for t in tables])
-    fits.raise_first_failure("2D fit")
-    return [inferred_variance_from_widths(sp, sm)
-            for sp, sm in fits.params[:, 3:5].tolist()]
+    errors = fits.errors("2D fit")
+    return [math.nan if err else inferred_variance_from_widths(sp, sm)
+            for (sp, sm), err in zip(fits.params[:, 3:5].tolist(),
+                                     errors)], errors
 
 
 def _peak_profile(proj, corr, mapping, pixel_pitch_um, axis):
@@ -204,13 +213,12 @@ def _peak_profile(proj, corr, mapping, pixel_pitch_um, axis):
         sensor = pix * pixel_pitch_um
     u = np.asarray(map_sensor_to_object(mapping, sensor), float) / math.sqrt(2.0)
     keep = np.ones(profile.size, dtype=bool)
-    if not use_sum and "neighbor_masked" in corr.flags \
-            and corr.mask_radius is not None:
+    if not use_sum and corr.mask_radius is not None:
         keep &= np.abs(pix) > corr.mask_radius
     return u, np.where(keep, np.maximum(profile, 0.0) / acceptance, np.nan)
 
 
-def inferred_variance_peaks(profiles) -> list:
+def inferred_variance_peaks(profiles) -> tuple:
     """Width of each summed correlation peak, times sqrt(2).
 
     Near-field pairs pile up in the difference coordinate and far-field
@@ -224,13 +232,12 @@ def inferred_variance_peaks(profiles) -> list:
     is read off the axis projection (peak_profiles); it is the sum or
     difference map summed over the other axis, up to rounding. Each of
     profiles is one such (coordinate, profile) pair, all fitted in one
-    stacked run.
+    stacked run; a failed fit gets NaN.
     """
     fits = _fit_stack(_GAUSS1D, [((u,), profile[None])
                                  for u, profile in profiles])
-    fits.raise_first_failure("peak profile fit")
-    sigma = fits.params[:, 2]
-    return (2.0 * sigma * sigma).tolist()
+    sigma = np.where(fits.converged, fits.params[:, 2], np.nan)
+    return (2.0 * sigma * sigma).tolist(), fits.errors("peak profile fit")
 
 
 def v_min(d2_pos_um2: float, d2_mom_per_mm2: float) -> float:
@@ -240,11 +247,22 @@ def v_min(d2_pos_um2: float, d2_mom_per_mm2: float) -> float:
 
 @dataclass(eq=False)
 class EprReport:
-    """Per-method inferred widths and variance products for both axes."""
+    """Per-method inferred widths and variance products for both axes.
+
+    Each method row holds status_x and status_y: "ok", or the type and
+    message of that axis' first failure, near before far. A failed
+    problem's width is NaN, so is its axis' V, and violated is False there.
+    """
 
     methods: dict
     meta: dict = field(default_factory=dict)
     expected: dict = None
+
+    def failures(self) -> list:
+        """(method, axis, status) of every result that is not ok."""
+        return [(name, axis, m[f"status_{axis}"])
+                for name, m in self.methods.items() for axis in "xy"
+                if m[f"status_{axis}"] != "ok"]
 
     def as_dict(self) -> dict:
         out = {"methods": self.methods, "meta": self.meta}
@@ -253,7 +271,13 @@ class EprReport:
         return out
 
     def to_json(self, indent=None) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=indent)
+        """The report as JSON; a failed result's NaN is written as null."""
+        out = self.as_dict()
+        out["methods"] = {
+            name: {k: None if isinstance(v, float) and math.isnan(v) else v
+                   for k, v in m.items()}
+            for name, m in self.methods.items()}
+        return json.dumps(out, sort_keys=True, indent=indent)
 
     def to_text(self) -> str:
         cols = ("dx[um]", "dy[um]", "dqx[1/mm]", "dqy[1/mm]", "Vx", "Vy")
@@ -282,6 +306,8 @@ class EprReport:
         lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
                  for r in rows]
         lines.append("* variance product below 0.25")
+        lines.extend(f"{name} {axis} failed: {status}"
+                     for name, axis, status in self.failures())
         return "\n".join(lines)
 
 
@@ -313,25 +339,28 @@ def evaluate_epr(corr_near: CorrectedG2, corr_far: CorrectedG2,
               for axis, corr, mapping, proj in problems]
     conditionals = [conditionals_and_marginal(t, min_column_fraction)
                     for t in tables]
-    d2 = {"numerical": inferred_variance_numerical(tables, conditionals),
-          "gauss1d": inferred_variance_gauss1d(tables, conditionals),
-          "gauss2d": inferred_variance_gauss2d(tables),
-          "peaks": inferred_variance_peaks([
-              _peak_profile(proj, corr, mapping, pixel_pitch_um, axis)
-              for axis, corr, mapping, proj in problems])}
+    estimates = {
+        "numerical": inferred_variance_numerical(tables, conditionals),
+        "gauss1d": inferred_variance_gauss1d(tables, conditionals),
+        "gauss2d": inferred_variance_gauss2d(tables),
+        "peaks": inferred_variance_peaks([
+            _peak_profile(proj, corr, mapping, pixel_pitch_um, axis)
+            for axis, corr, mapping, proj in problems])}
 
     methods = {}
     for name in METHODS:
-        x_near, x_far, y_near, y_far = d2[name]
-        vx = v_min(x_near, x_far)
-        vy = v_min(y_near, y_far)
-        methods[name] = {
-            "delta_x_um": math.sqrt(x_near),
-            "delta_y_um": math.sqrt(y_near),
-            "delta_qx_per_mm": math.sqrt(x_far),
-            "delta_qy_per_mm": math.sqrt(y_far),
-            "v_x": vx, "v_y": vy,
-            "violated_x": violates(vx), "violated_y": violates(vy)}
+        d2, errors = estimates[name]
+        row = methods[name] = {}
+        for i, axis in enumerate("xy"):
+            near, far = d2[2 * i:2 * i + 2]
+            err = next((e for e in errors[2 * i:2 * i + 2] if e), None)
+            v = v_min(near, far)
+            row[f"delta_{axis}_um"] = math.sqrt(near)
+            row[f"delta_q{axis}_per_mm"] = math.sqrt(far)
+            row[f"v_{axis}"] = v
+            row[f"violated_{axis}"] = err is None and violates(v)
+            row[f"status_{axis}"] = (
+                "ok" if err is None else f"{type(err).__name__}: {err}")
 
     if expected is not None:
         expected = {**expected, **{

@@ -359,14 +359,12 @@ class _Fits(LMResult):
 
     degenerate: np.ndarray
 
-    def raise_first_failure(self, what):
-        """Raise the first failed row's DegenerateInput, or NotConverged."""
-        failed = np.flatnonzero(~self.converged)
-        if failed.size:
-            reason = self.degenerate[failed[0]]
-            if reason:
-                raise DegenerateInput(reason)
-            raise NotConverged(f"{what} did not converge")
+    def errors(self, what) -> list:
+        """Per row, None if it converged, else the DegenerateInput or
+        NotConverged that its failure names; none of them is raised."""
+        return [None if ok else DegenerateInput(reason) if reason
+                else NotConverged(f"{what} did not converge")
+                for ok, reason in zip(self.converged, self.degenerate)]
 
 
 def _fit_stack(model, blocks) -> _Fits:

@@ -9,7 +9,7 @@ a TDC of fixed bin width. Events whose time falls outside the frame gate are
 lost.
 
 The random draws scale with the events emitted, not with frames or sources.
-A chunk of n frames draws one Poisson(n * mean) pair total and puts each
+A group of n frames draws one Poisson(n * mean) pair total and puts each
 pair on a uniformly random frame. That is the law of independent
 Poisson(mean) counts per frame: their sum is Poisson(n * mean) and, given
 the sum, the pairs fall on the frames uniformly. Dark counts are one
@@ -18,14 +18,15 @@ per neighbour offset, a Binomial(N, p) hit count and a uniform subset of
 that many of the N detections: the law of N independent Bernoulli(p)
 trials.
 
-The chunk is the unit of randomness: the stream is cut into fixed
-65536-frame chunks, each drawing on its own counter-based RNG substream keyed
-on (seed, chunk index). The group is the unit of array work: the arithmetic
-between the draws runs once over a group of consecutive chunks, as many as
-fit in an expected 2^16 events by the configured pair and dark means, and at
-least one. Neither boundary depends on the worker count, so a run is
-byte-identical no matter how the groups are scheduled, and grouping does not
-change the stream.
+The group is the unit of randomness and of array work: the stream is cut
+into groups of consecutive 65536-frame chunks, as many as fit in an expected
+2^16 events by the configured pair and dark means, and at least one. Each
+group draws on its own counter-based RNG substream keyed on (seed, group
+index), making each stage's draws once over the whole group. Group
+boundaries follow from the configuration alone, so a run is byte-identical
+no matter how many workers simulate the groups. Where every group is one
+chunk, as in the dense characterization stream, the group index is the
+chunk index.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ def _draw_pair_coordinates(model, mapping, count, rng):
 
 def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
                      times_ps: np.ndarray, spec: CrosstalkSpec,
-                     cfg: SensorConfig, rngs, counts):
-    """Append cross-talk secondaries to the detection lists of chunks.
+                     cfg: SensorConfig, rng: np.random.Generator):
+    """Append cross-talk secondaries to a list of detections.
 
     Every input detection independently fires each configured neighbour
     offset with its probability; the secondary lands in the source's frame
@@ -236,24 +237,15 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     Per offset the draw is a Binomial(N, p) hit count and a uniform subset
     of that many of the N sources: the law of N independent Bernoulli(p)
     trials, with random draws that scale with the hits, not the sources.
-    Each chunk b draws on rngs[b] over its own list, so what one chunk
-    fires does not depend on the others. The lists are stored by run as
-    _stored_at describes, with counts[r][b] detections of chunk b in run r;
-    a single list of N detections is counts [[N]].
     """
     pixels_lin = np.asarray(pixels_lin)
     times_ps = np.asarray(times_ps, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
+    n = pixels_lin.size
     add_f, add_pix, add_t = [frame_ids], [pixels_lin], [times_ps]
     for dx, dy, p in spec.entries:
-        picks, delays = [], []
-        for rng, n in zip(rngs, counts.sum(axis=0)):
-            n_hit = rng.binomial(n, p)
-            picks.append(np.sort(rng.choice(n, n_hit, replace=False,
-                                            shuffle=False)))
-            delays.append(rng.uniform(0.0, cfg.tdc_bin_ps, n_hit))
-        hit = _stored_at(counts, picks)
-        delay = np.concatenate(delays)
+        n_hit = rng.binomial(n, p)
+        hit = np.sort(rng.choice(n, n_hit, replace=False, shuffle=False))
+        delay = rng.uniform(0.0, cfg.tdc_bin_ps, n_hit)
         base0 = pixels_lin[hit].astype(np.int64) - 1
         ncol = base0 % cfg.n_x + dx
         nrow = base0 // cfg.n_x + dy
@@ -264,39 +256,22 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     return tuple(np.concatenate(c) for c in (add_f, add_pix, add_t))
 
 
-def _stored_at(counts: np.ndarray, picks) -> np.ndarray:
-    """Array positions of the items picks[b] of each chunk b's list.
-
-    The lists of consecutive chunks are stored by run: counts[r, b] items
-    of chunk b belong to run r, the arrays hold run 0, then run 1, and so
-    on, and each run holds its chunks' items in chunk order. Chunk b's list
-    is its items of run 0, then of run 1, and so on, each in stored order.
-    """
-    chunk = np.repeat(np.arange(counts.shape[1]), [k.size for k in picks])
-    k = np.concatenate(picks)
-    within = np.cumsum(counts, axis=0) - counts   # run starts in each list
-    flat = counts.ravel()
-    stored = (np.cumsum(flat) - flat).reshape(counts.shape)
-    run = np.sum(k >= within[1:, chunk], axis=0)
-    return k + (stored - within)[run, chunk]
-
-
 def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
                     cfg: SensorConfig, n_frames: int,
                     pairs_per_frame_mean: float,
                     crosstalk: CrosstalkSpec | None = None,
                     seed: int = 0, workers: int = 1
                     ) -> Iterator[FrameBatch]:
-    """Generate the frame stream as one FrameBatch per chunk group.
+    """Generate the frame stream as one FrameBatch per group.
 
-    The 65536-frame chunk is the unit of randomness: each chunk makes its
-    draws on its own counter-keyed substream, so chunk boundaries fix the
-    stream. The group is the unit of array work: a batch covers
-    max(1, 2^16 // E) consecutive chunks, where E is a chunk's expected
-    detections, 65536 * (2 * pair mean * efficiency + dark counts per
-    frame) * (1 + summed cross-talk probability). Both boundaries follow
-    from the configuration alone, so worker count and scheduling cannot
-    change the output.
+    The group is the unit of randomness and of array work: group k makes
+    its draws on its own substream keyed (seed, k), once per stage over all
+    its frames. A group covers max(1, 2^16 // E) consecutive 65536-frame
+    chunks, where E is a chunk's expected detections, 65536 * (2 * pair
+    mean * efficiency + dark counts per frame) * (1 + summed cross-talk
+    probability); the last group may be shorter. The boundaries follow
+    from the configuration alone, so the worker count cannot change the
+    output.
     """
     if n_frames < 0:
         raise ConfigError("n_frames must be nonnegative")
@@ -305,18 +280,17 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
     if mapping.mode not in ("far", "near"):
         raise ConfigError("simulation needs a near or far mapping")
     crosstalk = crosstalk or CrosstalkSpec.none()
-    spans = [(ci, lo, min(lo + CHUNK_FRAMES, n_frames))
-             for ci, lo in enumerate(range(0, n_frames, CHUNK_FRAMES))]
     chunk_events = (CHUNK_FRAMES
                     * (2.0 * pairs_per_frame_mean * cfg.efficiency
                        + _dark_mean(cfg))
                     * (1.0 + sum(p for _, _, p in crosstalk.entries)))
-    size = max(1, int(_GROUP_EVENTS // max(chunk_events, 1.0)))
-    groups = [spans[k:k + size] for k in range(0, len(spans), size)]
+    step = CHUNK_FRAMES * max(1, int(_GROUP_EVENTS // max(chunk_events, 1.0)))
+    groups = [(k, lo, min(lo + step, n_frames))
+              for k, lo in enumerate(range(0, n_frames, step))]
 
     def run(group):
         return _simulate_group(model, mapping, cfg, crosstalk,
-                               pairs_per_frame_mean, seed, group)
+                               pairs_per_frame_mean, seed, *group)
 
     if workers <= 1 or len(groups) <= 1:
         for group in groups:
@@ -342,50 +316,32 @@ def _place_on_frames(rng, mean, lo, hi) -> np.ndarray:
 
 
 def _simulate_group(model, mapping, cfg, crosstalk, pairs_mean,
-                    seed, spans) -> FrameBatch:
-    # Each chunk (index, lo, hi) of spans makes the draws it would make
-    # alone, in the same order on its own substream; the arithmetic between
-    # the draws runs once over the group. A chunk's detection list is its
-    # on-sensor photons of the first pair member, then of the second, then
-    # its dark counts, and its jitter and cross-talk draws index that list.
-    # Each stage is its own function, so its temporaries die before the
-    # next one's are made.
-    rngs = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, _SIM_TAG, ci]))) for ci, _, _ in spans]
-    # counts[r, c]: detections of chunk c that are photons of the first
-    # pair member (run 0), of the second (run 1) and dark counts (run 2);
-    # the group stores them run by run, as _stored_at describes
-    counts = np.zeros((3, len(spans)), dtype=np.int64)
-    photons = _detect_photons(model, mapping, cfg, pairs_mean, rngs, spans,
-                              counts)
+                    seed, index, lo, hi) -> FrameBatch:
+    # Group index of frames [lo, hi) draws on one substream, stage by
+    # stage: the pairs, the jitter of their detected photons, the dark
+    # counts, then the cross-talk of every detection. The detection list is
+    # the on-sensor photons of the first pair member, then of the second,
+    # then the dark counts. Each stage is its own function, so its
+    # temporaries die before the next one's are made.
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed, _SIM_TAG, index])))
     frames, lins, times = (np.concatenate(c) for c in zip(
-        photons, _dark_counts(cfg, rngs, spans, counts)))
+        _detect_photons(model, mapping, cfg, pairs_mean, rng, lo, hi),
+        _dark_counts(cfg, rng, lo, hi)))
     if not crosstalk.is_empty and lins.size:
         frames, lins, times = inject_crosstalk(frames, lins, times, crosstalk,
-                                               cfg, rngs, counts)
-    return _first_hits(frames, lins, times, cfg, spans[0][1], spans[-1][2])
+                                               cfg, rng)
+    return _first_hits(frames, lins, times, cfg, lo, hi)
 
 
-def _draw_pairs(model, mapping, cfg, pairs_mean, rngs, spans):
-    # every chunk's photon pairs, in no frame order, joined over the group:
-    # frames, both members' coordinates, times, survival uniforms, chunks
-    drawn = []
-    for rng, (_, a, b) in zip(rngs, spans):
-        pair_frame = _place_on_frames(rng, pairs_mean, a, b)
-        total = pair_frame.size
-        rho1, rho2 = _draw_pair_coordinates(model, mapping, total, rng)
-        drawn.append((pair_frame, rho1, rho2,
-                      rng.uniform(0.0, cfg.frame_duration_ps, total),
-                      rng.random((total, 2))))
-    chunk = np.repeat(np.arange(len(spans)), [d[0].size for d in drawn])
-    return [np.concatenate(c) for c in zip(*drawn)] + [chunk]
-
-
-def _detect_photons(model, mapping, cfg, pairs_mean, rngs, spans, counts):
+def _detect_photons(model, mapping, cfg, pairs_mean, rng, lo, hi):
     # (frames, pixels, times) of the detected pair photons, first members
-    # then second members, each in pair order; fills counts[:2]
-    pair_frame, rho1, rho2, t_true, u, pair_chunk = _draw_pairs(
-        model, mapping, cfg, pairs_mean, rngs, spans)
+    # then second members, each in pair order
+    pair_frame = _place_on_frames(rng, pairs_mean, lo, hi)
+    n_pairs = pair_frame.size
+    rho1, rho2 = _draw_pair_coordinates(model, mapping, n_pairs, rng)
+    t_true = rng.uniform(0.0, cfg.frame_duration_ps, n_pairs)
+    u = rng.random((n_pairs, 2))
     # pixels of both members of every pair; the detected photons are the
     # surviving on-sensor members, index m * n_pairs + pair for member m
     rho = np.stack([rho1, rho2])
@@ -396,36 +352,23 @@ def _detect_photons(model, mapping, cfg, pairs_mean, rngs, spans, counts):
     detected = np.flatnonzero((u.T < cfg.efficiency) & (col >= 0)
                               & (col < cfg.n_x) & (row >= 0)
                               & (row < cfg.n_y))
-    split = int(np.searchsorted(detected, pair_frame.size))
-    pair = detected - pair_frame.size * (detected >= pair_frame.size)
+    pair = detected - n_pairs * (detected >= n_pairs)
     lin = row.ravel()[detected] * cfg.n_x + col.ravel()[detected] + 1
     ph_time = t_true[pair]
-    ph_chunk = pair_chunk[pair]
-    counts[0] = np.bincount(ph_chunk[:split], minlength=len(spans))
-    counts[1] = np.bincount(ph_chunk[split:], minlength=len(spans))
     if cfg.pixel_offsets_ps is not None:
         ph_time = ph_time + cfg.pixel_offsets_ps[lin - 1]
     if cfg.jitter_sigma_ps > 0:
-        n_ph = counts[0] + counts[1]
-        jitter = np.empty_like(ph_time)
-        jitter[_stored_at(counts[:2], [np.arange(n) for n in n_ph])] = (
-            np.concatenate([rng.normal(0.0, cfg.jitter_sigma_ps, n)
-                            for rng, n in zip(rngs, n_ph)]))
-        ph_time = ph_time + jitter
+        ph_time = ph_time + rng.normal(0.0, cfg.jitter_sigma_ps, pair.size)
     return pair_frame[pair], lin, ph_time
 
 
-def _dark_counts(cfg, rngs, spans, counts):
-    # (frames, pixels, times) of every chunk's dark counts, a Poisson total
-    # over (pixels x frames) placed uniformly; fills counts[2]
-    drawn = []
-    for rng, (_, a, b) in zip(rngs, spans):
-        d_frame = _place_on_frames(rng, _dark_mean(cfg), a, b)
-        n_dark = d_frame.size
-        drawn.append((d_frame, rng.integers(1, cfg.n_pixels + 1, n_dark),
-                      rng.uniform(0.0, cfg.frame_duration_ps, n_dark)))
-    counts[2] = [d[0].size for d in drawn]
-    return [np.concatenate(c) for c in zip(*drawn)]
+def _dark_counts(cfg, rng, lo, hi):
+    # (frames, pixels, times) of the dark counts of frames [lo, hi), a
+    # Poisson total over (pixels x frames) placed uniformly
+    d_frame = _place_on_frames(rng, _dark_mean(cfg), lo, hi)
+    n_dark = d_frame.size
+    return (d_frame, rng.integers(1, cfg.n_pixels + 1, n_dark),
+            rng.uniform(0.0, cfg.frame_duration_ps, n_dark))
 
 
 def _first_hits(frames, lins, times, cfg, lo, hi) -> FrameBatch:

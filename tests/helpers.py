@@ -493,20 +493,30 @@ def axis_table(corr, mapping, axis, pixel_pitch_um=44.67):
                                  pixel_pitch_um, axis)
 
 
+def _only(estimate):
+    # the one variance of an estimator's stack of one, or its error raised
+    (d2,), (error,) = estimate
+    if error is not None:
+        raise error
+    return d2
+
+
 def table_variance(method, table, min_column_fraction=0.01):
-    """One table's inferred variance by method, run as a stack of one."""
+    """One table's inferred variance by method, run as a stack of one; a
+    failure raises the error the estimator returned."""
     if method == "gauss2d":
-        return epr.inferred_variance_gauss2d([table])[0]
+        return _only(epr.inferred_variance_gauss2d([table]))
     estimate = getattr(epr, f"inferred_variance_{method}")
-    return estimate([table], [epr.conditionals_and_marginal(
-        table, min_column_fraction)])[0]
+    return _only(estimate([table], [epr.conditionals_and_marginal(
+        table, min_column_fraction)]))
 
 
 def peak_variance(corr, mapping, axis, pixel_pitch_um=44.67):
-    """inferred_variance_peaks of corr's axis profile, a stack of one."""
+    """inferred_variance_peaks of corr's axis profile, a stack of one; a
+    failure raises the error the estimator returned."""
     profile = epr._peak_profile(_axis_projection(corr, axis), corr, mapping,
                                 pixel_pitch_um, axis)
-    return epr.inferred_variance_peaks([profile])[0]
+    return _only(epr.inferred_variance_peaks([profile]))
 
 
 def oracle_iter_frames(path):

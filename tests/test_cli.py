@@ -11,7 +11,7 @@ from helpers import (
     save_with_ordered_share,
     sum_diff_route_profiles,
 )
-from spadcorr import arraystore
+from spadcorr import arraystore, epr
 from spadcorr import config as cfgmod
 from spadcorr.cli import build_parser, main
 from spadcorr.correlator import (
@@ -403,6 +403,42 @@ class TestErrorExits:
         assert main(["epr", "--near", str(ws["far_g2"]),
                      "--far", str(ws["near_g2"])]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_failed_estimator_prints_the_report_and_exits_4(
+            self, ws, capsys, monkeypatch, as_json):
+        """Flat peak profiles fail peaks on both axes; the other methods
+        keep their results and the report says what failed."""
+        def flat(proj):
+            n = proj.shape[0]
+            return (2.0 * (n - np.abs(np.arange(2 * n - 1) - (n - 1))),) * 2
+
+        monkeypatch.setattr(epr, "peak_profiles", flat)
+        status = "DegenerateInput: flat input has no peak to fit"
+        assert main(["epr", "--near", str(ws["near_g2"]),
+                     "--far", str(ws["far_g2"])]
+                    + ["--json"] * as_json) == 4
+        out, err = capsys.readouterr()
+        assert "numerical error" in err
+        if as_json:
+            methods = json.loads(out)["methods"]
+            assert methods["peaks"]["status_x"] == status
+            assert methods["peaks"]["v_x"] is None
+            assert methods["peaks"]["violated_y"] is False
+            assert all(methods[m][f"status_{axis}"] == "ok"
+                       for m in ("numerical", "gauss1d", "gauss2d")
+                       for axis in "xy")
+        else:
+            assert f"peaks x failed: {status}" in out
+            assert f"peaks y failed: {status}" in out
+
+    def test_flags_that_disagree_with_the_mask_exit_3(self, ws, capsys):
+        arrays, meta = arraystore.load_arrays(ws["far_g2"])
+        bad = ws["root"] / "unmasked-radius.g2.blk"
+        arraystore.save_arrays(bad, arrays, {**meta, "mask_radius": None})
+        assert main(["epr", "--near", str(ws["near_g2"]),
+                     "--far", str(bad)]) == 3
+        assert "disagree with mask radius" in capsys.readouterr().err
 
     def test_truncated_event_file(self, ws, capsys):
         clipped = ws["root"] / "clipped.evt"

@@ -18,7 +18,7 @@ from helpers import (
     random_batch,
     save_with_ordered_share,
 )
-from spadcorr import correlator
+from spadcorr import arraystore, correlator
 from spadcorr.correlator import (
     CorrectedG2,
     CorrelationAccumulator,
@@ -40,6 +40,7 @@ from spadcorr.errors import (
     EmptyAccumulator,
     FlagOrderViolation,
     InsufficientMask,
+    InvariantViolation,
     MalformedFrame,
     OutOfRange,
     WindowTooLarge,
@@ -926,6 +927,26 @@ class TestSymmetryThroughStages:
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(corr, name))
         assert not hasattr(back, "values_later")
+
+    @pytest.mark.parametrize("flags, radius", [
+        (("raw", "accidental_subtracted", "neighbor_masked"), None),
+        (("raw", "accidental_subtracted"), 1),
+        (("neighbor_masked", "raw"), 1),
+        (("raw", "raw"), None),
+        (("accidental_subtracted",), None)])
+    def test_flags_must_agree_with_the_chain(self, tmp_path, flags, radius):
+        """Flags start with raw, follow FLAG_ORDER without repeats and hold
+        neighbor_masked exactly when a mask radius is set, whether the
+        tensor is built or loaded."""
+        with pytest.raises(InvariantViolation):
+            blank_corrected(4, 4, flags=flags, mask_radius=radius)
+        path = tmp_path / "corr.blk"
+        blank_corrected(4, 4).save(path)
+        arrays, meta = arraystore.load_arrays(path)
+        arraystore.save_arrays(path, arrays, {
+            **meta, "flags": list(flags), "mask_radius": radius})
+        with pytest.raises(InvariantViolation):
+            CorrectedG2.load(path)
 
     def test_kind_tag_checked_on_load(self, tmp_path):
         acc = CorrelationAccumulator(n_x=4, n_y=4, bins_per_frame=255,

@@ -584,8 +584,8 @@ def failure(fn):
 
 def per_table_values(corr, mappings):
     """d2 per method from each estimator run on one problem at a time,
-    each list in evaluate_epr's order (x near, x far, y near, y far); or
-    the first failure in that order, methods first."""
+    each list in evaluate_epr's order (x near, x far, y near, y far); a
+    problem that fails holds (type, message) of its error."""
     d2 = {name: [] for name in epr.METHODS}
     for axis in "xy":
         for mode in ("near", "far"):
@@ -598,10 +598,6 @@ def per_table_values(corr, mappings):
                 failure(lambda: table_variance("gauss2d", table)))
             d2["peaks"].append(failure(
                 lambda: peak_variance(corr[mode], mappings[mode], axis)))
-    for name in epr.METHODS:
-        for value in d2[name]:
-            if isinstance(value, tuple):
-                return value
     return d2
 
 
@@ -612,63 +608,81 @@ class TestStackedEvaluation:
                              [(32, 32, 21), (32, 32, 22), (32, 32, 23),
                               (16, 12, 14)])
     def test_stacked_equals_per_table(self, n_x, n_y, seed):
-        """numerical and gauss1d bit for bit, gauss2d and peaks to 1e-9.
+        """Every (method, axis) result as stacks of one give it.
 
-        On 16 x 12 pixels the x and y problems differ in length and run in
-        separate solves of each estimator. A near-field peak profile leaves
-        its masked bins at zero weight where the far-field one keeps them,
-        so peaks may differ by rounding.
+        numerical and gauss1d bit for bit. A problem that fails alone has a
+        NaN width in the report, and its axis has a NaN V, no violation and
+        the status of the axis' first failure, near before far. On 16 x 12
+        pixels the x and y problems differ in length and run in separate
+        solves of each estimator.
+
+        A near-field peak profile leaves its masked bins at zero weight
+        where the far-field one keeps them, so the stacked and the lone fit
+        round differently, take different damping paths and stop off the
+        optimum at different points. In reports without a failure gauss2d
+        and peaks agree to 1e-9. The reports with a failure hold the
+        16 x 12 peak fits that stop 1e-9 to 1.5e-8 apart, so there the
+        fitted widths agree to 1e-7.
         """
         accs, mappings, cmap = reduced_study(seed, n_x, n_y)
-        reports = 0
+        ok = dict.fromkeys(epr.METHODS, 0)
         for method, use_map, radius in itertools.product(
                 ("shifted_window", "g1_product"), (True, False), (0, 1, 2)):
-            label = (method, use_map, radius)
             corr = {mode: correct_chain(
                 acc, accidental_method=method, mask_radius=radius,
                 crosstalk_map=cmap if use_map else None)[0]
                 for mode, acc in accs.items()}
             want = per_table_values(corr, mappings)
-            got = failure(lambda: evaluate_epr(
-                corr["near"], corr["far"], mappings["near"],
-                mappings["far"]))
-            if isinstance(want, tuple):
-                assert got == want, label
-                continue
-            reports += 1
+            report = evaluate_epr(corr["near"], corr["far"],
+                                  mappings["near"], mappings["far"])
+            rel = 1e-7 if report.failures() else 1e-9
             for name in epr.METHODS:
-                m = got.methods[name]
-                x_near, x_far, y_near, y_far = want[name]
-                if name in ("numerical", "gauss1d"):
-                    assert m["delta_x_um"] == math.sqrt(x_near), label
-                    assert m["delta_qx_per_mm"] == math.sqrt(x_far), label
-                    assert m["delta_y_um"] == math.sqrt(y_near), label
-                    assert m["delta_qy_per_mm"] == math.sqrt(y_far), label
-                else:
-                    assert [m["delta_x_um"] ** 2, m["delta_qx_per_mm"] ** 2,
-                            m["delta_y_um"] ** 2,
-                            m["delta_qy_per_mm"] ** 2] == pytest.approx(
-                        want[name], rel=1e-9), (label, name)
-                assert m["violated_x"] == violates(v_min(x_near, x_far))
-                assert m["violated_y"] == violates(v_min(y_near, y_far))
-        assert reports >= 4
+                row = report.methods[name]
+                for i, axis in enumerate("xy"):
+                    label = (method, use_map, radius, name, axis)
+                    near, far = want[name][2 * i:2 * i + 2]
+                    for key, value in ((f"delta_{axis}_um", near),
+                                       (f"delta_q{axis}_per_mm", far)):
+                        if isinstance(value, tuple):
+                            assert math.isnan(row[key]), label
+                        elif name in ("numerical", "gauss1d"):
+                            assert row[key] == math.sqrt(value), label
+                        else:
+                            assert row[key] ** 2 == pytest.approx(
+                                value, rel=rel), label
+                    failed = [v for v in (near, far) if isinstance(v, tuple)]
+                    if failed:
+                        kind, message = failed[0]
+                        assert row[f"status_{axis}"] == (
+                            f"{kind.__name__}: {message}"), label
+                        assert math.isnan(row[f"v_{axis}"]), label
+                        assert row[f"violated_{axis}"] is False, label
+                    else:
+                        ok[name] += 1
+                        assert row[f"status_{axis}"] == "ok", label
+                        assert row[f"violated_{axis}"] == violates(
+                            v_min(near, far)), label
+        # 12 variants x 2 axes; four full reports gave each method 8
+        assert min(ok.values()) >= 8, ok
 
-    @pytest.mark.parametrize("first, later, error", [
-        ("spike", "flat", (NotConverged, "peak profile fit did not converge")),
-        ("flat", "spike", (DegenerateInput, "flat input has no peak to fit"))])
+    @pytest.mark.parametrize("first, later", [("spike", "flat"),
+                                              ("flat", "spike")])
     def test_first_failure_in_order(self, reference_model, near_mapping,
-                                    far_mapping, monkeypatch, first, later,
-                                    error):
-        """The near-field x fit fails first, whatever fails after it.
+                                    far_mapping, monkeypatch, first, later):
+        """A failure lands on its own method and axis.
 
-        The profiles are planted: a spike that runs to the iteration cap or
-        a flat profile, on the near x and far y projections. The type and
-        message are those a stack of one raises.
+        The peak profiles are planted: a spike that runs to the iteration
+        cap or a flat profile, first on the near x projection and later on
+        the far x and far y ones. peaks reports the near x failure on x
+        (near before far) and the far y failure on y, with the type and
+        message a stack of one returns; every other result keeps the value
+        it has without the planted profiles.
         """
         corr_near, corr_far = synthetic_pair_tensors(
             reference_model, near_mapping, far_mapping)
+        clean = evaluate_epr(corr_near, corr_far, near_mapping, far_mapping)
         near_x = project_axes(corr_near.values, 32, 32)[0]
-        far_y = project_axes(corr_far.values, 32, 32)[1]
+        far_x, far_y = project_axes(corr_far.values, 32, 32)
         acceptance = 32 - np.abs(np.arange(63) - 31)
         spike = 1.5 + np.random.default_rng(0).normal(0.0, 0.3, 63)
         spike[12] = 75.0
@@ -679,17 +693,37 @@ class TestStackedEvaluation:
         def profiles(proj):
             if np.array_equal(proj, near_x):
                 return planted[first]
-            if np.array_equal(proj, far_y):
+            if np.array_equal(proj, far_x) or np.array_equal(proj, far_y):
                 return planted[later]
             return real(proj)
 
         monkeypatch.setattr(epr, "peak_profiles", profiles)
-        assert failure(lambda: peak_variance(
-            corr_near, near_mapping, "x")) == error
-        assert isinstance(failure(lambda: peak_variance(
-            corr_far, far_mapping, "y")), tuple)
-        assert failure(lambda: evaluate_epr(
-            corr_near, corr_far, near_mapping, far_mapping)) == error
+        errors = {}
+        for name, corr, mapping, axis in (
+                (first, corr_near, near_mapping, "x"),
+                (later, corr_far, far_mapping, "y")):
+            kind, message = failure(lambda: peak_variance(corr, mapping, axis))
+            errors[name] = f"{kind.__name__}: {message}"
+        assert errors == {
+            "spike": "NotConverged: peak profile fit did not converge",
+            "flat": "DegenerateInput: flat input has no peak to fit"}
+        report = evaluate_epr(corr_near, corr_far, near_mapping, far_mapping)
+        peaks = report.methods["peaks"]
+        assert (peaks["status_x"], peaks["status_y"]) == (errors[first],
+                                                          errors[later])
+        for key in ("delta_x_um", "delta_qx_per_mm", "delta_qy_per_mm",
+                    "v_x", "v_y"):
+            assert math.isnan(peaks[key]), key
+        assert peaks["delta_y_um"] == clean.methods["peaks"]["delta_y_um"]
+        assert not peaks["violated_x"] and not peaks["violated_y"]
+        assert report.failures() == [("peaks", "x", errors[first]),
+                                     ("peaks", "y", errors[later])]
+        for name in ("numerical", "gauss1d", "gauss2d"):
+            assert report.methods[name] == clean.methods[name], name
+        assert json.loads(report.to_json())["methods"]["peaks"]["v_x"] is None
+        text = report.to_text()
+        assert f"peaks x failed: {errors[first]}" in text
+        assert f"peaks y failed: {errors[later]}" in text
 
     @pytest.mark.parametrize("radius", [None, 1])
     def test_two_projections_and_three_solves(self, reference_model,

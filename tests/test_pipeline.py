@@ -275,16 +275,17 @@ class TestPairStudy:
 # 4e5-frame characterization: (delta_x_um, delta_y_um, delta_qx_per_mm,
 # delta_qy_per_mm, v_x, v_y) per method.
 PINNED_WIDTHS = {
-    "numerical": (31.547988254517655, 32.4423102667412, 10.4642241538112,
-                  10.97077490575131, 0.10898266134029293,
-                  0.12667711259362402),
-    "gauss1d": (34.396217512336335, 38.837138723639384, 4.050911676681939,
-                4.33419214460813, 0.01941453180724068, 0.02833418818511459),
-    "gauss2d": (34.63983094517323, 35.69938399342247, 3.9849339555778647,
-                3.2873222360200702, 0.0190543344411407,
-                0.013772284936529712),
-    "peaks": (35.356741197876275, 35.2700056109964, 4.044684941127471,
-              3.218875737621912, 0.02045096735276833, 0.012889007615209367),
+    "numerical": (32.87806517610536, 32.495378465027976, 9.324141155693557,
+                  10.343992418993679, 0.09397886231157819,
+                  0.11298468679876282),
+    "gauss1d": (38.39726416402931, 49.78045150094534, 6.329207615903625,
+                5.749907345697942, 0.059060789381934306,
+                0.08192932099069017),
+    "gauss2d": (36.17961809080813, 36.6417290219962, 4.198738135162369,
+                3.6862789074100926, 0.023076265954807117,
+                0.018244345993963212),
+    "peaks": (36.67495706393549, 36.255129055051, 4.080154014027386,
+              3.5006402452155374, 0.02239197196312629, 0.016107712650358482),
 }
 PINNED_KEYS = ("delta_x_um", "delta_y_um", "delta_qx_per_mm",
                "delta_qy_per_mm", "v_x", "v_y")
@@ -305,6 +306,7 @@ def test_reference_loop_report_is_pinned():
         np.testing.assert_allclose([row[k] for k in PINNED_KEYS], want,
                                    rtol=1e-6, atol=0, err_msg=name)
         assert (row["violated_x"], row["violated_y"]) == (True, True), name
+        assert (row["status_x"], row["status_y"]) == ("ok", "ok"), name
     assert set(report.methods) == set(PINNED_WIDTHS)
     assert report.meta == {
         "pixel_pitch_um": 44.67, "min_column_fraction": 0.01,
@@ -314,4 +316,4 @@ def test_reference_loop_report_is_pinned():
         "flags_far": ["raw", "accidental_subtracted", "crosstalk_corrected",
                       "neighbor_masked"],
         "mask_radius_near": 1, "mask_radius_far": 1,
-        "negative_floored": {"x": [160, 642], "y": [157, 685]}}
+        "negative_floored": {"x": [172, 646], "y": [146, 667]}}

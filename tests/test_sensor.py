@@ -34,35 +34,37 @@ from spadcorr.sensor import (
 
 # First 16 hex digits of the sha256 of each stream's event columns and
 # accumulator arrays (helpers.stream_digests), recorded on the simulator
-# that draws one Poisson pair total per chunk on uniform frames and one
-# binomial hit count plus an unshuffled uniform subset of sources per
-# cross-talk offset. Any change to the random draws or their order changes
-# them.
+# that draws on one substream per chunk group: one Poisson pair total per
+# group on uniform frames and one binomial hit count plus an unshuffled
+# uniform subset of sources per cross-talk offset. Any change to the random
+# draws or their order changes them. Every characterization group is one
+# chunk, so those streams are the ones each chunk drew on its own substream
+# before groups became the unit of randomness.
 PINNED_DIGESTS = {
     (0, "far"):
-        "f184b47d600c43dc 54a3e6317cb0d4a3 de3bf2e16a5b5751 b162c2ecd3234fd9 "
-        "da82ce456c28a72d d9d7caa5c7eb9945 6e0cd8cf06b256c9 8923d53d7f842a12",
+        "bf678d13739eadf9 edccd76832a415fc ee4e8f7e61c2c15e 8902022ce51aca94 "
+        "1d0d1c611acabd93 f61340de2fe893bc a489f96ce99884ea 280dd248c9b6d1f5",
     (0, "near"):
-        "bf1decd16427119d 05619b2d64cf64fe fc4ab323b1203757 9f062946c2d91b73 "
-        "accb1c8a1124ed6d e57978694ed9d9f2 bbe539be1e759620 5a665aa3a2a27883",
+        "9625c02342363c47 5965934091ee9fe9 cfafbe4650b9a76a 4888facd41e26caa "
+        "c29b9cdaa8b328a5 45d1af1bbe3862e6 0185841060cc6423 ef6baea289312bb7",
     (0, "characterization"):
         "928dda28a6bc8702 cc4bc6566e20008f 8ee2b8ea949518da c2bf83c39f7045b3 "
         "1e27549e742e1c3e 3e7f7799f10b0aa3 e5916c7b2ea5cc3b 50e2881e435be3c1",
     (36, "far"):
-        "c97c509b9ba904ac 4630a60cad8ecc6a 97ebd1e761ca9b53 f6e8eb10a4eb9c28 "
-        "6884e6b7d90ea225 c64e1172e77aff51 301b85c814b8cfed 37948b1ebbab3c9c",
+        "8d923327a59abe50 ffa1469a75abb523 59cb809aab8fc954 73b986ec9bd56349 "
+        "b6bde62c4b9f047f 3b10b9a5dbc17cb7 ff33dd9d7f6ff6da 00f2d025dcc407af",
     (36, "near"):
-        "02b64f586ecdf3dd 9490ea478a5a4a7a 12a0aa9e8c6edda7 56774f70d2e868fc "
-        "a980d149162c2771 d8c3122fe3f5b3b6 8c18c993914afd55 a4ed1f678abdc9b6",
+        "027588215a4b15b8 6ebf8ff42240617c f1a92486533cc60a 9831740c964ccf13 "
+        "f02b2969fe192c01 758995b40484d983 3b7232ce05f96e70 887fef752a227eac",
     (36, "characterization"):
         "5e193c722159e4fe fe1946e2c0652d0e dcdd823f60f634ab 314aa3e87e0846c6 "
         "af5c0ba7f1af7839 2946b52bbed3257b 20c3f7a77a3c1ccc e0af1a44c2a8ebb7",
     (103, "far"):
-        "e45206af621199e6 3eb410e7b5c8e6a0 857c7ee0e0588049 9db36b46d3b89867 "
-        "758facebe90a71ef e4158bd5c653ea6e ae7e82d68bdaca63 592689e22ca88c1c",
+        "c79dcb05eec1ddfa 8734b59156d90e24 a019345481fe3168 5fe1f69e594e0213 "
+        "b35e72170261d45c 1942e0b97a3e2f0a 3f28989831a3b785 cf9b5a115defb315",
     (103, "near"):
-        "37f6d0faf2178c15 c1853bc41616b2e3 16d1e6b99f5ad437 3f63fb65bf77d008 "
-        "b462cd8f5b6be1eb e4b527c2e26bbad3 c73dbcf2859411af 09b440b7d0469064",
+        "94398ce006bcd33f 42db1f058b3fb541 c8842f01705728be 43ef4e5c67fe21bc "
+        "be721be2f8f09eb5 67a71352aa339997 804664307f91318c e53f0296fd549ae8",
     (103, "characterization"):
         "4488f8f3660ba7c0 c7ce89731c7e0c65 b58d8564ff31c316 b3263624a4938469 "
         "a30acdb584be2362 5c2ec09c08b0b093 17f9504873930825 53c55aa2c7dd1cee",
@@ -70,17 +72,17 @@ PINNED_DIGESTS = {
 
 
 # The same digests for streams of LONG_FRAMES frames, recorded on the
-# simulator that built and yielded every 65536-frame chunk on its own.
+# simulator that draws on one substream per chunk group.
 # Several full chunk groups and a short last chunk: a stream that fits in
 # one group cannot show a fault at a group boundary.
 LONG_FRAMES = 40 * sensor.CHUNK_FRAMES + 1234
 LONG_DIGESTS = {
     (103, "far"):
-        "28deb87552cc5f22 8c1741cfdd940907 f765b081d1837326 9604691e68a8a240 "
-        "c26e0d8843eecb9b e5075ae66ce72b25 d2f3fa8d27a3143e 52af728cdca7fe29",
+        "1875d56eb891fdfd 689511ce0087ef5e 0ecac799eef69691 73dd678a9142057d "
+        "2a887528d43bb605 3195dba47bdc1945 a53f445c6b854a8e 85d5cdf26425e23d",
     (103, "near"):
-        "6198d5d63e974661 c77a8e860c979838 ad134b311754ea14 84c0e446c3e6120f "
-        "03097f64b063ac94 49a885da7722bb48 e2557e2b332cf33a c2099195e52ff4f8",
+        "50b2f618b5a7baaa 34d4da474b22c7b9 a8a968cc5a63281a 0260c3740aebb03e "
+        "e53ac5d03e09b78c 341bfc038392be23 a2b52e6745d68aa9 f7d50739fa1edc6e",
 }
 
 
@@ -224,7 +226,7 @@ class TestInjectCrosstalk:
         pix = np.array([10, 20, 30], dtype=np.int64)
         t = np.array([1.0, 2.0, 3.0])
         out_f, out_pix, out_t = inject_crosstalk(
-            fids, pix, t, CrosstalkSpec.none(), cfg, [rng], [[3]])
+            fids, pix, t, CrosstalkSpec.none(), cfg, rng)
         np.testing.assert_array_equal(out_f, fids)
         np.testing.assert_array_equal(out_pix, pix)
         np.testing.assert_array_equal(out_t, t)
@@ -234,8 +236,7 @@ class TestInjectCrosstalk:
         # pixel (5, 5) 1-based is linear 133; (6, 5) is 134
         spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
         fids, pix, t = inject_crosstalk(np.array([3]), np.array([133]),
-                                        np.array([1000.0]), spec, cfg,
-                                        [rng], [[1]])
+                                        np.array([1000.0]), spec, cfg, rng)
         np.testing.assert_array_equal(fids, [3, 3])
         np.testing.assert_array_equal(pix, [133, 134])
         delay = t[1] - 1000.0
@@ -246,8 +247,7 @@ class TestInjectCrosstalk:
         spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
         # pixel 32 sits on the rightmost column
         fids, pix, t = inject_crosstalk(np.array([0]), np.array([32]),
-                                        np.array([0.0]), spec, cfg,
-                                        [rng], [[1]])
+                                        np.array([0.0]), spec, cfg, rng)
         np.testing.assert_array_equal(fids, [0])
         np.testing.assert_array_equal(pix, [32])
 
@@ -257,7 +257,7 @@ class TestInjectCrosstalk:
         n = 10_000_000
         spec = CrosstalkSpec.from_dict({(1, 0): 1e-3})
         fids, pix, t = inject_crosstalk(np.arange(n), np.full(n, 500),
-                                        np.zeros(n), spec, cfg, [rng], [[n]])
+                                        np.zeros(n), spec, cfg, rng)
         echoes = pix.size - n
         assert abs(echoes - 1e4) < 4 * np.sqrt(1e4)
         assert np.all(t[n:] >= 0.0)
@@ -267,46 +267,10 @@ class TestInjectCrosstalk:
         cfg = SensorConfig()
         spec = CrosstalkSpec.from_dict({(0, 1): 1.0})
         fids, pix, t = inject_crosstalk(np.array([7, 9]), np.array([1, 33]),
-                                        np.array([0.0, 5.0]), spec, cfg,
-                                        [rng], [[2]])
+                                        np.array([0.0, 5.0]), spec, cfg, rng)
         assert pix.size == 4
         np.testing.assert_array_equal(fids, [7, 9, 7, 9])
         np.testing.assert_array_equal(pix[2:], [33, 65])
-
-
-    def test_chunks_fire_as_if_alone(self):
-        cfg = SensorConfig()
-        spec = CrosstalkSpec.from_dict({(1, 0): 1.0, (0, -1): 0.2})
-        src = np.random.default_rng(45)
-        fids = np.arange(65)
-        pix = src.integers(1, cfg.n_pixels + 1, 65)
-        t = src.uniform(0.0, 1e4, 65)
-        # three chunk lists of 40, 0 and 25 detections; each list's first
-        # 15, 0 and 25 detections are stored in run 0, the rest in run 1
-        lists = [np.arange(0, 40), np.arange(40, 40), np.arange(40, 65)]
-        counts = [[15, 0, 25], [25, 0, 0]]
-        stored = np.concatenate([lists[0][:15], lists[2],
-                                 lists[0][15:]])
-        seeds = (1, 2, 3)
-
-        def in_one_order(f, p, tt):
-            order = np.lexsort((tt, p, f))
-            return f[order], p[order], tt[order]
-
-        together = inject_crosstalk(
-            fids[stored], pix[stored], t[stored], spec, cfg,
-            [np.random.default_rng(s) for s in seeds], counts)
-        alone = [inject_crosstalk(fids[i], pix[i], t[i], spec, cfg,
-                                  [np.random.default_rng(s)], [[i.size]])
-                 for s, i in zip(seeds, lists)]
-        # the secondaries follow the sources
-        got = in_one_order(*(x[65:] for x in together))
-        want = in_one_order(*(
-            np.concatenate([out[k][i.size:] for out, i in zip(alone, lists)])
-            for k in range(3)))
-        assert got[0].size > 10
-        for x, y in zip(got, want):
-            np.testing.assert_array_equal(x, y)
 
 
 class TestSimulateFrames:
@@ -450,13 +414,13 @@ def binomial_pmf(n, p):
 
 
 def per_frame_pair_draw(rng, pairs_mean, lo, hi):
-    """The draw the per-chunk total replaced: one Poisson count per frame."""
+    """The draw the per-group total replaced: one Poisson count per frame."""
     counts = rng.poisson(pairs_mean, hi - lo)
     return np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
 
 
 class TestSameLaw:
-    """The per-chunk draws have the law of the per-frame / per-source ones."""
+    """The per-group draws have the law of the per-frame / per-source ones."""
 
     @pytest.mark.parametrize("mean", [0.05, 1.5])
     @pytest.mark.parametrize("seed", LAW_SEEDS)
@@ -513,8 +477,7 @@ class TestSameLaw:
         for r in range(reps):
             fids, pix, _ = inject_crosstalk(np.arange(n_src),
                                             np.full(n_src, 500),
-                                            np.zeros(n_src), spec, cfg,
-                                            [rng], [[n_src]])
+                                            np.zeros(n_src), spec, cfg, rng)
             src, pix = fids[n_src:], pix[n_src:]
             for lin, off in landing.items():
                 mine = src[pix == lin]
