@@ -62,6 +62,9 @@ def _cmd_correlate(args):
 
 
 def _cmd_correct(args):
+    if args.no_crosstalk and args.save_crosstalk_map:
+        raise ConfigError("--save-crosstalk-map has no map to save with "
+                          "--no-crosstalk")
     acc = CorrelationAccumulator.load(args.infile)
     cmap = CrosstalkMap.load(args.crosstalk_map) if args.crosstalk_map \
         else None
@@ -238,10 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=schema["correct.mask_radius"])
     p.add_argument("--inner-window", type=int,
                    default=schema["correct.crosstalk_inner_window"])
-    p.add_argument("--crosstalk-map",
-                   help="apply a previously saved map instead of estimating")
-    p.add_argument("--no-crosstalk", action="store_true",
-                   help="skip the cross-talk stage")
+    crosstalk = p.add_mutually_exclusive_group()
+    crosstalk.add_argument(
+        "--crosstalk-map",
+        help="apply a previously saved map instead of estimating")
+    crosstalk.add_argument("--no-crosstalk", action="store_true",
+                           help="skip the cross-talk stage")
     p.add_argument("--save-crosstalk-map")
     p.set_defaults(func=_cmd_correct)
 

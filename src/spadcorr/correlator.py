@@ -4,22 +4,27 @@ Pixels are addressed by the linear index l = px + n_x*(py - 1) with px, py
 starting at 1, so l runs from 1 to n_x*n_y. Tensors are stored 0-based:
 g2[l1-1, l2-1]. Both orderings of every coincident pair are counted and the
 diagonal stays structurally zero because a pixel fires at most once per frame.
-Accumulation checks FrameBatch's strict (frame, pixel) order and rejects a
-batch that breaks it with MalformedFrame (CLI exit 3); it never re-sorts.
+Accumulation checks each batch with FrameBatch.checked_columns, which rejects
+a batch that breaks FrameBatch's contract with MalformedFrame (CLI exit 3);
+it never re-sorts.
 
 The correction chain is recorded in provenance flags on CorrectedG2 and must
 advance in one direction only:
 
     raw -> accidental_subtracted -> crosstalk_corrected -> neighbor_masked
 
-Skipping a stage is allowed where noted; revisiting one is not. The
-cross-talk map is estimated beside the chain, from the accumulator and its
-accidental estimate (estimate_crosstalk), not from a corrected tensor.
+The cross-talk stage may be skipped; every stage after raw needs
+accidental_subtracted first, and none repeats. CorrectedG2.__post_init__ is
+the one check, so a stage applied out of order raises InvariantViolation
+(exit 3) and leaves its input unchanged. The cross-talk map is estimated
+beside the chain, from the accumulator and its accidental estimate
+(estimate_crosstalk), not from a corrected tensor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from .errors import (
     ConfigError,
     DisjointnessViolation,
     EmptyAccumulator,
-    FlagOrderViolation,
     InsufficientMask,
     InvariantViolation,
     MalformedFrame,
@@ -149,31 +153,8 @@ class CorrelationAccumulator:
     def add_batch(self, batch: FrameBatch) -> None:
         if not isinstance(batch, FrameBatch):
             raise MalformedFrame(f"cannot accumulate {type(batch).__name__}")
-        f = np.asarray(batch.frame_ids, dtype=np.int64)
-        p = np.asarray(batch.pixels, dtype=np.int64)
-        t = np.asarray(batch.tdc, dtype=np.int64)
-        if not (f.shape == p.shape == t.shape):
-            raise MalformedFrame("event columns differ in length")
-        start, n_frames = int(batch.start_frame), int(batch.n_frames)
-        if n_frames < 0:
-            raise MalformedFrame("negative frame count")
-        if f.size == 0:
-            self.n_frames += n_frames
-            return
-        # the (frame, pixel) order checked below makes the first and last
-        # ids bound the rest
-        if f[0] < start or f[-1] >= start + n_frames:
-            raise MalformedFrame("frame id outside the batch's frames")
-        if np.any(p < 1) or np.any(p > self.n_pixels):
-            raise MalformedFrame("pixel index outside the array")
-        if np.any(t < 0) or np.any(t >= self.bins_per_frame):
-            raise MalformedFrame("tdc code outside the frame")
-        step = np.diff(f * self.n_pixels + p)
-        if np.any(step <= 0):
-            raise MalformedFrame("pixel fired twice in one frame"
-                                 if np.any(step == 0) else
-                                 "events out of (frame, pixel) order")
-        self.n_frames += n_frames
+        f, p, t = batch.checked_columns(self.n_pixels, self.bins_per_frame)
+        self.n_frames += int(batch.n_frames)
         self.g1 += np.bincount(p - 1, minlength=self.n_pixels)
 
         # event i pairs with event i + lag while both lie in one frame, so
@@ -303,10 +284,12 @@ def accumulate(batches, *, window=10, shift=20, n_x=32, n_y=32,
 class CorrectedG2:
     """Pixel-pair rates per 1e6 frames, with correction provenance.
 
-    values holds the corrected rates, masked the cells the neighbour mask
-    zeroed and g1 the singles rates. The cross-talk estimator reads the
-    accumulator's ordered counts instead, so no ordered share is kept here;
-    load still accepts a container that holds one and ignores it.
+    values holds the corrected rates and g1 the singles rates. flags name
+    the stages applied; __post_init__ is the one check of their order, so
+    a stage applied out of order fails in the replace() that appends its
+    flag. masked, the cells the neighbour mask zeroed, is derived from
+    mask_radius when first read and is not stored. load ignores the masked
+    and values_later arrays of older containers.
     """
 
     values: np.ndarray
@@ -319,33 +302,39 @@ class CorrectedG2:
     shift: int
     n_frames: int
     mapping_mode: str
-    masked: np.ndarray = None
     mask_radius: int = None
 
     def __post_init__(self):
-        # the flags name the stages applied: raw, then known stages in
-        # FLAG_ORDER without repeats, neighbor_masked iff a radius is set
+        # the flags name the stages applied: raw, then accidental_subtracted
+        # before any later stage, in FLAG_ORDER without repeats, and
+        # neighbor_masked iff a radius is set
         flags = tuple(self.flags)
-        if flags[:1] != ("raw",) or flags != tuple(
+        if flags[:2] not in (FLAG_ORDER[:1], FLAG_ORDER[:2]) or flags != tuple(
                 flag for flag in FLAG_ORDER if flag in flags):
             raise InvariantViolation(
-                f"correction flags {list(flags)} are not raw followed by "
-                f"stages in the order {list(FLAG_ORDER)}")
+                f"correction flags {list(flags)} are not raw, then "
+                f"accidental_subtracted before any later stage, in the "
+                f"order {list(FLAG_ORDER)}")
         if ("neighbor_masked" in flags) != (self.mask_radius is not None):
             raise InvariantViolation(
                 f"correction flags {list(flags)} disagree with mask radius "
                 f"{self.mask_radius}")
-        if self.masked is None:
-            self.masked = np.zeros_like(self.values, dtype=bool)
 
     @property
     def n_pixels(self) -> int:
         return self.n_x * self.n_y
 
+    @cached_property
+    def masked(self) -> np.ndarray:
+        """Bool (n_pix, n_pix): the band mask_neighbors zeroes, or none."""
+        masked = np.zeros((self.n_pixels, self.n_pixels), dtype=bool)
+        if self.mask_radius is not None:
+            np.put(masked, _band(self.n_x, self.n_y, self.mask_radius), True)
+        return masked
+
     def save(self, path) -> None:
         arraystore.save_arrays(
-            path,
-            {"values": self.values, "g1": self.g1, "masked": self.masked},
+            path, {"values": self.values, "g1": self.g1},
             {"kind": "corrected_g2", "flags": list(self.flags),
              "n_x": self.n_x, "n_y": self.n_y,
              "bins_per_frame": self.bins_per_frame, "window": self.window,
@@ -367,21 +356,7 @@ class CorrectedG2:
         n_pix = fields["n_x"] * fields["n_y"]
         pairs = ((n_pix, n_pix), np.float64)
         return cls(**fields, **arraystore.check_arrays(
-            arrays, values=pairs, masked=((n_pix, n_pix), np.bool_),
-            g1=((n_pix,), np.float64)))
-
-
-def _require_stage(corr: CorrectedG2, adding: str, needs: tuple) -> None:
-    if adding in corr.flags:
-        raise FlagOrderViolation(f"{adding} already applied")
-    idx = FLAG_ORDER.index(adding)
-    for later in FLAG_ORDER[idx + 1:]:
-        if later in corr.flags:
-            raise FlagOrderViolation(
-                f"cannot apply {adding} after {later}")
-    for flag in needs:
-        if flag not in corr.flags:
-            raise FlagOrderViolation(f"{adding} requires {flag} first")
+            arrays, values=pairs, g1=((n_pix,), np.float64)))
 
 
 def _rate_scale(acc: CorrelationAccumulator) -> float:
@@ -487,7 +462,6 @@ def estimate_accidentals(acc: CorrelationAccumulator,
 
 def subtract_accidentals(corr: CorrectedG2, estimate: np.ndarray) -> CorrectedG2:
     """Subtract an accidental estimate; negative residuals are kept."""
-    _require_stage(corr, "accidental_subtracted", ("raw",))
     estimate = np.asarray(estimate, float)
     if estimate.shape != corr.values.shape:
         raise ConfigError("estimate shape does not match the tensor")
@@ -608,7 +582,6 @@ def correct_crosstalk(corr: CorrectedG2, cmap: CrosstalkMap) -> CorrectedG2:
     p(p2 - p1) * g1(p1) pairs, and symmetrically for echoes of p2:
     p(p1 - p2) * g1(p2), read from the point-reflected table.
     """
-    _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
     n_x, n_y, r = corr.n_x, corr.n_y, cmap.radius
     kx = _offset_index(_axis_offsets(n_x), r)
     ky = _offset_index(_axis_offsets(n_y), r)
@@ -641,27 +614,30 @@ def correct_crosstalk(corr: CorrectedG2, cmap: CrosstalkMap) -> CorrectedG2:
                    flags=corr.flags + ("crosstalk_corrected",))
 
 
+def _band(n_x, n_y, radius):
+    # Flat cells of the pairs of distinct pixels within Chebyshev radius,
+    # at most n_pix * ((2r + 1)^2 - 1): the per-axis (a1, a2) pairs within
+    # the radius, combined except where both are equal
+    n_pix = n_x * n_y
+    x1, x2 = np.nonzero(np.abs(_axis_offsets(n_x)) <= radius)
+    y1, y2 = np.nonzero(np.abs(_axis_offsets(n_y)) <= radius)
+    return np.add.outer((y1 * n_pix + y2) * n_x, x1 * n_pix + x2)[
+        ~np.logical_and.outer(y1 == y2, x1 == x2)]
+
+
 def mask_neighbors(corr: CorrectedG2, radius=1) -> CorrectedG2:
-    """Zero and flag pairs of distinct pixels within Chebyshev radius.
+    """Zero pairs of distinct pixels within Chebyshev radius.
 
     Cross-talk residuals and blooming live on immediate neighbours; masking
     removes them at the cost of holes near the correlation peak. Valid after
-    either the accidental or the cross-talk stage, always last.
+    either the accidental or the cross-talk stage, always last. The result's
+    masked attribute marks the zeroed cells.
     """
     if radius < 0:
         raise ConfigError("mask radius must be non-negative")
-    _require_stage(corr, "neighbor_masked", ("accidental_subtracted",))
-    # flat cells of the band, at most n_pix * ((2r + 1)^2 - 1): the per-axis
-    # (a1, a2) pairs within the radius, combined except where both are equal
-    n_x, n_pix = corr.n_x, corr.n_pixels
-    x1, x2 = np.nonzero(np.abs(_axis_offsets(n_x)) <= radius)
-    y1, y2 = np.nonzero(np.abs(_axis_offsets(corr.n_y)) <= radius)
-    band = np.add.outer((y1 * n_pix + y2) * n_x, x1 * n_pix + x2)[
-        ~np.logical_and.outer(y1 == y2, x1 == x2)]
-    values, masked = corr.values.copy(), corr.masked.copy()
-    np.put(values, band, 0.0)
-    np.put(masked, band, True)
-    return replace(corr, values=values, masked=masked, mask_radius=radius,
+    values = corr.values.copy()
+    np.put(values, _band(corr.n_x, corr.n_y, radius), 0.0)
+    return replace(corr, values=values, mask_radius=radius,
                    flags=corr.flags + ("neighbor_masked",))
 
 

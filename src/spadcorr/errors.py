@@ -28,7 +28,7 @@ class TruncatedFile(DataError):
 
 
 class InvariantViolation(DataError):
-    """Event file content violates a format invariant."""
+    """Content breaks an invariant of its format or of the correction chain."""
 
 
 class OrderViolation(DataError):
@@ -40,7 +40,7 @@ class RangeViolation(DataError):
 
 
 class MalformedFrame(DataError):
-    """Not a FrameBatch, or its events are ragged, repeated or out of range."""
+    """Not a FrameBatch, or one that breaks FrameBatch's contract."""
 
 
 class EmptyAccumulator(DataError):
@@ -53,10 +53,6 @@ class DisjointnessViolation(DataError):
 
 class InsufficientMask(DataError):
     """Uncorrelated-pair mask retains too few entries for a stable fit."""
-
-
-class FlagOrderViolation(DataError):
-    """Correction stage applied out of order (flags are monotone)."""
 
 
 class WindowTooLarge(DataError):

@@ -114,35 +114,23 @@ class EventFileWriter:
     def add_batch(self, batch: FrameBatch) -> None:
         """Encode a whole batch in one pass.
 
-        Events must be sorted by frame id and, within a frame, by pixel with
-        no repeats; the ids must continue past those already written.
+        The batch must keep FrameBatch's contract for this file's geometry
+        (FrameBatch.checked_columns, MalformedFrame otherwise). Its ids must
+        also continue past those already written (OrderViolation) and stay
+        below the footer sentinel (RangeViolation).
         """
         if not isinstance(batch, FrameBatch):
             raise MalformedFrame(f"cannot encode {type(batch).__name__}")
-        f = np.asarray(batch.frame_ids, dtype=np.int64)
-        p = np.asarray(batch.pixels, dtype=np.int64)
-        t = np.asarray(batch.tdc, dtype=np.int64)
-        if not f.shape == p.shape == t.shape:
-            raise MalformedFrame("event columns differ in length")
+        f, p, t = batch.checked_columns(self.n_x * self.n_y,
+                                        self.bins_per_frame)
         if f.size == 0:
             return
         if f[0] <= self._last_id:
             raise OrderViolation(f"frame {f[0]} after frame {self._last_id}")
-        step = np.diff(f)
-        back = np.flatnonzero(step < 0)
-        if back.size:
-            i = back[0]
-            raise OrderViolation(f"frame {f[i + 1]} after frame {f[i]}")
         if f[-1] >= _SENTINEL:
             raise RangeViolation("frame id collides with the footer sentinel")
-        if np.any((p < 1) | (p > self.n_x * self.n_y)):
-            raise RangeViolation("pixel index outside the array")
-        if np.any((t < 0) | (t >= self.bins_per_frame)):
-            raise RangeViolation("tdc code outside the frame")
-        if np.any((np.diff(p) <= 0) & (step == 0)):
-            raise OrderViolation("events must be sorted by pixel, no repeats")
         # each frame is a 2-unit head followed by its 1-unit events
-        opens = np.concatenate(([True], step > 0))
+        opens = np.concatenate(([True], np.diff(f) > 0))
         frame_of = np.cumsum(opens) - 1
         starts = np.flatnonzero(opens)
         head = np.empty(starts.size, dtype=_HEAD_DTYPE)

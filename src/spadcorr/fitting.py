@@ -66,15 +66,12 @@ FINAL_STEP_TOL = 1e-8
 class LMResult:
     """Outcome of a stacked solve: one entry per problem in each field.
 
-    params is (K, n_params); converged, iterations and residual_norm are
-    length-K arrays. residual_norm is taken at the returned point, after the
-    final Gauss-Newton steps.
+    params is (K, n_params); converged and iterations are length-K arrays.
     """
 
     params: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
-    residual_norm: np.ndarray
 
 
 def _rowdot(a, b):
@@ -114,7 +111,7 @@ def damped_least_squares(fun, jac, p0) -> LMResult:
     r = np.asarray(fun(p, rows), dtype=float)
     cost = _rowdot(r, r)
     # final state per problem, written as each one stops
-    params, final_cost = p.copy(), cost.copy()
+    params = p.copy()
     converged = np.zeros(n_stack, dtype=bool)
     iterations = np.zeros(n_stack, dtype=int)
     # state of the problems still running, compacted whenever some stop
@@ -157,7 +154,7 @@ def damped_least_squares(fun, jac, p0) -> LMResult:
                         (lam > MAX_DAMPING) | (tries >= MAX_TRIES))
         if stop.any():
             idx = rows[stop]
-            params[idx], final_cost[idx] = p[stop], cost[stop]
+            params[idx] = p[stop]
             converged[idx], iterations[idx] = done[stop], it[stop]
             go = ~stop
             rows, p, r, cost, lam, it, tries, fresh, hess, grad, diag = (
@@ -186,10 +183,10 @@ def damped_least_squares(fun, jac, p0) -> LMResult:
             break
         rows, p = rows[go], p[go] + step[go]
         r = np.asarray(fun(p, rows), dtype=float)
-        params[rows], final_cost[rows] = p, _rowdot(r, r)
+        params[rows] = p
 
     return LMResult(params=params, converged=converged,
-                    iterations=iterations, residual_norm=np.sqrt(final_cost))
+                    iterations=iterations)
 
 
 @dataclasses.dataclass
@@ -204,7 +201,6 @@ class GaussianFit:
     params: dict[str, float]
     converged: bool
     iterations: int
-    residual_norm: float
 
 
 # --- 1D model: A exp(-(x-mu)^2 / 2 sigma^2) + c ------------------------------
@@ -382,7 +378,7 @@ def _fit_stack(model, blocks) -> _Fits:
     at = np.split(np.arange(n), np.cumsum(sizes)[:-1])
     fits = _Fits(np.full((n, len(model.names)), np.nan),
                  np.zeros(n, dtype=bool), np.zeros(n, dtype=int),
-                 np.full(n, np.nan), np.full(n, "", dtype=object))
+                 np.full(n, "", dtype=object))
     for m in sorted({r[-1].shape[1] for r in rows}):
         group = [i for i, r in enumerate(rows) if r[-1].shape[1] == m]
         *coords, y = map(np.concatenate, zip(*(rows[i] for i in group)))
@@ -429,8 +425,7 @@ def _fit_length(model, coords, y, fits, at):
     res = damped_least_squares(fun, jac, p0)
     res.params[:, model.widths] = np.abs(res.params[:, model.widths])
     fits.params[at], fits.converged[at] = res.params, res.converged
-    fits.iterations[at], fits.residual_norm[at] = (res.iterations,
-                                                   res.residual_norm)
+    fits.iterations[at] = res.iterations
 
 
 def _gaussian_fit(model, coords, values) -> GaussianFit:
@@ -440,5 +435,4 @@ def _gaussian_fit(model, coords, values) -> GaussianFit:
         raise DegenerateInput(fits.degenerate[0])
     return GaussianFit(params=dict(zip(model.names, fits.params[0].tolist())),
                        converged=bool(fits.converged[0]),
-                       iterations=int(fits.iterations[0]),
-                       residual_norm=float(fits.residual_norm[0]))
+                       iterations=int(fits.iterations[0]))

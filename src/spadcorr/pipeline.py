@@ -24,6 +24,7 @@ from .correlator import (
     subtract_accidentals,
 )
 from .epr import EprReport, evaluate_epr
+from .errors import ConfigError
 from .eventfile import EventFileReader, EventFileWriter
 from .sensor import simulate_frames
 
@@ -85,9 +86,12 @@ def correct_chain(acc: CorrelationAccumulator, *,
 
     With estimate_map the cross-talk map is measured from this accumulator
     and its accidental estimate; otherwise a map may be supplied (a sensor
-    property, so one characterization serves every arm). Returns the
-    corrected tensor and whichever map was used, None when skipped.
+    property, so one characterization serves every arm), but not both
+    (ConfigError). Returns the corrected tensor and whichever map was used,
+    None when skipped.
     """
+    if estimate_map and crosstalk_map is not None:
+        raise ConfigError("a supplied cross-talk map cannot also be estimated")
     estimate = estimate_accidentals(acc, accidental_method)
     cmap = crosstalk_map
     if estimate_map:

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedFrame
 from .optics import DoubleGaussianModel, OpticalMapping
 
 CHUNK_FRAMES = 65536
@@ -167,10 +167,11 @@ class CrosstalkSpec:
 class FrameBatch:
     """Columnar slice of the frame stream covering [start_frame, start_frame + n_frames).
 
-    Event arrays are strictly sorted by (frame_id, pixel); accumulation
-    checks that order, rejects a batch that breaks it with MalformedFrame
-    (CLI exit 3) and never re-sorts. Empty frames have no rows but still
-    count toward n_frames.
+    Event arrays are strictly sorted by (frame_id, pixel), so a pixel fires
+    at most once per frame, and every frame id lies in the batch's frames.
+    Empty frames have no rows but still count toward n_frames. The writer
+    and the accumulator check this contract through checked_columns alone;
+    a batch that breaks it is never re-sorted.
     """
 
     start_frame: int
@@ -182,6 +183,39 @@ class FrameBatch:
     @property
     def n_events(self) -> int:
         return int(self.frame_ids.size)
+
+    def checked_columns(self, n_pixels: int, bins_per_frame: int):
+        """The event columns as int64 (frame ids, pixels, tdc codes).
+
+        Raises MalformedFrame (CLI exit 3) unless the columns are 1-D of
+        one length, n_frames is not negative, every id lies in
+        [start_frame, start_frame + n_frames), pixels in [1, n_pixels],
+        tdc codes in [0, bins_per_frame), and the events strictly increase
+        in (frame id, pixel).
+        """
+        f, p, t = (np.asarray(c, dtype=np.int64)
+                   for c in (self.frame_ids, self.pixels, self.tdc))
+        if not (f.ndim == 1 and f.shape == p.shape == t.shape):
+            raise MalformedFrame("event columns are not 1-D of one length")
+        if self.n_frames < 0:
+            raise MalformedFrame("negative frame count")
+        if not f.size:
+            return f, p, t
+        # the (frame, pixel) order checked below makes the first and last
+        # ids bound the rest
+        if f[0] < self.start_frame or \
+                f[-1] >= self.start_frame + self.n_frames:
+            raise MalformedFrame("frame id outside the batch's frames")
+        if np.any(p < 1) or np.any(p > n_pixels):
+            raise MalformedFrame("pixel index outside the array")
+        if np.any(t < 0) or np.any(t >= bins_per_frame):
+            raise MalformedFrame("tdc code outside the frame")
+        step = np.diff(f * n_pixels + p)
+        if np.any(step <= 0):
+            raise MalformedFrame("pixel fired twice in one frame"
+                                 if np.any(step == 0) else
+                                 "events out of (frame, pixel) order")
+        return f, p, t
 
 
 def quantize_tdc(t_ps, cfg: SensorConfig):

@@ -26,7 +26,6 @@ from spadcorr.correlator import (
     _axis_offsets,
     _offset_index,
     _over_pairs,
-    _require_stage,
     _window_mass,
     accumulate,
     project_axes,
@@ -283,7 +282,7 @@ def oracle_estimate_crosstalk(corr, inner_window=29):
     The loop over all (2r + 1)^2 offsets the library ran before it keyed
     weighted bincounts on the pair offset.
     """
-    _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
+    assert corr.flags == ("raw", "accidental_subtracted"), corr.flags
     n_x, n_y = corr.n_x, corr.n_y
     if inner_window < 1 or inner_window > min(n_x, n_y):
         raise WindowTooLarge("inner window does not fit on the sensor")
@@ -333,7 +332,7 @@ def keyed_estimate_crosstalk(corr, inner_window=29):
     row at a time. It sums in the library's order, so its maps match the
     library's bit for bit; oracle_estimate_crosstalk checks the arithmetic.
     """
-    _require_stage(corr, "crosstalk_corrected", ("accidental_subtracted",))
+    assert corr.flags == ("raw", "accidental_subtracted"), corr.flags
     n_x, n_y = corr.n_x, corr.n_y
     if inner_window < 1 or inner_window > min(n_x, n_y):
         raise WindowTooLarge("inner window does not fit on the sensor")
@@ -452,13 +451,15 @@ def oracle_correct_chain(acc, *, accidental_method="shifted_window",
     return values, masked, cmap
 
 
-def save_with_ordered_share(corr, path, values_later):
-    """Write corr as CorrectedG2.save did while the class kept values_later:
-    the same meta, and values_later stored after values, g1 and masked."""
+def save_older_corrected(corr, path, **older):
+    """Write corr as CorrectedG2.save did while the class stored its mask:
+    the same meta, and masked stored after values and g1. older adds the
+    arrays such a container held besides (values_later, while the class
+    kept the ordered share) or replaces masked."""
     corr.save(path)
     arrays, meta = arraystore.load_arrays(path)
-    arraystore.save_arrays(path, dict(arrays, values_later=values_later),
-                           meta)
+    arraystore.save_arrays(
+        path, {**arrays, "masked": corr.masked, **older}, meta)
 
 
 def save_dense_accumulator(acc, path):
@@ -685,10 +686,8 @@ def oracle_damped_least_squares(fun, jac, p0) -> LMResult:
             break
         p = p + step
         r = np.asarray(fun(p), dtype=float)
-        cost = float(r @ r)
 
-    return LMResult(params=p, converged=converged,
-                    iterations=it, residual_norm=math.sqrt(cost))
+    return LMResult(params=p, converged=converged, iterations=it)
 
 
 def oracle_moment_init_1d(x, y):

@@ -75,7 +75,7 @@ def test_solver_has_one_form():
     assert list(inspect.signature(
         fitting.damped_least_squares).parameters) == ["fun", "jac", "p0"]
     assert [f.name for f in dataclasses.fields(fitting.LMResult)] == [
-        "params", "converged", "iterations", "residual_norm"]
+        "params", "converged", "iterations"]
     assert not hasattr(fitting.LMResult, "problem")
 
 

@@ -8,7 +8,7 @@ from helpers import (
     oracle_estimate_accidentals,
     oracle_normalize,
     oracle_subtract_accidentals,
-    save_with_ordered_share,
+    save_older_corrected,
     sum_diff_route_profiles,
 )
 from spadcorr import arraystore, epr
@@ -109,8 +109,8 @@ class TestStageCommands:
                 oracle_normalize(acc),
                 oracle_estimate_accidentals(acc, "shifted_window"))
             old[arm] = tmp_path / f"{arm}.g2.blk"
-            save_with_ordered_share(CorrectedG2.load(ws[f"{arm}_g2"]),
-                                    old[arm], later.values_later)
+            save_older_corrected(CorrectedG2.load(ws[f"{arm}_g2"]),
+                                 old[arm], values_later=later.values_later)
             assert "values_later" in arraystore.load_arrays(old[arm])[0]
         reports = []
         for near, far in ((ws["near_g2"], ws["far_g2"]),
@@ -439,6 +439,24 @@ class TestErrorExits:
         assert main(["epr", "--near", str(ws["near_g2"]),
                      "--far", str(bad)]) == 3
         assert "disagree with mask radius" in capsys.readouterr().err
+
+    def test_contradictory_crosstalk_options_exit_2(self, ws, capsys):
+        out = ws["root"] / "contradict.g2.blk"
+        saved = ws["root"] / "contradict-map.blk"
+        # a map to apply and a skipped stage: argparse refuses the pair
+        # before the map's path is opened
+        with pytest.raises(SystemExit) as exc:
+            main(["correct", "--in", str(ws["far_acc"]), "--out", str(out),
+                  "--crosstalk-map", str(ws["root"] / "no-map.blk"),
+                  "--no-crosstalk"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        # a skipped stage has no map to save
+        assert main(["correct", "--in", str(ws["far_acc"]), "--out",
+                     str(out), "--no-crosstalk", "--save-crosstalk-map",
+                     str(saved)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists() and not saved.exists()
 
     def test_truncated_event_file(self, ws, capsys):
         clipped = ws["root"] / "clipped.evt"

@@ -16,7 +16,7 @@ from helpers import (
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
-    save_with_ordered_share,
+    save_older_corrected,
 )
 from spadcorr import arraystore, correlator
 from spadcorr.correlator import (
@@ -38,7 +38,6 @@ from spadcorr.errors import (
     ConfigError,
     DisjointnessViolation,
     EmptyAccumulator,
-    FlagOrderViolation,
     InsufficientMask,
     InvariantViolation,
     MalformedFrame,
@@ -280,69 +279,13 @@ class TestAccumulate:
                          shift=264)
         assert acc.g2_shifted[0, 1] == acc.g2_shifted[1, 0] == 1
 
-    def test_malformed_frames_rejected(self):
-        with pytest.raises(MalformedFrame, match="outside the array"):
-            accumulate([batch_of((0, [0], [0]))])
-        with pytest.raises(MalformedFrame, match="outside the array"):
-            accumulate([batch_of((0, [1025], [0]))])
-        with pytest.raises(MalformedFrame, match="outside the frame"):
-            accumulate([batch_of((0, [1], [255]))])
-        with pytest.raises(MalformedFrame, match="fired twice"):
-            accumulate([batch_of((0, [5, 5], [1, 2]))])
-        with pytest.raises(MalformedFrame, match="fired twice"):
-            accumulate(batch_of((0, [3], [0]), (1, [2, 7, 7], [0, 1, 2])))
+    def test_only_frame_batches_accumulate(self):
+        # the contract of a FrameBatch itself is tested in test_sensor.py
         with pytest.raises(MalformedFrame, match="cannot accumulate str"):
             accumulate(["not a frame"])
         good = batch_of((0, [1], [0]))
         with pytest.raises(MalformedFrame, match="cannot accumulate None"):
             accumulate([good, None, good])
-        bad = batch_of((0, [1], [0]))
-        object.__setattr__(bad, "tdc", np.zeros(2, dtype=np.uint8))
-        with pytest.raises(MalformedFrame, match="columns"):
-            accumulate(bad)
-
-    @pytest.mark.parametrize("batch", [
-        FrameBatch(0, 1, np.array([5, 5]), np.array([1, 2]),
-                   np.array([0, 3])),                       # id past span
-        FrameBatch(10, 4, np.array([9, 9]), np.array([1, 2]),
-                   np.array([0, 3])),                       # id before it
-        FrameBatch(0, 1, np.array([0, 1]), np.array([1, 2]),
-                   np.array([0, 3])),                       # last id past
-        FrameBatch(0, -3, np.array([0, 0]), np.array([1, 2]),
-                   np.array([0, 3])),                       # negative count
-        FrameBatch(0, -3, np.zeros(0, np.int64), np.zeros(0, np.uint16),
-                   np.zeros(0, np.uint8)),
-    ], ids=["id-past-span", "id-before-span", "last-id-past-span",
-            "negative-count", "negative-count-empty"])
-    def test_batch_span_checked(self, batch):
-        with pytest.raises(MalformedFrame, match="frame"):
-            accumulate(batch)
-        acc = accumulate(batch_of((0, [1, 2], [0, 3])))
-        before = (acc.n_frames, acc.g1.copy(), acc.g2.copy())
-        with pytest.raises(MalformedFrame, match="frame"):
-            acc.add_batch(batch)
-        # a rejected batch leaves no count behind
-        assert acc.n_frames == before[0]
-        np.testing.assert_array_equal(acc.g1, before[1])
-        np.testing.assert_array_equal(acc.g2, before[2])
-
-    def test_batch_span_edges_accepted(self):
-        batch = FrameBatch(10, 4, np.array([10, 10, 13]),
-                           np.array([1, 2, 1]), np.array([0, 3, 0]))
-        acc = accumulate(batch)
-        assert acc.n_frames == 4 and acc.g2[0, 1] == acc.g2[1, 0] == 1
-
-    @pytest.mark.parametrize("batch", [
-        batch_of((1, [3], [0]), (0, [2], [0])),             # ids decrease
-        batch_of((0, [1], [0]), (1, [2], [0]), (0, [3], [0])),
-        batch_of((0, [5, 2], [1, 2])),                      # pixels descend
-        batch_of((0, [2, 9], [0, 0]), (1, [9, 2, 4], [0, 0, 0])),
-    ], ids=["ids-decrease", "ids-interleaved", "pixels-descend",
-            "pixels-descend-later"])
-    def test_out_of_order_batches_rejected(self, batch):
-        # the (frame, pixel) order is checked, never re-established
-        with pytest.raises(MalformedFrame, match=r"out of \(frame, pixel\)"):
-            accumulate(batch)
 
     def test_pixels_beyond_the_uint16_index_refused(self):
         # checked before the (n_pix, n_pix) tensors are allocated
@@ -486,11 +429,6 @@ class TestSubtract:
         out = subtract_accidentals(corr, est)
         assert out.values[1, 2] == -2.0
 
-    def test_stage_cannot_repeat(self):
-        corr = blank_corrected(flags=("raw", "accidental_subtracted"))
-        with pytest.raises(FlagOrderViolation):
-            subtract_accidentals(corr, np.zeros_like(corr.values))
-
     def test_shape_mismatch_rejected(self):
         corr = blank_corrected()
         with pytest.raises(ConfigError):
@@ -629,15 +567,6 @@ class TestCorrectCrosstalk:
         assert out.values[s, t] == pytest.approx(8.0)
         assert out.values[t, s] == pytest.approx(8.0)
 
-    def test_stage_ordering(self):
-        with pytest.raises(FlagOrderViolation):
-            correct_crosstalk(blank_corrected(),
-                              CrosstalkMap(np.zeros((3, 3)), 1))
-        done = blank_corrected(flags=("raw", "accidental_subtracted",
-                                      "crosstalk_corrected"))
-        with pytest.raises(FlagOrderViolation):
-            correct_crosstalk(done, CrosstalkMap(np.zeros((3, 3)), 1))
-
 
 class TestMaskNeighbors:
     def test_radius_zero_is_identity(self):
@@ -672,15 +601,7 @@ class TestMaskNeighbors:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(neighbor_mask_pairs(6, 5, 2), want)
 
-    def test_stage_rules(self):
-        with pytest.raises(FlagOrderViolation):
-            mask_neighbors(blank_corrected())       # raw only
-        masked = mask_neighbors(
-            blank_corrected(flags=("raw", "accidental_subtracted")), 1)
-        with pytest.raises(FlagOrderViolation):
-            mask_neighbors(masked, 1)
-        with pytest.raises(FlagOrderViolation):
-            correct_crosstalk(masked, CrosstalkMap(np.zeros((3, 3)), 1))
+    def test_negative_radius_rejected(self):
         with pytest.raises(ConfigError):
             mask_neighbors(
                 blank_corrected(flags=("raw", "accidental_subtracted")), -1)
@@ -691,6 +612,49 @@ class TestMaskNeighbors:
         out = mask_neighbors(corr, radius=1)
         assert out.flags == ("raw", "accidental_subtracted",
                              "crosstalk_corrected", "neighbor_masked")
+
+
+ACC = "accidental_subtracted"
+XT = "crosstalk_corrected"
+MASK = "neighbor_masked"
+STAGES = {
+    "subtract": lambda corr: subtract_accidentals(
+        corr, np.zeros_like(corr.values)),
+    "crosstalk": lambda corr: correct_crosstalk(
+        corr, CrosstalkMap(np.full((3, 3), 1e-3), 1)),
+    "mask": lambda corr: mask_neighbors(corr, 1),
+}
+
+
+class TestStageOrder:
+    """CorrectedG2.__post_init__ is the one check of the chain's order: a
+    stage applied out of order fails in the replace() that appends its
+    flag, with InvariantViolation, and leaves its input as it was."""
+
+    @pytest.mark.parametrize("stage, flags", [
+        ("subtract", ("raw", ACC)),
+        ("subtract", ("raw", ACC, XT)),
+        ("crosstalk", ("raw", ACC, XT)),
+        ("mask", ("raw", ACC, MASK)),
+        ("crosstalk", ("raw", ACC, MASK)),
+        ("crosstalk", ("raw",)),
+        ("mask", ("raw",)),
+    ], ids=["subtract-repeated", "subtract-after-crosstalk",
+            "crosstalk-repeated", "mask-repeated", "crosstalk-after-mask",
+            "crosstalk-without-subtraction", "mask-without-subtraction"])
+    def test_illegal_order_raises_and_leaves_input(self, stage, flags):
+        rng = np.random.default_rng(len(flags))
+        corr = blank_corrected(4, 4, flags=flags,
+                               values=rng.normal(size=(16, 16)),
+                               g1=rng.random(16),
+                               mask_radius=1 if MASK in flags else None)
+        before = (corr.values.copy(), corr.g1.copy(), corr.masked.copy())
+        with pytest.raises(InvariantViolation, match="correction flags"):
+            STAGES[stage](corr)
+        assert corr.flags == flags
+        assert corr.mask_radius == (1 if MASK in flags else None)
+        for now, then in zip((corr.values, corr.g1, corr.masked), before):
+            assert now.tobytes() == then.tobytes()
 
 
 class TestProjections:
@@ -751,23 +715,26 @@ class TestLocusDistance:
 
     @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
     def test_neighbor_masks_identical(self, n_x, n_y):
-        # mask_neighbors' band cells against the full-pair oracle, up to a
-        # radius beyond the sensor; a mask already set is kept
+        # masked is derived from mask_radius: no cell without a mask, else
+        # the full-pair oracle's band, up to a radius beyond the sensor,
+        # and exactly the cells mask_neighbors zeroes
         rng = np.random.default_rng(n_x * n_y)
         n_pix = n_x * n_y
         corr = blank_corrected(n_x, n_y,
                                flags=("raw", "accidental_subtracted"),
-                               values=rng.normal(size=(n_pix, n_pix)),
-                               masked=rng.random((n_pix, n_pix)) < 0.1)
-        before = corr.values.copy(), corr.masked.copy()
+                               values=rng.normal(size=(n_pix, n_pix)))
+        assert corr.masked.shape == (n_pix, n_pix)
+        assert not corr.masked.any()
+        before = corr.values.copy()
         for radius in (0, 1, 2, 3, max(n_x, n_y) + 1):
             want = neighbor_mask_pairs(n_x, n_y, radius)
             out = mask_neighbors(corr, radius)
-            np.testing.assert_array_equal(out.masked, want | corr.masked)
+            np.testing.assert_array_equal(out.masked, want)
+            np.testing.assert_array_equal(out.masked, out.values != before)
             assert out.values.tobytes() == np.where(
                 want, 0.0, corr.values).tobytes()
-            np.testing.assert_array_equal(corr.values, before[0])
-            np.testing.assert_array_equal(corr.masked, before[1])
+            np.testing.assert_array_equal(corr.values, before)
+            assert not corr.masked.any()
 
     @pytest.mark.parametrize("mode", ["near", "far"])
     def test_g1_product_estimate_bit_identical(self, mode, monkeypatch):
@@ -911,22 +878,38 @@ class TestSymmetryThroughStages:
         np.testing.assert_array_equal(back.values, corr.values)
         np.testing.assert_array_equal(back.g1, corr.g1)
         np.testing.assert_array_equal(back.masked, corr.masked)
+        # the mask is derived from the radius, not stored
+        assert sorted(arraystore.load_arrays(path)[0]) == ["g1", "values"]
 
-    def test_container_with_ordered_share_loads(self, tmp_path):
-        # containers written while CorrectedG2 kept values_later hold it as
-        # a fourth array; load reads the other three unchanged
+    @pytest.mark.parametrize("radius", [None, 1])
+    @pytest.mark.parametrize("older", ["masked", "ordered_share"])
+    def test_older_containers_load(self, tmp_path, radius, older):
+        # containers written while CorrectedG2 stored its mask hold it
+        # after values and g1, and those written while it also kept
+        # values_later hold that as a fourth array; load ignores both and
+        # derives the mask from the radius, even one the stored mask
+        # contradicts
         rng = np.random.default_rng(8)
-        corr = mask_neighbors(blank_corrected(
-            flags=("raw", "accidental_subtracted"),
-            values=rng.normal(size=(1024, 1024)), g1=rng.random(1024)), 1)
+        corr = blank_corrected(flags=("raw", "accidental_subtracted"),
+                               values=rng.normal(size=(1024, 1024)),
+                               g1=rng.random(1024))
+        if radius is not None:
+            corr = mask_neighbors(corr, radius)
         path = tmp_path / "old.blk"
-        save_with_ordered_share(corr, path, rng.normal(size=(1024, 1024)))
+        if older == "masked":
+            save_older_corrected(corr, path)
+        else:
+            save_older_corrected(corr, path,
+                                 values_later=rng.normal(size=(1024, 1024)))
         back = CorrectedG2.load(path)
-        assert back.flags == corr.flags and back.mask_radius == 1
+        assert back.flags == corr.flags and back.mask_radius == radius
         for name in ("values", "masked", "g1"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(corr, name))
         assert not hasattr(back, "values_later")
+        save_older_corrected(corr, path, masked=~corr.masked)
+        np.testing.assert_array_equal(CorrectedG2.load(path).masked,
+                                      corr.masked)
 
     @pytest.mark.parametrize("flags, radius", [
         (("raw", "accidental_subtracted", "neighbor_masked"), None),

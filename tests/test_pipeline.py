@@ -98,6 +98,13 @@ class TestCorrectChain:
         assert corr.flags == ("raw", "accidental_subtracted")
         assert cmap is None
 
+    def test_supplied_map_is_not_also_estimated(self, reference_model,
+                                                 far_mapping):
+        acc = self._acc(reference_model, far_mapping)
+        with pytest.raises(ConfigError, match="cannot also be estimated"):
+            correct_chain(acc, estimate_map=True, crosstalk_map=CrosstalkMap(
+                np.full((3, 3), 1e-4), 1))
+
     @pytest.mark.parametrize("use_map", ["none", "given", "estimated"])
     def test_chain_memory_is_bounded(self, reference_model, far_mapping,
                                      use_map):

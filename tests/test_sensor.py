@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     ACC_FIELDS,
     REFERENCE_CFG,
+    batch_of,
     chi2_critical,
     goodness_of_fit,
     stream_digests,
@@ -19,10 +20,13 @@ from spadcorr.config import (
     build_sensor,
     load_config,
 )
-from spadcorr.errors import ConfigError
+from spadcorr.correlator import accumulate
+from spadcorr.errors import ConfigError, MalformedFrame
+from spadcorr.eventfile import EventFileReader, EventFileWriter
 from spadcorr.optics import map_sensor_to_object
 from spadcorr.sensor import (
     CrosstalkSpec,
+    FrameBatch,
     SensorConfig,
     _draw_pair_coordinates,
     _place_on_frames,
@@ -545,3 +549,81 @@ class TestPixelOffsets:
     def test_negative_range_rejected(self):
         with pytest.raises(ConfigError):
             draw_pixel_offsets(SensorConfig(), -1.0, seed=0)
+
+
+def frame_batch(start, n_frames, ids, pixels, tdc):
+    return FrameBatch(start, n_frames, np.asarray(ids, np.int64),
+                      np.asarray(pixels, np.uint16), np.asarray(tdc, np.uint8))
+
+
+class TestFrameBatchContract:
+    """FrameBatch.checked_columns is the one check of a batch: the event
+    file writer and the accumulator both refuse a batch that breaks the
+    contract with the same MalformedFrame and keep no part of it."""
+
+    @pytest.mark.parametrize("batch, match", [
+        (FrameBatch(0, 1, np.zeros(2, np.int64), np.ones(1, np.uint16),
+                    np.zeros(2, np.uint8)), "columns"),
+        (frame_batch(0, 1, [[0, 0]], [[1, 2]], [[0, 3]]), "columns"),
+        (frame_batch(0, -3, [0, 0], [1, 2], [0, 3]), "negative frame count"),
+        (frame_batch(0, -3, [], [], []), "negative frame count"),
+        (frame_batch(0, 1, [5, 5], [1, 2], [0, 3]), "outside the batch's"),
+        (frame_batch(10, 4, [9, 9], [1, 2], [0, 3]), "outside the batch's"),
+        (frame_batch(0, 1, [0, 1], [1, 2], [0, 3]), "outside the batch's"),
+        (batch_of((0, [0], [0])), "pixel index outside the array"),
+        (batch_of((0, [1025], [0])), "pixel index outside the array"),
+        (batch_of((0, [1], [255])), "tdc code outside the frame"),
+        (batch_of((0, [5, 5], [1, 2])), "fired twice"),
+        (batch_of((0, [3], [0]), (1, [2, 7, 7], [0, 1, 2])), "fired twice"),
+        (batch_of((1, [3], [0]), (0, [2], [0]), n_frames=2),
+         r"out of \(frame, pixel\)"),
+        (batch_of((0, [1], [0]), (1, [2], [0]), (0, [3], [0])),
+         r"out of \(frame, pixel\)"),
+        (batch_of((0, [5, 2], [1, 2])), r"out of \(frame, pixel\)"),
+        (batch_of((0, [2, 9], [0, 0]), (1, [9, 2, 4], [0, 0, 0])),
+         r"out of \(frame, pixel\)"),
+    ], ids=["ragged", "not-1d", "negative-count", "negative-count-empty",
+            "id-past-span", "id-before-span", "last-id-past-span",
+            "pixel-zero", "pixel-beyond-array", "tdc-at-bins",
+            "pixel-repeated", "pixel-repeated-later", "ids-decrease",
+            "ids-interleaved", "pixels-descend", "pixels-descend-later"])
+    def test_writer_and_accumulator_reject(self, tmp_path, batch, match):
+        acc = accumulate(batch_of((0, [1, 2], [0, 3])))
+        before = [acc.n_frames] + [getattr(acc, name).copy()
+                                   for name in ACC_FIELDS]
+        with pytest.raises(MalformedFrame, match=match):
+            acc.add_batch(batch)
+        assert acc.n_frames == before[0]
+        for name, then in zip(ACC_FIELDS, before[1:]):
+            np.testing.assert_array_equal(getattr(acc, name), then)
+
+        path = tmp_path / "x.evt"
+        writer = EventFileWriter(path)
+        try:
+            with pytest.raises(MalformedFrame, match=match):
+                writer.add_batch(batch)
+            assert writer.bytes_written == 22   # the header alone
+            # nothing of the rejected batch counts as written
+            writer.add_batch(batch_of((0, [1], [0])))
+            assert writer.close() == 1
+        finally:
+            writer.discard()
+        assert [b.n_events for b in EventFileReader(path).iter_batches()] \
+            == [1]
+
+    def test_span_edges_accepted(self, tmp_path):
+        batch = frame_batch(10, 4, [10, 10, 13], [1, 2, 1], [0, 3, 0])
+        f, p, t = batch.checked_columns(1024, 255)
+        for got, want in zip((f, p, t), (batch.frame_ids, batch.pixels,
+                                         batch.tdc)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        acc = accumulate(batch)
+        assert acc.n_frames == 4 and acc.g2[0, 1] == acc.g2[1, 0] == 1
+        writer = EventFileWriter(tmp_path / "x.evt")
+        writer.add_batch(batch)
+        assert writer.close(total_frames=14) == 14
+
+    def test_empty_batch_counts_its_frames(self):
+        acc = accumulate(frame_batch(0, 7, [], [], []))
+        assert acc.n_frames == 7 and acc.g1.sum() == 0
