@@ -13,10 +13,11 @@ count so rates stay normalizable. Frame ids must increase strictly and stay
 below the sentinel, so the total is at most 2**32 - 1. Within a frame,
 events are sorted by pixel and each pixel appears at most once (the sensor
 is single-hit per exposure). Readers decode a file in 1-MB blocks with
-no per-frame Python: one vectorized walk (_walk_heads) finds every frame
-head in a block by pointer doubling, and one pass (_decode_span) gathers
-and checks its frames. A faulty file raises the error of its first faulty
-frame, checked in the order _decode_span lists.
+no per-frame Python, and yield one FrameBatch per block: one vectorized
+walk (_walk_heads) finds every frame head in a block by pointer doubling,
+and one pass (_decode_span) gathers and checks its frames. A faulty file
+raises the error of its first faulty frame, checked in the order
+_decode_span lists.
 
 Version 1 caps the geometry at 32x32 pixels and 256 bins. Together with the
 ordering rules this makes every single-byte corruption of the magic, the
@@ -203,42 +204,22 @@ def read_header(path) -> EventFileHeader:
 
 
 class EventFileReader:
-    """Validating span decoder; the header and footer are checked up front."""
+    """Validating block decoder; the header and footer are checked up front."""
 
     def __init__(self, path):
         self.path = path
         self.header = read_header(path)
 
-    def iter_batches(self, frames_per_batch: int = 65536):
-        """Yield FrameBatch spans that tile [0, total_frames) exactly."""
-        if frames_per_batch < 1:
-            raise ConfigError(
-                f"frames_per_batch must be positive, got {frames_per_batch}")
+    def iter_batches(self):
+        """Yield one validated FrameBatch per decoded block.
+
+        The batches tile [0, total_frames): each runs from where the one
+        before it ended to the last frame stored in its block, and the last
+        one to the footer's total. A batch holds at most one block's events
+        plus the frame carried over from the block before it.
+        """
         total = self.header.total_frames
-        span = 0
-        parts = []
-
-        def flush():
-            n = min(frames_per_batch, total - span * frames_per_batch)
-            cols = [np.concatenate(c) for c in zip(_NO_EVENTS, *parts)]
-            parts.clear()
-            return FrameBatch(span * frames_per_batch, n, *cols)
-
-        for cols in self._decode_blocks():
-            while cols[0].size:
-                k = np.searchsorted(cols[0], (span + 1) * frames_per_batch)
-                parts.append([c[:k] for c in cols])
-                cols = [c[k:] for c in cols]
-                if cols[0].size:
-                    yield flush()
-                    span += 1
-        while span * frames_per_batch < total:
-            yield flush()
-            span += 1
-
-    def _decode_blocks(self):
-        """Yield validated (frame id, pixel, tdc) event columns per block."""
-        last_id = -1
+        start = 0
         with open(self.path, "rb") as fh:
             left = os.fstat(fh.fileno()).st_size - _HEADER.size - _FOOTER.size
             fh.seek(_HEADER.size)
@@ -252,13 +233,18 @@ class EventFileReader:
                 if _UNIT * u > size and left:   # the last frame continues
                     starts, u = starts[:-1], int(starts[-1])
                 head_cut = not left and _UNIT * u < size
+                cols = _NO_EVENTS
                 if starts.size or head_cut:
                     cols = _decode_span(buf, starts, head_cut, self.header,
-                                        last_id)
-                    last_id = int(cols[0][-1])
-                    yield cols
+                                        start - 1)
                 if not left:
+                    if start < total:
+                        yield FrameBatch(start, total - start, *cols)
                     return
+                if cols[0].size:
+                    end = int(cols[0][-1]) + 1
+                    yield FrameBatch(start, end - start, *cols)
+                    start = end
                 buf = buf[_UNIT * u:]
 
 

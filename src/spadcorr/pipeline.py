@@ -67,12 +67,12 @@ def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
         raise
 
 
-def accumulate_file(path, *, window=10, shift=20,
-                    frames_per_batch=65536) -> CorrelationAccumulator:
-    """Accumulate an event file; geometry and mapping come from its header."""
+def accumulate_file(path, *, window=10, shift=20) -> CorrelationAccumulator:
+    """Accumulate an event file one decoded block at a time; geometry and
+    mapping come from its header."""
     reader = EventFileReader(path)
     header = reader.header
-    return accumulate(reader.iter_batches(frames_per_batch),
+    return accumulate(reader.iter_batches(),
                       window=window, shift=shift, n_x=header.n_x,
                       n_y=header.n_y, bins_per_frame=header.bins_per_frame,
                       mapping_mode=header.mapping_mode)

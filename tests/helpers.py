@@ -605,29 +605,32 @@ def sequential_head_walk(buf):
 
 
 def decode_outcome(make_batches):
-    """(batch count, digest of every batch's fields, error) of a stream.
+    """(digests of the concatenated event columns, frames tiled, error).
 
-    The error is (class, message), or None when the stream ran to the end.
-    ``make_batches`` is called inside the guard, so an error raised while
-    opening the file counts too. Decoders may yield a different number of
-    batches before the same error, so compare the batches only when the
-    error is None.
+    Asserts that the batches tile [0, frames tiled) in order, each covering
+    at least one frame, holding FrameBatch's column dtypes and only ids
+    inside its own span. Where a decoder cuts the stream into batches is not
+    part of the outcome. The error is (class, message), or None when the
+    stream ran to the end. ``make_batches`` is called inside the guard, so
+    an error raised while opening the file counts too. Decoders may yield
+    different events before the same error, so an error's outcome is the
+    error alone.
     """
-    digest = hashlib.sha256()
-    n = 0
+    digests = [hashlib.sha256() for _ in range(3)]
+    end = 0
     try:
         for b in make_batches():
+            assert b.start_frame == end and b.n_frames > 0
+            end += b.n_frames
             cols = (b.frame_ids, b.pixels, b.tdc)
-            digest.update(repr((b.start_frame, b.n_frames)
-                               + tuple((c.dtype.str, c.size) for c in cols))
-                          .encode())
-            if b.n_events:
-                for c in cols:
-                    digest.update(np.ascontiguousarray(c).tobytes())
-            n += 1
+            assert [c.dtype for c in cols] == [np.int64, np.uint16, np.uint8]
+            assert np.all((b.frame_ids >= b.start_frame)
+                          & (b.frame_ids < end))
+            for digest, c in zip(digests, cols):
+                digest.update(np.ascontiguousarray(c).tobytes())
     except SpadError as exc:
-        return n, digest.hexdigest(), (type(exc), str(exc))
-    return n, digest.hexdigest(), None
+        return None, None, (type(exc), str(exc))
+    return tuple(d.hexdigest() for d in digests), end, None
 
 
 def oracle_damped_least_squares(fun, jac, p0) -> LMResult:

@@ -17,6 +17,7 @@ from helpers import (
     batch_of,
     decode_outcome,
     frame_groups,
+    oracle_read_batches,
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
@@ -291,15 +292,16 @@ def test_criterion_8_parallel_determinism(tmp_path):
 
     # accumulation has one path; its cut into batches must not show
     s1, s2 = tmp_path / "a1.blk", tmp_path / "a2.blk"
-    accumulate_file(one, frames_per_batch=65536).save(s1)
-    accumulate_file(one, frames_per_batch=1000).save(s2)
+    accumulate(oracle_read_batches(one, 1000), mapping_mode="far").save(s1)
+    accumulate_file(one).save(s2)
     snaps_equal = s1.read_bytes() == s2.read_bytes()
     ok = files_equal and snaps_equal
     record_criterion(
         8, ok,
         f"event files byte-identical: {files_equal} "
-        f"({one.stat().st_size} bytes), accumulator snapshots at 65536 "
-        f"and 1000 frames per batch byte-identical: {snaps_equal}")
+        f"({one.stat().st_size} bytes), accumulator snapshots of the "
+        f"reference decoder at 1000 frames per batch and of accumulate_file "
+        f"byte-identical: {snaps_equal}")
     assert ok
 
 
@@ -311,8 +313,8 @@ def test_criterion_9_io_round_trip_and_corruption(tmp_path):
         batch = random_batch(rng, int(rng.integers(0, 12)), 1024, 255,
                              max_events=5, p_empty=0.3)
         write_event_file(path, batch, total_frames=batch.n_frames)
-        same = decode_outcome(
-            lambda: EventFileReader(path).iter_batches(65536)) == \
+        got = decode_outcome(lambda: EventFileReader(path).iter_batches())
+        same = got == decode_outcome(lambda: oracle_read_batches(path)) == \
             decode_outcome(lambda: [batch] if batch.n_frames else [])
         if not same:
             bad_streams += 1

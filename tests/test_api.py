@@ -2,8 +2,10 @@
 config's target widths are the only statement of the model, and helpers
 that no pipeline path calls stay deleted."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,14 @@ def test_accumulation_has_one_path(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_event_file_batches_take_no_size():
+    """The reader yields one batch per decoded block; no caller sizes it."""
+    assert list(inspect.signature(
+        EventFileReader.iter_batches).parameters) == ["self"]
+    assert list(inspect.signature(pipeline.accumulate_file).parameters) == [
+        "path", "window", "shift"]
+
+
 def test_solver_has_one_form():
     assert list(inspect.signature(
         fitting.damped_least_squares).parameters) == ["fun", "jac", "p0"]
@@ -95,3 +105,25 @@ def test_each_estimator_has_one_form():
 def test_accidental_estimate_takes_no_mask_options():
     assert list(inspect.signature(
         correlator.estimate_accidentals).parameters) == ["acc", "method"]
+
+
+def imported_but_unused(tree):
+    """Names a module imports (as bound in its namespace) and never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in Path(spadcorr.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"))
+def test_every_import_is_used(name):
+    """__init__.py imports to re-export, so it is not scanned."""
+    path = Path(spadcorr.__file__).parent / name
+    assert imported_but_unused(ast.parse(path.read_text())) == []

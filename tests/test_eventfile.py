@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import batch_of, decode_outcome, frame_groups, \
-    oracle_read_batches, sequential_head_walk, write_event_file
+    oracle_read_batches, random_batch, sequential_head_walk, write_event_file
 from spadcorr import eventfile
+from spadcorr.correlator import accumulate
 from spadcorr.errors import (
     BadMagic,
     ConfigError,
@@ -140,18 +141,17 @@ class TestRoundTrip:
             assert [(b.start_frame, b.n_frames) for b in back] == [(0, 200)]
             assert_same_events(back, [batch])
 
-    def test_batches_tile_the_frame_range(self, tmp_path):
+    def test_batches_tile_the_frame_range(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(eventfile, "_READ_BYTES", 64)   # many blocks
         rng = np.random.default_rng(55)
         batch = random_sparse_batch(rng, id_span=90, max_frames=30)
         path = tmp_path / "tile.evt"
         write_event_file(path, batch, total_frames=100)
-        batches = list(EventFileReader(path).iter_batches(frames_per_batch=16))
-        assert [b.start_frame for b in batches] == list(range(0, 100, 16))
-        assert sum(b.n_frames for b in batches) == 100
-        for b in batches:
-            ids = b.frame_ids
-            assert np.all((ids >= b.start_frame)
-                          & (ids < b.start_frame + b.n_frames))
+        batches = list(EventFileReader(path).iter_batches())
+        assert len(batches) > 1
+        got = decode_outcome(lambda: batches)
+        assert got == decode_outcome(lambda: oracle_read_batches(path, 16))
+        assert got[1:] == (100, None)
         assert_same_events(batches, [batch])
 
     def test_simulated_stream_round_trips(self, tmp_path):
@@ -165,14 +165,12 @@ class TestRoundTrip:
         for batch in src:
             writer.add_batch(batch)
         writer.close(total_frames=2 * 65536)
-        back = list(EventFileReader(path).iter_batches(frames_per_batch=65536))
-        # the simulator's batches span chunk groups, the reader's 65536
-        # frames each: compare the streams, not the batch boundaries
-        assert [b.n_frames for b in back] == [65536, 65536]
-        for field in ("frame_ids", "pixels", "tdc"):
-            np.testing.assert_array_equal(
-                np.concatenate([getattr(b, field) for b in src]),
-                np.concatenate([getattr(b, field) for b in back]))
+        # the simulator's batches span chunk groups, the reader's one block
+        # each: compare the streams, not the batch boundaries
+        got = decode_outcome(lambda: EventFileReader(path).iter_batches())
+        assert got == decode_outcome(lambda: src)
+        assert got == decode_outcome(lambda: oracle_read_batches(path))
+        assert got[1:] == (2 * 65536, None)
 
 
 class TestWriterErrors:
@@ -351,17 +349,6 @@ class TestReaderErrors:
         with pytest.raises(RangeViolation):
             self.read_all(self.write(tmp_path, blob))
 
-    @pytest.mark.parametrize("frames_per_batch", [0, -2])
-    def test_nonpositive_frames_per_batch_rejected(self, tmp_path,
-                                                   frames_per_batch):
-        # such spans never advance, so the stream would never end
-        path = self.write(tmp_path, raw_header() + raw_frame(0, [(1, 0)])
-                          + raw_footer(1))
-        with pytest.raises(ConfigError, match="frames_per_batch"):
-            next(EventFileReader(path).iter_batches(frames_per_batch))
-        with pytest.raises(ConfigError, match="frames_per_batch"):
-            accumulate_file(path, frames_per_batch=frames_per_batch)
-
 
 class TestHeaderFuzz:
     def test_protected_byte_mutations_rejected(self, tmp_path):
@@ -419,9 +406,7 @@ class TestDifferentialDecode:
                     monkeypatch.setattr(eventfile, "_READ_BYTES", read_bytes)
                     got = decode_outcome(
                         lambda: EventFileReader(bad).iter_batches())
-                    assert got[2] == want[2], (pos, delta, read_bytes)
-                    if want[2] is None:
-                        assert got == want, (pos, delta, read_bytes)
+                    assert got == want, (pos, delta, read_bytes)
                 outcomes["accepted" if want[2] is None else "rejected"] += 1
         assert sum(outcomes.values()) == 3 * len(good)
         assert min(outcomes.values()) > 0
@@ -429,6 +414,7 @@ class TestDifferentialDecode:
     @pytest.mark.parametrize("frames_per_batch", [1, 7, 65536])
     def test_random_streams_match_reference(self, tmp_path, monkeypatch,
                                             frames_per_batch):
+        """However the reference cuts its batches, the streams agree."""
         monkeypatch.setattr(eventfile, "_READ_BYTES", 100)
         path = tmp_path / "r.evt"
         for seed in range(20):
@@ -438,22 +424,59 @@ class TestDifferentialDecode:
             write_event_file(path, batch, total_frames=60 + seed)
             want = decode_outcome(
                 lambda: oracle_read_batches(path, frames_per_batch))
-            got = decode_outcome(lambda: EventFileReader(path).iter_batches(
-                frames_per_batch))
+            got = decode_outcome(lambda: EventFileReader(path).iter_batches())
             assert want[2] is None
             assert got == want
-            assert_same_events(
-                EventFileReader(path).iter_batches(frames_per_batch), [batch])
+            assert_same_events(EventFileReader(path).iter_batches(), [batch])
 
-    def test_accumulate_file_batch_size_invisible(self, tmp_path):
+    def test_accumulate_file_batch_size_invisible(self, tmp_path, monkeypatch):
         path = tmp_path / "sim.evt"
         simulated_file(path, 3 * 65536 + 100, 0.3, seed=9)
-        one = accumulate_file(path, frames_per_batch=65536)
-        two = accumulate_file(path, frames_per_batch=1000)
-        assert one.n_frames == two.n_frames == 3 * 65536 + 100
-        for name in ("g1", "g2", "g2_shifted", "g2_later", "dt_hist"):
-            np.testing.assert_array_equal(getattr(one, name),
-                                          getattr(two, name))
+        want = accumulate(oracle_read_batches(path, 1000), mapping_mode="far")
+        for read_bytes in (1 << 20, 4096):
+            monkeypatch.setattr(eventfile, "_READ_BYTES", read_bytes)
+            got = accumulate_file(path)
+            assert got.n_frames == want.n_frames == 3 * 65536 + 100
+            for name in ("g1", "g2", "g2_shifted", "g2_later", "dt_hist"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+
+
+class TestBlockBatches:
+    """The reader yields one batch per decoded block."""
+
+    def test_huge_declared_total_is_one_batch(self, tmp_path):
+        # 1 event in 0xFF000096 declared frames: no batch per frame span
+        path = tmp_path / "huge.evt"
+        total = 0xFF000096
+        assert write_event_file(path, batch_of((150, [5], [7])),
+                                total_frames=total) == 45
+        assert [(b.start_frame, b.n_frames, b.n_events)
+                for b in EventFileReader(path).iter_batches()] == [
+                    (0, 4278190230, 1)]
+        assert accumulate_file(path).n_frames == 4278190230
+
+    @pytest.mark.parametrize("n_side, read_bytes", [(4, 64), (32, 100),
+                                                    (32, 4096)])
+    def test_batches_are_bounded_by_the_block(self, tmp_path, monkeypatch,
+                                              n_side, read_bytes):
+        """Dense streams tile [0, total) with every id in its batch's span
+        (decode_outcome), and no batch holds more than a block's events
+        plus one frame carried over from the block before."""
+        monkeypatch.setattr(eventfile, "_READ_BYTES", read_bytes)
+        n_pix = n_side * n_side
+        bound = (read_bytes + 3 * (2 + n_pix)) // 3   # in 3-byte events
+        path = tmp_path / "dense.evt"
+        for seed in range(5):
+            rng = np.random.default_rng(4000 + seed)
+            batch = random_batch(rng, 40, n_pix, 255, max_events=n_pix,
+                                 p_empty=0.1)
+            write_event_file(path, batch, total_frames=40, n_x=n_side,
+                             n_y=n_side)
+            batches = list(EventFileReader(path).iter_batches())
+            assert decode_outcome(lambda: batches) == \
+                decode_outcome(lambda: [batch])
+            assert max(b.n_events for b in batches) <= bound < batch.n_events
 
 
 def head_walk(buf):
