@@ -80,7 +80,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         fh.write(struct.pack("<I", len(mb)) + mb)
 
 
-def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+def load_arrays(path, keep=None) -> tuple[dict[str, np.ndarray], dict]:
+    # A name outside keep, when given, maps to None: its payload is skipped.
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < len(MAGIC) + 2 or fh.read(len(MAGIC)) != MAGIC:
@@ -108,6 +109,10 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
                 nbytes = dt.itemsize * math.prod(shape)
                 if fh.tell() + nbytes > size:
                     raise TruncatedFile("array payload extends past end of file")
+                if keep is not None and name not in keep:
+                    arrays[name] = None
+                    fh.seek(nbytes, os.SEEK_CUR)
+                    continue
                 # the payload's one copy, straight into an aligned array
                 arr = np.empty(shape, dtype=dt)
                 if fh.readinto(arr) != nbytes:

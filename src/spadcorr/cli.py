@@ -56,7 +56,7 @@ def _cmd_correlate(args):
     acc = accumulate_file(args.infile, window=args.window, shift=args.shift)
     acc.save(args.out)
     print(f"wrote {args.out}: {acc.n_frames} frames, "
-          f"{int(acc.g2.sum())} windowed pair counts")
+          f"{int(acc.tensor('g2').sum())} windowed pair counts")
     return 0
 
 
@@ -140,7 +140,7 @@ def _export_rows(kind, obj, what):
         return (["pixel", "px", "py", "value"],
                 list(zip(lin.tolist(), px.tolist(), py.tolist(),
                          obj.g1.tolist())))
-    values = obj.g2 if acc else obj.values
+    values = obj.tensor("g2") if acc else obj.values
     n_x, n_y = obj.n_x, obj.n_y
     if what == "g2":
         p1, p2 = np.nonzero(values)

@@ -1,12 +1,11 @@
 """Frame-wise coincidence accumulation and correction of pixel-pair tensors.
 
 Pixels are addressed by the linear index l = px + n_x*(py - 1) with px, py
-starting at 1, so l runs from 1 to n_x*n_y. Tensors are stored 0-based:
-g2[l1-1, l2-1]. Both orderings of every coincident pair are counted and the
-diagonal stays structurally zero because a pixel fires at most once per frame.
-Accumulation checks each batch with FrameBatch.checked_columns, which rejects
-a batch that breaks FrameBatch's contract with MalformedFrame (CLI exit 3);
-it never re-sorts.
+starting at 1, so l runs from 1 to n_x*n_y. The accumulator stores one pair
+list keyed by (pixel pair, dt); the (n_pix, n_pix) tensors g2[l1-1, l2-1]
+are derived from it by each stage that reads one, count both orderings of a
+pair and keep a zero diagonal, as a pixel fires at most once per frame.
+Accumulation checks each batch with FrameBatch.checked_columns (exit 3).
 
 The correction chain is recorded in provenance flags on CorrectedG2 and must
 advance in one direction only:
@@ -23,7 +22,7 @@ beside the chain, from the accumulator and its accidental estimate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,8 +52,6 @@ MFRAMES = 1.0e6
 # from every correlated locus, and needs MIN_MASK_PAIRS of them
 MASK_DISTANCE = 10
 MIN_MASK_PAIRS = 100
-# accumulator tensors that a container stores as their nonzero cells
-_CELL_TENSORS = ("g2", "g2_shifted", "g2_later")
 
 
 def _in_range(fields: dict) -> dict:
@@ -92,63 +89,54 @@ def _window_mass(bins_per_frame, lo, hi):
     return int(np.sum(np.where(w > 0, w, 0)))
 
 
-@dataclass(eq=False)
 class CorrelationAccumulator:
-    """Raw-count store for one correlation pass.
+    """Raw counts of one correlation pass: a pair list keyed by (pixel
+    pair, dt), singles g1, and dt_hist over every same-frame pair.
 
-    g2 and g2_shifted hold ordered pixel-pair counts inside the prompt
-    window |dt| <= window and the displaced window ||dt| - shift| <= window.
-    g2_later[l1, l2] counts the prompt pairs where l2 fired strictly after
-    l1; the tdc-equal remainder is direction-blind. dt_hist covers every
-    same-frame pair regardless of window, both signs.
+    A key packs two 0-based pixels, lower first, and dt = t(lower) -
+    t(higher) as (lower * n_pix + higher) * (2 * reach + 1) + dt + reach;
+    reach = shift + window bounds the |dt| kept. pair_keys holds the
+    distinct keys in increasing order and pair_counts their pairs. A pair
+    tensor (see tensor) counts both pixel orders of the keys it selects:
+    g2 and g2_shifted the prompt window |dt| <= window and the displaced
+    window ||dt| - shift| <= window, and g2_later[l1, l2] the prompt pairs
+    where l2 fired strictly after l1. The windows share |dt| = shift -
+    window whenever shift <= 2 * window, as at the reference window 10 and
+    shift 20, and as the benchmark's pair loop expects.
 
-    shift > window keeps the displaced window off dt = 0, but the two
-    windows still share |dt| = shift - window whenever shift <= 2 * window,
-    as at the reference window 10 and shift 20: a pair there counts in both
-    g2 and g2_shifted. The displaced window keeps that definition, overlap
-    included; the benchmark's independent pair loop (spadbench/checks.py)
-    checks accumulators against it.
+    The attributes g2, g2_shifted and g2_later are the tensors, derived on
+    first read and cached per object for outside readers; no stage reads
+    them, so editing one changes no stage's result.
     """
 
-    n_x: int
-    n_y: int
-    bins_per_frame: int
-    window: int
-    shift: int
-    mapping_mode: str = "unspecified"
-    n_frames: int = 0
-    g2: np.ndarray = field(default=None)
-    g2_shifted: np.ndarray = field(default=None)
-    g2_later: np.ndarray = field(default=None)
-    g1: np.ndarray = field(default=None)
-    dt_hist: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        n_pix = self.n_x * self.n_y
-        if n_pix > MAX_PIXELS:
-            raise ConfigError(f"{n_pix} pixels exceed {MAX_PIXELS}")
-        if self.window < 0 or self.window > self.bins_per_frame - 1:
+    def __init__(self, n_x, n_y, bins_per_frame, window, shift,
+                 mapping_mode="unspecified", n_frames=0, pair_keys=(),
+                 pair_counts=(), g1=None, dt_hist=None):
+        if n_x * n_y > MAX_PIXELS:
+            raise ConfigError(f"{n_x * n_y} pixels exceed {MAX_PIXELS}")
+        if window < 0 or window > bins_per_frame - 1:
             raise WindowTooLarge("coincidence window exceeds the frame")
-        if self.shift <= self.window:
+        if shift <= window:
             raise DisjointnessViolation(
                 "shifted window overlaps the prompt window")
-        if self.shift - self.window > self.bins_per_frame - 1:
+        if shift - window > bins_per_frame - 1:
             raise WindowTooLarge("shifted window lies beyond the frame")
-        if self.g2 is None:
-            self.g2 = np.zeros((n_pix, n_pix), dtype=np.int64)
-        if self.g2_shifted is None:
-            self.g2_shifted = np.zeros((n_pix, n_pix), dtype=np.int64)
-        if self.g2_later is None:
-            self.g2_later = np.zeros((n_pix, n_pix), dtype=np.int64)
-        if self.g1 is None:
-            self.g1 = np.zeros(n_pix, dtype=np.int64)
-        if self.dt_hist is None:
-            self.dt_hist = np.zeros(2 * self.bins_per_frame - 1,
-                                    dtype=np.int64)
+        self.n_x, self.n_y, self.bins_per_frame = n_x, n_y, bins_per_frame
+        self.window, self.shift, self.n_frames = window, shift, n_frames
+        self.mapping_mode = mapping_mode
+        self._keys = np.asarray(pair_keys, dtype=np.int64)
+        self._counts = np.asarray(pair_counts, dtype=np.int64)
+        self._pending, self._n_pending = [], 0    # keys of unmerged pairs
+        self.g1 = np.zeros(n_x * n_y, dtype=np.int64) if g1 is None else g1
+        self.dt_hist = (np.zeros(2 * bins_per_frame - 1, dtype=np.int64)
+                        if dt_hist is None else dt_hist)
 
-    @property
-    def n_pixels(self) -> int:
-        return self.n_x * self.n_y
+    n_pixels = property(lambda self: self.n_x * self.n_y)
+    pair_keys = property(lambda self: self._merged()[0])
+    pair_counts = property(lambda self: self._merged()[1])
+    g2 = cached_property(lambda self: self.tensor("g2"))
+    g2_shifted = cached_property(lambda self: self.tensor("g2_shifted"))
+    g2_later = cached_property(lambda self: self.tensor("g2_later"))
 
     def add_batch(self, batch: FrameBatch) -> None:
         if not isinstance(batch, FrameBatch):
@@ -156,6 +144,7 @@ class CorrelationAccumulator:
         f, p, t = batch.checked_columns(self.n_pixels, self.bins_per_frame)
         self.n_frames += int(batch.n_frames)
         self.g1 += np.bincount(p - 1, minlength=self.n_pixels)
+        reach = self.shift + self.window
 
         # event i pairs with event i + lag while both lie in one frame, so
         # p[i] < p[i + lag]. The events still paired at lag + 1 are a
@@ -172,106 +161,116 @@ class CorrelationAccumulator:
             hist = np.bincount(dt + self.bins_per_frame - 1,
                                minlength=self.dt_hist.size)
             self.dt_hist += hist + hist[::-1]
-            # the tensors count pairs with |dt| <= shift + window only;
-            # their scatters add integers, so dropping the other pairs
-            # first changes no count. Masks select through index arrays,
-            # which numpy gathers faster than it applies a mixed boolean
-            # mask.
-            near = np.flatnonzero(np.abs(dt) <= self.shift + self.window)
-            dt, k = dt[near], i[near]
-            pi, pj = p[k], p[lag:][k]
-            adt = np.abs(dt)
-            win = adt <= self.window
-            sw = np.abs(adt - self.shift) <= self.window
-            # flat cells of both orders; a pair adds to [p_i, p_j] where
-            # fwd holds and to [p_j, p_i] where rev holds, one scatter per
-            # tensor into its C-contiguous storage
-            ij = (pi - 1) * self.n_pixels + pj - 1
-            ji = (pj - 1) * self.n_pixels + pi - 1
-            for tensor, fwd, rev in ((self.g2, win, win),
-                                     (self.g2_later, win & (dt < 0),
-                                      win & (dt > 0)),
-                                     (self.g2_shifted, sw, sw)):
-                np.add.at(tensor.reshape(-1),
-                          np.concatenate((ij[np.flatnonzero(fwd)],
-                                          ji[np.flatnonzero(rev)])), 1)
+            # the key of each pair with |dt| <= reach; an index array
+            # gathers faster than a mixed boolean mask applies
+            near = np.flatnonzero(np.abs(dt) <= reach)
+            k = i[near]
+            key = (p[k] - 1) * self.n_pixels + p[lag:][k] - 1
+            key *= 2 * reach + 1
+            key += dt[near] + reach
+            self._pending.append(key)
+            self._n_pending += key.size
             # i keeps a partner at lag + 1 where event i + lag has one at 1
             i = i[same[lag:][i]]
             lag += 1
+        for name in ("g2", "g2_shifted", "g2_later"):
+            vars(self).pop(name, None)    # derived from fewer pairs
+        del f, p, t, same, i    # freed before a merge
+        if self._n_pending > self._keys.size:    # pending outgrew the list
+            self._merged()
+
+    def _merged(self):
+        # The list with the pending keys merged, sorted and summed by run.
+        if self._pending:
+            keys = np.concatenate(self._pending)
+            self._pending, self._n_pending = [], 0
+            keys.sort()
+            keys, counts = _sum_runs(keys)
+            if self._keys.size:
+                # a stable sort of two sorted runs is one merge pass
+                keys = np.concatenate((self._keys, keys))
+                order = np.argsort(keys, kind="stable")
+                keys, counts = _sum_runs(keys[order], np.concatenate(
+                    (self._counts, counts))[order])
+            self._keys, self._counts = keys, counts
+        return self._keys, self._counts
+
+    def tensor(self, name, scale=None) -> np.ndarray:
+        """A new (n_pix, n_pix) array of the pair tensor g2, g2_shifted or
+        g2_later: int64 counts, or float64 count * scale in every cell."""
+        reach, n = self.shift + self.window, self.n_pixels
+        # the predicates of [lower, higher] and [higher, lower] over dt
+        dt = np.arange(-reach, reach + 1)
+        win = np.abs(dt) <= self.window
+        sw = np.abs(np.abs(dt) - self.shift) <= self.window
+        fwd, rev = {"g2": (win, win), "g2_shifted": (sw, sw),
+                    "g2_later": (win & (dt < 0), win & (dt > 0))}[name]
+        keys, counts = self._merged()
+        pair = keys // dt.size
+        d = keys - pair * dt.size
+        out = np.zeros((n, n), dtype=np.int64 if scale is None else float)
+        for table, view in ((fwd, out), (rev, out.T)):
+            if view is out or table is not fwd:
+                # a pixel pair's keys are adjacent: its counts add as
+                # integers before the scale, and its cell is written once
+                sel = np.flatnonzero(table[d])
+                cells, sums = _sum_runs(pair[sel], counts[sel])
+                sums = sums if scale is None else sums * scale
+            view.flat[cells] = sums
+        return out
 
     def save(self, path) -> None:
-        # the pair tensors are mostly zeros, so each is stored as the
-        # sorted flat keys of its nonzero cells and their counts
-        cells = {}
-        for name in _CELL_TENSORS:
-            flat = getattr(self, name).reshape(-1)
-            keys = np.flatnonzero(flat != 0)   # faster than flatnonzero(flat)
-            cells[f"{name}_keys"], cells[f"{name}_counts"] = keys, flat[keys]
         arraystore.save_arrays(
-            path, {**cells, "g1": self.g1, "dt_hist": self.dt_hist},
-            {"kind": "accumulator", "n_x": self.n_x, "n_y": self.n_y,
-             "bins_per_frame": self.bins_per_frame, "window": self.window,
-             "shift": self.shift, "mapping_mode": self.mapping_mode,
-             "n_frames": self.n_frames})
+            path, dict(zip(("pair_keys", "pair_counts"), self._merged()),
+                       g1=self.g1, dt_hist=self.dt_hist),
+            {name: getattr(self, name) for name in _TENSOR_META}
+            | {"kind": "accumulator"})
 
     @classmethod
     def load(cls, path) -> "CorrelationAccumulator":
-        return cls._from_arrays(*arraystore.load_arrays(path))
+        return cls._from_arrays(*arraystore.load_arrays(
+            path, keep=("pair_keys", "pair_counts", "g1", "dt_hist")))
 
     @classmethod
     def _from_arrays(cls, arrays, meta) -> "CorrelationAccumulator":
         if meta.get("kind") != "accumulator":
             raise ConfigError("container does not hold an accumulator")
         fields = _in_range(arraystore.check_meta(meta, **_TENSOR_META))
-        if "g2" in arrays:
+        if {"g2", "g2_keys"} & arrays.keys():    # cells without their dt
+            raise InvariantViolation("accumulator container from an older "
+                                     "spadcorr; re-run `spadcorr correlate`")
+        n_pix, n_keys = fields["n_x"] * fields["n_y"], np.size(
+            arrays.get("pair_keys"))
+        acc = cls(**fields, **arraystore.check_arrays(
+            arrays, pair_keys=((n_keys,), np.int64),
+            pair_counts=((n_keys,), np.int64), g1=((n_pix,), np.int64),
+            dt_hist=((2 * fields["bins_per_frame"] - 1,), np.int64)))
+        # the windows are checked; increasing keys are bounded by their ends
+        keys, span = acc._keys, 2 * (acc.shift + acc.window) + 1
+        lower, higher = np.divmod(keys // span, n_pix)
+        if (np.any(acc.g1 < 0) or np.any(acc.dt_hist < 0)
+                or np.any(acc._counts <= 0) or np.any(lower >= higher)
+                or keys.size and (keys[0] < 0 or np.any(keys[1:] <= keys[:-1])
+                                  or keys[-1] >= n_pix * n_pix * span)):
             raise InvariantViolation(
-                "dense accumulator container from an older spadcorr; "
-                "re-run `spadcorr correlate` on its event file")
-        n_pix = fields["n_x"] * fields["n_y"]
-        # n_pix is within MAX_PIXELS (_in_range) and g1's stored length
-        # before any tensor is allocated
-        singles = arraystore.check_arrays(
-            arrays, g1=((n_pix,), np.int64),
-            dt_hist=((2 * fields["bins_per_frame"] - 1,), np.int64))
-        if any(np.any(arr < 0) for arr in singles.values()):
-            raise InvariantViolation("negative count in g1 or dt_hist")
-        cells = {name: _checked_cells(arrays, name, n_pix * n_pix)
-                 for name in _CELL_TENSORS}
-        tensors = {}
-        for name, (keys, counts) in cells.items():
-            tensors[name] = np.zeros((n_pix, n_pix), dtype=np.int64)
-            tensors[name].reshape(-1)[keys] = counts
-        return cls(**fields, **tensors, **singles)
+                "a negative single or dt count, or pair keys not strictly "
+                "increasing keys of a lower and a higher pixel, counts > 0")
+        return acc
 
 
-def _checked_cells(arrays, name, n_cells):
-    # The (keys, counts) of one stored tensor, refused unless the keys are
-    # strictly increasing flat cells and every count is positive: a saver
-    # stores no zero, and no unchecked key reaches numpy indexing.
-    keys, counts = arrays.get(f"{name}_keys"), arrays.get(f"{name}_counts")
-    if keys is None or keys.ndim != 1 or keys.dtype != np.int64:
-        raise InvariantViolation(f"{name} keys missing or not 1-D int64")
-    if counts is None or counts.shape != keys.shape \
-            or counts.dtype != keys.dtype:
-        raise InvariantViolation(f"{name} counts do not match its keys")
-    # strictly increasing keys are bounded by the first and the last
-    if keys.size and (keys[0] < 0 or keys[-1] >= n_cells
-                      or np.any(keys[1:] <= keys[:-1])):
-        raise InvariantViolation(
-            f"{name} keys not strictly increasing cells of the tensor")
-    if np.any(counts <= 0):
-        raise InvariantViolation(f"{name} holds a count <= 0")
-    return keys, counts
+def _sum_runs(keys, counts=None):
+    # Distinct sorted keys >= 0 and each run's summed counts (default 1s).
+    start = np.flatnonzero(np.r_[keys[:1] >= 0, keys[1:] != keys[:-1]])
+    sums = (np.ediff1d(start, to_end=keys.size - start[-1:])
+            if counts is None else np.add.reduceat(counts, start))
+    return keys[start], sums
 
 
 def accumulate(batches, *, window=10, shift=20, n_x=32, n_y=32,
                bins_per_frame=255, mapping_mode="unspecified"
                ) -> CorrelationAccumulator:
-    """Build a CorrelationAccumulator from one FrameBatch or an iterable.
-
-    Counts are integer sums over frames, so how the frames are split into
-    batches never changes the result.
-    """
+    """Build a CorrelationAccumulator from one FrameBatch or an iterable;
+    how the frames are split into batches never changes a count."""
     acc = CorrelationAccumulator(
         n_x=n_x, n_y=n_y, bins_per_frame=bins_per_frame, window=window,
         shift=shift, mapping_mode=mapping_mode)
@@ -320,9 +319,7 @@ class CorrectedG2:
                 f"correction flags {list(flags)} disagree with mask radius "
                 f"{self.mask_radius}")
 
-    @property
-    def n_pixels(self) -> int:
-        return self.n_x * self.n_y
+    n_pixels = property(lambda self: self.n_x * self.n_y)
 
     @cached_property
     def masked(self) -> np.ndarray:
@@ -335,16 +332,14 @@ class CorrectedG2:
     def save(self, path) -> None:
         arraystore.save_arrays(
             path, {"values": self.values, "g1": self.g1},
-            {"kind": "corrected_g2", "flags": list(self.flags),
-             "n_x": self.n_x, "n_y": self.n_y,
-             "bins_per_frame": self.bins_per_frame, "window": self.window,
-             "shift": self.shift, "n_frames": self.n_frames,
-             "mapping_mode": self.mapping_mode,
-             "mask_radius": self.mask_radius})
+            {name: getattr(self, name) for name in _TENSOR_META}
+            | {"kind": "corrected_g2", "flags": list(self.flags),
+               "mask_radius": self.mask_radius})
 
     @classmethod
     def load(cls, path) -> "CorrectedG2":
-        return cls._from_arrays(*arraystore.load_arrays(path))
+        return cls._from_arrays(*arraystore.load_arrays(
+            path, keep=("values", "g1")))
 
     @classmethod
     def _from_arrays(cls, arrays, meta) -> "CorrectedG2":
@@ -370,7 +365,7 @@ def normalize(acc: CorrelationAccumulator) -> CorrectedG2:
     """Convert raw counts to rates per 1e6 frames."""
     scale = _rate_scale(acc)
     return CorrectedG2(
-        values=acc.g2 * scale, g1=acc.g1 * scale,
+        values=acc.tensor("g2", scale), g1=acc.g1 * scale,
         flags=("raw",), n_x=acc.n_x, n_y=acc.n_y,
         bins_per_frame=acc.bins_per_frame, window=acc.window,
         shift=acc.shift, n_frames=acc.n_frames,
@@ -435,10 +430,10 @@ def estimate_accidentals(acc: CorrelationAccumulator,
                          acc.shift + acc.window)
             + _window_mass(acc.bins_per_frame, -acc.shift - acc.window,
                            -acc.shift + acc.window))
-        # add_batch tests |dt|, so the displaced tensor carries both sign
+        # the displaced tensor tests |dt|, so it carries both sign
         # intervals; the denominator above counts both as well. It is
         # positive: the accumulator keeps shift - window inside the frame.
-        return acc.g2_shifted * ((prompt / displaced) * scale)
+        return acc.tensor("g2_shifted", (prompt / displaced) * scale)
     if method == "g1_product":
         dist = _locus_distance(acc.n_x, acc.n_y, acc.mapping_mode)
         sel = dist >= MASK_DISTANCE
@@ -447,7 +442,7 @@ def estimate_accidentals(acc: CorrelationAccumulator,
                 f"only {int(np.count_nonzero(sel))} uncorrelated pairs")
         outer = acc.g1.astype(np.float64)[:, None] * acc.g1[None, :]
         # no whole-tensor copy: the fit reads the selected cells only
-        far, g2_far = outer[sel], acc.g2[sel]
+        far, g2_far = outer[sel], acc.tensor("g2")[sel]
         denom = float(np.sum(far ** 2))
         if denom <= 0:
             if np.any(g2_far):
@@ -529,7 +524,7 @@ def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
     """
     scale = _rate_scale(acc)
     estimate = np.asarray(estimate, float)
-    if estimate.shape != acc.g2.shape:
+    if estimate.shape != (acc.n_pixels, acc.n_pixels):
         raise ConfigError("estimate shape does not match the tensor")
     n_x, n_y = acc.n_x, acc.n_y
     if inner_window < 1 or inner_window > min(n_x, n_y):
@@ -543,10 +538,10 @@ def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
         raise EmptyAccumulator("inner window saw no singles")
     ordered = (_window_mass(acc.bins_per_frame, 1, acc.window)
                / _window_mass(acc.bins_per_frame, -acc.window, acc.window))
-    g2, later, est = (a.reshape(n_y, n_x, n_y, n_x)
-                      for a in (acc.g2, acc.g2_later, estimate))
+    g2, later, est = (a.reshape(n_y, n_x, n_y, n_x) for a in (
+        acc.tensor("g2", scale), acc.tensor("g2_later", scale), estimate))
     swap = (2, 3, 0, 1)
-    # pair counts at (source, target), their ordered shares with the target
+    # pair rates at (source, target), their ordered shares with the target
     # and with the source fired later, and the share of the estimate each
     # loses: uncorrelated pairs have a sign-symmetric dt (x * 1.0 is x)
     terms = ((g2, est, 1.0), (later, est, ordered),
@@ -560,8 +555,8 @@ def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
     for row, sy in enumerate(ys):
         key = (kx * grid + ky[row:row + 1]).ravel()
         block = np.s_[sy:sy + 1, xs[0]:xs[-1] + 1]
-        for out, (counts, accidental, share) in zip(sums, terms):
-            rate = counts[block] * scale - accidental[block] * share
+        for out, (rates, accidental, share) in zip(sums, terms):
+            rate = rates[block] - accidental[block] * share
             out += np.bincount(key, rate.ravel(), out.size)
     total, fwd, rev = sums.reshape(3, grid, grid)[:, :-1, :-1]
     total[radius, radius] = 0.0    # a pixel never pairs with itself

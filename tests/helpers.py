@@ -1,5 +1,6 @@
 """Brute-force reference implementations shared by the test modules."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -182,29 +183,94 @@ def frame_groups(batch):
             for fid, a, b in zip(ids, starts, ends)]
 
 
+def pair_key(lower, higher, dt, n_pix, reach):
+    """The accumulator's key of a pixel pair, 0-based lower pixel first,
+    with dt = t(lower) - t(higher), written out apart from add_batch."""
+    return (lower * n_pix + higher) * (2 * reach + 1) + dt + reach
+
+
 def quadratic_accumulate(batch, n_x, n_y, bins, window, shift):
-    """Reference accumulator built from plain nested loops over event pairs."""
-    acc = CorrelationAccumulator(n_x=n_x, n_y=n_y, bins_per_frame=bins,
-                                 window=window, shift=shift)
-    acc.n_frames = batch.n_frames
+    """Reference accumulator from plain nested loops over event pairs.
+
+    Returns the dense tensors g2, g2_shifted and g2_later, g1, dt_hist and
+    n_frames, counted cell by cell, and the pair list (pair_keys,
+    pair_counts) of the pairs with |dt| <= shift + window, counted key by
+    key.
+    """
+    n_pix = n_x * n_y
+    ref = SimpleNamespace(
+        n_frames=batch.n_frames, g1=np.zeros(n_pix, dtype=np.int64),
+        dt_hist=np.zeros(2 * bins - 1, dtype=np.int64),
+        **{name: np.zeros((n_pix, n_pix), dtype=np.int64)
+           for name in ("g2", "g2_shifted", "g2_later")})
+    pairs = collections.Counter()
     half = bins - 1
     for _, pixels, tdc in frame_groups(batch):
         events = list(zip(pixels.tolist(), tdc.tolist()))
         for p, _ in events:
-            acc.g1[p - 1] += 1
+            ref.g1[p - 1] += 1
         for i, (p1, t1) in enumerate(events):
             for j, (p2, t2) in enumerate(events):
                 if i == j:
                     continue
                 dt = t1 - t2
-                acc.dt_hist[dt + half] += 1
+                ref.dt_hist[dt + half] += 1
+                if p1 < p2 and abs(dt) <= shift + window:
+                    pairs[pair_key(p1 - 1, p2 - 1, dt, n_pix,
+                                   shift + window)] += 1
                 if abs(dt) <= window:
-                    acc.g2[p1 - 1, p2 - 1] += 1
+                    ref.g2[p1 - 1, p2 - 1] += 1
                     if t2 > t1:
-                        acc.g2_later[p1 - 1, p2 - 1] += 1
+                        ref.g2_later[p1 - 1, p2 - 1] += 1
                 if abs(abs(dt) - shift) <= window:
-                    acc.g2_shifted[p1 - 1, p2 - 1] += 1
+                    ref.g2_shifted[p1 - 1, p2 - 1] += 1
+    ref.pair_keys = np.array(sorted(pairs), dtype=np.int64)
+    ref.pair_counts = np.array([pairs[k] for k in sorted(pairs)],
+                               dtype=np.int64)
+    return ref
+
+
+def pair_list_accumulator(p1, p2, dt, counts, *, n_x=32, n_y=32, window=10,
+                          shift=20, bins=255, g1=None, **fields):
+    """An accumulator holding counts[k] pairs of the 0-based pixels p1[k]
+    and p2[k] with t(p1) - t(p2) = dt[k] (the arguments broadcast).
+
+    Both orders of a pair name one key, so their counts add; zero counts
+    are left out. g1 defaults to no singles.
+    """
+    p1, p2, dt, counts = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.int64) for a in (p1, p2, dt, counts))))
+    assert not np.any(p1 == p2) and np.all(np.abs(dt) <= shift + window)
+    swap = p1 > p2
+    keys = pair_key(np.where(swap, p2, p1), np.where(swap, p1, p2),
+                    np.where(swap, -dt, dt), n_x * n_y, shift + window)
+    keys, inverse = np.unique(keys[counts > 0], return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, inverse, counts[counts > 0])
+    acc = CorrelationAccumulator(
+        n_x=n_x, n_y=n_y, bins_per_frame=bins, window=window, shift=shift,
+        pair_keys=keys, pair_counts=sums, **fields)
+    if g1 is not None:
+        acc.g1[:] = g1
     return acc
+
+
+def symmetric_accumulator(g2, g2_later=None, **kwargs):
+    """An accumulator whose g2 and g2_later are the given tensors.
+
+    g2 must be symmetric with a zero diagonal. For each pair a < b the pair
+    list holds g2_later[a, b] pairs with dt = -1 (b fired later),
+    g2_later[b, a] with dt = +1 and the rest of g2[a, b] at dt = 0.
+    """
+    g2 = np.asarray(g2)
+    later = np.zeros_like(g2) if g2_later is None else np.asarray(g2_later)
+    assert np.array_equal(g2, g2.T) and not np.any(np.diagonal(g2))
+    a, b = np.triu_indices(g2.shape[0], 1)
+    tie = g2[a, b] - later[a, b] - later[b, a]
+    assert np.all(tie >= 0)
+    return pair_list_accumulator(
+        np.tile(a, 3), np.tile(b, 3), np.repeat([-1, 1, 0], a.size),
+        np.concatenate((later[a, b], later[b, a], tie)), **kwargs)
 
 
 def quadruple_loop_projections(values, n_x, n_y):
@@ -470,6 +536,22 @@ def save_dense_accumulator(acc, path):
     arraystore.save_arrays(path, {"g2": acc.g2, "g2_shifted": acc.g2_shifted,
                                   "g2_later": acc.g2_later, "g1": acc.g1,
                                   "dt_hist": acc.dt_hist}, meta)
+
+
+def save_cell_accumulator(acc, path):
+    """Write acc as CorrelationAccumulator.save did while it stored each
+    pair tensor as its nonzero cells: g2_keys and g2_counts (the sorted flat
+    cells and their counts), the same for g2_shifted and g2_later, then g1
+    and dt_hist, with the same meta."""
+    acc.save(path)
+    _, meta = arraystore.load_arrays(path)
+    cells = {}
+    for name in ("g2", "g2_shifted", "g2_later"):
+        flat = getattr(acc, name).reshape(-1)
+        keys = np.flatnonzero(flat)
+        cells[f"{name}_keys"], cells[f"{name}_counts"] = keys, flat[keys]
+    arraystore.save_arrays(
+        path, {**cells, "g1": acc.g1, "dt_hist": acc.dt_hist}, meta)
 
 
 def sum_diff_route_profiles(values, n_x, n_y, axis):

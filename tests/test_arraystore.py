@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import batch_of, oracle_blk_bytes, save_dense_accumulator
+from helpers import (
+    batch_of,
+    oracle_blk_bytes,
+    save_cell_accumulator,
+    save_dense_accumulator,
+)
 from spadcorr.arraystore import load_arrays, save_arrays
 from spadcorr.cli import main
 from spadcorr.correlator import (
@@ -342,26 +347,30 @@ def test_undecodable_bytes_rejected(tmp_path):
         load_arrays(path)
 
 
-# the accumulator's pair tensors, stored as nonzero cells, then its singles
-CELL_TENSORS = ("g2", "g2_shifted", "g2_later")
+# the accumulator's pair list, then its singles
+PAIRS = ("pair_keys", "pair_counts")
 SINGLES = ("g1", "dt_hist")
+TENSORS = ("g2", "g2_shifted", "g2_later")
 
 
 def random_accumulator(rng, n_x, n_y, fill):
-    """An accumulator on 8 bins whose pair tensors are empty, sparse or
-    full of counts beyond 32 bits."""
+    """An accumulator on 8 bins (window 2, shift 5: 15 dt per pixel pair)
+    whose pair list is empty, sparse (each key with probability 0.05) or
+    full (every pixel pair at one random dt), of counts beyond 32 bits."""
     n_pix = n_x * n_y
-
-    def tensor():
-        counts = rng.integers(1, 2**40, (n_pix, n_pix))
-        if fill == "sparse":
-            counts *= rng.random((n_pix, n_pix)) < 0.05
-        return counts * (fill != "empty")
-
+    a, b = np.triu_indices(n_pix, 1)
+    keys = (a * n_pix + b) * 15
+    if fill == "sparse":
+        keys = (keys[:, None] + np.arange(15)).ravel()
+        keys = keys[rng.random(keys.size) < 0.05]
+    elif fill == "full":
+        keys = keys + rng.integers(0, 15, keys.size)
+    else:
+        keys = keys[:0]
     return CorrelationAccumulator(
         n_x=n_x, n_y=n_y, bins_per_frame=8, window=2, shift=5,
         mapping_mode="far", n_frames=int(rng.integers(0, 2**40)),
-        g2=tensor(), g2_shifted=tensor(), g2_later=tensor(),
+        pair_keys=keys, pair_counts=rng.integers(1, 2**40, keys.size),
         g1=rng.integers(0, 2**40, n_pix), dt_hist=rng.integers(0, 2**40, 15))
 
 
@@ -369,14 +378,14 @@ def random_accumulator(rng, n_x, n_y, fill):
 @given(sensor=st.sampled_from([(1, 1), (2, 3), (32, 32)]),
        fill=st.sampled_from(["empty", "sparse", "full"]),
        seed=st.integers(0, 2**32 - 1))
-def test_accumulator_cells_round_trip(sensor, fill, seed):
+def test_accumulator_pairs_round_trip(sensor, fill, seed):
     acc = random_accumulator(np.random.default_rng(seed), *sensor, fill)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "acc.blk"
         acc.save(path)
         saved = path.read_bytes()
         back = CorrelationAccumulator.load(path)
-        for name in CELL_TENSORS + SINGLES:
+        for name in PAIRS + SINGLES + TENSORS:
             assert getattr(back, name).dtype == np.int64
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(acc, name))
@@ -388,8 +397,7 @@ def test_accumulator_cells_round_trip(sensor, fill, seed):
 
 
 @pytest.mark.parametrize("n_x,n_y", [(2, 3), (32, 32)])
-def test_accumulator_container_grows_16_bytes_per_nonzero_cell(
-        tmp_path, n_x, n_y):
+def test_accumulator_container_grows_16_bytes_per_key(tmp_path, n_x, n_y):
     acc = random_accumulator(np.random.default_rng(n_x), n_x, n_y, "sparse")
     empty = CorrelationAccumulator(
         n_x=n_x, n_y=n_y, bins_per_frame=8, window=2, shift=5,
@@ -397,23 +405,17 @@ def test_accumulator_container_grows_16_bytes_per_nonzero_cell(
         dt_hist=acc.dt_hist)
     acc.save(tmp_path / "acc.blk")
     empty.save(tmp_path / "empty.blk")
-    nonzero = sum(np.count_nonzero(getattr(acc, name))
-                  for name in CELL_TENSORS)
-    assert nonzero > 0
+    assert acc.pair_keys.size > 0
     assert (tmp_path / "acc.blk").stat().st_size \
-        == (tmp_path / "empty.blk").stat().st_size + 16 * nonzero
-    # the layout: row-major (row, column) cells as flat keys, then counts
-    cells = {}
-    for name in CELL_TENSORS:
-        rows, cols = np.nonzero(getattr(acc, name))
-        cells[f"{name}_keys"] = rows * (n_x * n_y) + cols
-        cells[f"{name}_counts"] = getattr(acc, name)[rows, cols]
+        == (tmp_path / "empty.blk").stat().st_size + 16 * acc.pair_keys.size
+    # the layout: the sorted keys, their counts, then the singles
     _, meta = load_arrays(tmp_path / "acc.blk")
     assert (tmp_path / "acc.blk").read_bytes() == oracle_blk_bytes(
-        {**cells, "g1": acc.g1, "dt_hist": acc.dt_hist}, meta)
+        {"pair_keys": acc.pair_keys, "pair_counts": acc.pair_counts,
+         "g1": acc.g1, "dt_hist": acc.dt_hist}, meta)
 
 
-KEYS, COUNTS = "g2_shifted_keys", "g2_shifted_counts"
+KEYS, COUNTS = PAIRS
 
 
 def change(fn, *names):
@@ -428,17 +430,21 @@ def set_at(name, index, value):
     return edit
 
 
+# the 2x2 accumulator (n_pix 4, 15 dt per pair) keys the pixel pairs
+# (0, 1), (0, 3) and (1, 3) at dt -1, -6 and -5: 21, 46 and 107
 MALFORMED_CELLS = {
     "keys-missing": lambda cells: cells.pop(KEYS),
     "counts-missing": lambda cells: cells.pop(COUNTS),
-    "keys-2d": change(lambda a: a.reshape(2, 2), KEYS, COUNTS),
+    "keys-2d": change(lambda a: a.reshape(3, 1), KEYS, COUNTS),
     # counts of the keys' dtype, so only the keys' own check refuses them
     "keys-float": change(lambda a: a.astype(np.float64), KEYS, COUNTS),
     "keys-u4": change(lambda a: a.astype(np.uint32), KEYS, COUNTS),
     "keys-descending": change(lambda a: a[::-1], KEYS, COUNTS),
-    "keys-duplicate": set_at(KEYS, 1, 3),
+    "keys-duplicate": set_at(KEYS, 1, 21),
     "key-negative": set_at(KEYS, 0, -1),
-    "key-past-end": set_at(KEYS, -1, 16),
+    "key-past-end": set_at(KEYS, -1, 4 * 4 * 15),
+    "pixel-with-itself": set_at(KEYS, -1, (1 * 4 + 1) * 15 + 7),
+    "higher-pixel-first": set_at(KEYS, -1, (3 * 4 + 0) * 15 + 7),
     "counts-float": change(lambda a: a.astype(np.float64), COUNTS),
     "counts-short": change(lambda a: a[:-1], COUNTS),
     "count-zero": set_at(COUNTS, 2, 0),
@@ -453,8 +459,7 @@ def test_malformed_cells_refused(tmp_path, edit):
     path = tmp_path / "acc.blk"
     acc.save(path)
     arrays, meta = load_arrays(path)
-    # the 2x2 accumulator's displaced window holds 4 of its 16 cells
-    assert arrays[KEYS].tolist() == [3, 7, 12, 13]
+    assert arrays[KEYS].tolist() == [21, 46, 107]
     edit(arrays)
     save_arrays(path, arrays, meta)
     with pytest.raises(InvariantViolation):
@@ -489,6 +494,43 @@ def test_dense_accumulator_container_refused(tmp_path, capsys):
                  "--out", str(tmp_path / "g2.blk")]) == 3
     assert "re-run `spadcorr correlate`" in capsys.readouterr().err
     assert not (tmp_path / "g2.blk").exists()
+
+
+def test_cell_accumulator_container_refused(tmp_path, capsys):
+    # the layout that stored each pair tensor's nonzero cells keeps no dt,
+    # so no pair list can be rebuilt from it
+    acc, _ = tiny_containers()["accumulator"]
+    path = tmp_path / "old.blk"
+    save_cell_accumulator(acc, path)
+    arrays, _ = load_arrays(path)
+    assert sorted(arrays) == ["dt_hist", "g1", "g2_counts", "g2_keys",
+                              "g2_later_counts", "g2_later_keys",
+                              "g2_shifted_counts", "g2_shifted_keys"]
+    with pytest.raises(InvariantViolation,
+                       match="re-run `spadcorr correlate`"):
+        CorrelationAccumulator.load(path)
+    assert main(["correct", "--in", str(path),
+                 "--out", str(tmp_path / "g2.blk")]) == 3
+    assert "re-run `spadcorr correlate`" in capsys.readouterr().err
+    assert not (tmp_path / "g2.blk").exists()
+
+
+def test_arrays_left_out_are_skipped_after_the_size_check(tmp_path):
+    path = tmp_path / "x.blk"
+    save_arrays(path, {"a": np.arange(3), "b": np.ones(4), "c": np.arange(2)},
+                {"k": 1})
+    arrays, meta = load_arrays(path, keep=("a", "c"))
+    assert meta == {"k": 1} and list(arrays) == ["a", "b", "c"]
+    assert arrays["b"] is None
+    np.testing.assert_array_equal(arrays["c"], [0, 1])
+    # a skipped payload that runs past the end is refused all the same
+    blob = bytearray(path.read_bytes())
+    head = struct.pack("<H", 1) + b"b" + bytes([1, 1])
+    at = blob.index(head) + len(head)
+    blob[at:at + 4] = struct.pack("<I", 10**6)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TruncatedFile, match="payload"):
+        load_arrays(path, keep=("a",))
 
 
 def test_accumulator_beyond_the_pixel_index_refused_before_allocation(

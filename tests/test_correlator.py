@@ -13,10 +13,12 @@ from helpers import (
     oracle_normalize,
     oracle_offset_lookup,
     oracle_subtract_accidentals,
+    pair_list_accumulator,
     quadratic_accumulate,
     quadruple_loop_projections,
     random_batch,
     save_older_corrected,
+    symmetric_accumulator,
 )
 from spadcorr import arraystore, correlator
 from spadcorr.correlator import (
@@ -109,36 +111,63 @@ class TestLinearIndex:
             linear_to_pixel(1025)
 
 
+def checked_accumulate(batches, **kw):
+    """accumulate(batches, **kw), its pair list, derived tensors, singles
+    and dt histogram first required to equal the quadratic loop's over the
+    same frames."""
+    acc = accumulate(batches, **kw)
+    batches = [batches] if isinstance(batches, FrameBatch) else batches
+    whole = FrameBatch(
+        start_frame=batches[0].start_frame,
+        n_frames=sum(b.n_frames for b in batches),
+        **{name: np.concatenate([getattr(b, name) for b in batches])
+           for name in ("frame_ids", "pixels", "tdc")})
+    ref = quadratic_accumulate(
+        whole, kw.get("n_x", 32), kw.get("n_y", 32),
+        kw.get("bins_per_frame", 255), kw.get("window", 10),
+        kw.get("shift", 20))
+    assert acc.n_frames == ref.n_frames
+    for name in ("pair_keys", "pair_counts", "g2", "g2_shifted", "g2_later",
+                 "g1", "dt_hist"):
+        assert getattr(acc, name).dtype == np.int64, name
+        np.testing.assert_array_equal(getattr(acc, name), getattr(ref, name),
+                                      err_msg=name)
+    return acc
+
+
 class TestAccumulate:
     def test_two_events_inside_and_outside_window(self):
         frame = batch_of((0, [10, 12], [10, 12]))
-        acc = accumulate([frame], window=10, shift=20)
+        acc = checked_accumulate([frame], window=10, shift=20)
         assert acc.g2[9, 11] == 1
         assert acc.g2[11, 9] == 1
         assert acc.g2.sum() == 2
-        acc = accumulate([frame], window=1, shift=20)
+        # the pair list keeps the pair at dt = -2 either way
+        assert acc.pair_keys.tolist() == [(9 * 1024 + 11) * 61 - 2 + 30]
+        acc = checked_accumulate([frame], window=1, shift=20)
         assert acc.g2[9, 11] == 0
         assert acc.g2.sum() == 0
+        assert acc.pair_keys.tolist() == [(9 * 1024 + 11) * 43 - 2 + 21]
 
     def test_three_events_count_all_pairs(self):
         frame = batch_of((0, [1, 2, 3], [0, 5, 9]))
-        acc = accumulate([frame], window=10, shift=20)
+        acc = checked_accumulate([frame], window=10, shift=20)
         assert acc.g2.sum() == 6
         assert np.all(np.diag(acc.g2) == 0)
 
     def test_later_counts_tag_the_second_detection(self):
         frame = batch_of((0, [4, 9], [7, 3]))     # pixel 9 fired first
-        acc = accumulate([frame], window=10, shift=20)
+        acc = checked_accumulate([frame], window=10, shift=20)
         assert acc.g2_later[8, 3] == 1
         assert acc.g2_later[3, 8] == 0
         tie = batch_of((0, [4, 9], [5, 5]))       # equal bins carry no order
-        acc = accumulate([tie], window=10, shift=20)
+        acc = checked_accumulate([tie], window=10, shift=20)
         assert acc.g2_later.sum() == 0
         assert acc.g2[3, 8] == 1
 
     def test_shifted_window_sees_displaced_pairs(self):
         frame = batch_of((0, [7, 8], [0, 20]))
-        acc = accumulate([frame], window=5, shift=20)
+        acc = checked_accumulate([frame], window=5, shift=20)
         assert acc.g2.sum() == 0
         assert acc.g2_shifted[6, 7] == 1
         assert acc.g2_shifted[7, 6] == 1
@@ -146,7 +175,7 @@ class TestAccumulate:
     def test_dt_histogram_is_symmetric_and_complete(self):
         rng = np.random.default_rng(31)
         batch = random_batch(rng, 200, 1024, 255)
-        acc = accumulate(batch)
+        acc = checked_accumulate(batch)
         np.testing.assert_array_equal(acc.dt_hist, acc.dt_hist[::-1])
         pairs = sum(len(pix) * (len(pix) - 1)
                     for _, pix, _ in frame_groups(batch))
@@ -210,20 +239,19 @@ class TestAccumulate:
             tracemalloc.stop()
         assert peak < 80e6
         assert acc.dt_hist.sum() == n_frames * per * (per - 1)
+        # too many pairs for the quadratic loop: the pair list and the
+        # derived g2 hold the pairs dt_hist counts inside their windows
+        # (dt_hist counts both orders)
+        kept = acc.dt_hist[254 - 30:255 + 30].sum()
+        assert 2 * acc.pair_counts.sum() == kept
+        assert acc.g2.sum() == acc.dt_hist[254 - 10:255 + 10].sum()
 
     @staticmethod
     def _check_against_quadratic(batch, n_x, n_y, bins, window=10,
                                  shift=20):
-        acc = accumulate(batch, window=window, shift=shift, n_x=n_x,
-                         n_y=n_y, bins_per_frame=bins)
-        ref = quadratic_accumulate(batch, n_x, n_y, bins, window, shift)
-        assert acc.n_frames == ref.n_frames
-        np.testing.assert_array_equal(acc.g2, ref.g2)
-        np.testing.assert_array_equal(acc.g2_shifted, ref.g2_shifted)
-        np.testing.assert_array_equal(acc.g2_later, ref.g2_later)
-        np.testing.assert_array_equal(acc.g1, ref.g1)
-        np.testing.assert_array_equal(acc.dt_hist, ref.dt_hist)
-        return ref
+        checked_accumulate(batch, window=window, shift=shift, n_x=n_x,
+                           n_y=n_y, bins_per_frame=bins)
+        return quadratic_accumulate(batch, n_x, n_y, bins, window, shift)
 
     @pytest.mark.parametrize("bins,window,shift", [
         (255, 3, 40), (64, 5, 20),
@@ -257,14 +285,55 @@ class TestAccumulate:
             **{name: np.concatenate([getattr(b, name) for b in batches])
                for name in ("frame_ids", "pixels", "tdc")})
         a = accumulate(batches, mapping_mode="far")
-        b = accumulate(whole, mapping_mode="far")
+        b = checked_accumulate(whole, mapping_mode="far")
         assert a.n_frames == b.n_frames == 3 * 65536
         assert a.g2.sum() > 0
-        np.testing.assert_array_equal(a.g2, b.g2)
-        np.testing.assert_array_equal(a.g2_shifted, b.g2_shifted)
-        np.testing.assert_array_equal(a.g2_later, b.g2_later)
-        np.testing.assert_array_equal(a.g1, b.g1)
-        np.testing.assert_array_equal(a.dt_hist, b.dt_hist)
+        for name in ("pair_keys", "pair_counts", "g2", "g2_shifted",
+                     "g2_later", "g1", "dt_hist"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("n_x,n_y,n_frames", [(32, 32, 300),
+                                                  (2, 2, 3000)])
+    def test_one_batch_or_three_save_the_same_bytes(self, tmp_path, n_x,
+                                                    n_y, n_frames):
+        # on 2x2 pixels nearly every pair repeats a key, so the merges add
+        # counts to listed keys as well as insert new ones
+        rng = np.random.default_rng(n_frames)
+        batch = random_batch(rng, n_frames, n_x * n_y, 64, max_events=4,
+                             p_empty=0.1)
+        cuts = [0, n_frames // 7, n_frames // 2, n_frames]
+        parts = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            sel = (batch.frame_ids >= lo) & (batch.frame_ids < hi)
+            parts.append(FrameBatch(
+                start_frame=lo, n_frames=hi - lo,
+                frame_ids=batch.frame_ids[sel], pixels=batch.pixels[sel],
+                tdc=batch.tdc[sel]))
+        kw = dict(n_x=n_x, n_y=n_y, bins_per_frame=64, window=3, shift=9)
+        one = checked_accumulate(batch, **kw)
+        three = checked_accumulate(parts, **kw)
+        assert one.pair_counts.max() > (1 if n_x == 2 else 0)
+        np.testing.assert_array_equal(one.pair_keys, three.pair_keys)
+        np.testing.assert_array_equal(one.pair_counts, three.pair_counts)
+        one.save(tmp_path / "one.blk")
+        three.save(tmp_path / "three.blk")
+        assert (tmp_path / "one.blk").read_bytes() \
+            == (tmp_path / "three.blk").read_bytes()
+
+    def test_cached_tensors_follow_later_batches(self):
+        # a tensor read before the last batch is derived again after it
+        acc = accumulate(batch_of((0, [1, 2], [0, 1]), n_frames=2))
+        assert acc.g2[0, 1] == 1
+        acc.add_batch(batch_of((1, [1, 2], [3, 2]), n_frames=2))
+        ref = quadratic_accumulate(
+            batch_of((0, [1, 2], [0, 1]), (1, [1, 2], [3, 2])), 32, 32, 255,
+            10, 20)
+        for name in ("g2", "g2_shifted", "g2_later", "pair_keys",
+                     "pair_counts"):
+            np.testing.assert_array_equal(getattr(acc, name),
+                                          getattr(ref, name))
+        assert acc.g2[0, 1] == acc.g2[1, 0] == 2
+        assert acc.pair_counts.tolist() == [1, 1]
 
     def test_window_and_shift_validation(self):
         with pytest.raises(WindowTooLarge):
@@ -275,8 +344,8 @@ class TestAccumulate:
         with pytest.raises(WindowTooLarge, match="beyond the frame"):
             accumulate(batch_of((0, [1, 2], [0, 5])), window=10, shift=300)
         # its near edge on the frame's largest |dt| is still inside
-        acc = accumulate(batch_of((0, [1, 2], [0, 254])), window=10,
-                         shift=264)
+        acc = checked_accumulate(batch_of((0, [1, 2], [0, 254])),
+                                 window=10, shift=264)
         assert acc.g2_shifted[0, 1] == acc.g2_shifted[1, 0] == 1
 
     def test_only_frame_batches_accumulate(self):
@@ -295,30 +364,34 @@ class TestAccumulate:
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(35)
-        acc = accumulate(random_batch(rng, 40, 1024, 255),
-                         mapping_mode="near")
+        acc = checked_accumulate(random_batch(rng, 40, 1024, 255),
+                                 mapping_mode="near")
         path = tmp_path / "acc.blk"
         acc.save(path)
         back = CorrelationAccumulator.load(path)
         assert back.n_frames == acc.n_frames
         assert back.mapping_mode == "near"
-        np.testing.assert_array_equal(back.g2, acc.g2)
-        np.testing.assert_array_equal(back.g2_shifted, acc.g2_shifted)
-        np.testing.assert_array_equal(back.g2_later, acc.g2_later)
-        np.testing.assert_array_equal(back.g1, acc.g1)
-        np.testing.assert_array_equal(back.dt_hist, acc.dt_hist)
+        for name in ("pair_keys", "pair_counts", "g2", "g2_shifted",
+                     "g2_later", "g1", "dt_hist"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(acc, name))
+        # the stages derive their tensors from the pair list alone
+        back.g2[:] = 7
+        np.testing.assert_array_equal(normalize(back).values,
+                                      normalize(acc).values)
 
 
 class TestNormalize:
     def test_rate_scaling(self):
-        acc = CorrelationAccumulator(n_x=32, n_y=32, bins_per_frame=255,
-                                     window=10, shift=20, n_frames=2_000_000)
-        acc.g2[3, 5] = 500
-        acc.g2_later[3, 5] = 200
+        # 500 pairs of pixels 3 and 5, 200 of them with pixel 5 later
+        acc = pair_list_accumulator(3, 5, [-1, 0], [200, 300],
+                                    n_frames=2_000_000)
         acc.g1[3] = 1000
         corr = normalize(acc)
-        assert corr.values[3, 5] == 250.0
-        assert corr.values.dtype == np.float64 and acc.g2[3, 5] == 500
+        assert corr.values[3, 5] == corr.values[5, 3] == 250.0
+        assert np.count_nonzero(corr.values) == 2
+        assert corr.values.dtype == np.float64
+        assert acc.pair_counts.tolist() == [200, 300]
         assert corr.g1[3] == 500.0
         assert corr.flags == ("raw",)
         assert corr.n_frames == 2_000_000
@@ -356,10 +429,10 @@ class TestAccidentals:
                                      window=10, shift=20,
                                      n_frames=1_000_000)
         g1 = np.where(np.arange(1024) % 2 == 0, 20, 30)
-        acc.g1[:] = g1
         outer = g1[:, None] * g1[None, :]
-        acc.g2[:] = outer // 100          # exactly 0.01 * outer
-        np.fill_diagonal(acc.g2, 0)
+        g2 = outer // 100                 # exactly 0.01 * outer
+        np.fill_diagonal(g2, 0)
+        acc = symmetric_accumulator(g2, g1=g1, n_frames=1_000_000)
         est = estimate_accidentals(acc, "g1_product")
         assert est[0, 1] == pytest.approx(6.0, rel=1e-12)
         off_diag = ~np.eye(1024, dtype=bool)
@@ -374,7 +447,8 @@ class TestAccidentals:
             m.setattr(correlator, "MASK_DISTANCE", 40)
             with pytest.raises(InsufficientMask):
                 estimate_accidentals(acc, "g1_product")
-        acc.g2[0, 1023] = 5     # coincidences without any singles
+        # coincidences without any singles
+        acc = pair_list_accumulator(0, 1023, 0, 5, n_frames=1000)
         with pytest.raises(InsufficientMask):
             estimate_accidentals(acc, "g1_product")
 
@@ -450,29 +524,22 @@ class TestEstimateCrosstalk:
         # at offset (1, 0): without ordering evidence both directions get
         # half, so p(1,0) = 0.5 * 200 / 1e6. Over 841e6 frames a source's
         # 1e6 singles and 200 pairs read 1e6 / 841 and 200 / 841 per Mframe.
-        acc = blank_acc(n_frames=841_000_000)
-        g1 = acc.g1.reshape(32, 32)
-        g1[1:30, 1:30] = 1_000_000
-        g2 = acc.g2.reshape(32, 32, 32, 32)
-        for y in range(1, 30):
-            for x in range(1, 30):
-                g2[y, x, y, x + 1] += 200
-                g2[y, x + 1, y, x] += 200
-        cmap = estimate_crosstalk(acc, np.zeros(acc.g2.shape),
+        y, x = np.mgrid[1:30, 1:30]
+        acc = pair_list_accumulator(32 * y + x, 32 * y + x + 1, 0, 200,
+                                    n_frames=841_000_000)
+        acc.g1.reshape(32, 32)[1:30, 1:30] = 1_000_000
+        cmap = estimate_crosstalk(acc, np.zeros((1024, 1024)),
                                   inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(1e-4, rel=1e-9)
 
     def test_ordered_share_resolves_direction(self):
-        acc = blank_acc(n_frames=2_000_000)     # a count is 0.5 per Mframe
-        acc.g1[:] = 2000
-        g2 = acc.g2.reshape(32, 32, 32, 32)
-        later = acc.g2_later.reshape(32, 32, 32, 32)
-        for y in range(1, 30):
-            for x in range(1, 30):
-                g2[y, x, y, x + 1] += 1
-                g2[y, x + 1, y, x] += 1
-                later[y, x, y, x + 1] += 1    # echoes fired after sources
-        cmap = estimate_crosstalk(acc, np.zeros(acc.g2.shape),
+        # a count is 0.5 per Mframe; echoes fire after their sources, so
+        # t(source) - t(echo) < 0
+        y, x = np.mgrid[1:30, 1:30]
+        acc = pair_list_accumulator(32 * y + x, 32 * y + x + 1, -1, 1,
+                                    n_frames=2_000_000, g1=2000)
+        assert acc.g2_later[33, 34] == 1 and acc.g2_later[34, 33] == 0
+        cmap = estimate_crosstalk(acc, np.zeros((1024, 1024)),
                                   inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(5e-4, rel=1e-9)
         assert cmap.probability(-1, 0) == 0.0
@@ -815,11 +882,16 @@ class TestOffsetKeyedCrosstalk:
         for negative_share in (0.3, 0.5):
             # an estimate that exceeds about that share of the rates, so
             # rates and ordered shares both carry negative cells; 3e6
-            # frames give a scale of 1/3, which rounds where it is applied
-            acc = blank_acc(n_x, n_y, n_frames=3_000_000)
-            acc.g2[:] = rng.integers(0, 1000, (n_pix, n_pix))
-            acc.g2_later[:] = rng.integers(0, 476, (n_pix, n_pix))
-            acc.g1[:] = rng.integers(1, 1000, n_pix)
+            # frames give a scale of 1/3, which rounds where it is applied.
+            # A pair list makes g2 symmetric: each pixel pair gets up to 475
+            # ordered pairs each way and up to 48 in one bin.
+            a, b = np.triu_indices(n_pix, 1)
+            acc = pair_list_accumulator(
+                np.tile(a, 3), np.tile(b, 3), np.repeat([-1, 1, 0], a.size),
+                np.concatenate((rng.integers(0, 476, (2, a.size)).ravel(),
+                                rng.integers(0, 49, a.size))),
+                n_x=n_x, n_y=n_y, n_frames=3_000_000,
+                g1=rng.integers(1, 1000, n_pix))
             estimate = rng.random((n_pix, n_pix)) * (2000 * negative_share / 3)
             corr = oracle_subtract_accidentals(oracle_normalize(acc),
                                                estimate)
@@ -910,6 +982,23 @@ class TestSymmetryThroughStages:
         save_older_corrected(corr, path, masked=~corr.masked)
         np.testing.assert_array_equal(CorrectedG2.load(path).masked,
                                       corr.masked)
+
+    def test_older_container_loads_only_the_kept_arrays(self, tmp_path):
+        # an older container's 8-MiB values_later is skipped, not read
+        rng = np.random.default_rng(9)
+        corr = blank_corrected(flags=("raw", "accidental_subtracted"),
+                               values=rng.normal(size=(1024, 1024)))
+        path = tmp_path / "old.blk"
+        save_older_corrected(corr, path,
+                             values_later=rng.normal(size=(1024, 1024)))
+        tracemalloc.start()
+        try:
+            back = CorrectedG2.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, corr.values)
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("flags, radius", [
         (("raw", "accidental_subtracted", "neighbor_masked"), None),

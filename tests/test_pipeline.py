@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ from helpers import REFERENCE_CFG, oracle_characterize, oracle_correct_chain
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
-from spadcorr.correlator import CrosstalkMap
+from spadcorr.correlator import CrosstalkMap, accumulate
 from spadcorr.errors import ConfigError, OrderViolation
 from spadcorr.pipeline import (
     accumulate_file,
@@ -19,6 +20,7 @@ from spadcorr.pipeline import (
     simulate_accumulator,
     simulate_to_file,
 )
+from spadcorr.sensor import simulate_frames
 
 
 def small_settings(**overrides):
@@ -123,6 +125,71 @@ class TestCorrectChain:
         # on 32x32), plus under 1.75 MiB of masks and tables: the
         # accidental estimate is freed once it has been subtracted
         assert peak < 3 * acc.g2.size * 8 + 1.75 * 2**20
+
+    def test_no_pair_tensor_stays_on_the_accumulators(self, monkeypatch):
+        # the stages derive each (n_pix, n_pix) tensor they read and drop
+        # it; none is cached on the accumulator of an arm or of the
+        # characterization
+        settings = small_settings(**{"crosstalk.p_1_0": "1e-3",
+                                     "correct.apply_crosstalk": "true"})
+        seen = []
+        estimate = pipeline.estimate_crosstalk
+
+        def record(acc, *args, **kwargs):
+            seen.append(acc)
+            return estimate(acc, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "estimate_crosstalk", record)
+        cmap = characterize_crosstalk(settings)
+        acc = simulate_accumulator(
+            cfgmod.build_model(settings),
+            cfgmod.build_mapping(settings, "far"),
+            cfgmod.build_sensor(settings), n_frames=20000,
+            pairs_per_frame=0.5, seed=5)
+        for method in ("shifted_window", "g1_product"):
+            correct_chain(acc, accidental_method=method, crosstalk_map=cmap)
+        correct_chain(acc, estimate_map=True)
+        assert len(seen) == 2 and seen[0].pair_keys.size > 0
+        for one in (seen[0], acc):
+            big = [name for name, value in vars(one).items()
+                   if np.size(value) >= one.n_pixels ** 2]
+            assert big == []
+
+
+class TestPairListMemory:
+    """Accumulation holds the event columns and the pair list only."""
+
+    @pytest.mark.parametrize("stream", ["far", "near", "characterization"])
+    def test_reference_streams_accumulate_in_little_memory(self, stream):
+        settings = cfgmod.load_config(REFERENCE_CFG)
+        seed = settings["run.seed"]
+        mode, rate, sensor_cfg, n_frames = {
+            "far": ("far", settings["run.pairs_per_frame_far"], None,
+                    2**17),
+            "near": ("near", settings["run.pairs_per_frame_near"], None,
+                     2**17),
+            "characterization": ("far", 0.0, dataclasses.replace(
+                cfgmod.build_sensor(settings),
+                dark_rate_hz=settings["correct.characterization_dark_hz"]),
+                2**16)}[stream]
+        seed += {"far": 0, "near": 1, "characterization": 2}[stream]
+        batches = list(simulate_frames(
+            cfgmod.build_model(settings), cfgmod.build_mapping(settings, mode),
+            sensor_cfg or cfgmod.build_sensor(settings), n_frames, rate,
+            crosstalk=cfgmod.build_crosstalk(settings), seed=seed))
+        tracemalloc.start()
+        try:
+            acc = accumulate(batches, mapping_mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        events = sum(b.n_events for b in batches)
+        kept = int(acc.pair_counts.sum())
+        assert kept > 0 and acc.n_frames == n_frames
+        # a batch's int64 columns and lag arrays take under 40 B per event;
+        # a kept pair's key, its place in the list and the merge under
+        # 96 B; the three dense int64 tensors held before took 24 MiB
+        assert peak < 40 * events + 96 * kept + 2**18 < 8 * 2**20
 
 
 class TestCharacterization:
