@@ -2,10 +2,9 @@
 
 Pixels are addressed by the linear index l = px + n_x*(py - 1) with px, py
 starting at 1, so l runs from 1 to n_x*n_y. The accumulator stores one pair
-list keyed by (pixel pair, dt); the (n_pix, n_pix) tensors g2[l1-1, l2-1]
-are derived from it by each stage that reads one, count both orderings of a
-pair and keep a zero diagonal, as a pixel fires at most once per frame.
-Accumulation checks each batch with FrameBatch.checked_columns (exit 3).
+list keyed by (pixel pair, dt), from batches FrameBatch.checked_columns
+accepts (else exit 3); each stage derives the (n_pix, n_pix) tensors
+g2[l1-1, l2-1] it reads, both orders counted, with a zero diagonal.
 
 The correction chain is recorded in provenance flags on CorrectedG2 and must
 advance in one direction only:
@@ -197,7 +196,8 @@ class CorrelationAccumulator:
 
     def tensor(self, name, scale=None) -> np.ndarray:
         """A new (n_pix, n_pix) array of the pair tensor g2, g2_shifted or
-        g2_later: int64 counts, or float64 count * scale in every cell."""
+        g2_later, from the listed and the pending keys: int64 counts, or
+        count * scale per cell; counts add in float64, exact below 2**53."""
         reach, n = self.shift + self.window, self.n_pixels
         # the predicates of [lower, higher] and [higher, lower] over dt
         dt = np.arange(-reach, reach + 1)
@@ -205,19 +205,20 @@ class CorrelationAccumulator:
         sw = np.abs(np.abs(dt) - self.shift) <= self.window
         fwd, rev = {"g2": (win, win), "g2_shifted": (sw, sw),
                     "g2_later": (win & (dt < 0), win & (dt > 0))}[name]
-        keys, counts = self._merged()
-        pair = keys // dt.size
-        d = keys - pair * dt.size
-        out = np.zeros((n, n), dtype=np.int64 if scale is None else float)
-        for table, view in ((fwd, out), (rev, out.T)):
-            if view is out or table is not fwd:
-                # a pixel pair's keys are adjacent: its counts add as
-                # integers before the scale, and its cell is written once
-                sel = np.flatnonzero(table[d])
-                cells, sums = _sum_runs(pair[sel], counts[sel])
-                sums = sums if scale is None else sums * scale
-            view.flat[cells] = sums
-        return out
+        d = np.concatenate([self._keys, *self._pending])
+        pair = d // dt.size
+        d -= pair * dt.size     # each key's dt + reach
+        counts = np.concatenate((self._counts, np.ones(self._n_pending)))
+        out = np.zeros(n * n)    # both orders add into it in place
+        for table, flip in ((fwd, False), (rev, True)):
+            sel = np.flatnonzero(table[d])
+            cells = pair[sel]   # lower * n + higher; flipped, higher * n + lower
+            np.add.at(out, cells * n - cells // n * (n * n - 1) if flip
+                      else cells, counts[sel])
+        if scale is None:
+            return out.astype(np.int64).reshape(n, n)
+        out *= scale
+        return out.reshape(n, n)
 
     def save(self, path) -> None:
         arraystore.save_arrays(
@@ -228,8 +229,7 @@ class CorrelationAccumulator:
 
     @classmethod
     def load(cls, path) -> "CorrelationAccumulator":
-        return cls._from_arrays(*arraystore.load_arrays(
-            path, keep=("pair_keys", "pair_counts", "g1", "dt_hist")))
+        return cls._from_arrays(*arraystore.load_arrays(path))
 
     @classmethod
     def _from_arrays(cls, arrays, meta) -> "CorrelationAccumulator":
