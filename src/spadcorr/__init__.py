@@ -7,7 +7,6 @@ inferred-variance evaluation of the corrected tensors.
 from .correlator import (
     CorrectedG2,
     CorrelationAccumulator,
-    CrosstalkMap,
     accumulate,
     correct_crosstalk,
     estimate_accidentals,
@@ -57,7 +56,7 @@ from .pipeline import (
     simulate_to_file,
 )
 from .sensor import (
-    CrosstalkSpec,
+    CrosstalkMap,
     FrameBatch,
     SensorConfig,
     draw_pixel_offsets,

@@ -23,7 +23,6 @@ from .correlator import (
     MFRAMES,
     CorrectedG2,
     CorrelationAccumulator,
-    CrosstalkMap,
     linear_to_pixel,
     peak_profiles,
     project_axes,
@@ -37,17 +36,21 @@ from .pipeline import (
     run_pair_study,
     simulate_to_file,
 )
+from .sensor import CrosstalkMap
 
 
-def _load_settings(path):
-    return cfgmod.load_config(path) if path else cfgmod.defaults()
+def _load_settings(path, options=()):
+    # the config file or the defaults, under the options that were given
+    settings = cfgmod.load_config(path) if path else cfgmod.defaults()
+    return settings | {key: value for key, value in dict(options).items()
+                       if value is not None}
 
 
 def _cmd_simulate(args):
-    settings = _load_settings(args.config)
+    settings = _load_settings(args.config, {"run.seed": args.seed,
+                                            "run.workers": args.workers})
     total = simulate_to_file(settings, args.mapping, args.out,
-                             frames=args.frames, seed=args.seed,
-                             workers=args.workers)
+                             frames=args.frames)
     print(f"wrote {args.out}: {total} frames, {args.mapping} mapping")
     return 0
 
@@ -94,10 +97,8 @@ def _cmd_epr(args):
 
 
 def _cmd_pipeline(args):
-    settings = _load_settings(args.config)
-    if args.seed is not None:
-        settings["run.seed"] = args.seed
-    result = run_pair_study(settings)
+    result = run_pair_study(_load_settings(args.config,
+                                           {"run.seed": args.seed}))
     if args.save_prefix:
         result.acc_near.save(f"{args.save_prefix}-near.acc.blk")
         result.acc_far.save(f"{args.save_prefix}-far.acc.blk")
@@ -124,7 +125,20 @@ def _print_report(report, as_json):
     return 0
 
 
+def _grid_rows(table, first_i, first_j):
+    # (i + first_i, j + first_j, value) of every cell of a 2-D table
+    return [(i + first_i, j + first_j, v.item())
+            for (i, j), v in np.ndenumerate(table)]
+
+
 def _export_rows(kind, obj, what):
+    if (kind == "crosstalk_map") != (what == "crosstalk"):
+        raise ConfigError(
+            "only cross-talk maps export 'crosstalk'" if what == "crosstalk"
+            else "cross-talk maps only export 'crosstalk'")
+    if what == "crosstalk":
+        r = -obj.radius
+        return ["dx", "dy", "probability"], _grid_rows(obj.probabilities, r, r)
     acc = kind == "accumulator"
     if what == "dt-hist":
         if not acc:
@@ -148,12 +162,9 @@ def _export_rows(kind, obj, what):
                 [(int(a + 1), int(b + 1), values[a, b].item())
                  for a, b in zip(p1, p2)])
     if what in ("proj-x", "proj-y"):
-        g2x, g2y = project_axes(values, n_x, n_y)
-        proj = g2x if what == "proj-x" else g2y
-        label = "x" if what == "proj-x" else "y"
-        rows = [(i + 1, j + 1, proj[i, j].item())
-                for i in range(proj.shape[0]) for j in range(proj.shape[1])]
-        return [f"p{label}1", f"p{label}2", "value"], rows
+        axis = what[-1]
+        proj = project_axes(values, n_x, n_y)["xy".index(axis)]
+        return [f"p{axis}1", f"p{axis}2", "value"], _grid_rows(proj, 1, 1)
     if what == "peaks":
         rows = []
         for axis, n, proj in zip("xy", (n_x, n_y),
@@ -163,17 +174,12 @@ def _export_rows(kind, obj, what):
                 rows.extend((axis, name, base + i, prof[i].item())
                             for i in range(prof.size))
         return ["axis", "profile", "pixel_coordinate", "value"], rows
-    if what in ("sum-map", "diff-map"):
-        sum_map, diff_map = project_sum_diff(values, n_x, n_y)
-        if what == "sum-map":
-            rows = [(sx + 2, sy + 2, sum_map[sx, sy].item())
-                    for sx in range(sum_map.shape[0])
-                    for sy in range(sum_map.shape[1])]
-            return ["px1_plus_px2", "py1_plus_py2", "value"], rows
-        rows = [(dx - n_x + 1, dy - n_y + 1, diff_map[dx, dy].item())
-                for dx in range(diff_map.shape[0])
-                for dy in range(diff_map.shape[1])]
-        return ["px1_minus_px2", "py1_minus_py2", "value"], rows
+    if what == "sum-map":
+        return (["px1_plus_px2", "py1_plus_py2", "value"],
+                _grid_rows(project_sum_diff(values, n_x, n_y)[0], 2, 2))
+    if what == "diff-map":
+        return (["px1_minus_px2", "py1_minus_py2", "value"], _grid_rows(
+            project_sum_diff(values, n_x, n_y)[1], 1 - n_x, 1 - n_y))
     raise ConfigError(f"cannot export {what!r} from a {kind} container")
 
 
@@ -186,19 +192,8 @@ def _cmd_export(args):
     kind = meta.get("kind")
     if kind not in _CONTAINERS:
         raise ConfigError(f"unknown container kind {kind!r}")
-    obj = _CONTAINERS[kind]._from_arrays(arrays, meta)  # checked, dense
-    if kind == "crosstalk_map":
-        if args.what != "crosstalk":
-            raise ConfigError("cross-talk maps only export 'crosstalk'")
-        prob = obj.probabilities
-        r = obj.radius
-        header = ["dx", "dy", "probability"]
-        rows = [(dx - r, dy - r, prob[dx, dy].item())
-                for dx in range(prob.shape[0]) for dy in range(prob.shape[1])]
-    else:
-        if args.what == "crosstalk":
-            raise ConfigError("only cross-talk maps export 'crosstalk'")
-        header, rows = _export_rows(kind, obj, args.what)
+    header, rows = _export_rows(
+        kind, _CONTAINERS[kind]._from_arrays(arrays, meta), args.what)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -2,8 +2,9 @@
 
 One assignment per line, full-line comments with '#', no sections. Unknown
 and duplicate keys are rejected so typos fail loudly instead of silently
-running defaults, and so are non-finite numbers (nan, inf) and a negative
-pixel offset range. Cross-talk probabilities use one key per pixel offset:
+running defaults, and so are non-finite numbers (nan, inf), a negative
+pixel offset range and windows that cannot run. Cross-talk probabilities
+use one key per pixel offset:
 
     crosstalk.p_1_0 = 1e-3      # echo at (dx, dy) = (+1, 0)
 """
@@ -13,9 +14,10 @@ from __future__ import annotations
 import math
 import re
 
+from .correlator import check_inner_window, check_windows
 from .errors import ConfigError
 from .optics import DoubleGaussianModel, OpticalMapping
-from .sensor import CrosstalkSpec, SensorConfig, draw_pixel_offsets
+from .sensor import CrosstalkMap, SensorConfig, draw_pixel_offsets
 
 _BOOL = {"true": True, "yes": True, "1": True,
          "false": False, "no": False, "0": False}
@@ -116,6 +118,13 @@ def parse_config(text: str) -> dict:
         if key == "epr.min_column_fraction" and not 0.0 < got <= 1.0:
             raise ConfigError(
                 f"line {lineno}: {key} must be above 0 and at most 1")
+    check_windows(settings["correlate.window"], settings["correlate.shift"],
+                  settings["sensor.bins_per_frame"], ConfigError)
+    # unset, it is not checked: a narrow sensor may skip the cross-talk
+    if "correct.crosstalk_inner_window" in seen:
+        check_inner_window(settings["correct.crosstalk_inner_window"],
+                           settings["sensor.n_x"], settings["sensor.n_y"],
+                           ConfigError)
     return settings
 
 
@@ -166,10 +175,18 @@ def build_mapping(settings: dict, mode: str) -> OpticalMapping:
                           settings["mapping.center_offset_y_px"]))
 
 
-def build_crosstalk(settings: dict) -> CrosstalkSpec:
+def build_crosstalk(settings: dict) -> CrosstalkMap | None:
+    """The crosstalk.p_<dx>_<dy> keys as a CrosstalkMap, None if no p > 0;
+    ConfigError for an offset off the sensor or what from_dict refuses."""
+    n_x, n_y = settings["sensor.n_x"], settings["sensor.n_y"]
     probs = {}
     for key, value in settings.items():
         m = _XTALK_KEY.match(key)
         if m:
-            probs[(int(m.group(1)), int(m.group(2)))] = value
-    return CrosstalkSpec.from_dict(probs) if probs else CrosstalkSpec.none()
+            dx, dy = int(m.group(1)), int(m.group(2))
+            if abs(dx) >= n_x or abs(dy) >= n_y:
+                raise ConfigError(f"{key}: offset {(dx, dy)} cannot land "
+                                  f"on a {n_x}x{n_y} sensor")
+            probs[dx, dy] = value
+    cmap = CrosstalkMap.from_dict(probs)
+    return cmap if cmap.probabilities.any() else None

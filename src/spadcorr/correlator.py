@@ -38,7 +38,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .optics import MAPPING_MODES
-from .sensor import MAX_PIXELS, FrameBatch
+from .sensor import MAX_PIXELS, CrosstalkMap, FrameBatch
 
 FLAG_ORDER = ("raw", "accidental_subtracted", "crosstalk_corrected",
               "neighbor_masked")
@@ -55,7 +55,7 @@ MIN_MASK_PAIRS = 100
 
 def _in_range(fields: dict) -> dict:
     # Rejects type-checked meta values that no saver writes.
-    bad = [name for name in ("n_frames", "mask_radius", "clamped_negative")
+    bad = [name for name in ("n_frames", "mask_radius")
            if (fields.get(name) or 0) < 0]
     if fields.get("mapping_mode", "far") not in MAPPING_MODES:
         bad.append("mapping_mode")
@@ -77,6 +77,24 @@ def linear_to_pixel(lin, n_x=32, n_y=32):
     if lin.ndim == 0:
         return int(px), int(py)
     return px, py
+
+
+def check_windows(window, shift, bins_per_frame, error=None):
+    """Refuse windows an accumulator cannot hold, as WindowTooLarge or
+    DisjointnessViolation, or as error where one is given."""
+    if window < 0 or window > bins_per_frame - 1:
+        raise (error or WindowTooLarge)("coincidence window exceeds the frame")
+    if shift <= window:
+        raise (error or DisjointnessViolation)(
+            "shifted window overlaps the prompt window")
+    if shift - window > bins_per_frame - 1:
+        raise (error or WindowTooLarge)("shifted window lies beyond the frame")
+
+
+def check_inner_window(inner_window, n_x, n_y, error=WindowTooLarge):
+    """Refuse a cross-talk inner window that does not fit on the sensor."""
+    if inner_window < 1 or inner_window > min(n_x, n_y):
+        raise error("inner window does not fit on the sensor")
 
 
 def _window_mass(bins_per_frame, lo, hi):
@@ -113,13 +131,7 @@ class CorrelationAccumulator:
                  pair_counts=(), g1=None, dt_hist=None):
         if n_x * n_y > MAX_PIXELS:
             raise ConfigError(f"{n_x * n_y} pixels exceed {MAX_PIXELS}")
-        if window < 0 or window > bins_per_frame - 1:
-            raise WindowTooLarge("coincidence window exceeds the frame")
-        if shift <= window:
-            raise DisjointnessViolation(
-                "shifted window overlaps the prompt window")
-        if shift - window > bins_per_frame - 1:
-            raise WindowTooLarge("shifted window lies beyond the frame")
+        check_windows(window, shift, bins_per_frame)
         self.n_x, self.n_y, self.bins_per_frame = n_x, n_y, bins_per_frame
         self.window, self.shift, self.n_frames = window, shift, n_frames
         self.mapping_mode = mapping_mode
@@ -464,41 +476,6 @@ def subtract_accidentals(corr: CorrectedG2, estimate: np.ndarray) -> CorrectedG2
                    flags=corr.flags + ("accidental_subtracted",))
 
 
-@dataclass(eq=False)
-class CrosstalkMap:
-    """Per-detection neighbour firing probabilities over pixel offsets."""
-
-    probabilities: np.ndarray
-    radius: int
-    clamped_negative: int = 0
-
-    def probability(self, dx: int, dy: int) -> float:
-        r = self.radius
-        if abs(dx) > r or abs(dy) > r:
-            return 0.0
-        return float(self.probabilities[dx + r, dy + r])
-
-    def save(self, path) -> None:
-        arraystore.save_arrays(
-            path, {"probabilities": self.probabilities},
-            {"kind": "crosstalk_map", "radius": self.radius,
-             "clamped_negative": self.clamped_negative})
-
-    @classmethod
-    def load(cls, path) -> "CrosstalkMap":
-        return cls._from_arrays(*arraystore.load_arrays(path))
-
-    @classmethod
-    def _from_arrays(cls, arrays, meta) -> "CrosstalkMap":
-        if meta.get("kind") != "crosstalk_map":
-            raise ConfigError("container does not hold a cross-talk map")
-        fields = _in_range(arraystore.check_meta(meta, radius=int,
-                                                 clamped_negative=int))
-        side = 2 * fields["radius"] + 1
-        return cls(**fields, **arraystore.check_arrays(
-            arrays, probabilities=((side, side), np.float64)))
-
-
 def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
                        inner_window=29) -> CrosstalkMap:
     """Estimate cross-talk probabilities from an uncorrelated run.
@@ -527,8 +504,7 @@ def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
     if estimate.shape != (acc.n_pixels, acc.n_pixels):
         raise ConfigError("estimate shape does not match the tensor")
     n_x, n_y = acc.n_x, acc.n_y
-    if inner_window < 1 or inner_window > min(n_x, n_y):
-        raise WindowTooLarge("inner window does not fit on the sensor")
+    check_inner_window(inner_window, n_x, n_y)
     radius = inner_window - 1
     grid = 2 * radius + 2    # offsets -r..r, then one bin beyond the radius
     xs = np.arange((n_x - inner_window) // 2, (n_x + inner_window) // 2)

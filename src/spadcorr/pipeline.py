@@ -14,7 +14,6 @@ from . import config as cfgmod
 from .correlator import (
     CorrectedG2,
     CorrelationAccumulator,
-    CrosstalkMap,
     accumulate,
     correct_crosstalk,
     estimate_accidentals,
@@ -26,7 +25,7 @@ from .correlator import (
 from .epr import EprReport, evaluate_epr
 from .errors import ConfigError
 from .eventfile import EventFileReader, EventFileWriter
-from .sensor import simulate_frames
+from .sensor import CrosstalkMap, simulate_frames
 
 
 def simulate_accumulator(model, mapping, sensor_cfg, *, n_frames,
@@ -41,16 +40,15 @@ def simulate_accumulator(model, mapping, sensor_cfg, *, n_frames,
         bins_per_frame=sensor_cfg.bins_per_frame, mapping_mode=mapping.mode)
 
 
-def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
-                     seed=None, workers=None) -> int:
-    """Run one simulation and write the event file; returns the frame count."""
+def simulate_to_file(settings: dict, mode: str, out_path, *,
+                     frames=None) -> int:
+    """Simulate one arm on run.seed and run.workers and write the event
+    file; frames overrides run.frames. Returns the frame count."""
     model = cfgmod.build_model(settings)
     sensor_cfg = cfgmod.build_sensor(settings)
     mapping = cfgmod.build_mapping(settings, mode)
     crosstalk = cfgmod.build_crosstalk(settings)
     n_frames = settings["run.frames"] if frames is None else frames
-    seed = settings["run.seed"] if seed is None else seed
-    workers = settings["run.workers"] if workers is None else workers
     writer = EventFileWriter(
         out_path, n_x=sensor_cfg.n_x, n_y=sensor_cfg.n_y,
         tdc_bin_ps=sensor_cfg.tdc_bin_ps,
@@ -58,8 +56,9 @@ def simulate_to_file(settings: dict, mode: str, out_path, *, frames=None,
     try:
         for batch in simulate_frames(model, mapping, sensor_cfg, n_frames,
                                      settings["run.pairs_per_frame"],
-                                     crosstalk=crosstalk, seed=seed,
-                                     workers=workers):
+                                     crosstalk=crosstalk,
+                                     seed=settings["run.seed"],
+                                     workers=settings["run.workers"]):
             writer.add_batch(batch)
         return writer.close(total_frames=n_frames)
     except BaseException:

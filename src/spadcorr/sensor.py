@@ -14,9 +14,9 @@ pair on a uniformly random frame. That is the law of independent
 Poisson(mean) counts per frame: their sum is Poisson(n * mean) and, given
 the sum, the pairs fall on the frames uniformly. Dark counts are one
 Poisson total over pixels x frames, placed the same way. Cross-talk draws,
-per neighbour offset, a Binomial(N, p) hit count and a uniform subset of
-that many of the N detections: the law of N independent Bernoulli(p)
-trials.
+per offset of its CrosstalkMap (the type the characterization returns), a
+Binomial(N, p) hit count and a uniform subset of that many of the N
+detections: the law of N independent Bernoulli(p) trials.
 
 The group is the unit of randomness and of array work: the stream is cut
 into groups of consecutive 65536-frame chunks, as many as fit in an expected
@@ -38,7 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, MalformedFrame
+from . import arraystore
+from .errors import ConfigError, InvariantViolation, MalformedFrame
 from .optics import DoubleGaussianModel, OpticalMapping
 
 CHUNK_FRAMES = 65536
@@ -119,48 +120,67 @@ def draw_pixel_offsets(cfg: SensorConfig, range_ps: float,
     return dataclasses.replace(cfg, pixel_offsets_ps=offs)
 
 
-@dataclasses.dataclass(frozen=True)
-class CrosstalkSpec:
-    """Injection probabilities p(dx, dy) per detection.
-
-    Stored as a sorted tuple of (dx, dy, p). The self offset (0, 0) is
-    forbidden. Point symmetry is not assumed: p(dx, dy) and p(-dx, -dy) are
-    independent entries.
+@dataclasses.dataclass(eq=False)
+class CrosstalkMap:
+    """Per-detection neighbour firing probabilities p(dx, dy), stored as
+    probabilities[dx + radius, dy + radius]; p(-dx, -dy) is its own cell.
+    The one cross-talk type: the injected truth (from_dict) and the map
+    estimate_crosstalk measures, which counts the cells it clamped to zero.
     """
 
-    entries: tuple[tuple[int, int, float], ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for dx, dy, p in self.entries:
-            if (dx, dy) == (0, 0):
-                raise ConfigError("cross-talk to the originating pixel is not allowed")
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError("cross-talk probability must be in [0, 1]")
-            if (dx, dy) in seen:
-                raise ConfigError(f"duplicate cross-talk offset {(dx, dy)}")
-            seen.add((dx, dy))
-        object.__setattr__(self, "entries",
-                           tuple(sorted(self.entries)))
+    probabilities: np.ndarray
+    radius: int
+    clamped_negative: int = 0
 
     @classmethod
-    def from_dict(cls, probs: dict[tuple[int, int], float]) -> "CrosstalkSpec":
-        return cls(tuple((dx, dy, float(p)) for (dx, dy), p in probs.items()
-                         if p > 0.0))
-
-    @classmethod
-    def none(cls) -> "CrosstalkSpec":
-        return cls(())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
+    def from_dict(cls, probs: dict[tuple[int, int], float]) -> "CrosstalkMap":
+        """The table of {(dx, dy): p} over the largest |dx| or |dy| with
+        p > 0, dropping p = 0; ConfigError for (0, 0) or p outside [0, 1]."""
+        bad = [offset for offset, p in probs.items()
+               if offset == (0, 0) or not 0.0 <= p <= 1.0]
+        if bad:
+            raise ConfigError(f"cross-talk at {bad}: offset (0, 0) or a "
+                              f"probability outside [0, 1]")
+        kept = {offset: p for offset, p in probs.items() if p > 0.0}
+        r = max((max(map(abs, offset)) for offset in kept), default=0)
+        prob = np.zeros((2 * r + 1, 2 * r + 1))
+        for (dx, dy), p in kept.items():
+            prob[dx + r, dy + r] = p
+        return cls(probabilities=prob, radius=r)
 
     def probability(self, dx: int, dy: int) -> float:
-        for ex, ey, p in self.entries:
-            if (ex, ey) == (dx, dy):
-                return p
-        return 0.0
+        r = self.radius
+        if abs(dx) > r or abs(dy) > r:
+            return 0.0
+        return float(self.probabilities[dx + r, dy + r])
+
+    def offsets(self) -> list:
+        """(dx, dy, p) of each nonzero cell, dx then dy ascending: the
+        order in which the simulator draws the offsets."""
+        r = self.radius
+        return [(dx - r, dy - r, self.probabilities[dx, dy])
+                for dx, dy in zip(*np.nonzero(self.probabilities))]
+
+    def save(self, path) -> None:
+        arraystore.save_arrays(
+            path, {"probabilities": self.probabilities},
+            {"kind": "crosstalk_map", "radius": self.radius,
+             "clamped_negative": self.clamped_negative})
+
+    @classmethod
+    def load(cls, path) -> "CrosstalkMap":
+        return cls._from_arrays(*arraystore.load_arrays(path))
+
+    @classmethod
+    def _from_arrays(cls, arrays, meta) -> "CrosstalkMap":
+        if meta.get("kind") != "crosstalk_map":
+            raise ConfigError("container does not hold a cross-talk map")
+        fields = arraystore.check_meta(meta, radius=int, clamped_negative=int)
+        if fields["clamped_negative"] < 0:
+            raise InvariantViolation("negative clamped_negative")
+        side = 2 * fields["radius"] + 1
+        return cls(**fields, **arraystore.check_arrays(
+            arrays, probabilities=((side, side), np.float64)))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -257,14 +277,15 @@ def _draw_pair_coordinates(model, mapping, count, rng):
 
 
 def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
-                     times_ps: np.ndarray, spec: CrosstalkSpec,
+                     times_ps: np.ndarray, cmap: CrosstalkMap,
                      cfg: SensorConfig, rng: np.random.Generator):
     """Append cross-talk secondaries to a list of detections.
 
-    Every input detection independently fires each configured neighbour
-    offset with its probability; the secondary lands in the source's frame
-    at the source time plus a uniform delay within one TDC bin. Secondaries
-    do not cascade. Off-sensor neighbours are discarded. Returns
+    Every input detection independently fires each offset of the map
+    (CrosstalkMap.offsets) with its probability; the secondary lands in the
+    source's frame at the source time plus a uniform delay within one TDC
+    bin. Secondaries do not cascade. Off-sensor neighbours are discarded.
+    Returns
     (frame_ids, pixels, times) with the secondaries appended, per offset in
     the order of their sources.
 
@@ -276,7 +297,7 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
     times_ps = np.asarray(times_ps, dtype=float)
     n = pixels_lin.size
     add_f, add_pix, add_t = [frame_ids], [pixels_lin], [times_ps]
-    for dx, dy, p in spec.entries:
+    for dx, dy, p in cmap.offsets():
         n_hit = rng.binomial(n, p)
         hit = np.sort(rng.choice(n, n_hit, replace=False, shuffle=False))
         delay = rng.uniform(0.0, cfg.tdc_bin_ps, n_hit)
@@ -293,7 +314,7 @@ def inject_crosstalk(frame_ids: np.ndarray, pixels_lin: np.ndarray,
 def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
                     cfg: SensorConfig, n_frames: int,
                     pairs_per_frame_mean: float,
-                    crosstalk: CrosstalkSpec | None = None,
+                    crosstalk: CrosstalkMap | None = None,
                     seed: int = 0, workers: int = 1
                     ) -> Iterator[FrameBatch]:
     """Generate the frame stream as one FrameBatch per group.
@@ -305,19 +326,23 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
     mean * efficiency + dark counts per frame) * (1 + summed cross-talk
     probability); the last group may be shorter. The boundaries follow
     from the configuration alone, so the worker count cannot change the
-    output.
+    output. crosstalk None injects no cross-talk.
     """
     if n_frames < 0:
         raise ConfigError("n_frames must be nonnegative")
     if pairs_per_frame_mean < 0:
         raise ConfigError("pair rate must be nonnegative")
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
     if mapping.mode not in ("far", "near"):
         raise ConfigError("simulation needs a near or far mapping")
-    crosstalk = crosstalk or CrosstalkSpec.none()
+    offsets = [] if crosstalk is None else crosstalk.offsets()
+    # a Python sum in the order of the draws: np.sum adds pairwise, and its
+    # rounding could move a group boundary
     chunk_events = (CHUNK_FRAMES
                     * (2.0 * pairs_per_frame_mean * cfg.efficiency
                        + _dark_mean(cfg))
-                    * (1.0 + sum(p for _, _, p in crosstalk.entries)))
+                    * (1.0 + sum(p for _, _, p in offsets)))
     step = CHUNK_FRAMES * max(1, int(_GROUP_EVENTS // max(chunk_events, 1.0)))
     groups = [(k, lo, min(lo + step, n_frames))
               for k, lo in enumerate(range(0, n_frames, step))]
@@ -362,7 +387,7 @@ def _simulate_group(model, mapping, cfg, crosstalk, pairs_mean,
     frames, lins, times = (np.concatenate(c) for c in zip(
         _detect_photons(model, mapping, cfg, pairs_mean, rng, lo, hi),
         _dark_counts(cfg, rng, lo, hi)))
-    if not crosstalk.is_empty and lins.size:
+    if crosstalk is not None and lins.size:
         frames, lins, times = inject_crosstalk(frames, lins, times, crosstalk,
                                                cfg, rng)
     return _first_hits(frames, lins, times, cfg, lo, hi)

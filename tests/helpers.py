@@ -23,7 +23,6 @@ from spadcorr.config import (
 from spadcorr.correlator import (
     MFRAMES,
     CorrelationAccumulator,
-    CrosstalkMap,
     _axis_offsets,
     _offset_index,
     _over_pairs,
@@ -50,7 +49,7 @@ from spadcorr.fitting import (
     REL_STEP_TOL,
     LMResult,
 )
-from spadcorr.sensor import FrameBatch, simulate_frames
+from spadcorr.sensor import CrosstalkMap, FrameBatch, simulate_frames
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "default.cfg"
 # one full simulation chunk plus a short tail chunk
@@ -108,12 +107,13 @@ def random_batch(rng, n_frames, n_pix, bins, max_events=8, p_empty=0.2):
 
 
 def stream_digests(seed, n_frames=PINNED_FRAMES,
-                   streams=("far", "near", "characterization")):
+                   streams=("far", "near", "characterization"), extra=None):
     """{stream: {field: first 16 hex digits of its sha256}} at one seed.
 
     The streams are any of the default.cfg far arm, near arm and 30 kHz
     cross-talk characterization sensor (zero pairs, far mapping),
-    cross-talk on, n_frames frames each, all simulated on seed. The fields
+    cross-talk on, n_frames frames each, all simulated on seed; extra
+    settings, if given, are set over default.cfg's. The fields
     are each FrameBatch event column over the whole stream and the five
     arrays of the stream's accumulator at the default.cfg window and shift.
     """
@@ -123,7 +123,7 @@ def stream_digests(seed, n_frames=PINNED_FRAMES,
             h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()[:16]
 
-    settings = load_config(REFERENCE_CFG)
+    settings = load_config(REFERENCE_CFG) | (extra or {})
     settings["run.seed"] = seed
     model = build_model(settings)
     sensor = build_sensor(settings)

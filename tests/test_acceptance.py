@@ -286,8 +286,8 @@ def test_criterion_8_parallel_determinism(tmp_path):
         "crosstalk.p_1_0 = 1e-3\ncrosstalk.p_0_1 = 1e-3\n")
     one = tmp_path / "w1.evt"
     eight = tmp_path / "w8.evt"
-    simulate_to_file(settings, "far", one, workers=1)
-    simulate_to_file(settings, "far", eight, workers=8)
+    for path, workers in ((one, 1), (eight, 8)):
+        simulate_to_file(settings | {"run.workers": workers}, "far", path)
     files_equal = one.read_bytes() == eight.read_bytes()
 
     # accumulation has one path; its cut into batches must not show

@@ -22,7 +22,7 @@ REMOVED = ("Frame", "frames_to_batch", "SincModel", "PumpProfile",
            "_paired_variance", "_SIGMA_KEYS", "fit_gaussian_1d_columns",
            "_fit_columns_stack", "_column_block", "linear_index",
            "write_events", "PAIR_SLICE", "read_batches", "_projection",
-           "_numerical", "_gauss1d", "_gauss2d", "_peaks")
+           "_numerical", "_gauss1d", "_gauss2d", "_peaks", "CrosstalkSpec")
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -40,7 +40,6 @@ def test_event_file_has_no_per_frame_path():
 
 
 def test_unused_model_helpers_deleted():
-    assert not hasattr(sensor.CrosstalkSpec, "nearest")
     assert not hasattr(optics.DoubleGaussianModel, "density")
     assert not hasattr(epr.JointTable, "n")
     assert not hasattr(epr.JointTable, "total")

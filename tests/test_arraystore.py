@@ -20,7 +20,6 @@ from spadcorr.cli import main
 from spadcorr.correlator import (
     CorrectedG2,
     CorrelationAccumulator,
-    CrosstalkMap,
     accumulate,
     estimate_accidentals,
     mask_neighbors,
@@ -35,6 +34,7 @@ from spadcorr.errors import (
     WindowTooLarge,
 )
 from spadcorr.eventfile import EventFileWriter
+from spadcorr.sensor import CrosstalkMap
 
 
 def sample_payload(rng):

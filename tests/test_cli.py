@@ -14,12 +14,9 @@ from helpers import (
 from spadcorr import arraystore, epr
 from spadcorr import config as cfgmod
 from spadcorr.cli import build_parser, main
-from spadcorr.correlator import (
-    CorrectedG2,
-    CorrelationAccumulator,
-    CrosstalkMap,
-)
+from spadcorr.correlator import CorrectedG2, CorrelationAccumulator
 from spadcorr.epr import v_min
+from spadcorr.sensor import CrosstalkMap
 
 CFG_TEXT = """\
 run.frames = 100000
@@ -144,6 +141,30 @@ class TestStageCommands:
         a = arraystore.load_arrays(out)[0]["values"]
         b = arraystore.load_arrays(reused)[0]["values"]
         np.testing.assert_array_equal(a, b)
+
+
+    def test_simulate_seed_is_run_seed(self, ws, tmp_path, capsys):
+        """--seed sets run.seed, which also draws the pixel offsets, and
+        --workers sets run.workers, which cannot change the file."""
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(CFG_TEXT.replace("run.seed = 5", "run.seed = 7"))
+        common = ["simulate", "--mapping", "far", "--frames", "70000"]
+        files = {name: tmp_path / f"{name}.evt"
+                 for name in ("key", "flag", "workers", "seed5")}
+        for name, argv in (
+                ("key", ["--config", str(seeded)]),
+                ("flag", ["--config", str(ws["cfg"]), "--seed", "7"]),
+                ("workers", ["--config", str(seeded), "--workers", "4"]),
+                ("seed5", ["--config", str(ws["cfg"])])):
+            assert main(common + argv + ["--out", str(files[name])]) == 0
+        want = files["key"].read_bytes()
+        assert files["flag"].read_bytes() == want
+        assert files["workers"].read_bytes() == want
+        assert files["seed5"].read_bytes() != want
+        out = tmp_path / "none.evt"
+        assert main(common + ["--workers", "0", "--out", str(out)]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCommand:

@@ -14,6 +14,7 @@ from spadcorr.config import (
     parse_config,
     target_widths,
 )
+from spadcorr import sensor
 from spadcorr.errors import ConfigError
 from spadcorr.optics import DoubleGaussianModel
 from spadcorr.sensor import draw_pixel_offsets
@@ -28,6 +29,23 @@ BAD_VALUES = [
     ("epr.min_column_fraction", "nan", "is not finite"),
     ("epr.min_column_fraction", "-1", "must be above 0 and at most 1"),
     ("epr.min_column_fraction", "2", "must be above 0 and at most 1"),
+]
+
+# (config line, message): values that cannot run. The windows once ended
+# in a data error (exit 3), the inner window only after both arms and the
+# characterization were simulated; the workers, the negative probability
+# and the offsets off the 32 x 32 sensor ran silently.
+UNRUNNABLE = [
+    ("correlate.window = 300", "coincidence window exceeds the frame"),
+    ("correlate.shift = 5", "shifted window overlaps the prompt window"),
+    ("correct.crosstalk_inner_window = 40", "inner window does not fit"),
+    ("run.workers = 0", "workers must be at least 1"),
+    ("run.workers = -3", "workers must be at least 1"),
+    ("crosstalk.p_1_0 = -1e-3", "probability outside [0, 1]"),
+    ("crosstalk.p_0_1 = 1.5", "probability outside [0, 1]"),
+    ("crosstalk.p_32_0 = 1e-3", "cannot land on a 32x32 sensor"),
+    ("crosstalk.p_0_-32 = 0", "cannot land on a 32x32 sensor"),
+    ("crosstalk.p_100000_0 = 1e-3", "cannot land on a 32x32 sensor"),
 ]
 
 
@@ -116,6 +134,27 @@ class TestParsing:
         err = capsys.readouterr().err
         assert "configuration error" in err and message in err
 
+    @pytest.mark.parametrize("line,message", UNRUNNABLE)
+    def test_unrunnable_value_exits_2_before_simulating(
+            self, tmp_path, capsys, monkeypatch, line, message):
+        def simulate_group(*args):
+            raise AssertionError("a chunk group was simulated")
+
+        monkeypatch.setattr(sensor, "_simulate_group", simulate_group)
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"run.frames = 70000\n{line}\n")
+        assert main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("text", [
+        "correlate.window = 0\ncorrelate.shift = 254\n",
+        "correlate.window = 254\ncorrelate.shift = 255\n",
+        "sensor.n_x = 16\ncorrect.crosstalk_inner_window = 16\n",
+        "sensor.n_y = 20\ncorrect.apply_crosstalk = false\n"])
+    def test_window_limits_are_accepted(self, text):
+        parse_config(text)
+
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("run.seed = 42\n# note\nsensor.n_x = 16\n")
@@ -197,17 +236,36 @@ class TestBuilders:
         assert mapping.center_offset_px == (0.5, -1.5)
 
     def test_crosstalk_empty(self):
-        spec = build_crosstalk(defaults())
-        assert spec.is_empty
+        assert build_crosstalk(defaults()) is None
+        assert build_crosstalk(parse_config("crosstalk.p_1_0 = 0\n"
+                                            "crosstalk.p_0_-5 = 0\n")) is None
 
     def test_crosstalk_entries(self):
         settings = parse_config("crosstalk.p_1_0 = 1e-3\n"
-                                "crosstalk.p_0_-1 = 5e-4\n")
-        spec = build_crosstalk(settings)
-        assert not spec.is_empty
-        assert spec.probability(1, 0) == 1e-3
-        assert spec.probability(0, -1) == 5e-4
-        assert spec.probability(-1, 0) == 0.0
+                                "crosstalk.p_0_-1 = 5e-4\n"
+                                "crosstalk.p_3_0 = 0\n")
+        cmap = build_crosstalk(settings)
+        assert cmap.radius == 1 and cmap.clamped_negative == 0
+        assert cmap.probability(1, 0) == 1e-3
+        assert cmap.probability(0, -1) == 5e-4
+        assert cmap.probability(-1, 0) == 0.0
+
+    @pytest.mark.parametrize("key", ["crosstalk.p_16_0", "crosstalk.p_-16_0",
+                                     "crosstalk.p_0_8", "crosstalk.p_0_-8"])
+    def test_crosstalk_offset_off_the_sensor(self, key):
+        settings = parse_config(f"sensor.n_x = 16\nsensor.n_y = 8\n"
+                                f"{key} = 1e-3\n")
+        with pytest.raises(ConfigError, match="cannot land on a 16x8 sensor"):
+            build_crosstalk(settings)
+        settings = parse_config("sensor.n_x = 16\nsensor.n_y = 8\n"
+                                "crosstalk.p_15_-7 = 1e-3\n")
+        assert build_crosstalk(settings).radius == 15
+
+    @pytest.mark.parametrize("value", ["-1e-3", "1.5"])
+    def test_crosstalk_probability_outside_0_1(self, value):
+        settings = parse_config(f"crosstalk.p_1_0 = {value}\n")
+        with pytest.raises(ConfigError, match=r"outside \[0, 1\]"):
+            build_crosstalk(settings)
 
 
 class TestReferenceConfig:

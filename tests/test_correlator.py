@@ -24,7 +24,6 @@ from spadcorr import arraystore, correlator
 from spadcorr.correlator import (
     CorrectedG2,
     CorrelationAccumulator,
-    CrosstalkMap,
     accumulate,
     correct_crosstalk,
     estimate_accidentals,
@@ -47,7 +46,7 @@ from spadcorr.errors import (
     WindowTooLarge,
 )
 from spadcorr.sensor import (
-    CrosstalkSpec,
+    CrosstalkMap,
     FrameBatch,
     SensorConfig,
     simulate_frames,
@@ -592,7 +591,7 @@ class TestEstimateCrosstalk:
     def test_one_way_injection_recovered_directionally(
             self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=30000.0)
-        xt = CrosstalkSpec.from_dict({(1, 0): 1e-3, (0, 1): 1e-3})
+        xt = CrosstalkMap.from_dict({(1, 0): 1e-3, (0, 1): 1e-3})
         batches = simulate_frames(reference_model, far_mapping, cfg,
                                   1_000_000, 0.0, crosstalk=xt, seed=37)
         acc = accumulate(batches, mapping_mode="far")
@@ -906,8 +905,8 @@ class TestOffsetKeyedCrosstalk:
     def test_estimate_matches_oracle_on_characterization(
             self, reference_model, far_mapping, seed):
         cfg = SensorConfig(dark_rate_hz=30000.0)
-        xt = CrosstalkSpec.from_dict({(1, 0): 1e-3, (-1, 0): 1e-3,
-                                      (0, 1): 1e-3, (0, -1): 1e-3})
+        xt = CrosstalkMap.from_dict({(1, 0): 1e-3, (-1, 0): 1e-3,
+                                     (0, 1): 1e-3, (0, -1): 1e-3})
         acc = accumulate(simulate_frames(reference_model, far_mapping, cfg,
                                          4 * 65536, 0.0, crosstalk=xt,
                                          seed=seed), mapping_mode="far")
@@ -922,8 +921,8 @@ class TestSymmetryThroughStages:
     def test_exchange_symmetry_and_zero_diagonal(self, reference_model,
                                                  near_mapping):
         cfg = SensorConfig(dark_rate_hz=5000.0)
-        xt = CrosstalkSpec.from_dict({(1, 0): 1e-3, (-1, 0): 1e-3,
-                                      (0, 1): 1e-3, (0, -1): 1e-3})
+        xt = CrosstalkMap.from_dict({(1, 0): 1e-3, (-1, 0): 1e-3,
+                                     (0, 1): 1e-3, (0, -1): 1e-3})
         batches = simulate_frames(reference_model, near_mapping, cfg,
                                   65536, 0.5, crosstalk=xt, seed=40)
         acc = accumulate(batches, mapping_mode="near")

@@ -10,7 +10,7 @@ from helpers import REFERENCE_CFG, oracle_characterize, oracle_correct_chain
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
-from spadcorr.correlator import CrosstalkMap, accumulate
+from spadcorr.correlator import accumulate
 from spadcorr.errors import ConfigError, OrderViolation
 from spadcorr.pipeline import (
     accumulate_file,
@@ -20,7 +20,7 @@ from spadcorr.pipeline import (
     simulate_accumulator,
     simulate_to_file,
 )
-from spadcorr.sensor import simulate_frames
+from spadcorr.sensor import CrosstalkMap, simulate_frames
 
 
 def small_settings(**overrides):
@@ -37,9 +37,10 @@ def small_settings(**overrides):
 
 class TestSimulateAccumulator:
     def test_event_file_tee_matches_memory(self, tmp_path):
-        settings = small_settings(**{"crosstalk.p_1_0": "1e-3"})
+        settings = small_settings(**{"crosstalk.p_1_0": "1e-3",
+                                     "run.seed": 3})
         path = tmp_path / "far.evt"
-        simulate_to_file(settings, "far", path, frames=5000, seed=3)
+        simulate_to_file(settings, "far", path, frames=5000)
         replay = accumulate_file(path)
         acc = simulate_accumulator(
             cfgmod.build_model(settings),

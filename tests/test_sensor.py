@@ -25,7 +25,7 @@ from spadcorr.errors import ConfigError, MalformedFrame
 from spadcorr.eventfile import EventFileReader, EventFileWriter
 from spadcorr.optics import map_sensor_to_object
 from spadcorr.sensor import (
-    CrosstalkSpec,
+    CrosstalkMap,
     FrameBatch,
     SensorConfig,
     _draw_pair_coordinates,
@@ -87,6 +87,24 @@ LONG_DIGESTS = {
     (103, "near"):
         "50b2f618b5a7baaa 34d4da474b22c7b9 a8a968cc5a63281a 0260c3740aebb03e "
         "e53ac5d03e09b78c 341bfc038392be23 a2b52e6745d68aa9 f7d50739fa1edc6e",
+}
+
+
+# The same digests at seed 103 with two offsets beyond radius 1 added to
+# default.cfg's four, recorded on the simulator that injected from a sorted
+# tuple of (dx, dy, p): the offsets are drawn dx, then dy, ascending, as the
+# CrosstalkMap table's nonzero cells are read in row-major order.
+MIXED_RADIUS = {"crosstalk.p_2_-1": 3e-4, "crosstalk.p_-2_2": 2e-4}
+MIXED_RADIUS_DIGESTS = {
+    "far":
+        "66aa327e347f63e3 e257673683ce0bd3 644a9c162f25e930 43602f1e0b62c9e7 "
+        "54dcc7cf4bd5e0fe 013661972466c30f 3ebd73af54a43c19 bef7bd1b9bb764a0",
+    "near":
+        "f5fe9d4f6faddf6c 5975a79d74f0693e 9e80bd500cb4b5b0 397ddbcce1cd8b24 "
+        "be721be2f8f09eb5 97714718b3b1c8d2 41093f1d86f675ee 0c4d380317f6ec2a",
+    "characterization":
+        "f4fdf55244cd73a5 4f45fc705a030758 6b9860bcd2aaf29e b134313a9154ec70 "
+        "761faef06a7f7072 ff850ce43977d7c4 fc9d489679b7d232 a67c0a7a4119487b",
 }
 
 
@@ -156,21 +174,47 @@ class TestQuantizeTdc:
         assert bins.dtype == np.int64
 
 
-class TestCrosstalkSpec:
+class TestCrosstalkMapFromDict:
     def test_from_dict_drops_zero_entries(self):
-        spec = CrosstalkSpec.from_dict({(1, 0): 1e-3, (0, 1): 0.0})
-        assert spec.entries == ((1, 0, 1e-3),)
-        assert spec.probability(1, 0) == 1e-3
-        assert spec.probability(0, 1) == 0.0
+        cmap = CrosstalkMap.from_dict({(1, 0): 1e-3, (0, 1): 0.0,
+                                       (5, -5): 0.0})
+        # the radius is that of the offsets with p > 0
+        assert cmap.radius == 1 and cmap.clamped_negative == 0
+        want = np.zeros((3, 3))
+        want[2, 1] = 1e-3
+        np.testing.assert_array_equal(cmap.probabilities, want)
+        assert cmap.probability(1, 0) == 1e-3
+        assert cmap.probability(0, 1) == 0.0
+        assert cmap.probability(5, -5) == 0.0
 
-    def test_validation(self):
+    def test_table_spans_the_largest_offset(self):
+        cmap = CrosstalkMap.from_dict({(2, -1): 3e-4, (-1, 0): 1e-3})
+        assert cmap.radius == 2
+        assert cmap.probabilities.shape == (5, 5)
+        assert np.count_nonzero(cmap.probabilities) == 2
+        assert cmap.probability(2, -1) == 3e-4
+        assert cmap.probability(-1, 0) == 1e-3
+        assert cmap.probability(1, -2) == 0.0
+        empty = CrosstalkMap.from_dict({})
+        assert empty.radius == 0 and not empty.probabilities.any()
+        assert empty.offsets() == []
+
+    def test_offsets_in_draw_order(self):
+        # the order of the sorted (dx, dy, p) tuples the simulator drew from
+        probs = {(2, -1): 3e-4, (0, 1): 1e-3, (-2, 2): 2e-4, (0, -1): 1e-3}
+        got = CrosstalkMap.from_dict(probs).offsets()
+        assert got == sorted((dx, dy, p) for (dx, dy), p in probs.items())
+
+    @pytest.mark.parametrize("probs", [
+        {(0, 0): 0.5}, {(0, 0): 0.0}, {(1, 0): 1.5}, {(1, 0): -1e-3},
+        {(1, 0): float("nan")}, {(1, 0): 1e-3, (0, -1): -1e-9}])
+    def test_validation(self, probs):
         with pytest.raises(ConfigError):
-            CrosstalkSpec(((0, 0, 0.5),))
-        with pytest.raises(ConfigError):
-            CrosstalkSpec(((1, 0, 1.5),))
-        with pytest.raises(ConfigError):
-            CrosstalkSpec(((1, 0, 0.1), (1, 0, 0.2)))
-        assert CrosstalkSpec.none().is_empty
+            CrosstalkMap.from_dict(probs)
+
+    def test_bounds_are_allowed(self):
+        cmap = CrosstalkMap.from_dict({(1, 0): 1.0, (0, 1): 0.0})
+        assert cmap.probability(1, 0) == 1.0
 
 
 class TestSamplePair:
@@ -230,7 +274,7 @@ class TestInjectCrosstalk:
         pix = np.array([10, 20, 30], dtype=np.int64)
         t = np.array([1.0, 2.0, 3.0])
         out_f, out_pix, out_t = inject_crosstalk(
-            fids, pix, t, CrosstalkSpec.none(), cfg, rng)
+            fids, pix, t, CrosstalkMap(np.zeros((3, 3)), 1), cfg, rng)
         np.testing.assert_array_equal(out_f, fids)
         np.testing.assert_array_equal(out_pix, pix)
         np.testing.assert_array_equal(out_t, t)
@@ -238,9 +282,9 @@ class TestInjectCrosstalk:
     def test_certain_echo_lands_on_neighbor(self, rng):
         cfg = SensorConfig()
         # pixel (5, 5) 1-based is linear 133; (6, 5) is 134
-        spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
+        cmap = CrosstalkMap.from_dict({(1, 0): 1.0})
         fids, pix, t = inject_crosstalk(np.array([3]), np.array([133]),
-                                        np.array([1000.0]), spec, cfg, rng)
+                                        np.array([1000.0]), cmap, cfg, rng)
         np.testing.assert_array_equal(fids, [3, 3])
         np.testing.assert_array_equal(pix, [133, 134])
         delay = t[1] - 1000.0
@@ -248,10 +292,10 @@ class TestInjectCrosstalk:
 
     def test_edge_echo_discarded(self, rng):
         cfg = SensorConfig()
-        spec = CrosstalkSpec.from_dict({(1, 0): 1.0})
+        cmap = CrosstalkMap.from_dict({(1, 0): 1.0})
         # pixel 32 sits on the rightmost column
         fids, pix, t = inject_crosstalk(np.array([0]), np.array([32]),
-                                        np.array([0.0]), spec, cfg, rng)
+                                        np.array([0.0]), cmap, cfg, rng)
         np.testing.assert_array_equal(fids, [0])
         np.testing.assert_array_equal(pix, [32])
 
@@ -259,9 +303,9 @@ class TestInjectCrosstalk:
         cfg = SensorConfig()
         rng = np.random.default_rng(44)
         n = 10_000_000
-        spec = CrosstalkSpec.from_dict({(1, 0): 1e-3})
+        cmap = CrosstalkMap.from_dict({(1, 0): 1e-3})
         fids, pix, t = inject_crosstalk(np.arange(n), np.full(n, 500),
-                                        np.zeros(n), spec, cfg, rng)
+                                        np.zeros(n), cmap, cfg, rng)
         echoes = pix.size - n
         assert abs(echoes - 1e4) < 4 * np.sqrt(1e4)
         assert np.all(t[n:] >= 0.0)
@@ -269,9 +313,9 @@ class TestInjectCrosstalk:
 
     def test_frame_ids_carried_along(self, rng):
         cfg = SensorConfig()
-        spec = CrosstalkSpec.from_dict({(0, 1): 1.0})
+        cmap = CrosstalkMap.from_dict({(0, 1): 1.0})
         fids, pix, t = inject_crosstalk(np.array([7, 9]), np.array([1, 33]),
-                                        np.array([0.0, 5.0]), spec, cfg, rng)
+                                        np.array([0.0, 5.0]), cmap, cfg, rng)
         assert pix.size == 4
         np.testing.assert_array_equal(fids, [7, 9, 7, 9])
         np.testing.assert_array_equal(pix[2:], [33, 65])
@@ -336,8 +380,8 @@ class TestSimulateFrames:
 
     def test_stream_invariants(self, reference_model, far_mapping):
         cfg = SensorConfig(dark_rate_hz=30000.0)
-        xt = CrosstalkSpec.from_dict({(1, 0): 0.01, (-1, 0): 0.01,
-                                      (0, 1): 0.01, (0, -1): 0.01})
+        xt = CrosstalkMap.from_dict({(1, 0): 0.01, (-1, 0): 0.01,
+                                     (0, 1): 0.01, (0, -1): 0.01})
         for batch in simulate_frames(reference_model, far_mapping, cfg,
                                      65536, pairs_per_frame_mean=2.5,
                                      crosstalk=xt, seed=11):
@@ -474,14 +518,14 @@ class TestSameLaw:
         # the sensor, and each offset lands on its own pixel
         probs = {(1, 0): 0.02, (0, 1): 0.005, (-1, -1): 0.05}
         landing = {500 + dx + 32 * dy: (dx, dy) for dx, dy in probs}
-        spec = CrosstalkSpec.from_dict(probs)
+        cmap = CrosstalkMap.from_dict(probs)
         rng = np.random.default_rng(seed)
         hits = {off: np.zeros(reps, dtype=np.int64) for off in probs}
         per_source = {off: np.zeros(n_src, dtype=np.int64) for off in probs}
         for r in range(reps):
             fids, pix, _ = inject_crosstalk(np.arange(n_src),
                                             np.full(n_src, 500),
-                                            np.zeros(n_src), spec, cfg, rng)
+                                            np.zeros(n_src), cmap, cfg, rng)
             src, pix = fids[n_src:], pix[n_src:]
             for lin, off in landing.items():
                 mine = src[pix == lin]
@@ -509,6 +553,12 @@ class TestPinnedStreams:
             want = dict(zip(fields, PINNED_DIGESTS[seed, name].split()))
             assert got[name] == want, name
 
+
+    def test_mixed_radius_streams_match_pinned_digests(self):
+        fields = ("frame_ids", "pixels", "tdc") + ACC_FIELDS
+        got = stream_digests(103, extra=MIXED_RADIUS)
+        for name, digests in MIXED_RADIUS_DIGESTS.items():
+            assert got[name] == dict(zip(fields, digests.split())), name
 
     @pytest.mark.parametrize("name", ["far", "near"])
     def test_long_streams_match_pinned_digests(self, name):
