@@ -120,7 +120,8 @@ def parse_config(text: str) -> dict:
                 f"line {lineno}: {key} must be above 0 and at most 1")
     check_windows(settings["correlate.window"], settings["correlate.shift"],
                   settings["sensor.bins_per_frame"], ConfigError)
-    # unset, it is not checked: a narrow sensor may skip the cross-talk
+    # the default is not checked: a sensor narrower than it may run
+    # without the cross-talk stage
     if "correct.crosstalk_inner_window" in seen:
         check_inner_window(settings["correct.crosstalk_inner_window"],
                            settings["sensor.n_x"], settings["sensor.n_y"],

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from spadcorr import sensor
 from spadcorr.cli import main
 from spadcorr.config import (
     build_crosstalk,
@@ -14,7 +15,6 @@ from spadcorr.config import (
     parse_config,
     target_widths,
 )
-from spadcorr import sensor
 from spadcorr.errors import ConfigError
 from spadcorr.optics import DoubleGaussianModel
 from spadcorr.sensor import draw_pixel_offsets
@@ -257,6 +257,8 @@ class TestBuilders:
                                 f"{key} = 1e-3\n")
         with pytest.raises(ConfigError, match="cannot land on a 16x8 sensor"):
             build_crosstalk(settings)
+
+    def test_crosstalk_offset_at_the_sensor_edge(self):
         settings = parse_config("sensor.n_x = 16\nsensor.n_y = 8\n"
                                 "crosstalk.p_15_-7 = 1e-3\n")
         assert build_crosstalk(settings).radius == 15
