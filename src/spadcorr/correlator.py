@@ -15,8 +15,8 @@ The cross-talk stage may be skipped; every stage after raw needs
 accidental_subtracted first, and none repeats. CorrectedG2.__post_init__ is
 the one check, so a stage applied out of order raises InvariantViolation
 (exit 3) and leaves its input unchanged. The cross-talk map is estimated
-beside the chain, from the accumulator and its accidental estimate
-(estimate_crosstalk), not from a corrected tensor.
+beside the chain, from the accumulator's pair list (estimate_crosstalk),
+not from a corrected tensor.
 """
 
 from __future__ import annotations
@@ -206,27 +206,36 @@ class CorrelationAccumulator:
             self._keys, self._counts = keys, counts
         return self._keys, self._counts
 
+    def _dt_tables(self):
+        # Per tensor, the predicate over dt + reach of the keys it counts
+        # in the [source, partner] cell, dt = t(source) - t(partner)
+        reach = self.shift + self.window
+        dt = np.arange(-reach, reach + 1)
+        win = np.abs(dt) <= self.window
+        return {"g2": win, "g2_later": win & (dt < 0),
+                "g2_shifted": np.abs(np.abs(dt) - self.shift) <= self.window}
+
+    def _decoded(self):
+        # The listed and the pending keys, unmerged, in each pixel order:
+        # (source * n_pix + partner, t(source) - t(partner) + reach), lower
+        # pixel first; then their counts as float64
+        span, n = 2 * (self.shift + self.window) + 1, self.n_pixels
+        d = np.concatenate([self._keys, *self._pending])
+        pair = d // span
+        d -= pair * span
+        counts = np.concatenate((self._counts, np.ones(self._n_pending)))
+        return ((pair, d), (pair % n * n + pair // n, span - 1 - d)), counts
+
     def tensor(self, name, scale=None) -> np.ndarray:
         """A new (n_pix, n_pix) array of the pair tensor g2, g2_shifted or
         g2_later, from the listed and the pending keys: int64 counts, or
         count * scale per cell; counts add in float64, exact below 2**53."""
-        reach, n = self.shift + self.window, self.n_pixels
-        # the predicates of [lower, higher] and [higher, lower] over dt
-        dt = np.arange(-reach, reach + 1)
-        win = np.abs(dt) <= self.window
-        sw = np.abs(np.abs(dt) - self.shift) <= self.window
-        fwd, rev = {"g2": (win, win), "g2_shifted": (sw, sw),
-                    "g2_later": (win & (dt < 0), win & (dt > 0))}[name]
-        d = np.concatenate([self._keys, *self._pending])
-        pair = d // dt.size
-        d -= pair * dt.size     # each key's dt + reach
-        counts = np.concatenate((self._counts, np.ones(self._n_pending)))
+        n, table = self.n_pixels, self._dt_tables()[name]
+        orders, counts = self._decoded()
         out = np.zeros(n * n)    # both orders add into it in place
-        for table, flip in ((fwd, False), (rev, True)):
-            sel = np.flatnonzero(table[d])
-            cells = pair[sel]   # lower * n + higher; flipped, higher * n + lower
-            np.add.at(out, cells * n - cells // n * (n * n - 1) if flip
-                      else cells, counts[sel])
+        for cells, dt in orders:
+            sel = np.flatnonzero(table[dt])
+            np.add.at(out, cells[sel], counts[sel])
         if scale is None:
             return out.astype(np.int64).reshape(n, n)
         out *= scale
@@ -377,11 +386,8 @@ def normalize(acc: CorrelationAccumulator) -> CorrectedG2:
     """Convert raw counts to rates per 1e6 frames."""
     scale = _rate_scale(acc)
     return CorrectedG2(
-        values=acc.tensor("g2", scale), g1=acc.g1 * scale,
-        flags=("raw",), n_x=acc.n_x, n_y=acc.n_y,
-        bins_per_frame=acc.bins_per_frame, window=acc.window,
-        shift=acc.shift, n_frames=acc.n_frames,
-        mapping_mode=acc.mapping_mode)
+        values=acc.tensor("g2", scale), g1=acc.g1 * scale, flags=("raw",),
+        **{name: getattr(acc, name) for name in _TENSOR_META})
 
 
 def _axis_offsets(n, sources=None):
@@ -436,16 +442,7 @@ def estimate_accidentals(acc: CorrelationAccumulator,
     """
     scale = _rate_scale(acc)
     if method == "shifted_window":
-        prompt = _window_mass(acc.bins_per_frame, -acc.window, acc.window)
-        displaced = (
-            _window_mass(acc.bins_per_frame, acc.shift - acc.window,
-                         acc.shift + acc.window)
-            + _window_mass(acc.bins_per_frame, -acc.shift - acc.window,
-                           -acc.shift + acc.window))
-        # the displaced tensor tests |dt|, so it carries both sign
-        # intervals; the denominator above counts both as well. It is
-        # positive: the accumulator keeps shift - window inside the frame.
-        return acc.tensor("g2_shifted", (prompt / displaced) * scale)
+        return acc.tensor("g2_shifted", _displaced_ratio(acc) * scale)
     if method == "g1_product":
         dist = _locus_distance(acc.n_x, acc.n_y, acc.mapping_mode)
         sel = dist >= MASK_DISTANCE
@@ -467,6 +464,15 @@ def estimate_accidentals(acc: CorrelationAccumulator,
     raise ConfigError(f"unknown accidental estimator {method!r}")
 
 
+def _displaced_ratio(acc: CorrelationAccumulator) -> float:
+    # shifted_window's factor from displaced counts to prompt accidentals:
+    # the bin-difference occupancy of the prompt window over that of both
+    # displaced intervals, positive as shift - window lies in the frame
+    b, w, sh = acc.bins_per_frame, acc.window, acc.shift
+    return _window_mass(b, -w, w) / (_window_mass(b, sh - w, sh + w)
+                                     + _window_mass(b, -sh - w, -sh + w))
+
+
 def subtract_accidentals(corr: CorrectedG2, estimate: np.ndarray) -> CorrectedG2:
     """Subtract an accidental estimate; negative residuals are kept."""
     estimate = np.asarray(estimate, float)
@@ -476,67 +482,67 @@ def subtract_accidentals(corr: CorrectedG2, estimate: np.ndarray) -> CorrectedG2
                    flags=corr.flags + ("accidental_subtracted",))
 
 
-def estimate_crosstalk(acc: CorrelationAccumulator, estimate: np.ndarray,
+def estimate_crosstalk(acc: CorrelationAccumulator, method="shifted_window",
                        inner_window=29) -> CrosstalkMap:
-    """Estimate cross-talk probabilities from an uncorrelated run.
+    """Estimate cross-talk probabilities from an uncorrelated run's counts.
 
-    acc holds the run's counts and estimate its accidental rates per 1e6
-    frames. For uncorrelated illumination the only prompt pairs left after
-    accidental subtraction are detection/echo pairs, so summing g2 - estimate
-    over an inner block of source pixels at fixed offset and dividing by the
-    singles in that block yields the combined echo rate of the +offset and
-    -offset directions. Echoes always fire after their source, so the
-    strictly-ordered share g2_later, less the estimate's share of it under
-    the triangular bin occupancy, splits that total between the two
-    directions; pairs in the same tdc bin carry no direction and follow the
-    ordered ratio (an even split when no ordered pairs survive subtraction,
-    which reproduces the plain half-total rule). Negative cells clamp to
-    zero and are counted.
-
-    The rates are formed one source row's block at a time and summed as
-    offset-keyed bincounts; against one sum per offset this order of
-    summation moves a probability by at most 1e-12 of the map's largest
-    (about 1e-15 measured), and could only clamp a sum that cancels to zero
-    within rounding differently.
+    After accidental subtraction (method, as in estimate_accidentals) the
+    only prompt pairs of uncorrelated light are detection/echo pairs. One
+    pass over the keys histograms both pixel orders of each over (dt =
+    t(source) - t(partner), offset of the partner from a source in the
+    centred inner window). Per offset, the prompt pairs less their
+    accidental share, over the inner window's singles, give the echo rate
+    of +offset and -offset together. Echoes fire after their source, so
+    the pairs whose partner fired later, and those whose source did, each
+    less its share of strictly-ordered bin pairs, split it; pairs in one
+    tdc bin follow that ratio (half and half when no ordered pairs survive
+    subtraction). Negative cells clamp to zero and are counted.
     """
+    if not isinstance(method, str) or method not in ("shifted_window",
+                                                     "g1_product"):
+        raise ConfigError(f"unknown accidental estimator {method!r}")
     scale = _rate_scale(acc)
-    estimate = np.asarray(estimate, float)
-    if estimate.shape != (acc.n_pixels, acc.n_pixels):
-        raise ConfigError("estimate shape does not match the tensor")
     n_x, n_y = acc.n_x, acc.n_y
     check_inner_window(inner_window, n_x, n_y)
     radius = inner_window - 1
-    grid = 2 * radius + 2    # offsets -r..r, then one bin beyond the radius
+    grid = 2 * radius + 2    # offsets -r..r, then one bin for the rest
     xs = np.arange((n_x - inner_window) // 2, (n_x + inner_window) // 2)
     ys = np.arange((n_y - inner_window) // 2, (n_y + inner_window) // 2)
     norm = float(np.sum((acc.g1 * scale).reshape(n_y, n_x)[np.ix_(ys, xs)]))
     if norm <= 0:
         raise EmptyAccumulator("inner window saw no singles")
+    # bins[s * n_pix + t]: the grid cell of pixel t's offset from pixel s
+    # in the inner window, the last cell for any other pair; kx[x1, x2]
+    # and ky[y1, y2] are its per-axis indices
+    kx, ky = (np.full((n, n), grid - 1, np.min_scalar_type(grid * grid))
+              for n in (n_x, n_y))
+    kx[xs] = _offset_index(_axis_offsets(n_x, xs), radius)
+    ky[ys] = _offset_index(_axis_offsets(n_y, ys), radius)
+    bins = np.add(*_over_pairs(kx * grid, ky)).ravel()
+    tables = acc._dt_tables()
+    span = tables["g2"].size
+    orders, counts = acc._decoded()
+    hist = np.zeros(span * grid * grid)
+    for cells, dt in orders:
+        hist += np.bincount(dt * grid ** 2 + bins[cells], counts, hist.size)
+    hist = hist.reshape(span, grid, grid)[:, :-1, :-1]
+    # per offset: the prompt pairs, those whose partner and those whose
+    # source fired later, and the displaced-window pairs
+    prompt, later, earlier, displaced = (
+        hist[table].sum(axis=0) for table in (
+            tables["g2"], tables["g2_later"], tables["g2_later"][::-1],
+            tables["g2_shifted"]))
+    if method == "shifted_window":
+        accidental = displaced * (_displaced_ratio(acc) * scale)
+    else:    # the dense estimate summed per offset, zero at offset 0
+        accidental = np.bincount(
+            bins, estimate_accidentals(acc, method).ravel(),
+            grid * grid).reshape(grid, grid)[:-1, :-1]
     ordered = (_window_mass(acc.bins_per_frame, 1, acc.window)
                / _window_mass(acc.bins_per_frame, -acc.window, acc.window))
-    g2, later, est = (a.reshape(n_y, n_x, n_y, n_x) for a in (
-        acc.tensor("g2", scale), acc.tensor("g2_later", scale), estimate))
-    swap = (2, 3, 0, 1)
-    # pair rates at (source, target), their ordered shares with the target
-    # and with the source fired later, and the share of the estimate each
-    # loses: uncorrelated pairs have a sign-symmetric dt (x * 1.0 is x)
-    terms = ((g2, est, 1.0), (later, est, ordered),
-             (later.transpose(swap), est.transpose(swap), ordered))
-    # key[0, sx, ty, tx] of the offset from (sy, sx) to (ty, tx) on a
-    # grid x grid table whose last row and column collect what lies beyond
-    # the radius
-    kx, ky = _over_pairs(_offset_index(_axis_offsets(n_x, xs), radius),
-                         _offset_index(_axis_offsets(n_y, ys), radius))
-    sums = np.zeros((3, grid * grid))
-    for row, sy in enumerate(ys):
-        key = (kx * grid + ky[row:row + 1]).ravel()
-        block = np.s_[sy:sy + 1, xs[0]:xs[-1] + 1]
-        for out, (rates, accidental, share) in zip(sums, terms):
-            rate = rates[block] - accidental[block] * share
-            out += np.bincount(key, rate.ravel(), out.size)
-    total, fwd, rev = sums.reshape(3, grid, grid)[:, :-1, :-1]
-    total[radius, radius] = 0.0    # a pixel never pairs with itself
-    fwd, rev = np.maximum((fwd, rev), 0.0)
+    total = prompt * scale - accidental
+    fwd, rev = np.maximum((later * scale - accidental * ordered,
+                           earlier * scale - accidental * ordered), 0.0)
     share = np.divide(fwd, fwd + rev, out=np.full_like(fwd, 0.5),
                       where=fwd + rev > 0)
     prob = share * total / norm

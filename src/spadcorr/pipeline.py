@@ -15,6 +15,7 @@ from .correlator import (
     CorrectedG2,
     CorrelationAccumulator,
     accumulate,
+    check_inner_window,
     correct_crosstalk,
     estimate_accidentals,
     estimate_crosstalk,
@@ -84,17 +85,17 @@ def correct_chain(acc: CorrelationAccumulator, *,
     """Normalize and run the correction chain on one accumulator.
 
     With estimate_map the cross-talk map is measured from this accumulator
-    and its accidental estimate; otherwise a map may be supplied (a sensor
+    with its accidental method; otherwise a map may be supplied (a sensor
     property, so one characterization serves every arm), but not both
     (ConfigError). Returns the corrected tensor and whichever map was used,
     None when skipped.
     """
     if estimate_map and crosstalk_map is not None:
         raise ConfigError("a supplied cross-talk map cannot also be estimated")
-    estimate = estimate_accidentals(acc, accidental_method)
     cmap = crosstalk_map
     if estimate_map:
-        cmap = estimate_crosstalk(acc, estimate, inner_window=inner_window)
+        cmap = estimate_crosstalk(acc, accidental_method, inner_window)
+    estimate = estimate_accidentals(acc, accidental_method)
     corr = subtract_accidentals(normalize(acc), estimate)
     del estimate   # one tensor less while the later stages allocate theirs
     if cmap is not None:
@@ -121,7 +122,8 @@ def characterize_crosstalk(settings: dict) -> CrosstalkMap:
     Estimating on a pair run would count genuine coincidences as
     cross-talk, so the characterization illuminates the sensor with
     uncorrelated light only: zero pairs, dark rate boosted to give
-    usable statistics. The map is a sensor property and reusable.
+    usable statistics. The map is estimated from its accumulator with
+    correct.accidental_method; it is a sensor property and reusable.
     """
     sensor_cfg = replace(
         cfgmod.build_sensor(settings),
@@ -135,9 +137,8 @@ def characterize_crosstalk(settings: dict) -> CrosstalkMap:
         seed=settings["run.seed"] + 2, workers=settings["run.workers"],
         window=settings["correlate.window"],
         shift=settings["correlate.shift"])
-    return estimate_crosstalk(
-        acc, estimate_accidentals(acc, settings["correct.accidental_method"]),
-        inner_window=settings["correct.crosstalk_inner_window"])
+    return estimate_crosstalk(acc, settings["correct.accidental_method"],
+                              settings["correct.crosstalk_inner_window"])
 
 
 def run_pair_study(settings: dict) -> PairStudyResult:
@@ -146,8 +147,13 @@ def run_pair_study(settings: dict) -> PairStudyResult:
     The far-field arm runs on run.seed and the near-field arm on
     run.seed + 1 so the two observations are independent. The cross-talk
     map comes from a separate uncorrelated characterization run on
-    run.seed + 2 and is applied to both arms.
+    run.seed + 2 and is applied to both arms. Its inner window must fit
+    the sensor (ConfigError before any simulation).
     """
+    if settings["correct.apply_crosstalk"]:
+        check_inner_window(settings["correct.crosstalk_inner_window"],
+                           settings["sensor.n_x"], settings["sensor.n_y"],
+                           ConfigError)
     model = cfgmod.build_model(settings)
     sensor_cfg = cfgmod.build_sensor(settings)
     crosstalk = cfgmod.build_crosstalk(settings)
@@ -171,8 +177,7 @@ def run_pair_study(settings: dict) -> PairStudyResult:
     cmap = (characterize_crosstalk(settings)
             if settings["correct.apply_crosstalk"] else None)
     chain = dict(accidental_method=settings["correct.accidental_method"],
-                 mask_radius=settings["correct.mask_radius"],
-                 inner_window=settings["correct.crosstalk_inner_window"])
+                 mask_radius=settings["correct.mask_radius"])
     corr_far, _ = correct_chain(acc_far, crosstalk_map=cmap, **chain)
     corr_near, _ = correct_chain(acc_near, crosstalk_map=cmap, **chain)
     report = evaluate_epr(

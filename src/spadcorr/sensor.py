@@ -326,7 +326,8 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
     mean * efficiency + dark counts per frame) * (1 + summed cross-talk
     probability); the last group may be shorter. The boundaries follow
     from the configuration alone, so the worker count cannot change the
-    output. crosstalk None injects no cross-talk.
+    output. crosstalk None injects no cross-talk; a map with a
+    probability outside [0, 1], NaN included, is refused (ConfigError).
     """
     if n_frames < 0:
         raise ConfigError("n_frames must be nonnegative")
@@ -337,6 +338,8 @@ def simulate_frames(model: DoubleGaussianModel, mapping: OpticalMapping,
     if mapping.mode not in ("far", "near"):
         raise ConfigError("simulation needs a near or far mapping")
     offsets = [] if crosstalk is None else crosstalk.offsets()
+    if not all(0.0 <= p <= 1.0 for _, _, p in offsets):    # NaN fails too
+        raise ConfigError("cross-talk probabilities outside [0, 1]")
     # a Python sum in the order of the draws: np.sum adds pairwise, and its
     # rounding could move a group boundary
     chunk_events = (CHUNK_FRAMES

@@ -392,37 +392,49 @@ def oracle_estimate_crosstalk(corr, inner_window=29):
                         clamped_negative=clamped)
 
 
-def keyed_estimate_crosstalk(corr, inner_window=29):
-    """The library's estimator as it read a corrected tensor: offset-keyed
-    bincounts over values and the ordered share values_later, one source
-    row at a time. It sums in the library's order, so its maps match the
-    library's bit for bit; oracle_estimate_crosstalk checks the arithmetic.
+def keyed_estimate_crosstalk(acc, method, inner_window=29):
+    """The library's estimator in its order of float operations, from
+    dense tensors: per offset, the integer sums of g2, of g2_later in both
+    orders and of g2_shifted as offset-keyed bincounts over the inner
+    source block, each then scaled as the library scales it, or the
+    g1_product estimate's rates summed in the library's cell order.
+    Integer sums below 2**53 are exact in float64 in any order, so the
+    maps match the library's bit for bit; oracle_estimate_crosstalk checks
+    the arithmetic.
     """
-    assert corr.flags == ("raw", "accidental_subtracted"), corr.flags
-    n_x, n_y = corr.n_x, corr.n_y
+    n_x, n_y = acc.n_x, acc.n_y
     if inner_window < 1 or inner_window > min(n_x, n_y):
         raise WindowTooLarge("inner window does not fit on the sensor")
+    scale = MFRAMES / acc.n_frames
     radius = inner_window - 1
     grid = 2 * radius + 2
     xs = np.arange((n_x - inner_window) // 2, (n_x + inner_window) // 2)
     ys = np.arange((n_y - inner_window) // 2, (n_y + inner_window) // 2)
-    norm = float(np.sum(corr.g1.reshape(n_y, n_x)[np.ix_(ys, xs)]))
+    norm = float(np.sum((acc.g1 * scale).reshape(n_y, n_x)[np.ix_(ys, xs)]))
     if norm <= 0:
         raise EmptyAccumulator("inner window saw no singles")
-    later = corr.values_later.reshape(n_y, n_x, n_y, n_x)
-    tensors = (corr.values.reshape(n_y, n_x, n_y, n_x), later,
-               later.transpose(2, 3, 0, 1))
     kx, ky = _over_pairs(_offset_index(_axis_offsets(n_x, xs), radius),
                          _offset_index(_axis_offsets(n_y, ys), radius))
-    sums = np.zeros((3, grid * grid))
-    for row, sy in enumerate(ys):
-        key = (kx * grid + ky[row:row + 1]).ravel()
-        block = np.s_[sy:sy + 1, xs[0]:xs[-1] + 1]
-        for out, tensor in zip(sums, tensors):
-            out += np.bincount(key, tensor[block].ravel(), out.size)
-    total, fwd, rev = sums.reshape(3, grid, grid)[:, :-1, :-1]
-    total[radius, radius] = 0.0
-    fwd, rev = np.maximum((fwd, rev), 0.0)
+    key = (kx * grid + ky).ravel()
+    block = np.s_[ys[0]:ys[-1] + 1, xs[0]:xs[-1] + 1]
+
+    def offset_sums(tensor):
+        rows = np.asarray(tensor, float).reshape(n_y, n_x, n_y, n_x)[block]
+        return np.bincount(key, rows.ravel(), grid * grid).reshape(
+            grid, grid)[:-1, :-1]
+
+    b, w, sh = acc.bins_per_frame, acc.window, acc.shift
+    if method == "shifted_window":
+        ratio = _window_mass(b, -w, w) / (_window_mass(b, sh - w, sh + w)
+                                          + _window_mass(b, -sh - w, -sh + w))
+        accidental = offset_sums(acc.g2_shifted) * (ratio * scale)
+    else:
+        accidental = offset_sums(oracle_estimate_accidentals(acc, method))
+    ordered = _window_mass(b, 1, w) / _window_mass(b, -w, w)
+    total = offset_sums(acc.g2) * scale - accidental
+    fwd, rev = np.maximum(
+        [offset_sums(later) * scale - accidental * ordered
+         for later in (acc.g2_later, acc.g2_later.T)], 0.0)
     share = np.divide(fwd, fwd + rev, out=np.full_like(fwd, 0.5),
                       where=fwd + rev > 0)
     prob = share * total / norm
@@ -486,15 +498,6 @@ def oracle_estimate_accidentals(acc, method):
     return est * scale
 
 
-def oracle_characterize(acc, method, inner_window):
-    """The cross-talk map as characterize_crosstalk built it: the chain's
-    accidental-subtracted tensor with its ordered share, then the estimator
-    on that tensor."""
-    corr = oracle_subtract_accidentals(
-        oracle_normalize(acc), oracle_estimate_accidentals(acc, method))
-    return keyed_estimate_crosstalk(corr, inner_window)
-
-
 def oracle_correct_chain(acc, *, accidental_method="shifted_window",
                          crosstalk_map=None, estimate_map=False,
                          mask_radius=1, inner_window=29):
@@ -503,8 +506,8 @@ def oracle_correct_chain(acc, *, accidental_method="shifted_window",
     corr = oracle_subtract_accidentals(
         oracle_normalize(acc),
         oracle_estimate_accidentals(acc, accidental_method))
-    cmap = (keyed_estimate_crosstalk(corr, inner_window) if estimate_map
-            else crosstalk_map)
+    cmap = (keyed_estimate_crosstalk(acc, accidental_method, inner_window)
+            if estimate_map else crosstalk_map)
     values = corr.values
     if cmap is not None:
         # the echo of each pair and its transpose, added in that order

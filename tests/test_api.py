@@ -106,6 +106,12 @@ def test_accidental_estimate_takes_no_mask_options():
         correlator.estimate_accidentals).parameters) == ["acc", "method"]
 
 
+def test_crosstalk_estimate_takes_the_method_not_an_estimate():
+    assert list(inspect.signature(
+        correlator.estimate_crosstalk).parameters) == [
+            "acc", "method", "inner_window"]
+
+
 def imported_but_unused(tree):
     """Names a module imports (as bound in its namespace) and never reads."""
     bound = set()

@@ -11,7 +11,7 @@ from helpers import (
     save_older_corrected,
     sum_diff_route_profiles,
 )
-from spadcorr import arraystore, epr
+from spadcorr import arraystore, epr, sensor
 from spadcorr import config as cfgmod
 from spadcorr.cli import build_parser, main
 from spadcorr.correlator import CorrectedG2, CorrelationAccumulator
@@ -124,6 +124,24 @@ class TestStageCommands:
         for name in ("numerical", "gauss1d", "gauss2d", "peaks"):
             assert name in text
         assert "*" in text
+
+    def test_correlate_counts_pairs_without_a_tensor(self, ws, tmp_path,
+                                                     capsys, monkeypatch):
+        out = tmp_path / "far.acc.blk"
+        tensor = CorrelationAccumulator.tensor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("correlate derived a dense tensor")
+
+        monkeypatch.setattr(CorrelationAccumulator, "tensor", refuse)
+        assert main(["correlate", "--in", str(ws["far_evt"]),
+                     "--out", str(out)]) == 0
+        acc = CorrelationAccumulator.load(out)
+        pairs = int(tensor(acc, "g2").sum())
+        assert pairs > 0
+        assert capsys.readouterr().out == (
+            f"wrote {out}: {acc.n_frames} frames, {pairs} windowed pair "
+            f"counts\n")
 
     def test_crosstalk_map_save_and_reuse(self, ws):
         map_path = ws["root"] / "far.map.blk"
@@ -413,6 +431,19 @@ class TestErrorExits:
         assert "configuration error" in err
         assert "64x64 outside format v1 limits" in err
         assert not out.exists()
+
+    def test_inner_window_wider_than_sensor_refused_before_simulating(
+            self, ws, capsys, monkeypatch):
+        # the default inner window 29 does not fit 16 columns
+        narrow = ws["root"] / "narrow.cfg"
+        narrow.write_text("sensor.n_x = 16\nrun.frames = 70000\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an arm was simulated")
+
+        monkeypatch.setattr(sensor, "_simulate_group", refuse)
+        assert main(["pipeline", "--config", str(narrow)]) == 2
+        assert "inner window does not fit" in capsys.readouterr().err
 
     def test_simulate_needs_mapping(self, ws, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from helpers import (
     frame_groups,
     keyed_estimate_crosstalk,
     neighbor_mask_pairs,
+    oracle_estimate_accidentals,
     oracle_estimate_crosstalk,
     oracle_locus_distance,
     oracle_normalize,
@@ -512,7 +513,7 @@ class TestEstimateCrosstalk:
     def test_zero_tensor_yields_zero_map(self):
         acc = blank_acc()
         acc.g1[:] = 100
-        cmap = estimate_crosstalk(acc, np.zeros(acc.g2.shape))
+        cmap = estimate_crosstalk(acc, "shifted_window")
         assert np.all(cmap.probabilities == 0.0)
         assert cmap.clamped_negative == 0
         assert cmap.probability(1, 0) == 0.0
@@ -527,8 +528,7 @@ class TestEstimateCrosstalk:
         acc = pair_list_accumulator(32 * y + x, 32 * y + x + 1, 0, 200,
                                     n_frames=841_000_000)
         acc.g1.reshape(32, 32)[1:30, 1:30] = 1_000_000
-        cmap = estimate_crosstalk(acc, np.zeros((1024, 1024)),
-                                  inner_window=29)
+        cmap = estimate_crosstalk(acc, "shifted_window", inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(1e-4, rel=1e-9)
 
     def test_ordered_share_resolves_direction(self):
@@ -538,42 +538,37 @@ class TestEstimateCrosstalk:
         acc = pair_list_accumulator(32 * y + x, 32 * y + x + 1, -1, 1,
                                     n_frames=2_000_000, g1=2000)
         assert acc.g2_later[33, 34] == 1 and acc.g2_later[34, 33] == 0
-        cmap = estimate_crosstalk(acc, np.zeros((1024, 1024)),
-                                  inner_window=29)
+        cmap = estimate_crosstalk(acc, "shifted_window", inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(5e-4, rel=1e-9)
         assert cmap.probability(-1, 0) == 0.0
 
     def test_negative_cells_clamp_and_count(self):
-        acc = blank_acc()
-        acc.g1[:] = 1000
-        # an estimate above the counts leaves negative subtracted rates
-        estimate = np.zeros(acc.g2.shape)
-        est = estimate.reshape(32, 32, 32, 32)
-        for y in range(1, 30):
-            for x in range(1, 30):
-                est[y, x, y + 1, x] += 0.1
-                est[y + 1, x, y, x] += 0.1
-        cmap = estimate_crosstalk(acc, estimate, inner_window=29)
+        # displaced-window keys above the prompt ones (none) leave negative
+        # subtracted rates at offset (0, 1)
+        y, x = np.mgrid[1:30, 1:30]
+        acc = pair_list_accumulator(32 * y + x, 32 * (y + 1) + x, 20, 1,
+                                    g1=1000, n_frames=1_000_000)
+        cmap = estimate_crosstalk(acc, "shifted_window", inner_window=29)
         assert cmap.probability(0, 1) == 0.0
         assert cmap.clamped_negative >= 1
 
-    def test_estimate_shape_must_match(self):
+    def test_unknown_method_refused(self):
         acc = blank_acc()
         acc.g1[:] = 100
-        with pytest.raises(ConfigError):
-            estimate_crosstalk(acc, np.zeros((4, 4)))
-        with pytest.raises(ConfigError):
-            estimate_crosstalk(acc, np.zeros(acc.g1.shape))
+        # a dense accidental estimate where the method goes is refused too
+        for method in ("dark_magic", None, np.zeros((4, 4)),
+                       np.zeros((1024, 1024))):
+            with pytest.raises(ConfigError, match="unknown accidental"):
+                estimate_crosstalk(acc, method)
         with pytest.raises(EmptyAccumulator):
-            estimate_crosstalk(blank_acc(n_frames=0), np.zeros(acc.g2.shape))
+            estimate_crosstalk(blank_acc(n_frames=0), "shifted_window")
 
     def test_inner_window_limits(self):
         acc = blank_acc()
-        estimate = np.zeros(acc.g2.shape)
         with pytest.raises(WindowTooLarge):
-            estimate_crosstalk(acc, estimate, inner_window=33)
+            estimate_crosstalk(acc, "shifted_window", inner_window=33)
         with pytest.raises(WindowTooLarge):
-            estimate_crosstalk(acc, estimate, inner_window=0)
+            estimate_crosstalk(acc, "shifted_window", inner_window=0)
 
     def test_map_round_trip(self, tmp_path):
         prob = np.zeros((3, 3))
@@ -596,7 +591,7 @@ class TestEstimateCrosstalk:
                                   1_000_000, 0.0, crosstalk=xt, seed=37)
         acc = accumulate(batches, mapping_mode="far")
         estimate = estimate_accidentals(acc)
-        cmap = estimate_crosstalk(acc, estimate, inner_window=29)
+        cmap = estimate_crosstalk(acc, "shifted_window", inner_window=29)
         assert cmap.probability(1, 0) == pytest.approx(1e-3, rel=0.2)
         assert cmap.probability(0, 1) == pytest.approx(1e-3, rel=0.2)
         assert cmap.probability(-1, 0) < 1e-4
@@ -873,31 +868,41 @@ class TestOffsetKeyedCrosstalk:
 
     @pytest.mark.parametrize("n_x,n_y", GEOMETRIES)
     @pytest.mark.parametrize("which", ["one", "two", "full"])
+    @pytest.mark.parametrize("method", ["shifted_window", "g1_product"])
     def test_estimate_matches_oracle_on_random_tensors(self, n_x, n_y,
-                                                       which):
+                                                       which, method,
+                                                       monkeypatch):
         inner = {"one": 1, "two": 2, "full": min(n_x, n_y)}[which]
         rng = np.random.default_rng(n_x * n_y + inner)
         n_pix = n_x * n_y
+        # the small sensors have few pairs far from the diagonal
+        monkeypatch.setattr(correlator, "MASK_DISTANCE", 2)
+        monkeypatch.setattr(correlator, "MIN_MASK_PAIRS", 2)
         for negative_share in (0.3, 0.5):
-            # an estimate that exceeds about that share of the rates, so
-            # rates and ordered shares both carry negative cells; 3e6
-            # frames give a scale of 1/3, which rounds where it is applied.
-            # A pair list makes g2 symmetric: each pixel pair gets up to 475
-            # ordered pairs each way and up to 48 in one bin.
+            # displaced-window keys whose accidental share exceeds about
+            # that share of the prompt ones (g1_product's fitted products
+            # exceed about half), so rates and ordered shares both carry
+            # negative cells; 3e6 frames give a scale of 1/3, which rounds
+            # where it is applied. Each pixel pair gets up to 475 ordered
+            # pairs each way, up to 48 in one bin and up to 2000 * share /
+            # ratio displaced ones (ratio about 0.53)
             a, b = np.triu_indices(n_pix, 1)
+            displaced = 2000 * negative_share / 0.531
             acc = pair_list_accumulator(
-                np.tile(a, 3), np.tile(b, 3), np.repeat([-1, 1, 0], a.size),
+                np.tile(a, 4), np.tile(b, 4),
+                np.repeat([-1, 1, 0, 20], a.size),
                 np.concatenate((rng.integers(0, 476, (2, a.size)).ravel(),
-                                rng.integers(0, 49, a.size))),
+                                rng.integers(0, 49, a.size),
+                                rng.integers(0, displaced, a.size))),
                 n_x=n_x, n_y=n_y, n_frames=3_000_000,
                 g1=rng.integers(1, 1000, n_pix))
-            estimate = rng.random((n_pix, n_pix)) * (2000 * negative_share / 3)
-            corr = oracle_subtract_accidentals(oracle_normalize(acc),
-                                               estimate)
+            corr = oracle_subtract_accidentals(
+                oracle_normalize(acc), oracle_estimate_accidentals(acc,
+                                                                   method))
             assert (corr.values < 0).any() and (corr.values_later < 0).any()
-            got = estimate_crosstalk(acc, estimate, inner)
+            got = estimate_crosstalk(acc, method, inner)
             self.assert_maps_agree(got, oracle_estimate_crosstalk(corr, inner))
-            keyed = keyed_estimate_crosstalk(corr, inner)
+            keyed = keyed_estimate_crosstalk(acc, method, inner)
             assert got.probabilities.tobytes() == keyed.probabilities.tobytes()
             assert got.clamped_negative == keyed.clamped_negative
 
@@ -911,7 +916,7 @@ class TestOffsetKeyedCrosstalk:
                                          4 * 65536, 0.0, crosstalk=xt,
                                          seed=seed), mapping_mode="far")
         estimate = estimate_accidentals(acc)
-        got = estimate_crosstalk(acc, estimate, inner_window=29)
+        got = estimate_crosstalk(acc, "shifted_window", inner_window=29)
         corr = oracle_subtract_accidentals(oracle_normalize(acc), estimate)
         self.assert_maps_agree(got, oracle_estimate_crosstalk(corr, 29))
         assert got.clamped_negative > 0
@@ -930,7 +935,7 @@ class TestSymmetryThroughStages:
         assert np.all(np.diag(acc.g2) == 0)
         estimate = estimate_accidentals(acc)
         corr = subtract_accidentals(normalize(acc), estimate)
-        cmap = estimate_crosstalk(acc, estimate)
+        cmap = estimate_crosstalk(acc)
         corr = correct_crosstalk(corr, cmap)
         corr = mask_neighbors(corr, 1)
         np.testing.assert_allclose(corr.values, corr.values.T, atol=1e-9)

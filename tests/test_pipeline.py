@@ -6,11 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import REFERENCE_CFG, oracle_characterize, oracle_correct_chain
+from helpers import (
+    REFERENCE_CFG,
+    keyed_estimate_crosstalk,
+    oracle_correct_chain,
+)
 from spadcorr import config as cfgmod
 from spadcorr import pipeline
 from spadcorr.config import parse_config
-from spadcorr.correlator import accumulate
+from spadcorr.correlator import (
+    CorrelationAccumulator,
+    accumulate,
+    estimate_crosstalk,
+)
 from spadcorr.errors import ConfigError, OrderViolation
 from spadcorr.pipeline import (
     accumulate_file,
@@ -157,27 +165,33 @@ class TestCorrectChain:
             assert big == []
 
 
+def reference_stream(stream):
+    """The mapping mode and the batches of the first 2**17 frames of a
+    reference arm, or of the first 2**16 of the characterization."""
+    settings = cfgmod.load_config(REFERENCE_CFG)
+    seed = settings["run.seed"]
+    mode, rate, sensor_cfg, n_frames = {
+        "far": ("far", settings["run.pairs_per_frame_far"], None, 2**17),
+        "near": ("near", settings["run.pairs_per_frame_near"], None, 2**17),
+        "characterization": ("far", 0.0, dataclasses.replace(
+            cfgmod.build_sensor(settings),
+            dark_rate_hz=settings["correct.characterization_dark_hz"]),
+            2**16)}[stream]
+    seed += {"far": 0, "near": 1, "characterization": 2}[stream]
+    return mode, list(simulate_frames(
+        cfgmod.build_model(settings), cfgmod.build_mapping(settings, mode),
+        sensor_cfg or cfgmod.build_sensor(settings), n_frames, rate,
+        crosstalk=cfgmod.build_crosstalk(settings), seed=seed))
+
+
 class TestPairListMemory:
-    """Accumulation holds the event columns and the pair list only."""
+    """Accumulation holds the event columns and the pair list only, and
+    the cross-talk map reads the pair list."""
 
     @pytest.mark.parametrize("stream", ["far", "near", "characterization"])
     def test_reference_streams_accumulate_in_little_memory(self, stream):
-        settings = cfgmod.load_config(REFERENCE_CFG)
-        seed = settings["run.seed"]
-        mode, rate, sensor_cfg, n_frames = {
-            "far": ("far", settings["run.pairs_per_frame_far"], None,
-                    2**17),
-            "near": ("near", settings["run.pairs_per_frame_near"], None,
-                     2**17),
-            "characterization": ("far", 0.0, dataclasses.replace(
-                cfgmod.build_sensor(settings),
-                dark_rate_hz=settings["correct.characterization_dark_hz"]),
-                2**16)}[stream]
-        seed += {"far": 0, "near": 1, "characterization": 2}[stream]
-        batches = list(simulate_frames(
-            cfgmod.build_model(settings), cfgmod.build_mapping(settings, mode),
-            sensor_cfg or cfgmod.build_sensor(settings), n_frames, rate,
-            crosstalk=cfgmod.build_crosstalk(settings), seed=seed))
+        mode, batches = reference_stream(stream)
+        n_frames = sum(b.n_frames for b in batches)
         tracemalloc.start()
         try:
             acc = accumulate(batches, mapping_mode=mode)
@@ -191,6 +205,37 @@ class TestPairListMemory:
         # a kept pair's key, its place in the list and the merge under
         # 96 B; the three dense int64 tensors held before took 24 MiB
         assert peak < 40 * events + 96 * kept + 2**18 < 8 * 2**20
+
+    def test_characterization_map_in_little_memory(self):
+        mode, batches = reference_stream("characterization")
+        acc = accumulate(batches, mapping_mode=mode)
+        estimate_crosstalk(acc, "shifted_window")
+        tracemalloc.start()
+        try:
+            estimate_crosstalk(acc, "shifted_window")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # under one (n_pix, n_pix) float64 tensor; the dense tensors read
+        # before took 25.1 MiB
+        assert peak < acc.n_pixels ** 2 * 8
+
+    @pytest.mark.parametrize("through", ["estimate", "characterization"])
+    def test_shifted_window_map_reads_no_tensor(self, through, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense tensor or estimate was derived")
+
+        settings = small_settings(**{"crosstalk.p_1_0": "1e-3",
+                                     "correct.apply_crosstalk": "true",
+                                     "correct.characterization_frames":
+                                     20000})
+        acc = (accumulate(reference_stream("characterization")[1])
+               if through == "estimate" else None)
+        monkeypatch.setattr(CorrelationAccumulator, "tensor", refuse)
+        monkeypatch.setattr(pipeline, "estimate_accidentals", refuse)
+        cmap = (estimate_crosstalk(acc) if acc is not None
+                else characterize_crosstalk(settings))
+        assert cmap.probability(1, 0) > 0
 
 
 class TestCharacterization:
@@ -256,7 +301,8 @@ class TestChainOracle:
     @pytest.mark.parametrize("method", ["shifted_window", "g1_product"])
     def test_characterization_map_identical(self, sensor, method):
         cmap, acc = characterize_with_acc(oracle_settings(sensor, method))
-        want = oracle_characterize(acc, method, ORACLE_SENSORS[sensor][2])
+        want = keyed_estimate_crosstalk(acc, method,
+                                        ORACLE_SENSORS[sensor][2])
         assert cmap.probabilities.tobytes() == want.probabilities.tobytes()
         assert cmap.clamped_negative == want.clamped_negative > 0
 

@@ -354,6 +354,18 @@ class TestSimulateFrames:
                                  OpticalMapping(mode="unspecified"), cfg,
                                  10, 1.0))
 
+    @pytest.mark.parametrize("p", [2.0, -0.1, math.nan])
+    def test_crosstalk_probability_outside_unit_refused(
+            self, reference_model, far_mapping, p, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was drawn")
+
+        monkeypatch.setattr(sensor, "_simulate_group", refuse)
+        with pytest.raises(ConfigError, match=r"outside \[0, 1\]"):
+            next(simulate_frames(reference_model, far_mapping, SensorConfig(),
+                                 1000, 0.5, crosstalk=CrosstalkMap(
+                                     np.full((3, 3), p), 1)))
+
     def test_same_seed_reproduces(self, reference_model, near_mapping):
         cfg = SensorConfig()
         a = concat_batches(simulate_frames(reference_model, near_mapping,
